@@ -30,13 +30,13 @@ from .exact_linalg import (
     integral_preimage,
     invariant_factors,
     inverse_exact,
-    is_integral,
     kernel_basis,
     lattice_index,
     mat_equal,
     rank_exact,
     snf_with_inverses,
     solve_exact,
+    solve_integral,
     to_int,
     zeros,
 )
@@ -210,20 +210,30 @@ class ZQuotient:
         """Matrix of an endomorphism C on the free part.
 
         Well defined as soon as C maps the relation lattice into itself;
-        the caller is expected to pass such a map.
+        the caller is expected to pass such a map.  Both products are summed
+        over the nonzero entries of their right factor, since C is typically
+        a signed permutation and S is typically a coordinate selection.
         """
-        return self.P @ C @ self.S
+        return _times_sparse(_times_sparse(self.P, C), self.S)
 
     def stabilizes(self, C: np.ndarray) -> bool:
         """Does C map the relation lattice into itself?"""
         if self.relations.shape[0] == 0:
             return True
-        imgs = self.relations @ C.T
+        # solve_integral needs independent columns: use a lattice basis.
+        H = hnf_nonzero(self.relations)
         try:
-            coef = solve_exact(self.relations.T, imgs.T)
+            return solve_integral(H.T, C @ H.T) is not None
         except ValueError:
             return False
-        return is_integral(coef)
+
+
+def _times_sparse(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B as a sum over the nonzero entries of B: O(nnz(B) * rows(A))."""
+    out = zeros(A.shape[0], B.shape[1])
+    for i, j in zip(*np.nonzero(B)):
+        out[:, j] += A[:, i] * B[i, j]
+    return out
 
 
 def subquotient_group(num_basis_rows: IMat, den_gen_rows: IMat) -> FgAbGroup:
@@ -235,10 +245,10 @@ def subquotient_group(num_basis_rows: IMat, den_gen_rows: IMat) -> FgAbGroup:
     k = num_basis_rows.shape[0]
     if den_gen_rows.size == 0:
         return FgAbGroup(k, ())
-    coef = solve_exact(num_basis_rows.T, den_gen_rows.T).T
-    if not is_integral(coef):
+    coef = solve_integral(num_basis_rows.T, den_gen_rows.T)
+    if coef is None:
         raise ValueError("denominator does not sit inside the numerator span")
-    return FgAbGroup.from_relations(k, to_int(coef))
+    return FgAbGroup.from_relations(k, coef.T)
 
 
 def tate_group(C: IMat, relation_rows: IMat, degree_parity: str) -> FgAbGroup:
@@ -314,10 +324,10 @@ class BoundedComplex:
         dm = self.d(i - 1)
         if dm.size == 0 or K.shape[0] == 0:
             return K, ZQuotient(K.shape[0], zeros(0, K.shape[0]))
-        coef = solve_exact(K.T, dm).T  # image vectors in kernel coordinates
-        if not is_integral(coef):
+        coef = solve_integral(K.T, dm)  # image vectors in kernel coordinates
+        if coef is None:
             raise ValueError("image does not lie in the integral kernel")
-        return K, ZQuotient(K.shape[0], to_int(coef))
+        return K, ZQuotient(K.shape[0], coef.T)
 
     def cohomology(self, i: int) -> FgAbGroup:
         _, q = self.cohomology_data(i)
@@ -373,10 +383,10 @@ class JComplex:
                 diff[i] = zeros(ranks[i + 1], ranks[i])
                 continue
             imgs = C.d(i) @ bases[i].T
-            coef = solve_exact(bases[i + 1].T, imgs)
-            if not is_integral(coef):
+            coef = solve_integral(bases[i + 1].T, imgs)
+            if coef is None:
                 raise ValueError("fixed subcomplex differential is not integral")
-            diff[i] = to_int(coef)
+            diff[i] = coef
         return BoundedComplex(ranks, diff), bases
 
 

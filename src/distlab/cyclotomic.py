@@ -301,9 +301,10 @@ class DirichletChar:
 
     def __init__(self, modulus: int, exponents):
         g = unit_group(modulus)
-        exps = tuple(int(k) % d for k, d in zip(exponents, g.orders))
-        if len(exps) != len(g.orders):
+        exponents = tuple(exponents)
+        if len(exponents) != len(g.orders):
             raise ValueError("wrong number of exponents")
+        exps = tuple(int(k) % d for k, d in zip(exponents, g.orders))
         self.modulus = modulus
         self.exponents = exps
 

@@ -9,6 +9,16 @@ Provided tools: Smith and Hermite normal forms with transform matrices,
 fraction-free determinants, saturated kernel bases, exact solving and
 inversion, and a ``Lattice`` class with index / intersection / sum in the
 sense of commensurable subgroups of Q^n.
+
+Two solvers.  ``solve_integral`` writes integer vectors in an integer basis
+without leaving Z: fraction-free Gauss-Jordan returns the integer
+coordinates, or None when they are rational but not integral.  Subquotients
+(``abgroup.subquotient_group``, ``BoundedComplex.cohomology_data``,
+``JComplex.fixed_subcomplex``, ``ZQuotient.stabilizes`` and the spectral
+total cohomology) use it.  ``solve_exact`` is Gauss-Jordan over ``Fraction``
+for callers whose answer is rational: ``Lattice.coords_of``,
+``inverse_exact``, and the induced maps and restricted determinants in
+``abgroup``.
 """
 
 from __future__ import annotations
@@ -66,8 +76,14 @@ def is_integral(a: np.ndarray) -> bool:
     return all(Fraction(x).denominator == 1 for x in a.flat)
 
 
+def _all_int(a: np.ndarray) -> bool:
+    return set(map(type, a.flat)) <= {int}
+
+
 def to_int(a: np.ndarray) -> IMat:
-    """Coerce a matrix with integral entries to plain ints."""
+    """Coerce a matrix with integral entries to plain ints (a new array)."""
+    if a.dtype == object and _all_int(a):
+        return a.copy()
     out = np.empty(a.shape, dtype=object)
     for idx, x in np.ndenumerate(a):
         f = Fraction(x)
@@ -167,7 +183,7 @@ class _Transform:
 
 
 def _smith(A: IMat, want_u: bool, want_v: bool, want_inv: bool = False):
-    M = to_int(A).copy()
+    M = to_int(A)
     r, c = M.shape
     U = _Transform(r, True, want_u, want_inv)
     V = _Transform(c, False, want_v, want_inv)
@@ -313,7 +329,7 @@ def hnf(A: IMat) -> IMat:
 
     Zero rows sink to the bottom; the row span is unchanged.
     """
-    M = to_int(A).copy()
+    M = to_int(A)
     r, c = M.shape
     row = 0
     for col in range(c):
@@ -460,6 +476,62 @@ def solve_exact(A: np.ndarray, B: np.ndarray) -> QMat:
     return X
 
 
+def solve_integral(A: IMat, B: IMat) -> IMat | None:
+    """The integer X with A @ X == B, for integer A with independent columns.
+
+    Fraction-free Gauss-Jordan on [A | B] in the style of Bareiss: after
+    the pivot step in column t every entry is, up to sign, a minor of order
+    t+1 or t+2, and each division by the previous pivot is exact.  Rows
+    with a zero in the pivot column only change when the pivot does, so
+    sparse systems with unit pivots cost little.  The pivot rows end as
+    d * [I | X] with d the last pivot, so one divisibility test by d
+    decides integrality.  Returns None when the unique solution is
+    rational but not integral; raises ValueError when the system is
+    inconsistent or the columns of A are dependent.
+    """
+    r, c = A.shape
+    if B.ndim == 1:
+        B = B.reshape(-1, 1)
+    if B.shape[0] != r:
+        raise ValueError("row count of B does not match A")
+    M = np.hstack([to_int(A), to_int(B)])
+    prev = 1
+    for t in range(c):
+        col = M[t:, t]
+        # The smallest pivot keeps the selected minor, hence d, small.
+        piv = min(
+            (i for i in range(r - t) if col[i] != 0),
+            key=lambda i: abs(col[i]),
+            default=None,
+        )
+        if piv is None:
+            raise ValueError("columns of A are dependent")
+        if piv:
+            M[[t, t + piv], :] = M[[t + piv, t], :]
+        # Columns up to t are not read again (pivot rows hold p there).
+        rest = M[:, t + 1 :]
+        p = M[t, t]
+        if p < 0:
+            # Same as negating that row of [A | B] at the start.
+            p = -p
+            rest[t, :] = -rest[t, :]
+        hit = M[:, t] != 0
+        hit[t] = False
+        if p != prev:
+            miss = ~hit
+            miss[t] = False
+            rest[miss] = rest[miss] * p // prev
+        if hit.any():
+            rest[hit] = (rest[hit] * p - np.outer(M[hit, t], rest[t, :])) // prev
+        prev = p
+    if any(x != 0 for x in M[c:, c:].flat):
+        raise ValueError("inconsistent linear system")
+    DX = M[:c, c:]
+    if any(x % prev for x in DX.flat):
+        return None
+    return DX // prev
+
+
 def inverse_exact(A: np.ndarray) -> QMat:
     r, c = A.shape
     if r != c:
@@ -477,12 +549,15 @@ def kernel_basis(A: np.ndarray) -> IMat:
     r, c = A.shape
     if r == 0 or c == 0:
         return eye(c)
-    M = np.empty((r, c), dtype=object)
-    for i in range(r):
-        d = lcm(*[Fraction(x).denominator for x in A[i, :]])
-        for j in range(c):
-            f = Fraction(A[i, j]) * d
-            M[i, j] = f.numerator
+    if _all_int(A):
+        M = A
+    else:
+        M = np.empty((r, c), dtype=object)
+        for i in range(r):
+            d = lcm(*[Fraction(x).denominator for x in A[i, :]])
+            for j in range(c):
+                f = Fraction(A[i, j]) * d
+                M[i, j] = f.numerator
     D, _, V = _smith(M, False, True)
     k = min(D.shape)
     nz = sum(1 for i in range(k) if D[i, i] != 0)

@@ -35,7 +35,6 @@ from .exact_linalg import (
     inverse_exact,
     is_integral,
     kernel_basis,
-    solve_exact,
     to_int,
     zeros,
 )
@@ -264,15 +263,7 @@ class DoubleComplex:
 
     def total_cohomology(self, n: int) -> FgAbGroup:
         K = kernel_basis(self.total_d(n))
-        if K.shape[0] == 0:
-            return FgAbGroup(0, ())
-        Dm = self.total_d(n - 1)
-        if Dm.size == 0:
-            return FgAbGroup(K.shape[0], ())
-        coef = solve_exact(K.T, Dm).T
-        if not is_integral(coef):
-            raise ValueError("total boundary does not lie in the integral kernel")
-        return FgAbGroup.from_relations(K.shape[0], to_int(coef))
+        return subquotient_group(K, self.total_d(n - 1).T)
 
 
 @lru_cache(maxsize=32)

@@ -48,6 +48,15 @@ def test_zquotient_coordinates():
     P, S = q.P, q.S
     assert (P @ S)[0, 0] == 1
     assert q.stabilizes(imat([[1, 0], [0, 1]]))
+    assert not q.stabilizes(imat([[0, 1], [1, 0]]))
+
+
+def test_stabilizes_with_dependent_relations():
+    # Rows (2) and (3) generate all of Z; (1) is the combination 2*(-1) + 3*(1),
+    # but the particular rational solution with a free variable set to 0 is 1/2.
+    assert ZQuotient(1, imat([[2], [3]])).stabilizes(imat([[1]]))
+    assert ZQuotient(2, imat([[2, 0], [3, 0]])).stabilizes(eye(2))
+    assert not ZQuotient(2, imat([[2, 0], [3, 0]])).stabilizes(imat([[0, 1], [1, 0]]))
 
 
 def test_subquotient_group():

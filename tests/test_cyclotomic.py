@@ -89,6 +89,14 @@ def test_character_basics():
     assert chi.primitive_at_conductor().modulus == 4
 
 
+def test_character_rejects_wrong_exponent_count():
+    # (Z/15)^* has two generators; extra exponents must not be truncated away.
+    with pytest.raises(ValueError):
+        DirichletChar(15, [1, 1, 5, 7])
+    with pytest.raises(ValueError):
+        DirichletChar(15, [1])
+
+
 def test_bernoulli_values():
     chi4 = next(c for c in odd_characters(4))
     assert bernoulli1(chi4).as_rational() == Fraction(-1, 2)

@@ -6,7 +6,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distlab.exact_linalg import (
@@ -19,6 +19,7 @@ from distlab.exact_linalg import (
     integral_preimage,
     inverse_exact,
     invariant_factors,
+    is_integral,
     is_unimodular,
     image_lattice,
     kernel_basis,
@@ -31,6 +32,8 @@ from distlab.exact_linalg import (
     snf,
     snf_with_inverses,
     solve_exact,
+    solve_integral,
+    to_int,
     zeros,
 )
 
@@ -44,6 +47,34 @@ small_matrices = st.integers(min_value=1, max_value=5).flatmap(
         )
     )
 )
+
+
+def _int_rows(r: int, c: int, bound: int = 9):
+    return st.lists(
+        st.lists(st.integers(min_value=-bound, max_value=bound), min_size=c, max_size=c),
+        min_size=r,
+        max_size=r,
+    )
+
+
+# (A, X, B): A is r x c with r >= c, X is c x k, B is r x k, all small ints.
+solve_systems = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=3),
+).flatmap(
+    lambda t: st.tuples(
+        _int_rows(t[0] + t[1], t[0], 4),
+        _int_rows(t[0], t[2]),
+        _int_rows(t[0] + t[1], t[2]),
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def normalforms():
+    sympy = pytest.importorskip("sympy")
+    return sympy, pytest.importorskip("sympy.matrices.normalforms")
 
 
 def test_snf_known_example():
@@ -167,6 +198,111 @@ def test_solve_and_inverse():
     assert mat_equal(A @ inverse_exact(A), eye(2))
     with pytest.raises(ValueError):
         solve_exact(imat([[1, 1], [1, 1]]), imat([[1], [0]]))
+
+
+def test_solve_integral_examples():
+    A = imat([[2, 1], [1, 1]])
+    assert mat_equal(solve_integral(A, imat([[1], [0]])), imat([[1], [-1]]))
+    assert solve_integral(imat([[2]]), imat([[1]])) is None
+    assert mat_equal(solve_integral(zeros(2, 0), zeros(2, 1)), zeros(0, 1))
+    with pytest.raises(ValueError):
+        solve_integral(imat([[1], [1]]), imat([[1], [0]]))
+    with pytest.raises(ValueError):
+        solve_integral(imat([[1, 1], [1, 1]]), imat([[2], [2]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(solve_systems)
+def test_solve_integral_recovers_integer_solution(system):
+    rows, xrows, _ = system
+    A, X = imat(rows), imat(xrows)
+    assume(rank_exact(A) == A.shape[1])
+    got = solve_integral(A, A @ X)
+    assert mat_equal(got, X)
+    assert all(type(x) is int for x in got.flat)
+
+
+@settings(max_examples=120, deadline=None)
+@given(solve_systems)
+def test_solve_integral_verdict_matches_rational_solve(system):
+    rows, _, brows = system
+    A, B = imat(rows), imat(brows)
+    assume(rank_exact(A) == A.shape[1])
+    try:
+        ref = solve_exact(A, B)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve_integral(A, B)
+        return
+    got = solve_integral(A, B)
+    if is_integral(ref):
+        assert mat_equal(got, ref)
+    else:
+        assert got is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(solve_systems, st.integers(min_value=1, max_value=5), st.randoms())
+def test_solve_integral_rejects_inconsistent(system, bump, rnd):
+    # A zero row of A facing a nonzero entry of B, hidden by a row shuffle.
+    rows, xrows, _ = system
+    A, X = imat(rows), imat(xrows)
+    assume(rank_exact(A) == A.shape[1])
+    B = A @ X
+    A2 = np.vstack([A, zeros(1, A.shape[1])])
+    extra = zeros(1, B.shape[1])
+    extra[0, rnd.randrange(B.shape[1])] = bump
+    B2 = np.vstack([B, extra])
+    perm = list(range(A2.shape[0]))
+    rnd.shuffle(perm)
+    with pytest.raises(ValueError):
+        solve_integral(A2[perm, :], B2[perm, :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_matrices,
+    st.fractions().filter(lambda f: f.denominator != 1),
+    st.randoms(),
+)
+def test_to_int_rejects_non_integral_fraction(rows, frac, rnd):
+    A = imat(rows)
+    got = to_int(A)
+    assert mat_equal(got, A) and got is not A
+    Q = qmat(rows)
+    assert mat_equal(to_int(Q), A)
+    Q[rnd.randrange(Q.shape[0]), rnd.randrange(Q.shape[1])] = frac
+    with pytest.raises(ValueError):
+        to_int(Q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_kernel_basis_int_and_fraction_input_agree(rows):
+    assert mat_equal(kernel_basis(imat(rows)), kernel_basis(qmat(rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_snf_matches_sympy(normalforms, rows):
+    sympy, nf = normalforms
+    facs = nf.invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    want = tuple(abs(int(d)) for d in facs if d != 0)
+    assert snf(imat(rows)).invariant_factors == want
+    assert invariant_factors(imat(rows)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_hnf_matches_sympy(normalforms, rows):
+    # sympy's HNF is column style with pivots at the bottom of each column;
+    # reversing rows and columns turns it into the row style used here.
+    sympy, nf = normalforms
+    A = imat(rows)
+    H = hnf_nonzero(A)
+    assume(H.shape[0] > 0)
+    W = nf.hermite_normal_form(sympy.Matrix(rows).T[::-1, :])[::-1, ::-1]
+    assert W.T.tolist() == H.tolist()
 
 
 def test_lattice_index_integer_sublattice():

@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .arith import factorize
 from .exact_linalg import (
     IMat,
     QMat,
@@ -40,19 +41,6 @@ from .exact_linalg import (
     to_int,
     zeros,
 )
-
-
-def _primary_parts(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -102,7 +90,7 @@ class FgAbGroup:
             if d == 0:
                 free_rank += 1
                 continue
-            for p, e in _primary_parts(d).items():
+            for p, e in factorize(d):
                 by_prime.setdefault(p, []).append(e)
         depth = max((len(v) for v in by_prime.values()), default=0)
         chain = []
@@ -177,7 +165,7 @@ class ZQuotient:
             raise ValueError("relation width mismatch")
         self.relations = to_int(rel)
         G = self.relations.T  # n x k, columns generate the relation lattice
-        U, Uinv, D, _, _ = snf_with_inverses(G)
+        U, Uinv, D, _, _ = snf_with_inverses(G, want_v=False)
         self.U, self.Uinv = U, Uinv
         dvec = [0] * n
         for i in range(min(D.shape)):
@@ -454,8 +442,6 @@ def regulator_via_subgroups(
     # phi sends the j-th chosen generator of B'' to sum_i M[i,j] a_i.
     PA, PB = VA.T, VB.T
     if r:
-        from .exact_linalg import inverse_exact
-
         rphi = PA @ Mrand @ inverse_exact(PB)
         dd = abs(det_exact(rphi @ lam))
     else:

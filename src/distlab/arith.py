@@ -6,6 +6,20 @@ from functools import lru_cache
 from math import gcd
 
 
+def validate_level(m: int) -> None:
+    """Raise ValueError unless m is a level: at least 3, not twice an odd number.
+
+    A level m = 2 mod 4 names the same cyclotomic layer as m / 2.
+    """
+    if m % 4 == 2:
+        raise ValueError(
+            f"level {m} is twice an odd number: that cyclotomic layer "
+            f"coincides with level {m // 2}, so {m} is not a valid level"
+        )
+    if m < 3:
+        raise ValueError(f"level {m} is out of range (need at least 3)")
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p, multiplicity), ...) with primes increasing."""
@@ -54,13 +68,6 @@ def squarefree_divisors(n: int) -> list[int]:
     for p in primes_of(n):
         out = out + [d * p for d in out]
     return sorted(out)
-
-
-def radical(n: int) -> int:
-    out = 1
-    for p in primes_of(n):
-        out *= p
-    return out
 
 
 def mobius(n: int) -> int:

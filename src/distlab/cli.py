@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .abgroup import FgAbGroup, euler_regulator_check, random_regulator_pair
-from .arith import primes_of, prime_to_p_part
+from .arith import primes_of, prime_to_p_part, validate_level
 from .cyclotomic import (
     character_product_full,
     character_product_minus,
@@ -203,6 +203,14 @@ def suite_detphi(m: int, args) -> list:
     return items
 
 
+def _index_values(m: int):
+    """The index invariant of each variant against its closed form."""
+    res = index_values_check(m)
+    expected = {k: res[k]["expected"] for k in KINDS}
+    computed = {k: res[k]["value"] for k in KINDS}
+    return expected, computed, res["ok"]
+
+
 def suite_spectral(m: int, args) -> list:
     kinds = [KIND_BY_FLAG[args.d]] if getattr(args, "d", None) else list(KINDS)
     items = []
@@ -216,13 +224,7 @@ def suite_spectral(m: int, args) -> list:
             (m, f"h0_splitting:{tag}", {"m": m, "d": tag}, lambda k=kind: _bool_check(splitting_check(m, k))),
         ]
 
-    def invariants():
-        res = index_values_check(m)
-        expected = {k: res[k]["expected"] for k in KINDS}
-        computed = {k: res[k]["value"] for k in KINDS}
-        return expected, computed, res["ok"]
-
-    items.append((m, "i_invariant", {"m": m}, invariants))
+    items.append((m, "i_invariant", {"m": m}, lambda: _index_values(m)))
     items.append((m, "scaled_rows", {"m": m}, lambda: _bool_check(scaled_rows_check(m))))
     return items
 
@@ -256,14 +258,8 @@ def suite_index(m: int, args) -> list:
         }
         return res["rhs"], computed, res["equal"]
 
-    def invariants():
-        res = index_values_check(m)
-        expected = {k: res[k]["expected"] for k in KINDS}
-        computed = {k: res[k]["value"] for k in KINDS}
-        return expected, computed, res["ok"]
-
     return [
-        (m, "i_invariant_closed_forms", {"m": m}, invariants),
+        (m, "i_invariant_closed_forms", {"m": m}, lambda: _index_values(m)),
         (m, "index_formula", {"m": m}, formula),
     ]
 
@@ -503,13 +499,10 @@ def resolve_levels(args, parser, required=True) -> list:
             parser.error("one of --m, --m-list, --m-max is required")
         return []
     for x in ms:
-        if x % 4 == 2:
-            parser.error(
-                f"level {x} is twice an odd number: that cyclotomic layer "
-                f"coincides with level {x // 2}, so {x} is not a valid level"
-            )
-        if x < 3:
-            parser.error(f"level {x} is out of range (need at least 3)")
+        try:
+            validate_level(x)
+        except ValueError as exc:
+            parser.error(str(exc))
     return sorted(set(ms))
 
 

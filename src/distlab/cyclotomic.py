@@ -22,6 +22,7 @@ from .arith import (
     multiplicative_order,
     primitive_root,
     crt,
+    validate_level,
 )
 
 # ---------------------------------------------------------------------------
@@ -442,8 +443,7 @@ def h_minus(m: int) -> int:
     Galois orbit contributing an exact field norm; the result must come out
     a positive integer and an assertion enforces that.
     """
-    if m < 3 or m % 4 == 2:
-        raise ValueError("level must be at least 3 and not twice an odd number")
+    validate_level(m)
     total = Fraction(corrector_q(m) * corrector_w(m))
     for orbit in _galois_orbits(odd_characters(m)):
         rep = orbit[0]

@@ -14,7 +14,7 @@ from math import comb, gcd
 import numpy as np
 
 from .abgroup import FgAbGroup, ZQuotient, elementary_power, tate_group
-from .arith import divisors, euler_phi, factorize, inverse_mod, p_part, primes_of
+from .arith import divisors, euler_phi, factorize, inverse_mod, p_part, primes_of, validate_level
 from .cyclotomic import _zeta_power_table
 from .exact_linalg import (
     Lattice,
@@ -231,8 +231,7 @@ def cohomology_check(m: int) -> dict:
     distribution, and a single Z/2 exactly at two-power levels for the
     predistribution; levels twice an odd number are rejected upstream.
     """
-    if m < 3 or m % 4 == 2:
-        raise ValueError("level must be at least 3 and not twice an odd number")
+    validate_level(m)
     r = len(factorize(m))
     expect_u = elementary_power(2, 2 ** (r - 1))
     expect_o = elementary_power(2, 1 if len(factorize(m)) == 1 and m % 2 == 0 else 0)

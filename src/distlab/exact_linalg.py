@@ -10,6 +10,19 @@ fraction-free determinants, saturated kernel bases, exact solving and
 inversion, and a ``Lattice`` class with index / intersection / sum in the
 sense of commensurable subgroups of Q^n.
 
+One elimination core.  ``_smith`` and ``hnf`` work on sparse integer rows
+(``dict`` from column to nonzero ``int``), and every row operation is one
+``_axpy(dst, src, q)`` over the support of ``src``.  The Smith pivot is the
+first least nonzero |entry| of the trailing block in row-major order
+(Kannan-Bachem; Cohen, §2.4): rows are scanned one at a time and a unit
+ends the search.  Once the pivot column is cleared it is p * e_t, so the
+column operations touch the pivot row only, and column swaps are a
+relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows too, built
+only when asked for: ``snf`` builds U and V, ``snf_with_inverses`` all
+four (``ZQuotient`` passes ``want_v=False`` and gets U and U^-1 only),
+``kernel_basis`` V only and ``invariant_factors`` none.  Inputs and
+results are dense arrays; only the elimination is sparse.
+
 Two solvers.  ``solve_integral`` writes integer vectors in an integer basis
 without leaving Z: fraction-free Gauss-Jordan returns the integer
 coordinates, or None when they are rational but not integral.  Subquotients
@@ -101,6 +114,54 @@ def common_denominator(a: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Sparse integer rows: the elimination core of the Smith and Hermite forms
+
+Row = dict  # column -> nonzero int; absent columns are zero
+
+
+def _rows(A: np.ndarray) -> list[Row]:
+    """The rows of an integral matrix as sparse rows of plain ints."""
+    I, J = np.nonzero(A)
+    vals = A[I, J].tolist()
+    if not set(map(type, vals)) <= {int}:
+        return _rows(to_int(A))
+    rows: list[Row] = [{} for _ in range(A.shape[0])]
+    for i, j, x in zip(I.tolist(), J.tolist(), vals):
+        rows[i][j] = x
+    return rows
+
+
+def _dense(rows: list[Row], c: int, transposed: bool = False) -> IMat:
+    """The matrix with these rows (or, transposed, these columns) and width c."""
+    out = zeros(c, len(rows)) if transposed else zeros(len(rows), c)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            if transposed:
+                out[j, i] = x
+            else:
+                out[i, j] = x
+    return out
+
+
+def _axpy(dst: Row, src: Row, q: int) -> None:
+    """dst += q * src for q != 0, over the support of src only."""
+    for k, v in src.items():
+        x = dst.get(k, 0) + q * v
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
+def _comb(a: int, x: Row, b: int, y: Row) -> Row:
+    """The new row a * x + b * y."""
+    out = {k: a * v for k, v in x.items()} if a else {}
+    if b:
+        _axpy(out, y, b)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form
 
 
@@ -118,172 +179,137 @@ class SnfResult:
         return tuple(self.D[i, i] for i in range(k) if self.D[i, i] != 0)
 
 
-def _min_abs_pivot(M: IMat, t: int) -> tuple[int, int] | None:
-    # Smallest nonzero |entry| in the trailing block keeps coefficient
-    # growth down, which matters a lot for object-dtype arithmetic.
-    sub = M[t:, t:]
-    if sub.size == 0:
-        return None
-    best = None
-    best_val = None
-    for (i, j), x in np.ndenumerate(sub):
-        if x != 0:
-            ax = -x if x < 0 else x
-            if best_val is None or ax < best_val:
-                best, best_val = (i + t, j + t), ax
-                if ax == 1:
-                    break
-    return best
+def _smith(A: np.ndarray, *, u=False, u_inv=False, v=False, v_inv=False):
+    """Smith form of an integral matrix on sparse rows.
 
+    Returns ``(d, U, Ui, V, Vi)``: the diagonal d of length min(r, c) and
+    the transforms asked for, None for the others.  U and V^-1 are lists
+    of rows; U^-1 and V are lists of columns, so that every elementary
+    operation on any transform is an update of one of its sparse rows.
+    """
+    M = _rows(A)
+    r, c = A.shape
+    U = [{i: 1} for i in range(r)] if u else None
+    Ui = [{i: 1} for i in range(r)] if u_inv else None
+    V = [{i: 1} for i in range(c)] if v else None
+    Vi = [{i: 1} for i in range(c)] if v_inv else None
+    # Column swaps of M are lazy: its current column j is key phys[j] of
+    # every row, and pos inverts phys.
+    phys = list(range(c))
+    pos = list(range(c))
 
-class _Transform:
-    """Accumulates elementary row or column operations and their inverses."""
+    def row_op(i: int, t: int, q: int) -> None:
+        # row_i += q * row_t, mirrored on U and U^-1 (M is done by the caller).
+        if U is not None:
+            _axpy(U[i], U[t], q)
+        if Ui is not None:
+            _axpy(Ui[t], Ui[i], -q)
 
-    def __init__(self, n: int, rows: bool, want: bool, want_inv: bool):
-        self.rows = rows
-        self.M = eye(n) if want else None
-        self.Minv = eye(n) if want_inv else None
+    def col_op(j: int, t: int, q: int) -> None:
+        # col_j += q * col_t, mirrored on V and V^-1.
+        if V is not None:
+            _axpy(V[j], V[t], q)
+        if Vi is not None:
+            _axpy(Vi[t], Vi[j], -q)
 
-    def swap(self, i: int, j: int) -> None:
-        if self.M is not None:
-            if self.rows:
-                self.M[[i, j], :] = self.M[[j, i], :]
-            else:
-                self.M[:, [i, j]] = self.M[:, [j, i]]
-        if self.Minv is not None:
-            if self.rows:
-                self.Minv[:, [i, j]] = self.Minv[:, [j, i]]
-            else:
-                self.Minv[[i, j], :] = self.Minv[[j, i], :]
+    def swap_rows(i: int, j: int) -> None:
+        for T in (M, U, Ui):
+            if T is not None:
+                T[i], T[j] = T[j], T[i]
 
-    def add_multiple(self, i: int, j: int, q) -> None:
-        # row_i += q * row_j  (or col_i += q * col_j)
-        if self.M is not None:
-            if self.rows:
-                self.M[i, :] += q * self.M[j, :]
-            else:
-                self.M[:, i] += q * self.M[:, j]
-        if self.Minv is not None:
-            if self.rows:
-                self.Minv[:, j] -= q * self.Minv[:, i]
-            else:
-                self.Minv[j, :] -= q * self.Minv[i, :]
+    def swap_cols(i: int, j: int) -> None:
+        phys[i], phys[j] = phys[j], phys[i]
+        pos[phys[i]], pos[phys[j]] = i, j
+        for T in (V, Vi):
+            if T is not None:
+                T[i], T[j] = T[j], T[i]
 
-    def negate(self, i: int) -> None:
-        if self.M is not None:
-            if self.rows:
-                self.M[i, :] = -self.M[i, :]
-            else:
-                self.M[:, i] = -self.M[:, i]
-        if self.Minv is not None:
-            if self.rows:
-                self.Minv[:, i] = -self.Minv[:, i]
-            else:
-                self.Minv[i, :] = -self.Minv[i, :]
-
-
-def _smith(A: IMat, want_u: bool, want_v: bool, want_inv: bool = False):
-    M = to_int(A)
-    r, c = M.shape
-    U = _Transform(r, True, want_u, want_inv)
-    V = _Transform(c, False, want_v, want_inv)
-    t = 0
-    while True:
-        piv = _min_abs_pivot(M, t)
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            M[[t, i], :] = M[[i, t], :]
-            U.swap(t, i)
-        if j != t:
-            M[:, [t, j]] = M[:, [j, t]]
-            V.swap(t, j)
-        while True:
-            p = M[t, t]
-            dirty = False
-            for i in range(t + 1, r):
-                if M[i, t] != 0:
-                    q = M[i, t] // p
-                    if q != 0:
-                        M[i, :] -= q * M[t, :]
-                        U.add_multiple(i, t, -q)
-                    if M[i, t] != 0:
-                        # Remainder is a strictly smaller pivot candidate.
-                        M[[t, i], :] = M[[i, t], :]
-                        U.swap(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, c):
-                if M[t, j] != 0:
-                    q = M[t, j] // p
-                    if q != 0:
-                        M[:, j] -= q * M[:, t]
-                        V.add_multiple(j, t, -q)
-                    if M[t, j] != 0:
-                        M[:, [t, j]] = M[:, [j, t]]
-                        V.swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            break
-        if M[t, t] < 0:
-            M[t, :] = -M[t, :]
-            U.negate(t)
-        t += 1
-        if t >= min(r, c):
-            break
-    # Enforce the divisibility chain d_i | d_{i+1}.
     k = min(r, c)
+    for t in range(k):
+        # Pivot: the first least |entry| of the trailing block in row-major
+        # order, which keeps coefficient growth down.  Rows from t on are
+        # zero left of column t, so each row is scanned whole, and a unit
+        # ends the search.
+        best = None
+        for i in range(t, r):
+            row = M[i]
+            if row:
+                a = min(map(abs, row.values()))
+                if best is None or a < best[0]:
+                    best = (a, i, min(pos[j] for j, x in row.items() if x == a or x == -a))
+                    if a == 1:
+                        break
+        if best is None:
+            break
+        _, i, j = best
+        if i != t:
+            swap_rows(t, i)
+        if j != t:
+            swap_cols(t, j)
+        while True:
+            key = phys[t]
+            piv = M[t]
+            p = piv[key]
+            # A row operation changes its own row only, so the rows to
+            # clear can be listed up front.
+            for i in [i for i in range(t + 1, r) if key in M[i]]:
+                q = M[i][key] // p
+                if q:
+                    _axpy(M[i], piv, -q)
+                    row_op(i, t, -q)
+                if key in M[i]:
+                    # The remainder is a strictly smaller pivot.
+                    swap_rows(t, i)
+                    break
+            else:
+                # Column t is now p * e_t, so a column operation against it
+                # changes row t only.
+                for j in sorted(pos[kk] for kk in piv if kk != key):
+                    kk = phys[j]
+                    x = piv[kk]
+                    q = x // p
+                    if q:
+                        x -= q * p
+                        if x:
+                            piv[kk] = x
+                        else:
+                            del piv[kk]
+                        col_op(j, t, -q)
+                    if x:
+                        swap_cols(t, j)
+                        break
+                else:
+                    break
+        if p < 0:
+            piv[key] = -p
+            for T in (U, Ui):
+                if T is not None:
+                    T[t] = {kk: -x for kk, x in T[t].items()}
+    d = [M[t].get(phys[t], 0) for t in range(k)]
+    # Enforce the divisibility chain d_i | d_{i+1}: on the block diag(a, b),
+    # row_i += row_{i+1} gives [[a, b], [0, b]]; the unimodular column pair
+    # [[s, -b/g], [t, a/g]] with s*a + t*b = g gives [[g, 0], [t*b, a*b/g]];
+    # clearing t*b with row i leaves diag(g, lcm).
     changed = True
     while changed:
         changed = False
         for i in range(k - 1):
-            a, b = M[i, i], M[i + 1, i + 1]
-            if b == 0 or a == 0:
+            a, b = d[i], d[i + 1]
+            if a == 0 or b == 0 or b % a == 0:
                 continue
-            if b % a != 0:
-                g = gcd(a, b)
-                l = a // g * b
-                # diag(a, b) -> diag(g, lcm) by unimodular ops; do it directly
-                # and fix up transforms with the explicit 2x2 factors.
-                #   [1 1; 0 1] * diag(a,b) * [x 1; y ...]  -- classic trick:
-                # row_i += row_{i+1}; then clear with column ops.
-                M[i, :] += M[i + 1, :]
-                U.add_multiple(i, i + 1, 1)
-                # Now row i is (a, b). Column-reduce the 2x2 block.
-                # gcd combo: find s,t with s*a + t*b = g.
-                s, tt = _xgcd(a, b)
-                # col_i := s*col_i + t*col_{i+1} needs a unimodular pair;
-                # use the standard block [[s, -b//g], [tt, a//g]].
-                colp = M[:, i] * s + M[:, i + 1] * tt
-                colq = M[:, i] * (-(b // g)) + M[:, i + 1] * (a // g)
-                if V.M is not None:
-                    vp = V.M[:, i] * s + V.M[:, i + 1] * tt
-                    vq = V.M[:, i] * (-(b // g)) + V.M[:, i + 1] * (a // g)
-                    V.M[:, i], V.M[:, i + 1] = vp, vq
-                if V.Minv is not None:
-                    wp = V.Minv[i, :] * (a // g) + V.Minv[i + 1, :] * (b // g)
-                    wq = V.Minv[i, :] * (-tt) + V.Minv[i + 1, :] * s
-                    V.Minv[i, :], V.Minv[i + 1, :] = wp, wq
-                M[:, i], M[:, i + 1] = colp, colq
-                # Clean the residual off-diagonal entries in the 2x2 block.
-                q = M[i + 1, i] // M[i, i]
-                if q != 0:
-                    M[i + 1, :] -= q * M[i, :]
-                    U.add_multiple(i + 1, i, -q)
-                q = M[i, i + 1] // M[i, i]
-                if q != 0:
-                    M[:, i + 1] -= q * M[:, i]
-                    V.add_multiple(i + 1, i, -q)
-                if M[i + 1, i + 1] < 0:
-                    M[i + 1, :] = -M[i + 1, :]
-                    U.negate(i + 1)
-                changed = True
-    return M, U, V
+            g = gcd(a, b)
+            s, tt = _xgcd(a, b)
+            row_op(i, i + 1, 1)
+            if V is not None:
+                V[i], V[i + 1] = _comb(s, V[i], tt, V[i + 1]), _comb(-(b // g), V[i], a // g, V[i + 1])
+            if Vi is not None:
+                Vi[i], Vi[i + 1] = _comb(a // g, Vi[i], b // g, Vi[i + 1]), _comb(-tt, Vi[i], s, Vi[i + 1])
+            q = tt * b // g
+            if q:
+                row_op(i + 1, i, -q)
+            d[i], d[i + 1] = g, a // g * b
+            changed = True
+    return d, U, Ui, V, Vi
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -301,23 +327,40 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
+def _diag(d: list[int], r: int, c: int) -> IMat:
+    D = zeros(r, c)
+    for i, x in enumerate(d):
+        D[i, i] = x
+    return D
+
+
 def snf(A: IMat) -> SnfResult:
     """Smith normal form: returns (U, D, V) with U @ A @ V == D."""
-    D, U, V = _smith(A, True, True)
-    return SnfResult(U=U.M, D=D, V=V.M)
+    r, c = A.shape
+    d, U, _, V, _ = _smith(A, u=True, v=True)
+    return SnfResult(U=_dense(U, r), D=_diag(d, r, c), V=_dense(V, c, transposed=True))
 
 
-def snf_with_inverses(A: IMat):
-    """Like snf() but also returns U^-1 and V^-1 (tracked, not re-solved)."""
-    D, U, V = _smith(A, True, True, want_inv=True)
-    return U.M, U.Minv, D, V.M, V.Minv
+def snf_with_inverses(A: IMat, *, want_v: bool = True):
+    """(U, U^-1, D, V, V^-1) with U @ A @ V == D, the inverses tracked.
+
+    With ``want_v=False`` the column transforms are not built and come
+    back as None.
+    """
+    r, c = A.shape
+    d, U, Ui, V, Vi = _smith(A, u=True, u_inv=True, v=want_v, v_inv=want_v)
+    return (
+        _dense(U, r),
+        _dense(Ui, r, transposed=True),
+        _diag(d, r, c),
+        _dense(V, c, transposed=True) if want_v else None,
+        _dense(Vi, c) if want_v else None,
+    )
 
 
 def invariant_factors(A: IMat) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, without transform bookkeeping."""
-    D, _, _ = _smith(A, False, False)
-    k = min(D.shape)
-    return tuple(D[i, i] for i in range(k) if D[i, i] != 0)
+    return tuple(x for x in _smith(A)[0] if x)
 
 
 # ---------------------------------------------------------------------------
@@ -329,48 +372,56 @@ def hnf(A: IMat) -> IMat:
 
     Zero rows sink to the bottom; the row span is unchanged.
     """
-    M = to_int(A)
-    r, c = M.shape
+    M = _rows(A)
+    r, c = A.shape
     row = 0
     for col in range(c):
         if row >= r:
             break
-        # Reduce all entries below `row` in this column to zero.
+        # Reduce all entries below `row` in this column to zero, always
+        # against the first of the least nonzero |entries|.
         while True:
-            pivots = [i for i in range(row, r) if M[i, col] != 0]
+            pivots = [i for i in range(row, r) if col in M[i]]
             if not pivots:
                 break
-            i0 = min(pivots, key=lambda i: abs(M[i, col]))
+            i0 = min(pivots, key=lambda i: abs(M[i][col]))
             if i0 != row:
-                M[[row, i0], :] = M[[i0, row], :]
-            p = M[row, col]
+                M[row], M[i0] = M[i0], M[row]
+            piv = M[row]
+            p = piv[col]
             done = True
-            for i in range(row + 1, r):
-                if M[i, col] != 0:
-                    q = M[i, col] // p
-                    M[i, :] -= q * M[row, :]
-                    if M[i, col] != 0:
-                        done = False
+            # The other nonzero rows; the old row `row` now sits at i0.
+            for i in pivots:
+                if i == i0:
+                    continue
+                if i == row:
+                    i = i0
+                q = M[i][col] // p
+                if q:
+                    _axpy(M[i], piv, -q)
+                if col in M[i]:
+                    done = False
             if done:
                 break
-        if M[row, col] == 0:
+        piv = M[row]
+        p = piv.get(col)
+        if p is None:
             continue
-        if M[row, col] < 0:
-            M[row, :] = -M[row, :]
-        p = M[row, col]
-        for i in range(row):
-            q = M[i, col] // p
-            if q != 0:
-                M[i, :] -= q * M[row, :]
+        if p < 0:
+            piv = M[row] = {j: -x for j, x in piv.items()}
+            p = -p
+        for i in [i for i in range(row) if col in M[i]]:
+            q = M[i][col] // p
+            if q:
+                _axpy(M[i], piv, -q)
         row += 1
-    return M
+    return _dense(M, c)
 
 
 def hnf_nonzero(A: IMat) -> IMat:
     """HNF with zero rows dropped."""
     H = hnf(A)
-    keep = [i for i in range(H.shape[0]) if any(x != 0 for x in H[i, :])]
-    return H[keep, :] if keep else zeros(0, H.shape[1])
+    return H[(H != 0).any(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +609,10 @@ def kernel_basis(A: np.ndarray) -> IMat:
             for j in range(c):
                 f = Fraction(A[i, j]) * d
                 M[i, j] = f.numerator
-    D, _, V = _smith(M, False, True)
-    k = min(D.shape)
-    nz = sum(1 for i in range(k) if D[i, i] != 0)
-    cols = list(range(nz, c))
-    if not cols:
-        return zeros(0, c)
-    return V.M[:, cols].T.copy()
+    d, _, _, V, _ = _smith(M, v=True)
+    # The columns of V past the nonzero diagonal span the kernel.
+    nz = sum(1 for x in d if x)
+    return _dense(V[nz:], c)
 
 
 # ---------------------------------------------------------------------------

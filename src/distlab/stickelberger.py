@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import inverse_mod, primes_of, prime_to_p_part
+from .arith import inverse_mod, primes_of, prime_to_p_part, validate_level
 from .cyclotomic import (
     character_product_minus,
     corrector_q,
@@ -38,11 +38,6 @@ from .exact_linalg import (
     zeros,
 )
 from .lcomplex import DIFFERENCE, differentials, smoothing_blocks
-
-
-def _validate_level(m: int) -> None:
-    if m < 3 or m % 4 == 2:
-        raise ValueError("level must be at least 3 and not twice an odd number")
 
 
 def units_of(m: int) -> tuple[int, ...]:
@@ -104,7 +99,7 @@ def theta_element(m: int, a: int = 1) -> GroupRingElem:
     >>> theta_element(5).coeffs
     (Fraction(1, 5), Fraction(3, 5), Fraction(2, 5), Fraction(4, 5))
     """
-    _validate_level(m)
+    validate_level(m)
     coeffs = tuple(
         Fraction((a * inverse_mod(t, m)) % m, m) for t in units_of(m)
     )
@@ -138,7 +133,7 @@ def stickelberger_ideal(m: int) -> StickelbergerData:
     the unit translates alone collapses whenever a prime factor is 1 modulo
     the conductor of an odd character (see principal_multiples_lattice).
     """
-    _validate_level(m)
+    validate_level(m)
     n = len(units_of(m))
     span = image_lattice(_theta_rows(m))
     S = lattice_intersect(span, Lattice(n, eye(n)))
@@ -149,7 +144,7 @@ def stickelberger_ideal(m: int) -> StickelbergerData:
 
 def principal_multiples_lattice(m: int) -> Lattice:
     """Integral multiples of the single element theta: Z[G]theta meet Z[G]."""
-    _validate_level(m)
+    validate_level(m)
     n = len(units_of(m))
     rows = np.array([theta_element(m, b).coeffs for b in units_of(m)], dtype=object)
     return lattice_intersect(image_lattice(rows), Lattice(n, eye(n)))
@@ -193,7 +188,7 @@ def alpha_matrix(m: int) -> np.ndarray:
     Entries are 1/2 - {k t^{-1} / m}; the columns of the two self-negative
     points (k = 0, and k = m/2 when present) vanish identically.
     """
-    _validate_level(m)
+    validate_level(m)
     units = units_of(m)
     A = zeros(len(units), m)
     for k in range(1, m):
@@ -250,7 +245,7 @@ def antisymmetrization_index_check(m: int) -> dict:
     On the degree-zero distribution classes, (ker(1+c) : im(1-c)) is a
     power of 2 with exponent 2^(r-1).
     """
-    _validate_level(m)
+    validate_level(m)
     qu = universal_distribution(m)
     cu = qu.induced_on_free(negation_matrix(m))
     f = qu.free_rank
@@ -269,7 +264,7 @@ def alpha_image_index_check(m: int) -> dict:
     Equals h-minus over w*Q, times 2^(2^(r-2)) when the level has several
     prime factors.
     """
-    _validate_level(m)
+    validate_level(m)
     got = lattice_index(minus_sublattice(m), alpha_lattice(m))
     r = len(primes_of(m))
     want = Fraction(h_minus(m), corrector_w(m) * corrector_q(m))
@@ -280,7 +275,7 @@ def alpha_image_index_check(m: int) -> dict:
 
 def alpha_ideal_index_check(m: int) -> dict:
     """The minus ideal sits inside the antisymmetrized image with index w."""
-    _validate_level(m)
+    validate_level(m)
     data = stickelberger_ideal(m)
     got = lattice_index(alpha_lattice(m), data.S_minus)
     want = Fraction(corrector_w(m))
@@ -295,7 +290,7 @@ def smoothing_minus_image_check(m: int) -> dict:
     (for several primes; 1/2 at odd prime powers and 1 at powers of two).
     The character products are evaluated two independent ways.
     """
-    _validate_level(m)
+    validate_level(m)
     qu = universal_distribution(m)
     qo = universal_predistribution(m)
     neg = negation_matrix(m)

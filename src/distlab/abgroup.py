@@ -35,10 +35,12 @@ from .exact_linalg import (
     lattice_index,
     mat_equal,
     rank_exact,
+    scaled,
     snf_with_inverses,
     solve_exact,
     solve_integral,
     to_int,
+    unscaled,
     zeros,
 )
 
@@ -562,19 +564,25 @@ def abstract_index_check(
     Both differentials must make the lattice acyclic away from 0 with free
     H^0, phi must intertwine them (d2 ∘ phi = phi ∘ d1) and commute with the
     involution.  Returns the two sides of the identity and their parts.
+
+    Each phi[i] is scaled once to N_i / e_i, and every product below runs on
+    the integer numerators.
     """
     C1 = BoundedComplex(ranks, d1)
     C2 = BoundedComplex(ranks, d2)
     j1 = JComplex(C1, dict(c))
     j2 = JComplex(C2, dict(c))
+    sc = {i: scaled(phi[i]) for i in C1.degrees()}
     for i in C1.degrees():
+        N, e = sc[i]
         if i < C1.hi:
-            a = phi[i + 1] @ C1.d(i)
-            b = C2.d(i) @ phi[i]
+            N1, e1 = sc[i + 1]
+            a = N1 @ C1.d(i) * e
+            b = C2.d(i) @ N * e1
             if a.size and not mat_equal(a, b):
                 raise ValueError("phi does not intertwine the differentials")
-        ph, cc = phi[i], j1.c(i)
-        if ph.size and not mat_equal(ph @ cc, cc @ ph):
+        cc = j1.c(i)
+        if N.size and not mat_equal(N @ cc, cc @ N):
             raise ValueError("phi does not commute with the involution")
     for CC in (C1, C2):
         if not CC.is_exact_away_from(0):
@@ -591,18 +599,26 @@ def abstract_index_check(
     cbar = P @ c[0] @ S
     f = q.free_rank
     lat_L = Lattice(f, kernel_basis(eye(f) + cbar))
-    img = P @ phi[0]  # columns span the image of the phi-twisted lattice
-    lat_phi_full = Lattice(f, img.T)
+    N0, e0 = sc[0]
+    img = P @ N0  # columns span e0 times the image of the phi-twisted lattice
+    lat_phi_full = Lattice(f, img.T, e0)
     lat_phi = _annihilator_part(lat_phi_full, cbar)
     lhs = lattice_index(lat_L, lat_phi)
 
     det_part = Fraction(1)
     for i in sorted(C1.degrees()):
         kc = kernel_basis(eye(C1.rank(i)) + j1.c(i))
-        if kc.shape[0] == 0:
+        k = kc.shape[0]
+        if k == 0:
             continue
-        restr = solve_exact(kc.T, phi[i] @ kc.T)
-        det_part *= abs(det_exact(restr)) ** ((-1) ** (i % 2))
+        # N_i preserves ker(1 + c) and kc is saturated, so the restriction
+        # is integral; it is e_i times the restriction of phi[i].
+        N, e = sc[i]
+        restr = solve_integral(kc.T, N @ kc.T)
+        if restr is None:
+            raise ValueError("phi does not preserve the integral (1+c)-kernel")
+        det = Fraction(det_exact(restr), e**k)
+        det_part *= abs(det) ** ((-1) ** (i % 2))
     i1 = i_invariant(j1)
     i2 = i_invariant(j2)
     rhs = det_part / i1 * i2
@@ -618,11 +634,14 @@ def abstract_index_check(
 
 def _annihilator_part(lat: Lattice, cbar: IMat) -> Lattice:
     """Sublattice of lat annihilated by 1 + cbar."""
-    W = lat.basis @ (eye(lat.ambient) + cbar).T
-    ku = kernel_basis(W.T)
+    H, d = scaled(lat.basis)
+    W = H @ (eye(lat.ambient) + cbar).T
+    # kernel_basis scales each row of a rational matrix by its own least
+    # denominator, which keeps the Smith input small.
+    ku = kernel_basis(unscaled(W.T, d))
     if ku.shape[0] == 0:
         return Lattice(lat.ambient)
-    return Lattice(lat.ambient, ku @ lat.basis)
+    return Lattice(lat.ambient, ku @ H, d)
 
 
 # ---------------------------------------------------------------------------

@@ -39,22 +39,8 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _poly_rem_monic(a: list, m: list) -> list:
-    """Remainder of a modulo the monic polynomial m, exact."""
-    a = list(a)
-    dm = len(m) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        a[i] = 0
-        for j in range(dm):
-            a[i - dm + j] -= c * m[j]
-    del a[dm:]
-    return a
-
-
 def _poly_divmod_monic(a: list, m: list) -> tuple[list, list]:
+    """Quotient and remainder of a by the monic polynomial m, exact."""
     a = list(a)
     dm = len(m) - 1
     q = [0] * max(len(a) - dm, 1)
@@ -92,7 +78,7 @@ def _zeta_power_table(n: int) -> tuple[tuple[int, ...], ...]:
     cur = [1] + [0] * (phi - 1)
     for _ in range(n):
         out.append(tuple(cur))
-        cur = _poly_rem_monic([0] + cur, m)
+        cur = _poly_divmod_monic([0] + cur, m)[1]
         cur += [0] * (phi - len(cur))
     return tuple(out)
 
@@ -155,7 +141,7 @@ class CycNum:
         if other.N != self.N:
             raise ValueError("mixed cyclotomic moduli")
         prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        rem = _poly_rem_monic(prod, list(cyclotomic_poly(self.N)))
+        rem = _poly_divmod_monic(prod, list(cyclotomic_poly(self.N)))[1]
         rem += [Fraction(0)] * (euler_phi(self.N) - len(rem))
         return CycNum(self.N, rem)
 

@@ -9,25 +9,25 @@ comparison with the cyclotomic integer ring all live here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
 from .abgroup import FgAbGroup, ZQuotient, elementary_power, tate_group
-from .arith import divisors, euler_phi, factorize, inverse_mod, p_part, primes_of, validate_level
+from .arith import divisors, euler_phi, factorize, inverse_mod, primes_of, validate_level
 from .cyclotomic import _zeta_power_table
 from .exact_linalg import (
+    IMat,
     Lattice,
     eye,
     hnf_nonzero,
     image_lattice,
-    imat,
-    inverse_exact,
     is_unimodular,
     kernel_basis,
     mat_equal,
-    qmat,
     rank_exact,
+    scaled,
+    unscaled,
     zeros,
 )
 
@@ -288,29 +288,50 @@ def smoothing_factor(m: int, p: int):
     return M
 
 
+def smoothing_scaled(m: int, primes=None) -> tuple[IMat, int]:
+    """(N, d) with N / d the product of the geometric factors at level m.
+
+    The product runs over ``primes`` (default: every p | m).  N is the
+    integer product of the scaled factors and d the product of their
+    denominators, so no ``Fraction`` is multiplied.
+    """
+    N, d = eye(m), 1
+    for p in primes_of(m) if primes is None else primes:
+        F, e = scaled(smoothing_factor(m, p))
+        N, d = F @ N, d * e
+    return N, d
+
+
 def smoothing_matrix(m: int):
     """prod over p | m of the geometric factors; the identity at m = 1."""
-    M = eye(m)
+    return unscaled(*smoothing_scaled(m))
+
+
+def smoothing_inverse_scaled(m: int) -> tuple[IMat, int]:
+    """(prod over p | m of (p I - S_p), prod over p | m of p)."""
+    N, d = eye(m), 1
     for p in primes_of(m):
-        M = smoothing_factor(m, p) @ M
-    return M
+        N, d = (p * eye(m) - mult_matrix(m, p)) @ N, d * p
+    return N, d
 
 
 def smoothing_matrix_inverse(m: int):
-    M = eye(m)
-    for p in primes_of(m):
-        M = (eye(m) - mult_matrix(m, p) * Fraction(1, p)) @ M
-    return M
+    """prod over p | m of (1 - S_p/p)."""
+    return unscaled(*smoothing_inverse_scaled(m))
 
 
 def smoothing_check(m: int) -> dict:
     """The operator really inverts the finite product, and it carries the
-    one relation lattice into the rational span of the other."""
-    phi = smoothing_matrix(m)
-    inv_ok = mat_equal(phi @ smoothing_matrix_inverse(m), eye(m))
+    one relation lattice into the rational span of the other.
+
+    Both run on the scaled numerators: N N' == d d' I, and the positive
+    scalar d changes no rank."""
+    N, d = smoothing_scaled(m)
+    N_inv, d_inv = smoothing_inverse_scaled(m)
+    inv_ok = mat_equal(N @ N_inv, d * d_inv * eye(m))
     dist = distribution_relation_rows(m)
     pre = predistribution_lattice(m)
-    carried = (phi @ dist.T).T
+    carried = (N @ dist.T).T
     span_ok = True
     if m > 1:
         stacked = np.vstack([pre.basis, carried])

@@ -10,6 +10,16 @@ fraction-free determinants, saturated kernel bases, exact solving and
 inversion, and a ``Lattice`` class with index / intersection / sum in the
 sense of commensurable subgroups of Q^n.
 
+One rational representation.  A rational matrix A is handled as an integer
+numerator over one positive denominator: ``scaled(A)`` returns (N, d) with
+d the least positive integer making d * A integral and N = d * A in plain
+ints, and ``unscaled(N, d)`` turns it back into ``Fraction`` entries.
+Products of rational matrices multiply the numerators only and carry the
+denominators as one integer each, so an identity A B == C D is tested as
+N_A N_B d_C d_D == N_C N_D d_A d_B.  ``Lattice`` takes generators as
+(N, den) and stores its basis as ``Fraction``; ``det_exact`` and
+``kernel_basis`` scale row by row, each row by its own least denominator.
+
 One elimination core.  ``_smith`` and ``hnf`` work on sparse integer rows
 (``dict`` from column to nonzero ``int``), and every row operation is one
 ``_axpy(dst, src, q)`` over the support of ``src``.  The Smith pivot is the
@@ -28,9 +38,14 @@ without leaving Z: fraction-free Gauss-Jordan returns the integer
 coordinates, or None when they are rational but not integral.  Subquotients
 (``abgroup.subquotient_group``, ``BoundedComplex.cohomology_data``,
 ``JComplex.fixed_subcomplex``, ``ZQuotient.stabilizes`` and the spectral
-total cohomology) use it.  ``solve_exact`` is Gauss-Jordan over ``Fraction``
-for callers whose answer is rational: ``Lattice.coords_of``,
-``inverse_exact``, and the induced maps and restricted determinants in
+total cohomology) use it, and so do the restrictions of the smoothing
+operator to the (1+c)-kernels in ``abgroup.abstract_index_check``: there the
+numerator maps a saturated kernel basis into its own integer span.
+``solve_exact`` is Gauss-Jordan over ``Fraction`` for the callers that still
+see ``Fraction`` because their answer is rational and has no integral form
+to aim at: ``Lattice.coords_of`` (hence ``lattice_index`` and
+``Lattice.contains``, whose coordinates between non-nested lattices are
+rational), ``inverse_exact``, and the induced maps on cohomology in
 ``abgroup``.
 """
 
@@ -39,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,24 +108,45 @@ def _all_int(a: np.ndarray) -> bool:
     return set(map(type, a.flat)) <= {int}
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction of plain ints (Fraction keeps a numpy integer's type)."""
+    f = Fraction(x)
+    return Fraction(int(f.numerator), int(f.denominator))
+
+
 def to_int(a: np.ndarray) -> IMat:
     """Coerce a matrix with integral entries to plain ints (a new array)."""
     if a.dtype == object and _all_int(a):
         return a.copy()
     out = np.empty(a.shape, dtype=object)
     for idx, x in np.ndenumerate(a):
-        f = Fraction(x)
+        f = _exact(x)
         if f.denominator != 1:
             raise ValueError(f"entry {x} at {idx} is not an integer")
         out[idx] = f.numerator
     return out
 
 
-def common_denominator(a: np.ndarray) -> int:
-    d = 1
-    for x in a.flat:
-        d = lcm(d, Fraction(x).denominator)
-    return d
+def scaled(a: np.ndarray) -> tuple[IMat, int]:
+    """(N, d) with d the least positive integer making d * a integral, N = d * a.
+
+    N holds plain ints.  An all-``int`` input comes back as a copy with
+    d = 1 and builds no ``Fraction``.
+    """
+    if a.dtype == object and _all_int(a):
+        return a.copy(), 1
+    vals = [x if type(x) in (int, Fraction) else _exact(x) for x in a.flat]
+    d = lcm(*[x.denominator for x in vals])
+    N = np.array([x.numerator * (d // x.denominator) for x in vals], dtype=object)
+    return N.reshape(a.shape), d
+
+
+def unscaled(N: IMat, d: int) -> QMat:
+    """The rational matrix N / d, every entry a ``Fraction``."""
+    out = np.empty(N.shape, dtype=object)
+    for idx, x in np.ndenumerate(N):
+        out[idx] = Fraction(x, d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +471,10 @@ def det_exact(A: np.ndarray) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     if r == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    M = np.empty((r, c), dtype=object)
-    for i in range(r):
-        d = lcm(*[Fraction(x).denominator for x in A[i, :]]) if c else 1
-        scale *= d
-        for j in range(c):
-            f = Fraction(A[i, j]) * d
-            M[i, j] = f.numerator
+    # Row by row: each row is scaled by its own least denominator.
+    rows = [scaled(A[i : i + 1]) for i in range(r)]
+    M = np.vstack([N for N, _ in rows])
+    scale = prod(d for _, d in rows)
     sign = 1
     prev = 1
     for k in range(r - 1):
@@ -457,7 +489,7 @@ def det_exact(A: np.ndarray) -> Fraction:
                 M[i, j] = (M[i, j] * M[k, k] - M[i, k] * M[k, j]) // prev
             M[i, k] = 0
         prev = M[k, k]
-    return Fraction(sign * M[r - 1, r - 1], 1) / scale
+    return Fraction(sign * M[r - 1, r - 1], scale)
 
 
 def rank_exact(A: np.ndarray) -> int:
@@ -600,15 +632,7 @@ def kernel_basis(A: np.ndarray) -> IMat:
     r, c = A.shape
     if r == 0 or c == 0:
         return eye(c)
-    if _all_int(A):
-        M = A
-    else:
-        M = np.empty((r, c), dtype=object)
-        for i in range(r):
-            d = lcm(*[Fraction(x).denominator for x in A[i, :]])
-            for j in range(c):
-                f = Fraction(A[i, j]) * d
-                M[i, j] = f.numerator
+    M = A if _all_int(A) else np.vstack([scaled(A[i : i + 1])[0] for i in range(r)])
     d, _, _, V, _ = _smith(M, v=True)
     # The columns of V past the nonzero diagonal span the kernel.
     nz = sum(1 for x in d if x)
@@ -622,36 +646,27 @@ def kernel_basis(A: np.ndarray) -> IMat:
 class Lattice:
     """A finitely generated subgroup of Q^n, stored via a canonical basis.
 
-    The basis is the scaled Hermite form of the generators, so two equal
-    lattices compare equal.  Rows generate.
+    The rows of ``gens / den`` generate (``den`` lets a caller holding a
+    scaled matrix skip building ``Fraction`` entries).  The basis is the
+    scaled Hermite form of the generators, so two equal lattices compare
+    equal.
     """
 
-    __slots__ = ("ambient", "basis", "_den")
+    __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: int, gens: np.ndarray | None = None):
+    def __init__(self, ambient: int, gens: np.ndarray | None = None, den: int = 1):
         self.ambient = ambient
         if gens is None or gens.size == 0:
             gens = zeros(0, ambient)
         if gens.shape[1] != ambient:
             raise ValueError("generator width does not match ambient dimension")
-        den = common_denominator(gens)
-        scaled = np.empty(gens.shape, dtype=object)
-        for idx, x in np.ndenumerate(gens):
-            scaled[idx] = (Fraction(x) * den).numerator
-        H = hnf_nonzero(scaled)
-        # Keep the smallest denominator that still writes the basis exactly.
-        g = 0
-        for x in H.flat:
-            g = gcd(g, x)
-        if g and den > 1:
-            shrink = gcd(g, den)
-            if shrink > 1:
-                H = H // shrink
-                den //= shrink
-        self._den = den
-        self.basis = np.empty(H.shape, dtype=object)
-        for idx, x in np.ndenumerate(H):
-            self.basis[idx] = Fraction(x, den)
+        N, d = scaled(gens)
+        den *= d
+        # Over the least common denominator, as if gens / den were scaled.
+        g = gcd(den, *N.flat)
+        if g > 1:
+            N, den = N // g, den // g
+        self.basis = unscaled(hnf_nonzero(N), den)
 
     @property
     def rank(self) -> int:
@@ -722,23 +737,12 @@ def lattice_intersect(A: Lattice, B: Lattice) -> Lattice:
         raise ValueError("ambient dimension mismatch")
     if A.rank == 0 or B.rank == 0:
         return Lattice(A.ambient)
-    d = lcm(A._den, B._den)
-    MA = np.empty(A.basis.shape, dtype=object)
-    for idx, x in np.ndenumerate(A.basis):
-        MA[idx] = (x * d).numerator
-    MB = np.empty(B.basis.shape, dtype=object)
-    for idx, x in np.ndenumerate(B.basis):
-        MB[idx] = (x * d).numerator
-    stacked = np.vstack([MA, MB])
+    stacked, d = scaled(np.vstack([A.basis, B.basis]))
+    MA = stacked[: A.rank]
     ker = kernel_basis(stacked.T)  # rows (u | w) with u@MA + w@MB = 0
     if ker.shape[0] == 0:
         return Lattice(A.ambient)
-    u = ker[:, : MA.shape[0]]
-    gens_scaled = u @ MA
-    gens = np.empty(gens_scaled.shape, dtype=object)
-    for idx, x in np.ndenumerate(gens_scaled):
-        gens[idx] = Fraction(x, d)
-    return Lattice(A.ambient, gens)
+    return Lattice(A.ambient, ker[:, : A.rank] @ MA, d)
 
 
 def integral_preimage(M: IMat, gens: IMat) -> IMat:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -23,14 +24,15 @@ from .distribution import (
     distribution_lattice,
     predistribution_lattice,
     smoothing_factor,
+    smoothing_scaled,
     standard_basis,
 )
 from .exact_linalg import (
     Lattice,
     det_exact,
-    eye,
     mat_equal,
     rank_exact,
+    unscaled,
     zeros,
 )
 
@@ -424,41 +426,52 @@ def homotopy_check(m: int) -> dict:
 # the smoothing operator on symbols, its determinants, the index formula
 
 
-def smoothing_blocks(m: int) -> dict[int, np.ndarray]:
-    """Per-degree matrices of the smoothing operator in symbol coordinates.
+def smoothing_blocks_scaled(m: int) -> dict[int, tuple[np.ndarray, int]]:
+    """Per-degree (N_i, d_i) with N_i / d_i the smoothing operator in degree i.
 
     On the block of g the operator averages over all primes of the level
     that do not divide g, acting on the point coordinate of level m/g.
+    Each block is an integer product of scaled factors; d_i is the least
+    common multiple of the block denominators of degree i.
     """
     sb = symbol_basis(m)
     out = {}
     for i in range(sb.lo, 1):
-        M = zeros(sb.ranks[i], sb.ranks[i]) + Fraction(0)
+        blocks = [
+            (m // g, *smoothing_scaled(m // g, [p for p in sb.primes if g % p]))
+            for g in sb.blocks[i]
+        ]
+        d = lcm(*[e for _, _, e in blocks])
+        N = zeros(sb.ranks[i], sb.ranks[i])
         off = 0
-        for g in sb.blocks[i]:
-            s = m // g
-            blk = eye(s) + Fraction(0)
-            for p in sb.primes:
-                if g % p:
-                    blk = smoothing_factor(s, p) @ blk
-            M[off : off + s, off : off + s] = blk
+        for s, blk, e in blocks:
+            N[off : off + s, off : off + s] = blk * (d // e)
             off += s
-        out[i] = M
+        out[i] = (N, d)
     return out
+
+
+def smoothing_blocks(m: int) -> dict[int, np.ndarray]:
+    """Per-degree matrices of the smoothing operator in symbol coordinates."""
+    return {i: unscaled(N, d) for i, (N, d) in smoothing_blocks_scaled(m).items()}
 
 
 def intertwine_check(m: int) -> dict:
     """The smoothing operator carries one differential to the other and
-    commutes with negation."""
-    phi = smoothing_blocks(m)
+    commutes with negation.
+
+    On the scaled blocks N_i / d_i: d_avg N_i d_{i+1} == N_{i+1} d_diff d_i
+    (cross-multiplied denominators), and N_i commutes with c."""
+    phi = smoothing_blocks_scaled(m)
     d_diff = differentials(m, DIFFERENCE)
     d_avg = differentials(m, AVERAGE)
     c = involution(m)
     sb = symbol_basis(m)
     inter = all(
-        mat_equal(d_avg[i] @ phi[i], phi[i + 1] @ d_diff[i]) for i in range(sb.lo, 0)
+        mat_equal(d_avg[i] @ phi[i][0] * phi[i + 1][1], phi[i + 1][0] @ d_diff[i] * phi[i][1])
+        for i in range(sb.lo, 0)
     )
-    comm = all(mat_equal(phi[i] @ c[i], c[i] @ phi[i]) for i in range(sb.lo, 1))
+    comm = all(mat_equal(N @ c[i], c[i] @ N) for i, (N, _) in phi.items())
     return {"level": m, "intertwines": inter, "commutes_with_negation": comm,
             "ok": inter and comm}
 

@@ -32,10 +32,7 @@ from .distribution import tate_distribution, tate_predistribution
 from .exact_linalg import (
     eye,
     hnf_nonzero,
-    inverse_exact,
-    is_integral,
     kernel_basis,
-    to_int,
     zeros,
 )
 from .lcomplex import DIFFERENCE, KINDS, build_jcomplex, symbol_basis
@@ -469,6 +466,17 @@ def splitting_check(m: int, kind: str) -> dict:
     return {"level": m, "kind": kind, "ok": total == want}
 
 
+def _row_quotient(M: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+    """diag(s)^-1 @ M for integer M and a column s of positive ints.
+
+    Integral exactly when row i of M is divisible by s_i; then it is the
+    exact row quotient, else None.
+    """
+    if (M % s).any():
+        return None
+    return M // s
+
+
 def scaled_rows_check(m: int) -> dict:
     """The doubled-fixed-symbol rows form a vertically exact subcomplex.
 
@@ -480,24 +488,25 @@ def scaled_rows_check(m: int) -> dict:
 
     sb = symbol_basis(m)
     jc = build_jcomplex(m, DIFFERENCE)
+    # The diagonal of the scaling, as a column so that it broadcasts over rows.
     scale: dict[int, np.ndarray] = {}
     for p in range(sb.lo, 1):
         diag = []
         for g, k in sb.symbols(p):
             s = m // g
             diag.append(2 if (k == 0 or 2 * k == s) else 1)
-        scale[p] = np.diag(diag).astype(object)
+        scale[p] = np.array(diag, dtype=object).reshape(-1, 1)
     column_exact = maps_integral = d_stable = True
     dmats = {k: differentials(m, k) for k in KINDS}
     for p in range(sb.lo, 1):
         n = sb.ranks[p]
         c = jc.c(p)
         idm = eye(n)
-        inv_scale = inverse_exact(scale[p])
-        m_even = inv_scale @ (idm + c)  # plain row to scaled row
-        maps_integral = maps_integral and is_integral(m_even)
-        m_even = to_int(m_even)
-        m_odd = (idm - c) @ scale[p]  # scaled row back to plain row
+        m_even = _row_quotient(idm + c, scale[p])  # plain row to scaled row
+        if m_even is None:
+            maps_integral = False  # the check fails here; later degrees are skipped
+            break
+        m_odd = (idm - c) * scale[p].T  # scaled row back to plain row
         column_exact = (
             column_exact
             and subquotient_group(kernel_basis(m_even), hnf_nonzero(m_odd.T)).is_trivial
@@ -505,8 +514,8 @@ def scaled_rows_check(m: int) -> dict:
         )
         if p < 0:
             for kind in KINDS:
-                moved = inverse_exact(scale[p + 1]) @ dmats[kind][p] @ scale[p]
-                d_stable = d_stable and is_integral(moved)
+                moved = dmats[kind][p] * scale[p].T
+                d_stable = d_stable and _row_quotient(moved, scale[p + 1]) is not None
     return {
         "level": m,
         "column_exact": column_exact,

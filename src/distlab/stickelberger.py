@@ -26,7 +26,12 @@ from .cyclotomic import (
     h_minus,
     smoothing_det_minus,
 )
-from .distribution import negation_matrix, universal_distribution, universal_predistribution
+from .distribution import (
+    negation_matrix,
+    smoothing_scaled,
+    universal_distribution,
+    universal_predistribution,
+)
 from .exact_linalg import (
     Lattice,
     eye,
@@ -35,9 +40,10 @@ from .exact_linalg import (
     lattice_index,
     lattice_intersect,
     mat_equal,
+    scaled,
     zeros,
 )
-from .lcomplex import DIFFERENCE, differentials, smoothing_blocks
+from .lcomplex import DIFFERENCE, differentials
 
 
 def units_of(m: int) -> tuple[int, ...]:
@@ -296,11 +302,13 @@ def smoothing_minus_image_check(m: int) -> dict:
     neg = negation_matrix(m)
     cu = qu.induced_on_free(neg)
     co = qo.induced_on_free(neg)
-    phibar = qo.P @ smoothing_blocks(m)[0] @ qu.S
+    # In degree zero the smoothing operator is N / d on the level points.
+    N, d = smoothing_scaled(m)
+    phibar = qo.P @ N @ qu.S
     pushed = kernel_basis(eye(qu.free_rank) + cu) @ phibar.T
     got = lattice_index(
         image_lattice(kernel_basis(eye(qo.free_rank) + co)),
-        image_lattice(pushed),
+        Lattice(qo.free_rank, pushed, d),
     )
     r = len(primes_of(m))
     if r > 1:
@@ -340,19 +348,31 @@ def theta_norm_check(m: int) -> bool:
     return all(x == 1 for x in prod.coeffs)
 
 
+def unit_translation(m: int, b: int) -> list[int]:
+    """Multiplication by the unit b as a column permutation of the group ring.
+
+    For a row matrix B of group-ring vectors, ``B[:, perm]`` is B @ P^T with
+    P the permutation matrix sending the basis vector of t to that of b t.
+    """
+    units = units_of(m)
+    idx = {t: i for i, t in enumerate(units)}
+    perm = [0] * len(units)
+    for t in units:
+        perm[idx[b * t % m]] = idx[t]
+    return perm
+
+
 def group_stability_check(m: int) -> bool:
     """Each unit translate permutes the fractional-part span, so the ideal
     and its minus part are stable under the group action."""
     data = stickelberger_ideal(m)
     units = units_of(m)
-    idx = {t: i for i, t in enumerate(units)}
     n = len(units)
+    scaled_bases = [(lat, *scaled(lat.basis)) for lat in (data.S, data.S_minus)]
     for b in units:
-        P = zeros(n, n)
-        for t in units:
-            P[idx[b * t % m], idx[t]] = 1
-        for lat in (data.S, data.S_minus):
-            if Lattice(n, lat.basis @ P.T) != lat:
+        perm = unit_translation(m, b)
+        for lat, H, d in scaled_bases:
+            if Lattice(n, H[:, perm], d) != lat:
                 return False
     return True
 

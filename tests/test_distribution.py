@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from distlab import distribution
 from distlab.abgroup import FgAbGroup, tate_group
-from distlab.arith import euler_phi
+from distlab.arith import euler_phi, primes_of
 from distlab.distribution import (
     basis_check,
     cohomology_check,
@@ -139,6 +140,48 @@ def test_smoothing_against_direct_inverse():
 
     for m in (4, 9, 12):
         assert mat_equal(smoothing_matrix(m), inverse_exact(smoothing_matrix_inverse(m)))
+
+
+VALID_LEVELS = [m for m in range(3, 41) if m % 4 != 2]
+
+
+def _fraction_product(factors, m):
+    """Reference product F_k ... F_1 of Fraction matrices, multiplied as Fractions."""
+    M = factors[0] if factors else eye(m) + Fraction(0)
+    for F in factors[1:]:
+        M = F @ M
+    return M
+
+
+@pytest.mark.parametrize("m", VALID_LEVELS)
+def test_smoothing_builders_match_fraction_product(m):
+    primes = primes_of(m)
+    phi = smoothing_matrix(m)
+    assert mat_equal(phi, _fraction_product([smoothing_factor(m, p) for p in primes], m))
+    assert all(type(x) is Fraction for x in phi.flat)
+    inverse = [eye(m) - mult_matrix(m, p) * Fraction(1, p) for p in primes]
+    assert mat_equal(smoothing_matrix_inverse(m), _fraction_product(inverse, m))
+
+
+def _perturb_factor(monkeypatch, m0, p0):
+    """Make smoothing_factor(m0, p0) wrong by 1/p0 in one entry."""
+    real = distribution.smoothing_factor
+
+    def perturbed(m, p):
+        F = real(m, p)
+        if (m, p) == (m0, p0):
+            F[0, 1] += Fraction(1, p)
+        return F
+
+    monkeypatch.setattr(distribution, "smoothing_factor", perturbed)
+
+
+@pytest.mark.parametrize("m", [9, 12, 15])
+def test_smoothing_check_sees_a_perturbed_entry(monkeypatch, m):
+    assert smoothing_check(m)["inverse_ok"]
+    _perturb_factor(monkeypatch, m, primes_of(m)[-1])
+    res = smoothing_check(m)
+    assert not res["inverse_ok"] and not res["ok"]
 
 
 def test_exp_map_kernel_and_image():

@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,13 @@ from distlab.exact_linalg import (
     mat_equal,
     qmat,
     rank_exact,
+    scaled,
     snf,
     snf_with_inverses,
     solve_exact,
     solve_integral,
     to_int,
+    unscaled,
     zeros,
 )
 
@@ -327,6 +329,95 @@ def test_to_int_rejects_non_integral_fraction(rows, frac, rnd):
     Q[rnd.randrange(Q.shape[0]), rnd.randrange(Q.shape[1])] = frac
     with pytest.raises(ValueError):
         to_int(Q)
+
+
+rational_entries = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+rational_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda r: st.integers(min_value=1, max_value=5).flatmap(
+        lambda c: st.lists(
+            st.lists(rational_entries, min_size=c, max_size=c), min_size=r, max_size=r
+        )
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices)
+def test_scaled_is_least_integer_numerator(rows):
+    A = np.array(rows, dtype=object)
+    N, d = scaled(A)
+    assert d == lcm(*[Fraction(x).denominator for x in A.flat])
+    assert N.shape == A.shape
+    assert all(type(x) is int for x in N.flat)
+    assert all(n == d * x for n, x in zip(N.flat, A.flat))
+    back = unscaled(N, d)
+    assert mat_equal(back, A)
+    assert all(type(x) is Fraction for x in back.flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_scaled_int_input_is_a_copy_with_denominator_one(rows):
+    A = imat(rows)
+    N, d = scaled(A)
+    assert d == 1 and N is not A and mat_equal(N, A)
+    assert all(type(x) is int for x in N.flat)
+    # integral Fractions scale to the same ints
+    N2, d2 = scaled(qmat(rows))
+    assert d2 == 1 and mat_equal(N2, A) and all(type(x) is int for x in N2.flat)
+
+
+def test_numpy_integer_input_is_exact():
+    # int64 entries must become Python ints before any elimination: Bareiss
+    # on int64 overflows, and a numpy integer is never a plain int row entry.
+    big = 2**40
+    A = np.array([[big, 1], [1, big]])
+    O = imat(A.tolist())
+    assert det_exact(A) == big * big - 1
+    assert mat_equal(to_int(A), O) and all(type(x) is int for x in to_int(A).flat)
+    assert mat_equal(hnf(A), hnf(O))
+    assert mat_equal(kernel_basis(np.array([[2, 4]])), kernel_basis(imat([[2, 4]])))
+    assert Lattice(2, A) == Lattice(2, O)
+    N, d = scaled(A)
+    assert d == 1 and all(type(x) is int for x in N.flat)
+
+
+def test_scaled_empty():
+    N, d = scaled(zeros(0, 3))
+    assert N.shape == (0, 3) and d == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices, st.integers(min_value=1, max_value=12))
+def test_lattice_from_scaled_generators(rows, den):
+    A = np.array(rows, dtype=object)
+    N, d = scaled(A)
+    n = A.shape[1]
+    assert Lattice(n, N, d) == Lattice(n, A)
+    assert Lattice(n, A, den) == Lattice(n, unscaled(N, d * den))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n),
+    )
+))
+def test_lattice_intersect_rational_full_rank(pair):
+    MA, MB = (np.array(rows, dtype=object) for rows in pair)
+    assume(det_exact(MA) != 0 and det_exact(MB) != 0)
+    n = MA.shape[1]
+    A, B = Lattice(n, MA), Lattice(n, MB)
+    inter = lattice_intersect(A, B)
+    assert inter.rank == n
+    assert all(A.contains(row) and B.contains(row) for row in inter.basis)
+    assert lattice_index(A, B) == lattice_index(A, inter) / lattice_index(B, inter)
+    # the intersection is the largest common sublattice: (A+B : A) = (B : A∩B)
+    assert lattice_index(lattice_sum(A, B), A) == lattice_index(B, inter)
 
 
 @settings(max_examples=60, deadline=None)

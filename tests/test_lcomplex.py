@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from distlab import distribution
+from distlab.abgroup import abstract_index_check
+from distlab.arith import primes_of
 from distlab.distribution import negation_matrix, smoothing_factor
-from distlab.exact_linalg import mat_equal
+from distlab.exact_linalg import eye, mat_equal, zeros
 from distlab.lcomplex import (
     AVERAGE,
     DIFFERENCE,
@@ -17,11 +20,14 @@ from distlab.lcomplex import (
     acyclicity_check,
     build_jcomplex,
     det_check,
+    differentials,
     epsilon,
     homotopy_check,
     index_formula_check,
     intertwine_check,
+    involution,
     level_inclusion_check,
+    smoothing_blocks,
     symbol_basis,
 )
 
@@ -99,6 +105,61 @@ def test_smoothing_intertwines_and_commutes(m):
     assert intertwine_check(m)["ok"]
 
 
+@pytest.mark.parametrize("m", [m for m in range(3, 41) if m % 4 != 2])
+def test_smoothing_blocks_match_fraction_product(m):
+    sb = symbol_basis(m)
+    blocks = smoothing_blocks(m)
+    assert sorted(blocks) == list(range(sb.lo, 1))
+    for i in range(sb.lo, 1):
+        ref = zeros(sb.ranks[i], sb.ranks[i]) + Fraction(0)
+        off = 0
+        for g in sb.blocks[i]:
+            s = m // g
+            factors = [smoothing_factor(s, p) for p in sb.primes if g % p]
+            blk = factors[0] if factors else eye(s)
+            for F in factors[1:]:
+                blk = F @ blk
+            ref[off : off + s, off : off + s] = blk
+            off += s
+        assert mat_equal(blocks[i], ref), (m, i)
+        assert all(type(x) is Fraction for x in blocks[i].flat)
+
+
+def _perturb_top_factor(monkeypatch, m):
+    """Make the degree-zero smoothing operator wrong by 1/p in one entry."""
+    p0 = primes_of(m)[0]
+    real = distribution.smoothing_factor
+
+    def perturbed(s, p):
+        F = real(s, p)
+        if (s, p) == (m, p0):
+            F[0, 1] += Fraction(1, p)
+        return F
+
+    monkeypatch.setattr(distribution, "smoothing_factor", perturbed)
+
+
+@pytest.mark.parametrize("m", [9, 12, 15])
+def test_intertwine_check_sees_a_perturbed_entry(monkeypatch, m):
+    _perturb_top_factor(monkeypatch, m)
+    res = intertwine_check(m)
+    assert not res["intertwines"] and not res["ok"]
+
+
+@pytest.mark.parametrize("m", [9, 12, 15])
+def test_index_formula_rejects_a_perturbed_operator(m):
+    phi = smoothing_blocks(m)
+    phi[0][0, 1] += Fraction(1, primes_of(m)[0])
+    with pytest.raises(ValueError, match="phi does not intertwine"):
+        abstract_index_check(
+            dict(symbol_basis(m).ranks),
+            differentials(m, DIFFERENCE),
+            differentials(m, AVERAGE),
+            involution(m),
+            phi,
+        )
+
+
 def test_minus_pair_restriction_of_negation():
     R = _minus_pair_matrix(negation_matrix(5))
     assert R.shape == (2, 2)
@@ -140,3 +201,18 @@ def test_index_formula_sides_at_12():
     r = index_formula_check(12)
     assert r["lhs"] == Fraction(1, 4)
     assert r["det_part"] == Fraction(1, 2)
+
+
+# Recorded from the Fraction-matrix implementation before the smoothing
+# operator moved to scaled integer numerators.
+INDEX_FORMULA_PINNED = {
+    15: "{'lhs': Fraction(3, 8), 'rhs': Fraction(3, 8), 'det_part': Fraction(3, 4), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 15}",
+    21: "{'lhs': Fraction(9, 16), 'rhs': Fraction(9, 16), 'det_part': Fraction(9, 8), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 21}",
+}
+
+
+@pytest.mark.parametrize("m", sorted(INDEX_FORMULA_PINNED))
+def test_index_formula_values_are_pinned(m):
+    assert repr(index_formula_check(m)) == INDEX_FORMULA_PINNED[m]

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distlab.abgroup import FgAbGroup, elementary_power
-from distlab.exact_linalg import mat_equal, zeros
+from distlab.exact_linalg import imat, inverse_exact, is_integral, mat_equal, to_int, zeros
 from distlab.lcomplex import AVERAGE, DIFFERENCE, KINDS
 from distlab.spectral import (
     FULL,
     HALF,
+    _row_quotient,
     abutment_check,
     build_double,
     degeneration_check,
@@ -118,6 +121,32 @@ def test_scaled_fixed_rows_subcomplex(m):
     assert res["column_exact"]
     assert res["maps_integral"]
     assert res["d_stable"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda r: st.tuples(
+            st.lists(
+                st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+                min_size=r,
+                max_size=r,
+            ),
+            st.lists(st.sampled_from([1, 1, 2, 3]), min_size=r, max_size=r),
+        )
+    )
+)
+def test_row_quotient_matches_inverse_scaling(data):
+    rows, diag = data
+    M = imat(rows)
+    s = np.array(diag, dtype=object).reshape(-1, 1)
+    ref = inverse_exact(np.diag(diag).astype(object)) @ M
+    got = _row_quotient(M, s)
+    if is_integral(ref):
+        assert got is not None and mat_equal(got, to_int(ref))
+        assert all(type(x) is int for x in got.flat)
+    else:
+        assert got is None
 
 
 def test_index_closed_forms():

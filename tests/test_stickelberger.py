@@ -1,10 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from distlab import stickelberger
 from distlab.arith import euler_phi
 from distlab.cyclotomic import corrector_w
-from distlab.exact_linalg import is_integral
+from distlab.exact_linalg import Lattice, eye, is_integral, mat_equal, zeros
 from distlab.stickelberger import (
     GroupRingElem,
     alpha_compat_check,
@@ -22,6 +24,7 @@ from distlab.stickelberger import (
     stickelberger_verify,
     theta_element,
     theta_norm_check,
+    unit_translation,
     units_of,
 )
 
@@ -156,6 +159,47 @@ def test_principal_lattice_is_integral():
 @pytest.mark.parametrize("m", [9, 12])
 def test_group_action_stability(m):
     assert group_stability_check(m)
+
+
+@pytest.mark.parametrize("m", [7, 12, 15, 21])
+def test_unit_translation_is_the_permutation_matrix(m):
+    units = units_of(m)
+    idx = {t: i for i, t in enumerate(units)}
+    n = len(units)
+    data = stickelberger_ideal(m)
+    e1 = Lattice(n, eye(n)[:1])
+    for b in units:
+        P = zeros(n, n)
+        for t in units:
+            P[idx[b * t % m], idx[t]] = 1
+        perm = unit_translation(m, b)
+        for lat in (data.S, data.S_minus):
+            assert mat_equal(lat.basis[:, perm], lat.basis @ P.T)
+            assert Lattice(n, lat.basis[:, perm]) == Lattice(n, lat.basis @ P.T)
+        # a lattice that is not stable: the basis vector of the unit 1
+        assert (Lattice(n, e1.basis[:, perm]) == e1) == (b == 1)
+
+
+@pytest.mark.parametrize("m", [7, 12])
+def test_group_stability_check_rejects_an_unstable_lattice(monkeypatch, m):
+    n = len(units_of(m))
+    e1 = Lattice(n, eye(n)[:1])
+    fake = SimpleNamespace(S=e1, S_minus=e1)
+    monkeypatch.setattr(stickelberger, "stickelberger_ideal", lambda _: fake)
+    assert not group_stability_check(m)
+
+
+# Recorded from the Fraction-matrix implementation before the smoothing
+# operator moved to scaled integer numerators.
+SMOOTHED_MINUS_PINNED = {
+    15: "{'level': 15, 'value': Fraction(3, 8), 'expected': Fraction(3, 8), 'ok': True}",
+    21: "{'level': 21, 'value': Fraction(9, 16), 'expected': Fraction(9, 16), 'ok': True}",
+}
+
+
+@pytest.mark.parametrize("m", sorted(SMOOTHED_MINUS_PINNED))
+def test_smoothing_minus_image_values_are_pinned(m):
+    assert repr(smoothing_minus_image_check(m)) == SMOOTHED_MINUS_PINNED[m]
 
 
 @pytest.mark.parametrize("m", [12, 21])

@@ -493,24 +493,29 @@ def det_exact(A: np.ndarray) -> Fraction:
 
 
 def rank_exact(A: np.ndarray) -> int:
-    M = np.array([[Fraction(x) for x in row] for row in A], dtype=object)
+    """Rank over Q by fraction-free (Bareiss) elimination on the numerators.
+
+    After k pivots every entry below them is a (k+1)-minor of the scaled
+    matrix, so each division by the previous pivot is exact.
+    """
     if A.size == 0:
         return 0
-    r, c = M.shape
-    rank = 0
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if M[i, col] != 0), None)
+    rows = scaled(A)[0].tolist()
+    r = len(rows)
+    rank, prev = 0, 1
+    for col in range(A.shape[1]):
+        piv = next((i for i in range(rank, r) if rows[i][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            M[[row, piv], :] = M[[piv, row], :]
-        for i in range(row + 1, r):
-            if M[i, col] != 0:
-                M[i, :] -= (M[i, col] / M[row, col]) * M[row, :]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        a = top[col]
+        for i in range(rank + 1, r):
+            b = rows[i][col]
+            rows[i] = [(x * a - b * y) // prev for x, y in zip(rows[i], top)]
+        prev = a
         rank += 1
-        row += 1
-        if row == r:
+        if rank == r:
             break
     return rank
 

@@ -59,8 +59,9 @@ class DoubleComplex:
         self.q_lo = 0 if variant == HALF else q_lo
         self.q_hi = q_hi
         self.p_lo = self.base.lo
-        self._zig_cache: dict[tuple[int, int, int], tuple[np.ndarray, list[int]]] = {}
-        self._e_cache: dict[tuple[int, int, int], FgAbGroup] = {}
+        # Results keyed by the blocks they are built from (see _stair), so
+        # instances over one JComplex may share it; build_double does.
+        self._store: dict[tuple, object] = {}
 
     # -- entries and the two differentials
 
@@ -100,18 +101,26 @@ class DoubleComplex:
 
     # -- integral zig-zags of the column filtration
 
-    def _zig(self, p: int, q: int, length: int):
-        """Kernel rows of the staircase system with components at
-        (p, q), (p+1, q-1), ..., (p+length-1, q-length+1), plus offsets."""
-        key = (p, q, length)
-        if key in self._zig_cache:
-            return self._zig_cache[key]
-        sizes = [self.rank(p + i, q - i) for i in range(length)]
+    def _stair(self, p: int, q: int, length: int) -> tuple:
+        """What the staircase at (p, q) of this length is built from.
+
+        delta(p, q) is fixed by p, q mod 2 and the ranks at (p, q) and
+        (p, q+1), and d(p, q) by p and its two ranks, so equal keys give
+        equal staircase matrices; window clipping shows up as a zero rank.
+        """
+        sizes = tuple(self.rank(p + i, q - i) for i in range(length))
+        row_ranks = tuple(self.rank(p + i, q - i + 1) for i in range(length))
+        return (p, q % 2, sizes, row_ranks)
+
+    def _staircase(self, p: int, q: int, length: int, extra_cols: int = 0):
+        """Staircase system with components at (p, q), (p+1, q-1), ...,
+        (p+length-1, q-length+1), plus extra_cols zero columns on the
+        right; returns the matrix and the component offsets."""
         offsets = [0]
-        for s in sizes:
-            offsets.append(offsets[-1] + s)
-        ncols = offsets[-1]
-        blocks = []
+        for i in range(length):
+            offsets.append(offsets[-1] + self.rank(p + i, q - i))
+        ncols = offsets[-1] + extra_cols
+        blocks = [zeros(0, ncols)]
         for i in range(length):
             # component of the total differential in column p + i
             row_rank = self.rank(p + i, q - i + 1)
@@ -122,14 +131,21 @@ class DoubleComplex:
             if i > 0:
                 row[:, offsets[i - 1] : offsets[i]] = self.d(p + i - 1, q - i + 1)
             blocks.append(row)
-        if ncols == 0:
-            ker = zeros(0, 0)
-        elif not blocks:
-            ker = eye(ncols)
-        else:
-            ker = kernel_basis(np.vstack(blocks))
-        self._zig_cache[key] = (ker, offsets)
-        return ker, offsets
+        return np.vstack(blocks), offsets
+
+    def _zig(self, p: int, q: int, length: int):
+        """Kernel rows of the staircase system at (p, q), plus offsets."""
+        key = ("zig", self._stair(p, q, length))
+        if key not in self._store:
+            M, offsets = self._staircase(p, q, length)
+            if offsets[-1] == 0:
+                ker = zeros(0, 0)
+            elif M.shape[0] == 0:
+                ker = eye(offsets[-1])
+            else:
+                ker = kernel_basis(M)
+            self._store[key] = (ker, offsets)
+        return self._store[key]
 
     def z_rows(self, p: int, q: int, r: int) -> np.ndarray:
         """Basis rows of the page-r numerator lattice at (p, q)."""
@@ -160,15 +176,23 @@ class DoubleComplex:
             return zeros(0, n)
         return hnf_nonzero(np.vstack(parts))
 
+    def _e_key(self, p: int, q: int, r: int) -> tuple:
+        # z_rows reads the staircase at (p, q); b_rows the vertical map
+        # into (p, q), d(p-1, q) and the staircase ending at (p-1, q).
+        key = ("e", r, self._stair(p, q, r), self.rank(p, q - 1), self.rank(p - 1, q))
+        if r >= 2:
+            key += (self._stair(p - r + 1, q + r - 2, r - 1),)
+        return key
+
     def e_term(self, p: int, q: int, r: int) -> FgAbGroup:
-        key = (p, q, r)
-        if key not in self._e_cache:
+        key = self._e_key(p, q, r)
+        if key not in self._store:
             Z = self.z_rows(p, q, r)
             if Z.shape[0] == 0:
-                self._e_cache[key] = FgAbGroup(0, ())
+                self._store[key] = FgAbGroup(0, ())
             else:
-                self._e_cache[key] = subquotient_group(Z, self.b_rows(p, q, r))
-        return self._e_cache[key]
+                self._store[key] = subquotient_group(Z, self.b_rows(p, q, r))
+        return self._store[key]
 
     def e_via_homology(self, p: int, q: int, r: int) -> FgAbGroup:
         """Page r+1 at (p, q) through the induced page-r differential.
@@ -182,30 +206,17 @@ class DoubleComplex:
             return FgAbGroup(0, ())
         pt, qt = p + r, q - r + 1
         Bt = self.b_rows(pt, qt, r)
-        sizes = [self.rank(p + i, q - i) for i in range(r)]
-        offsets = [0]
-        for s in sizes:
-            offsets.append(offsets[-1] + s)
-        nx = offsets[-1]
         nl = Bt.shape[0]
-        blocks = []
-        for i in range(r):
-            row_rank = self.rank(p + i, q - i + 1)
-            if row_rank == 0:
-                continue
-            row = zeros(row_rank, nx + nl)
-            row[:, offsets[i] : offsets[i + 1]] = self.delta(p + i, q - i)
-            if i > 0:
-                row[:, offsets[i - 1] : offsets[i]] = self.d(p + i - 1, q - i + 1)
-            blocks.append(row)
+        M, offsets = self._staircase(p, q, r, extra_cols=nl)
+        nx = offsets[-1]
         tgt_rank = self.rank(pt, qt)
         if tgt_rank:
             row = zeros(tgt_rank, nx + nl)
             row[:, offsets[r - 1] : offsets[r]] = self.d(p + r - 1, q - r + 1)
             if nl:
                 row[:, nx:] = -Bt.T
-            blocks.append(row)
-        ker = kernel_basis(np.vstack(blocks)) if blocks else eye(nx + nl)
+            M = np.vstack([M, row])
+        ker = kernel_basis(M) if M.shape[0] else eye(nx + nl)
         lead = ker[:, : offsets[1]]
         num = hnf_nonzero(lead) if lead.size else zeros(0, n)
         if num.shape[0] == 0:
@@ -258,15 +269,38 @@ class DoubleComplex:
             return False
         return True
 
+    def _total_key(self, n: int) -> tuple:
+        # total_d(k) is fixed by the entries of total degrees k and k+1
+        return ("total",) + tuple(
+            tuple((p, q % 2, self.rank(p, q)) for p, q in self.total_entries(k))
+            for k in (n - 1, n, n + 1)
+        )
+
     def total_cohomology(self, n: int) -> FgAbGroup:
-        K = kernel_basis(self.total_d(n))
-        return subquotient_group(K, self.total_d(n - 1).T)
+        key = self._total_key(n)
+        if key not in self._store:
+            K = kernel_basis(self.total_d(n))
+            self._store[key] = subquotient_group(K, self.total_d(n - 1).T)
+        return self._store[key]
+
+
+@lru_cache(maxsize=16)
+def _level(m: int, kind: str) -> tuple[JComplex, dict]:
+    """The complex of one level and the page store its double complexes share."""
+    return build_jcomplex(m, kind), {}
 
 
 @lru_cache(maxsize=32)
 def build_double(m: int, kind: str, variant: str, q_lo: int = -4, q_hi: int = 6) -> DoubleComplex:
-    """Shared per-level instances so page caches survive across checks."""
-    return DoubleComplex(build_jcomplex(m, kind), variant, q_lo, q_hi)
+    """Shared per-level instances so page caches survive across checks.
+
+    Both variants and every row window of a level share one JComplex and
+    one page store, so each distinct block is computed once.
+    """
+    jc, store = _level(m, kind)
+    dc = DoubleComplex(jc, variant, q_lo, q_hi)
+    dc._store = store
+    return dc
 
 
 # ---------------------------------------------------------------------------

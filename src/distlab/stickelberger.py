@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -41,11 +42,13 @@ from .exact_linalg import (
     lattice_intersect,
     mat_equal,
     scaled,
+    unscaled,
     zeros,
 )
 from .lcomplex import DIFFERENCE, differentials
 
 
+@lru_cache(maxsize=64)
 def units_of(m: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, m) if gcd(t, m) == 1)
 
@@ -112,8 +115,10 @@ def theta_element(m: int, a: int = 1) -> GroupRingElem:
     return GroupRingElem(m, coeffs)
 
 
-def _theta_rows(m: int) -> np.ndarray:
-    return np.array([theta_element(m, a).coeffs for a in range(1, m)], dtype=object)
+def _theta_scaled(m: int) -> np.ndarray:
+    """Numerators over m of the fractional-part elements for a = 1, ..., m-1."""
+    inverses = [inverse_mod(t, m) for t in units_of(m)]
+    return np.array([[a * u % m for u in inverses] for a in range(1, m)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ def stickelberger_ideal(m: int) -> StickelbergerData:
     """
     validate_level(m)
     n = len(units_of(m))
-    span = image_lattice(_theta_rows(m))
+    span = Lattice(n, _theta_scaled(m), m)
     S = lattice_intersect(span, Lattice(n, eye(n)))
     R_minus = minus_sublattice(m)
     S_minus = lattice_intersect(S, R_minus)
@@ -188,23 +193,30 @@ def definition_report(m: int) -> dict:
 # the antisymmetrized fractional-part map on distribution classes
 
 
+def alpha_scaled(m: int) -> np.ndarray:
+    """Integer numerators N of alpha_matrix(m) = N / 2m.
+
+    N[i, k] = m - 2 {k t_i^{-1} mod m} for k >= 1, and column 0 is zero.
+    """
+    validate_level(m)
+    N = zeros(len(units_of(m)), m)
+    for i, u in enumerate(inverse_mod(t, m) for t in units_of(m)):
+        for k in range(1, m):
+            N[i, k] = m - 2 * (k * u % m)
+    return N
+
+
 def alpha_matrix(m: int) -> np.ndarray:
     """Column k is the group-ring vector of the antisymmetrized class of k/m.
 
     Entries are 1/2 - {k t^{-1} / m}; the columns of the two self-negative
     points (k = 0, and k = m/2 when present) vanish identically.
     """
-    validate_level(m)
-    units = units_of(m)
-    A = zeros(len(units), m)
-    for k in range(1, m):
-        for i, t in enumerate(units):
-            A[i, k] = Fraction(1, 2) - Fraction((k * inverse_mod(t, m)) % m, m)
-    return A
+    return unscaled(alpha_scaled(m), 2 * m)
 
 
 def alpha_lattice(m: int) -> Lattice:
-    return image_lattice(alpha_matrix(m).T)
+    return Lattice(len(units_of(m)), alpha_scaled(m).T, 2 * m)
 
 
 def alpha_compat_check(m: int) -> dict:
@@ -215,18 +227,19 @@ def alpha_compat_check(m: int) -> dict:
     image is spanned by the halved conjugate-differences of the
     fractional-part elements.
     """
-    A = alpha_matrix(m)
+    N = alpha_scaled(m)  # alpha_matrix(m) = N / 2m
     d = differentials(m, DIFFERENCE).get(-1)
     relations_killed = True
     if d is not None and d.size:
-        prod = A @ d
+        prod = N @ d
         relations_killed = mat_equal(prod, zeros(*prod.shape))
-    lat = image_lattice(A.T)
     n = len(units_of(m))
+    lat = Lattice(n, N.T, 2 * m)
     rank_ok = lat.rank == n // 2
-    rows = _theta_rows(m)
-    half_antisym = (rows - rows @ conjugation_matrix(m).T) / 2
-    span_ok = lat == image_lattice(half_antisym)
+    # numerators over 2m of (theta - conj theta) / 2; conjugation permutes columns
+    rows = _theta_scaled(m)
+    half_antisym = rows - rows[:, unit_translation(m, m - 1)]
+    span_ok = lat == Lattice(n, half_antisym, 2 * m)
     return {
         "level": m,
         "relations_killed": relations_killed,

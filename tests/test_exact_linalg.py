@@ -462,6 +462,27 @@ def test_hnf_matches_sympy(normalforms, rows):
     assert W.T.tolist() == H.tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(any_matrices, rational_matrices))
+def test_rank_matches_sympy(normalforms, rows):
+    sympy, _ = normalforms
+    assert rank_exact(qmat(rows)) == sympy.Matrix(rows).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(_int_rows(6, k, 3), _int_rows(k, 7, 3))
+    )
+)
+def test_rank_of_low_rank_products(normalforms, pair):
+    # B @ C has rank at most k: the elimination meets columns without a
+    # pivot, and exact division by the previous pivot must survive them.
+    sympy, _ = normalforms
+    A = imat(pair[0]) @ imat(pair[1])
+    assert rank_exact(A) == sympy.Matrix(A.tolist()).rank() <= len(pair[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_matrices)
 def test_kernel_basis_matches_sympy(normalforms, rows):

@@ -1,5 +1,8 @@
 """Tests for the involution double complexes and their filtration pages."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,11 @@ from hypothesis import strategies as st
 
 from distlab.abgroup import FgAbGroup, elementary_power
 from distlab.exact_linalg import imat, inverse_exact, is_integral, mat_equal, to_int, zeros
-from distlab.lcomplex import AVERAGE, DIFFERENCE, KINDS
+from distlab.lcomplex import AVERAGE, DIFFERENCE, KINDS, build_jcomplex, symbol_basis
 from distlab.spectral import (
     FULL,
     HALF,
+    DoubleComplex,
     _row_quotient,
     abutment_check,
     build_double,
@@ -172,3 +176,108 @@ def test_index_invariants_as_page_products(m):
 
 def test_verify_bundle():
     assert spectral_verify(15)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# the shared page store: keys must name everything a result is built from
+
+
+def _variants(m, kind):
+    return [build_double(m, kind, variant) for variant in (HALF, FULL)]
+
+
+def test_variants_of_a_level_share_complex_and_store():
+    half, full = _variants(12, DIFFERENCE)
+    assert half.jc is full.jc
+    assert half._store is full._store
+    assert build_double(12, DIFFERENCE, FULL, -2, 4)._store is half._store
+    assert build_double(12, AVERAGE, HALF)._store is not half._store
+    own = DoubleComplex(half.jc, HALF)
+    assert own._store is not half._store
+
+
+@pytest.mark.parametrize("m", [5, 7, 8, 12, 21])
+@pytest.mark.parametrize("kind", KINDS)
+def test_shared_store_matches_an_emptied_store(m, kind):
+    """Every cell of pages 1-4, interior or not, and every total degree of
+    the window, read through the store both variants share, against the
+    same call computed from scratch."""
+    sb = symbol_basis(m)
+    shared = _variants(m, kind)
+    # fill the shared store from both variants before any comparison, so
+    # that a key missing an ingredient returns another cell's result
+    for r in range(1, 5):
+        for dc in shared:
+            for p in range(sb.lo, 1):
+                for q in range(dc.q_lo, dc.q_hi + 1):
+                    dc.e_term(p, q, r)
+    for dc in shared:
+        fresh = DoubleComplex(dc.jc, dc.variant, dc.q_lo, dc.q_hi)
+        for r in range(1, 5):
+            for p in range(sb.lo, 1):
+                for q in range(dc.q_lo, dc.q_hi + 1):
+                    fresh._store.clear()
+                    assert dc.e_term(p, q, r) == fresh.e_term(p, q, r), (dc.variant, p, q, r)
+        for n in range(dc.p_lo + dc.q_lo, dc.q_hi + 1):
+            fresh._store.clear()
+            assert dc.total_cohomology(n) == fresh.total_cohomology(n), (dc.variant, n)
+
+
+def _same_matrices(a, b):
+    return len(a) == len(b) and all(
+        x.shape == y.shape and mat_equal(x, y) for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("m", [8, 12, 60])
+def test_equal_keys_give_equal_inputs(m):
+    """Cells whose store keys agree are built from equal matrices, across
+    both variants and both row parities; 60 is the first level whose page-4
+    denominators reach three columns back."""
+    sb = symbol_basis(m)
+    seen: dict = {}
+    across_variants = set()
+
+    def record(key, mats, variant):
+        if key in seen:
+            mats0, variant0 = seen[key]
+            assert _same_matrices(mats, mats0), key
+            if variant != variant0:
+                across_variants.add(key[0])
+        else:
+            seen[key] = (mats, variant)
+
+    for kind in KINDS:
+        jc = build_double(m, kind, HALF).jc
+        for variant in (HALF, FULL):
+            dc = DoubleComplex(jc, variant)
+            for r in range(1, 5):
+                for p in range(sb.lo, 1):
+                    for q in range(dc.q_lo, dc.q_hi + 1):
+                        record((kind, dc._stair(p, q, r)), dc._staircase(p, q, r)[:1], variant)
+                        mats = [dc._staircase(p, q, r)[0], dc.delta(p, q - 1), dc.d(p - 1, q)]
+                        if r >= 2:
+                            mats.append(dc._staircase(p - r + 1, q + r - 2, r - 1)[0])
+                        record((kind,) + dc._e_key(p, q, r), mats, variant)
+            for n in range(dc.p_lo + dc.q_lo, dc.q_hi + 1):
+                record((kind,) + dc._total_key(n), [dc.total_d(n), dc.total_d(n - 1)], variant)
+    assert across_variants == set(KINDS)
+
+
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "pages_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_pages_are_pinned(name):
+    """Pages 1-4 on the whole window and the total cohomology in degrees
+    -1..2, recorded before the page store was shared between variants;
+    most of these cells are never read by the checks."""
+    m, kind, variant = name.split("/")
+    dc = build_double(int(m), kind, variant)
+    want = _GOLDEN[name]
+    got = {}
+    for cell in want["pages"]:
+        p, q, r = map(int, cell.split(","))
+        got[cell] = str(dc.e_term(p, q, r))
+    assert got == want["pages"]
+    assert {n: str(dc.total_cohomology(int(n))) for n in want["total"]} == want["total"]

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from distlab import stickelberger
 from distlab.arith import euler_phi
 from distlab.cyclotomic import corrector_w
-from distlab.exact_linalg import Lattice, eye, is_integral, mat_equal, zeros
+from distlab.exact_linalg import Lattice, eye, image_lattice, is_integral, mat_equal, zeros
 from distlab.stickelberger import (
     GroupRingElem,
     alpha_compat_check,
@@ -14,6 +15,8 @@ from distlab.stickelberger import (
     alpha_image_index_check,
     alpha_lattice,
     alpha_matrix,
+    alpha_scaled,
+    conjugation_matrix,
     antisymmetrization_index_check,
     definition_report,
     group_stability_check,
@@ -88,6 +91,51 @@ def test_alpha_small_column():
 def test_alpha_even_level_middle_column_vanishes():
     A = alpha_matrix(8)
     assert all(x == 0 for x in A[:, 4])
+
+
+def _alpha_by_fractions(m):
+    units = units_of(m)
+    A = zeros(len(units), m)
+    for k in range(1, m):
+        for i, t in enumerate(units):
+            A[i, k] = Fraction(1, 2) - Fraction(k * pow(t, -1, m) % m, m)
+    return A
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 15, 21])
+def test_alpha_numerators_over_twice_the_level(m):
+    N = alpha_scaled(m)
+    assert all(type(x) is int for x in N.flat)
+    ref = _alpha_by_fractions(m)
+    assert mat_equal(alpha_matrix(m), ref)
+    assert mat_equal(N, ref * (2 * m))
+    assert alpha_lattice(m) == image_lattice(ref.T)
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 21])
+def test_antisymmetrized_theta_rows_by_permutation(m):
+    rows = stickelberger._theta_scaled(m)
+    assert mat_equal(
+        rows * Fraction(1, m),
+        np.array([theta_element(m, a).coeffs for a in range(1, m)], dtype=object),
+    )
+    perm = unit_translation(m, m - 1)
+    assert mat_equal(rows[:, perm], rows @ conjugation_matrix(m).T)
+
+
+@pytest.mark.parametrize("m", [7, 12])
+def test_alpha_compat_check_sees_a_perturbed_numerator(monkeypatch, m):
+    real = stickelberger.alpha_scaled
+
+    def perturbed(level):
+        N = real(level)
+        N[0, 1] += 1
+        return N
+
+    monkeypatch.setattr(stickelberger, "alpha_scaled", perturbed)
+    res = alpha_compat_check(m)
+    assert not res["relations_killed"]
+    assert not res["ok"]
 
 
 @pytest.mark.parametrize("m", [5, 7, 12])

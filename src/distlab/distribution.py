@@ -9,6 +9,7 @@ comparison with the cyclotomic integer ring all live here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -216,10 +217,15 @@ def _free_tate(q: ZQuotient, C, parity: str) -> FgAbGroup:
     return tate_group(cbar, zeros(0, q.free_rank), parity)
 
 
+# Memoised: the cohomology check and every spectral page check of a level
+# ask for the same four groups.  FgAbGroup is frozen, and a bad parity
+# raises on every call, since lru_cache stores no exception.
+@lru_cache(maxsize=32)
 def tate_distribution(m: int, parity: str) -> FgAbGroup:
     return _free_tate(universal_distribution(m), negation_matrix(m), parity)
 
 
+@lru_cache(maxsize=32)
 def tate_predistribution(m: int, parity: str) -> FgAbGroup:
     return _free_tate(universal_predistribution(m), negation_matrix(m), parity)
 

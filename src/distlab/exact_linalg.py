@@ -17,8 +17,7 @@ ints, and ``unscaled(N, d)`` turns it back into ``Fraction`` entries.
 Products of rational matrices multiply the numerators only and carry the
 denominators as one integer each, so an identity A B == C D is tested as
 N_A N_B d_C d_D == N_C N_D d_A d_B.  ``Lattice`` takes generators as
-(N, den) and stores its basis as ``Fraction``; ``det_exact`` and
-``kernel_basis`` scale row by row, each row by its own least denominator.
+(N, den) and stores its basis as ``Fraction``.
 
 One elimination core.  ``_smith`` and ``hnf`` work on sparse integer rows
 (``dict`` from column to nonzero ``int``), and every row operation is one
@@ -33,20 +32,18 @@ four (``ZQuotient`` passes ``want_v=False`` and gets U and U^-1 only),
 ``kernel_basis`` V only and ``invariant_factors`` none.  Inputs and
 results are dense arrays; only the elimination is sparse.
 
-Two solvers.  ``solve_integral`` writes integer vectors in an integer basis
-without leaving Z: fraction-free Gauss-Jordan returns the integer
-coordinates, or None when they are rational but not integral.  Subquotients
-(``abgroup.subquotient_group``, ``BoundedComplex.cohomology_data``,
-``JComplex.fixed_subcomplex``, ``ZQuotient.stabilizes`` and the spectral
-total cohomology) use it, and so do the restrictions of the smoothing
-operator to the (1+c)-kernels in ``abgroup.abstract_index_check``: there the
-numerator maps a saturated kernel basis into its own integer span.
-``solve_exact`` is Gauss-Jordan over ``Fraction`` for the callers that still
-see ``Fraction`` because their answer is rational and has no integral form
-to aim at: ``Lattice.coords_of`` (hence ``lattice_index`` and
-``Lattice.contains``, whose coordinates between non-nested lattices are
-rational), ``inverse_exact``, and the induced maps on cohomology in
-``abgroup``.
+One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
+rows left to right (Bareiss 1968): every update is an exact
+division by the previous pivot, so no ``Fraction`` is formed, and the
+pivot rows end as d * [I | X].  ``rank_exact`` counts its pivots,
+``det_exact`` reads d and the sign of the row swaps, and ``solve_exact``
+and ``solve_integral`` run it on [A | B]: the first returns X = (d X) / d
+with the free variables zero; the second writes integer vectors in an
+integer basis, returning the integer coordinates, or None when d does not
+divide them.  Rational inputs are scaled row by row, each row by its own
+least denominator.  ``Lattice`` keeps its Hermite basis as integer rows
+over one denominator, so ``lattice_index`` is a ratio of products of
+Hermite pivots and ``Lattice.contains`` a Hermite reduction; neither solves.
 """
 
 from __future__ import annotations
@@ -461,163 +458,146 @@ def hnf_nonzero(A: IMat) -> IMat:
 
 
 # ---------------------------------------------------------------------------
-# Determinant, rank, solving
+# Fraction-free Gauss-Jordan: determinant, rank, solving
+
+
+def _row_scaled(A: np.ndarray) -> tuple[IMat, list[int]]:
+    """(N, s): row i of N is s[i] * A[i], s[i] the least positive integer making it integral."""
+    r = A.shape[0]
+    if r == 0 or _all_int(A):
+        return A, [1] * r
+    pairs = [scaled(A[i : i + 1]) for i in range(r)]
+    return np.vstack([N for N, _ in pairs]), [s for _, s in pairs]
+
+
+def _bareiss(M: list[Row], c: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan (Bareiss) on sparse integer rows, over columns < c.
+
+    Works in place and returns (pivot columns, d, sign).  Pivot columns
+    are taken left to right; the pivot is the first row with the least
+    nonzero |entry| (a unit ends the search), moved up by a swap and made
+    positive by negating its row.  Every row with an entry a in the pivot
+    column becomes (p * row - a * pivot_row) // prev; the others only
+    change when the pivot value does, so systems with unit pivots cost
+    O(nnz).  Each entry is then, up to sign, a minor of the input, and the
+    divisions are exact.  On return M[k] is the pivot row of column piv[k]
+    and the pivot rows are d * [I | X], d the last pivot; the rows past
+    them are zero left of c.  sign is the parity of the swaps and
+    negations, so for square M the determinant is sign * d at full rank.
+    """
+    r = len(M)
+    piv: list[int] = []
+    prev, sign = 1, 1
+    for col in range(c):
+        t = len(piv)
+        if t == r:
+            break
+        best, least = None, 0
+        for i in range(t, r):
+            a = M[i].get(col)
+            if a is not None and (best is None or abs(a) < least):
+                best, least = i, abs(a)
+                if least == 1:
+                    break
+        if best is None:
+            continue
+        if best != t:
+            M[t], M[best] = M[best], M[t]
+            sign = -sign
+        top = M[t]
+        p = top[col]
+        if p < 0:
+            top = M[t] = {j: -x for j, x in top.items()}
+            p, sign = -p, -sign
+        for i in range(r):
+            if i == t:
+                continue
+            a = M[i].get(col)
+            if a is not None:
+                row = M[i] if p == 1 else {j: p * x for j, x in M[i].items()}
+                _axpy(row, top, -a)
+                M[i] = row if prev == 1 else {j: x // prev for j, x in row.items()}
+            elif p != prev:
+                M[i] = {j: x * p // prev for j, x in M[i].items()}
+        prev = p
+        piv.append(col)
+    return piv, prev, sign
 
 
 def det_exact(A: np.ndarray) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free elimination, each row over its own denominator."""
     r, c = A.shape
     if r != c:
         raise ValueError("determinant of a non-square matrix")
-    if r == 0:
-        return Fraction(1)
-    # Row by row: each row is scaled by its own least denominator.
-    rows = [scaled(A[i : i + 1]) for i in range(r)]
-    M = np.vstack([N for N, _ in rows])
-    scale = prod(d for _, d in rows)
-    sign = 1
-    prev = 1
-    for k in range(r - 1):
-        if M[k, k] == 0:
-            swap = next((i for i in range(k + 1, r) if M[i, k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            M[[k, swap], :] = M[[swap, k], :]
-            sign = -sign
-        for i in range(k + 1, r):
-            for j in range(k + 1, c):
-                M[i, j] = (M[i, j] * M[k, k] - M[i, k] * M[k, j]) // prev
-            M[i, k] = 0
-        prev = M[k, k]
-    return Fraction(sign * M[r - 1, r - 1], scale)
+    N, s = _row_scaled(A)
+    piv, d, sign = _bareiss(_rows(N), c)
+    if len(piv) < r:
+        return Fraction(0)
+    return Fraction(sign * d, prod(s))
 
 
 def rank_exact(A: np.ndarray) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on the numerators.
-
-    After k pivots every entry below them is a (k+1)-minor of the scaled
-    matrix, so each division by the previous pivot is exact.
-    """
-    if A.size == 0:
-        return 0
-    rows = scaled(A)[0].tolist()
-    r = len(rows)
-    rank, prev = 0, 1
-    for col in range(A.shape[1]):
-        piv = next((i for i in range(rank, r) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        a = top[col]
-        for i in range(rank + 1, r):
-            b = rows[i][col]
-            rows[i] = [(x * a - b * y) // prev for x, y in zip(rows[i], top)]
-        prev = a
-        rank += 1
-        if rank == r:
-            break
-    return rank
+    """Rank over Q: the number of pivots of the fraction-free elimination."""
+    return len(_bareiss(_rows(_row_scaled(A)[0]), A.shape[1])[0])
 
 
-def solve_exact(A: np.ndarray, B: np.ndarray) -> QMat:
-    """Solve A @ X = B exactly over the rationals.
+def _solve(A: np.ndarray, B: np.ndarray, rows) -> tuple[list[int], int, list[Row], int]:
+    """Eliminate [A | B] built by rows(); (pivots, d, pivot rows, width of A).
 
-    B may be a matrix or a single column reshaped as (n, 1).  Raises
-    ValueError when the system is inconsistent; with a non-unique solution
-    the free variables are set to zero.
-    """
-    r, c = A.shape
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    k = B.shape[1]
-    M = np.empty((r, c + k), dtype=object)
-    for i in range(r):
-        for j in range(c):
-            M[i, j] = Fraction(A[i, j])
-        for j in range(k):
-            M[i, c + j] = Fraction(B[i, j])
-    pivots = []
-    row = 0
-    for col in range(c):
-        piv = next((i for i in range(row, r) if M[i, col] != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
-            M[[row, piv], :] = M[[piv, row], :]
-        M[row, :] = M[row, :] / M[row, col]
-        for i in range(r):
-            if i != row and M[i, col] != 0:
-                M[i, :] -= M[i, col] * M[row, :]
-        pivots.append(col)
-        row += 1
-        if row == r:
-            break
-    for i in range(row, r):
-        if any(M[i, c + j] != 0 for j in range(k)):
-            raise ValueError("inconsistent linear system")
-    X = zeros(c, k)
-    X[...] = Fraction(0)
-    for rr, col in enumerate(pivots):
-        for j in range(k):
-            X[col, j] = M[rr, c + j]
-    return X
-
-
-def solve_integral(A: IMat, B: IMat) -> IMat | None:
-    """The integer X with A @ X == B, for integer A with independent columns.
-
-    Fraction-free Gauss-Jordan on [A | B] in the style of Bareiss: after
-    the pivot step in column t every entry is, up to sign, a minor of order
-    t+1 or t+2, and each division by the previous pivot is exact.  Rows
-    with a zero in the pivot column only change when the pivot does, so
-    sparse systems with unit pivots cost little.  The pivot rows end as
-    d * [I | X] with d the last pivot, so one divisibility test by d
-    decides integrality.  Returns None when the unique solution is
-    rational but not integral; raises ValueError when the system is
-    inconsistent or the columns of A are dependent.
+    Raises ValueError when the row counts differ or the system is
+    inconsistent (a row zero on A and nonzero on B).
     """
     r, c = A.shape
     if B.ndim == 1:
         B = B.reshape(-1, 1)
     if B.shape[0] != r:
         raise ValueError("row count of B does not match A")
-    M = np.hstack([to_int(A), to_int(B)])
-    prev = 1
-    for t in range(c):
-        col = M[t:, t]
-        # The smallest pivot keeps the selected minor, hence d, small.
-        piv = min(
-            (i for i in range(r - t) if col[i] != 0),
-            key=lambda i: abs(col[i]),
-            default=None,
-        )
-        if piv is None:
-            raise ValueError("columns of A are dependent")
-        if piv:
-            M[[t, t + piv], :] = M[[t + piv, t], :]
-        # Columns up to t are not read again (pivot rows hold p there).
-        rest = M[:, t + 1 :]
-        p = M[t, t]
-        if p < 0:
-            # Same as negating that row of [A | B] at the start.
-            p = -p
-            rest[t, :] = -rest[t, :]
-        hit = M[:, t] != 0
-        hit[t] = False
-        if p != prev:
-            miss = ~hit
-            miss[t] = False
-            rest[miss] = rest[miss] * p // prev
-        if hit.any():
-            rest[hit] = (rest[hit] * p - np.outer(M[hit, t], rest[t, :])) // prev
-        prev = p
-    if any(x != 0 for x in M[c:, c:].flat):
+    M = rows(np.hstack([A, B]))
+    piv, d, _ = _bareiss(M, c)
+    if any(M[len(piv) :]):
         raise ValueError("inconsistent linear system")
-    DX = M[:c, c:]
-    if any(x % prev for x in DX.flat):
-        return None
-    return DX // prev
+    return piv, d, M[: len(piv)], B.shape[1]
+
+
+def solve_exact(A: np.ndarray, B: np.ndarray) -> QMat:
+    """Solve A @ X = B exactly over the rationals.
+
+    B may be a matrix or a single column reshaped as (n, 1).  Raises
+    ValueError when the row counts differ or the system is inconsistent;
+    with a non-unique solution the free variables are set to zero.
+    """
+    c = A.shape[1]
+    piv, d, M, k = _solve(A, B, lambda AB: _rows(_row_scaled(AB)[0]))
+    X = zeros(c, k)
+    X[...] = Fraction(0)
+    for col, row in zip(piv, M):
+        for j, x in row.items():
+            if j >= c:
+                X[col, j - c] = Fraction(x, d)
+    return X
+
+
+def solve_integral(A: IMat, B: IMat) -> IMat | None:
+    """The integer X with A @ X == B, for integer A with independent columns.
+
+    Fraction-free Gauss-Jordan on [A | B] leaves the pivot rows as
+    d * [I | X], so one divisibility test by d decides integrality.
+    Returns None when the unique solution is rational but not integral;
+    raises ValueError when the system is inconsistent or the columns of A
+    are dependent.
+    """
+    c = A.shape[1]
+    piv, d, M, k = _solve(A, B, _rows)
+    if len(piv) < c:
+        raise ValueError("columns of A are dependent")
+    X = zeros(c, k)
+    for t, row in enumerate(M):
+        for j, x in row.items():
+            if j >= c:
+                if x % d:
+                    return None
+                X[t, j - c] = x // d
+    return X
 
 
 def inverse_exact(A: np.ndarray) -> QMat:
@@ -637,8 +617,7 @@ def kernel_basis(A: np.ndarray) -> IMat:
     r, c = A.shape
     if r == 0 or c == 0:
         return eye(c)
-    M = A if _all_int(A) else np.vstack([scaled(A[i : i + 1])[0] for i in range(r)])
-    d, _, _, V, _ = _smith(M, v=True)
+    d, _, _, V, _ = _smith(_row_scaled(A)[0], v=True)
     # The columns of V past the nonzero diagonal span the kernel.
     nz = sum(1 for x in d if x)
     return _dense(V[nz:], c)
@@ -654,10 +633,11 @@ class Lattice:
     The rows of ``gens / den`` generate (``den`` lets a caller holding a
     scaled matrix skip building ``Fraction`` entries).  The basis is the
     scaled Hermite form of the generators, so two equal lattices compare
-    equal.
+    equal.  That form is also kept as sparse integer rows over one
+    denominator, for index and membership.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_hnf", "_den")
 
     def __init__(self, ambient: int, gens: np.ndarray | None = None, den: int = 1):
         self.ambient = ambient
@@ -671,7 +651,9 @@ class Lattice:
         g = gcd(den, *N.flat)
         if g > 1:
             N, den = N // g, den // g
-        self.basis = unscaled(hnf_nonzero(N), den)
+        H = hnf_nonzero(N)
+        self.basis = unscaled(H, den)
+        self._hnf, self._den = _rows(H), den
 
     @property
     def rank(self) -> int:
@@ -693,21 +675,32 @@ class Lattice:
     def spans_same_space(self, other: "Lattice") -> bool:
         if self.ambient != other.ambient or self.rank != other.rank:
             return False
-        stacked = np.vstack([self.basis, other.basis])
-        return rank_exact(stacked) == self.rank
+        stacked = [dict(row) for row in self._hnf + other._hnf]
+        return len(_bareiss(stacked, self.ambient)[0]) == self.rank
 
-    def coords_of(self, rows: np.ndarray) -> QMat:
-        """Express given row vectors in this lattice's basis (exact)."""
-        if rows.size == 0:
-            return zeros(rows.shape[0], self.rank)
-        return solve_exact(self.basis.T, rows.T).T
-
-    def contains(self, row: np.ndarray) -> bool:
-        try:
-            coef = self.coords_of(row.reshape(1, -1))
-        except ValueError:
-            return False
-        return is_integral(coef)
+    def contains(self, rows: np.ndarray) -> bool:
+        """True iff the vector, or every row of the matrix, lies in the lattice."""
+        R = rows.reshape(1, -1) if rows.ndim == 1 else rows
+        if R.shape[1] != self.ambient:
+            raise ValueError("row width does not match ambient dimension")
+        N, e = scaled(R)
+        den = self._den
+        # x = n / e is in the lattice iff den * x is integral and its
+        # Hermite reduction against the integer basis leaves zero.
+        for v in _rows(N):
+            if any(x * den % e for x in v.values()):
+                return False
+            v = {j: x * den // e for j, x in v.items()}
+            for h in self._hnf:
+                j = min(h)
+                q, rem = divmod(v.get(j, 0), h[j])
+                if rem:
+                    return False
+                if q:
+                    _axpy(v, h, -q)
+            if v:
+                return False
+        return True
 
 
 def image_lattice(A: np.ndarray) -> Lattice:
@@ -723,11 +716,11 @@ def lattice_index(A: Lattice, B: Lattice) -> Fraction:
     """
     if not A.spans_same_space(B):
         raise ValueError("lattices do not span the same subspace")
-    M = A.coords_of(B.basis)
-    d = det_exact(M)
-    if d == 0:
-        raise ValueError("degenerate coefficient matrix")
-    return abs(d)
+    # Lattices with one span have the same Hermite pivot columns, and on
+    # those columns each basis is triangular with its pivots on the
+    # diagonal: (A : B) is the ratio of the two covolumes, prod(pivots) / den^rank.
+    pa, pb = (prod(row[min(row)] for row in L._hnf) for L in (A, B))
+    return Fraction(pb * A._den**A.rank, pa * B._den**B.rank)
 
 
 def lattice_sum(A: Lattice, B: Lattice) -> Lattice:

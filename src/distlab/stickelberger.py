@@ -136,6 +136,10 @@ def minus_sublattice(m: int) -> Lattice:
     return image_lattice(kernel_basis(eye(n) + conjugation_matrix(m)))
 
 
+# Memoised: every index check of a level reads the same ideal.  Its
+# lattices' basis arrays are shared with every caller, and none writes to
+# them; an invalid level raises on every call.
+@lru_cache(maxsize=16)
 def stickelberger_ideal(m: int) -> StickelbergerData:
     """The ideal cut out by all fractional-part elements, with minus parts.
 

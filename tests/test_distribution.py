@@ -108,6 +108,18 @@ def test_negation_action_tate_groups():
             assert tate_distribution(m, parity) == slow
 
 
+def test_tate_groups_are_memoised():
+    assert tate_distribution(12, "odd") is tate_distribution(12, "odd")
+    assert tate_predistribution(12, "even") is tate_predistribution(12, "even")
+    # lru_cache stores no exception: bad input raises on every call.
+    for _ in range(2):
+        for f in (tate_distribution, tate_predistribution):
+            with pytest.raises(ValueError):
+                f(7, "both")
+            with pytest.raises(ValueError):
+                f(-3, "odd")
+
+
 def test_cohomology_closed_forms_small():
     for m in (3, 4, 5, 8, 9, 12, 15, 16, 45):
         assert cohomology_check(m)["ok"], m

@@ -277,21 +277,38 @@ def test_solve_integral_recovers_integer_solution(system):
     assert all(type(x) is int for x in got.flat)
 
 
+def _sympy_solve(sympy, A, B):
+    """X with A @ X == B and the free variables zero, from sympy's rref of [A | B].
+
+    None when the system is inconsistent (a pivot falls in the B columns).
+    """
+    c = A.shape[1]
+    R, pivots = sympy.Matrix(np.hstack([A, B]).tolist()).rref()
+    if any(p >= c for p in pivots):
+        return None
+    X = [[Fraction(0)] * B.shape[1] for _ in range(c)]
+    for i, p in enumerate(pivots):
+        for j in range(B.shape[1]):
+            x = R[i, c + j]
+            X[p][j] = Fraction(int(x.p), int(x.q))
+    return X
+
+
 @settings(max_examples=120, deadline=None)
 @given(solve_systems)
-def test_solve_integral_verdict_matches_rational_solve(system):
+def test_solve_integral_verdict_matches_rational_solve(normalforms, system):
+    sympy, _ = normalforms
     rows, _, brows = system
     A, B = imat(rows), imat(brows)
-    assume(rank_exact(A) == A.shape[1])
-    try:
-        ref = solve_exact(A, B)
-    except ValueError:
+    assume(sympy.Matrix(rows).rank() == A.shape[1])
+    ref = _sympy_solve(sympy, A, B)
+    if ref is None:
         with pytest.raises(ValueError):
             solve_integral(A, B)
         return
     got = solve_integral(A, B)
-    if is_integral(ref):
-        assert mat_equal(got, ref)
+    if all(x.denominator == 1 for row in ref for x in row):
+        assert got.tolist() == ref
     else:
         assert got is None
 
@@ -483,6 +500,68 @@ def test_rank_of_low_rank_products(normalforms, pair):
     assert rank_exact(A) == sympy.Matrix(A.tolist()).rank() <= len(pair[1])
 
 
+def _rational_rows(r: int, c: int):
+    return st.lists(st.lists(rational_entries, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+# (A, X, B, consistent): A is r x c, X is c x k and B is r x k, all rational.
+rational_systems = st.tuples(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=3),
+).flatmap(
+    lambda t: st.tuples(
+        _rational_rows(t[0], t[1]),
+        _rational_rows(t[1], t[2]),
+        _rational_rows(t[0], t[2]),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_systems)
+def test_solve_exact_matches_sympy(normalforms, system):
+    # Free variables zero; an inconsistent system raises.  With B = A @ X
+    # the system is consistent, often with free variables.
+    sympy, _ = normalforms
+    rows, xrows, brows, consistent = system
+    A = np.array(rows, dtype=object)
+    B = A @ np.array(xrows, dtype=object) if consistent else np.array(brows, dtype=object)
+    ref = _sympy_solve(sympy, A, B)
+    if ref is None:
+        with pytest.raises(ValueError):
+            solve_exact(A, B)
+        return
+    got = solve_exact(A, B)
+    assert got.tolist() == ref
+    assert all(type(x) is Fraction for x in got.flat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(_rational_rows(n, n), st.booleans())
+    )
+)
+def test_det_matches_sympy(normalforms, pair):
+    sympy, _ = normalforms
+    rows, dependent = pair
+    if dependent and len(rows) > 1:
+        rows[-1] = [Fraction(x) * Fraction(-3, 2) for x in rows[0]]
+    want = sympy.Matrix(rows).det()
+    got = det_exact(np.array(rows, dtype=object))
+    assert type(got) is Fraction
+    assert got == Fraction(int(want.p), int(want.q))
+
+
+def test_solve_exact_rejects_row_count_mismatch():
+    with pytest.raises(ValueError):
+        solve_exact(eye(2), imat([[1], [0], [5]]))
+    with pytest.raises(ValueError):
+        solve_exact(eye(2), np.array([1, 0, 5], dtype=object))
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_matrices)
 def test_kernel_basis_matches_sympy(normalforms, rows):
@@ -566,3 +645,61 @@ def test_image_lattice_and_contains():
     L = image_lattice(imat([[2, 0], [0, 3]]))
     assert L.contains(np.array([2, 3], dtype=object))
     assert not L.contains(np.array([1, 0], dtype=object))
+
+
+def test_contains_checks_every_row_and_the_width():
+    L = image_lattice(imat([[2, 0], [0, 3]]))
+    assert L.contains(imat([[2, 3], [4, -3], [0, 0]]))
+    assert not L.contains(imat([[2, 3], [1, 0]]))
+    assert L.contains(zeros(0, 2))
+    # off the span: the reduction leaves a remainder past the last pivot
+    assert not image_lattice(imat([[1, 1]])).contains(imat([[1, 0]]))
+    assert not Lattice(2).contains(imat([[0, 1]]))
+    Q = Lattice(2, imat([[1, 1], [0, 2]]), 3)
+    assert Q.contains(qmat([[Fraction(1, 3), Fraction(1, 3)], [0, Fraction(-2, 3)]]))
+    assert not Q.contains(qmat([[Fraction(1, 3), 0]]))
+    with pytest.raises(ValueError):
+        image_lattice(eye(2)).contains(np.array([1, 0, 5], dtype=object))
+    with pytest.raises(ValueError):
+        L.contains(imat([[2, 3, 0]]))
+
+
+# Inputs and results of the solves, ranks, determinants and lattice indices
+# that ``verify --suite all --m-list 7,8,21`` and ``cohomology --m-list 111``
+# make, deduplicated.  Entries are ints or "p/q" strings; a lattice is its
+# ambient dimension and basis.
+SOLVE_GOLDEN = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
+# The function and the type of every entry of its result.
+SOLVES = {
+    "solve_exact": (solve_exact, Fraction),
+    "solve_integral": (solve_integral, int),
+    "rank_exact": (rank_exact, int),
+    "det_exact": (det_exact, Fraction),
+    "lattice_index": (lattice_index, Fraction),
+}
+
+
+def _from_golden(m):
+    a = zeros(*m["shape"])
+    for i, row in enumerate(m["rows"]):
+        a[i, :] = [Fraction(x) if isinstance(x, str) else x for x in row]
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
+def test_solves_are_pinned(name):
+    fn, kind = SOLVES[name]
+    for rec in SOLVE_GOLDEN[name]:
+        if name == "lattice_index":
+            args = [Lattice(a["ambient"], _from_golden(a["basis"])) for a in rec["args"]]
+        else:
+            args = [_from_golden(a) for a in rec["args"]]
+        got = fn(*args)
+        want = rec["out"]
+        if isinstance(want, dict):
+            assert list(got.shape) == want["shape"]
+            assert got.tolist() == _from_golden(want).tolist()
+            assert all(type(x) is kind for x in got.flat)
+        else:
+            assert type(got) is kind
+            assert got == (Fraction(want) if isinstance(want, str) else want)

@@ -7,7 +7,15 @@ import pytest
 from distlab import stickelberger
 from distlab.arith import euler_phi
 from distlab.cyclotomic import corrector_w
-from distlab.exact_linalg import Lattice, eye, image_lattice, is_integral, mat_equal, zeros
+from distlab.exact_linalg import (
+    Lattice,
+    eye,
+    image_lattice,
+    is_integral,
+    lattice_index,
+    mat_equal,
+    zeros,
+)
 from distlab.stickelberger import (
     GroupRingElem,
     alpha_compat_check,
@@ -21,6 +29,7 @@ from distlab.stickelberger import (
     definition_report,
     group_stability_check,
     minus_ideal_index_check,
+    minus_sublattice,
     principal_multiples_lattice,
     smoothing_minus_image_check,
     stickelberger_ideal,
@@ -53,6 +62,10 @@ def test_theta_coefficients():
 def test_invalid_levels_rejected(m):
     with pytest.raises(ValueError):
         theta_element(m)
+    # The memoised ideal stores no exception: it raises on every call.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            stickelberger_ideal(m)
 
 
 def test_convolution_translates_theta():
@@ -70,7 +83,7 @@ def test_theta_norm_identity(m):
     assert theta_norm_check(m)
 
 
-@pytest.mark.parametrize("m", [3, 5, 8, 9, 12, 15])
+@pytest.mark.parametrize("m", [3, 5, 8, 9, 12, 15, 21])
 def test_ideal_ranks(m):
     data = stickelberger_ideal(m)
     phi = euler_phi(m)
@@ -78,8 +91,30 @@ def test_ideal_ranks(m):
     assert data.R_minus.rank == phi // 2
     assert data.S_minus.rank == phi // 2
     assert is_integral(data.S.basis)
+    # contains of a matrix asks for every row
     assert data.R_minus.contains(data.S_minus.basis)
     assert data.S.contains(data.S_minus.basis)
+    assert stickelberger_ideal(m) is data
+
+
+@pytest.mark.parametrize("m", [7, 12, 15, 21])
+def test_lattice_index_matches_sympy_coordinates(m):
+    # (A : B) = |det M| for the coordinates M of the basis of B in that of
+    # A, here solved by sympy instead of read from the Hermite pivots.
+    sympy = pytest.importorskip("sympy")
+    data = stickelberger_ideal(m)
+    pairs = [
+        (data.R_minus, data.S_minus),
+        (data.S_minus, data.R_minus),
+        (minus_sublattice(m), alpha_lattice(m)),
+        (alpha_lattice(m), data.S_minus),
+    ]
+    for A, B in pairs:
+        MA, MB = (sympy.Matrix(L.basis.tolist()) for L in (A, B))
+        coords, free = MA.T.gauss_jordan_solve(MB.T)
+        assert free.shape[0] == 0
+        want = abs(coords.T.det())
+        assert lattice_index(A, B) == Fraction(int(want.p), int(want.q))
 
 
 def test_alpha_small_column():

@@ -25,6 +25,9 @@ from .exact_linalg import (
     IMat,
     QMat,
     Lattice,
+    _dense,
+    _mul,
+    _rows,
     det_exact,
     eye,
     hnf_nonzero,
@@ -200,11 +203,12 @@ class ZQuotient:
         """Matrix of an endomorphism C on the free part.
 
         Well defined as soon as C maps the relation lattice into itself;
-        the caller is expected to pass such a map.  Both products are summed
-        over the nonzero entries of their right factor, since C is typically
-        a signed permutation and S is typically a coordinate selection.
+        the caller is expected to pass such an integral map.  P @ C @ S is
+        formed on sparse rows, since C is typically a signed permutation and
+        S is typically a coordinate selection.
         """
-        return _times_sparse(_times_sparse(self.P, C), self.S)
+        PC = _mul(_rows(self.P), _rows(C))
+        return _dense(_mul(PC, _rows(self.S)), self.free_rank)
 
     def stabilizes(self, C: np.ndarray) -> bool:
         """Does C map the relation lattice into itself?"""
@@ -216,14 +220,6 @@ class ZQuotient:
             return solve_integral(H.T, C @ H.T) is not None
         except ValueError:
             return False
-
-
-def _times_sparse(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B as a sum over the nonzero entries of B: O(nnz(B) * rows(A))."""
-    out = zeros(A.shape[0], B.shape[1])
-    for i, j in zip(*np.nonzero(B)):
-        out[:, j] += A[:, i] * B[i, j]
-    return out
 
 
 def subquotient_group(num_basis_rows: IMat, den_gen_rows: IMat) -> FgAbGroup:
@@ -275,7 +271,8 @@ class BoundedComplex:
     """A cochain complex of free Z-modules on degrees [lo, hi].
 
     ``diff[i]`` is the matrix of d: X^i -> X^{i+1} acting on columns, with
-    shape (rank[i+1], rank[i]).  d-squared is validated at construction.
+    shape (rank[i+1], rank[i]).  d-squared is validated at construction, on
+    sparse integer rows: a non-integral entry raises ValueError.
     """
 
     def __init__(self, ranks: Mapping[int, int], diff: Mapping[int, np.ndarray]):
@@ -290,8 +287,7 @@ class BoundedComplex:
                 raise ValueError(f"differential at degree {i} has shape {d.shape}, want {want}")
             self.diff[i] = d
         for i in range(self.lo, self.hi):
-            a, b = self.d(i), self.d(i + 1)
-            if a.size and b.size and not mat_equal(b @ a, zeros(b.shape[0], a.shape[1])):
+            if any(_mul(_rows(self.d(i + 1)), _rows(self.d(i)))):
                 raise ValueError(f"d^2 != 0 between degrees {i} and {i + 2}")
 
     def rank(self, i: int) -> int:
@@ -333,7 +329,12 @@ class BoundedComplex:
 
 @dataclass
 class JComplex:
-    """A bounded complex with an involution commuting with the differential."""
+    """A bounded complex with an involution commuting with the differential.
+
+    c^2 = 1 and c d = d c are validated at construction, on sparse integer
+    rows: the involution is a map of free Z-modules, and a non-integral
+    entry raises ValueError.
+    """
 
     complex: BoundedComplex
     involution: dict[int, IMat] = field(default_factory=dict)
@@ -341,14 +342,15 @@ class JComplex:
     def __post_init__(self):
         C = self.complex
         for i in C.degrees():
-            c = self.c(i)
             n = C.rank(i)
-            if c.shape != (n, n):
+            if self.c(i).shape != (n, n):
                 raise ValueError(f"involution shape mismatch at degree {i}")
-            if n and not mat_equal(c @ c, eye(n)):
+        c = {i: _rows(self.c(i)) for i in C.degrees()}
+        for i in C.degrees():
+            if _mul(c[i], c[i]) != [{j: 1} for j in range(C.rank(i))]:
                 raise ValueError(f"involution at degree {i} does not square to 1")
-            d = C.d(i)
-            if d.size and not mat_equal(self.c(i + 1) @ d, d @ c):
+            d = _rows(C.d(i))
+            if _mul(c.get(i + 1, []), d) != _mul(d, c[i]):
                 raise ValueError(f"involution does not commute with d at degree {i}")
 
     def c(self, i: int) -> IMat:

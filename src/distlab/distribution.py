@@ -218,15 +218,17 @@ def _free_tate(q: ZQuotient, C, parity: str) -> FgAbGroup:
 
 
 # Memoised: the cohomology check and every spectral page check of a level
-# ask for the same four groups.  FgAbGroup is frozen, and a bad parity
-# raises on every call, since lru_cache stores no exception.
+# ask for the same four groups.  FgAbGroup is frozen, and a bad level or
+# parity raises on every call, since lru_cache stores no exception.
 @lru_cache(maxsize=32)
 def tate_distribution(m: int, parity: str) -> FgAbGroup:
+    validate_level(m)
     return _free_tate(universal_distribution(m), negation_matrix(m), parity)
 
 
 @lru_cache(maxsize=32)
 def tate_predistribution(m: int, parity: str) -> FgAbGroup:
+    validate_level(m)
     return _free_tate(universal_predistribution(m), negation_matrix(m), parity)
 
 

@@ -17,20 +17,24 @@ ints, and ``unscaled(N, d)`` turns it back into ``Fraction`` entries.
 Products of rational matrices multiply the numerators only and carry the
 denominators as one integer each, so an identity A B == C D is tested as
 N_A N_B d_C d_D == N_C N_D d_A d_B.  ``Lattice`` takes generators as
-(N, den) and stores its basis as ``Fraction``.
+(N, den) and stores them as integer Hermite rows over one denominator.
 
-One elimination core.  ``_smith`` and ``hnf`` work on sparse integer rows
-(``dict`` from column to nonzero ``int``), and every row operation is one
-``_axpy(dst, src, q)`` over the support of ``src``.  The Smith pivot is the
-first least nonzero |entry| of the trailing block in row-major order
-(Kannan-Bachem; Cohen, §2.4): rows are scanned one at a time and a unit
-ends the search.  Once the pivot column is cleared it is p * e_t, so the
-column operations touch the pivot row only, and column swaps are a
-relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows too, built
+One sparse form.  Sparse integer rows (``dict`` from column to nonzero
+``int``) serve both the eliminations and the operator products of the
+complex layer: every row operation is one ``_axpy(dst, src, q)`` over the
+support of ``src``, and ``_mul(A, B)`` builds the rows of A @ B from
+``_axpy`` alone, so structural identities such as d^2 = 0 cost O(nnz).
+
+One elimination core.  ``_smith`` and ``hnf`` work on these rows.  The
+Smith pivot is the first least nonzero |entry| of the trailing block in
+row-major order (Kannan-Bachem; Cohen, §2.4): rows are scanned one at a
+time and a unit ends the search.  Once the pivot column is cleared it is
+p * e_t, so the column operations touch the pivot row only, and column
+swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows too, built
 only when asked for: ``snf`` builds U and V, ``snf_with_inverses`` all
 four (``ZQuotient`` passes ``want_v=False`` and gets U and U^-1 only),
-``kernel_basis`` V only and ``invariant_factors`` none.  Inputs and
-results are dense arrays; only the elimination is sparse.
+``kernel_basis`` V only and ``invariant_factors`` none.  Public inputs
+and results are dense arrays; ``_rows`` and ``_dense`` convert.
 
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
 rows left to right (Bareiss 1968): every update is an exact
@@ -147,7 +151,7 @@ def unscaled(N: IMat, d: int) -> QMat:
 
 
 # ---------------------------------------------------------------------------
-# Sparse integer rows: the elimination core of the Smith and Hermite forms
+# Sparse integer rows: the elimination core and the operator product
 
 Row = dict  # column -> nonzero int; absent columns are zero
 
@@ -191,6 +195,20 @@ def _comb(a: int, x: Row, b: int, y: Row) -> Row:
     out = {k: a * v for k, v in x.items()} if a else {}
     if b:
         _axpy(out, y, b)
+    return out
+
+
+def _mul(A: list[Row], B: list[Row]) -> list[Row]:
+    """The rows of A @ B: row i is the sum of A[i][k] * B[k], zeros dropped.
+
+    The caller checks the shapes: every column of A must index a row of B.
+    """
+    out = []
+    for a in A:
+        row: Row = {}
+        for k, x in a.items():
+            _axpy(row, B[k], x)
+        out.append(row)
     return out
 
 
@@ -631,13 +649,13 @@ class Lattice:
     """A finitely generated subgroup of Q^n, stored via a canonical basis.
 
     The rows of ``gens / den`` generate (``den`` lets a caller holding a
-    scaled matrix skip building ``Fraction`` entries).  The basis is the
-    scaled Hermite form of the generators, so two equal lattices compare
-    equal.  That form is also kept as sparse integer rows over one
-    denominator, for index and membership.
+    scaled matrix skip building ``Fraction`` entries).  The lattice is kept
+    as one canonical form: ``_den`` is its least common denominator and
+    ``_hnf`` the Hermite form of ``_den`` times it, as sparse integer rows.
+    Two equal lattices have equal forms, and ``basis`` is ``_hnf / _den``.
     """
 
-    __slots__ = ("ambient", "basis", "_hnf", "_den")
+    __slots__ = ("ambient", "_hnf", "_den")
 
     def __init__(self, ambient: int, gens: np.ndarray | None = None, den: int = 1):
         self.ambient = ambient
@@ -651,19 +669,23 @@ class Lattice:
         g = gcd(den, *N.flat)
         if g > 1:
             N, den = N // g, den // g
-        H = hnf_nonzero(N)
-        self.basis = unscaled(H, den)
-        self._hnf, self._den = _rows(H), den
+        self._hnf, self._den = _rows(hnf_nonzero(N)), den
+
+    @property
+    def basis(self) -> QMat:
+        """The canonical basis rows, as ``Fraction`` entries."""
+        return unscaled(_dense(self._hnf, self.ambient), self._den)
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[0]
+        return len(self._hnf)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
             and self.ambient == other.ambient
-            and mat_equal(self.basis, other.basis)
+            and self._den == other._den
+            and self._hnf == other._hnf
         )
 
     def __hash__(self):
@@ -723,19 +745,23 @@ def lattice_index(A: Lattice, B: Lattice) -> Fraction:
     return Fraction(pb * A._den**A.rank, pa * B._den**B.rank)
 
 
-def lattice_sum(A: Lattice, B: Lattice) -> Lattice:
+def _stacked(A: Lattice, B: Lattice) -> tuple[IMat, int]:
+    """(N, d): the two bases stacked, as integer rows N over d = lcm of the denominators."""
     if A.ambient != B.ambient:
         raise ValueError("ambient dimension mismatch")
-    return Lattice(A.ambient, np.vstack([A.basis, B.basis]))
+    d = lcm(A._den, B._den)
+    return np.vstack([_dense(L._hnf, L.ambient) * (d // L._den) for L in (A, B)]), d
+
+
+def lattice_sum(A: Lattice, B: Lattice) -> Lattice:
+    return Lattice(A.ambient, *_stacked(A, B))
 
 
 def lattice_intersect(A: Lattice, B: Lattice) -> Lattice:
     """Intersection, via the kernel of the stacked generator matrix."""
-    if A.ambient != B.ambient:
-        raise ValueError("ambient dimension mismatch")
+    stacked, d = _stacked(A, B)
     if A.rank == 0 or B.rank == 0:
         return Lattice(A.ambient)
-    stacked, d = scaled(np.vstack([A.basis, B.basis]))
     MA = stacked[: A.rank]
     ker = kernel_basis(stacked.T)  # rows (u | w) with u@MA + w@MB = 0
     if ker.shape[0] == 0:

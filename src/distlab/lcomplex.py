@@ -29,6 +29,10 @@ from .distribution import (
 )
 from .exact_linalg import (
     Lattice,
+    Row,
+    _comb,
+    _mul,
+    _rows,
     det_exact,
     mat_equal,
     rank_exact,
@@ -185,82 +189,9 @@ def level_inclusion_check(m: int, mult: int) -> dict:
 # averaged coordinates and the homotopy calculus
 
 
-class SparseOp:
-    """A linear map stored per source column as {target index: coefficient}."""
-
-    __slots__ = ("src", "tgt", "cols")
-
-    def __init__(self, src: int, tgt: int, cols: list[dict[int, int]]):
-        assert len(cols) == src
-        self.src = src
-        self.tgt = tgt
-        self.cols = cols
-
-    @classmethod
-    def zero(cls, src: int, tgt: int) -> SparseOp:
-        return cls(src, tgt, [{} for _ in range(src)])
-
-    @classmethod
-    def identity(cls, n: int) -> SparseOp:
-        return cls(n, n, [{j: 1} for j in range(n)])
-
-    @classmethod
-    def diagonal(cls, diag: list[int]) -> SparseOp:
-        n = len(diag)
-        return cls(n, n, [{j: diag[j]} if diag[j] else {} for j in range(n)])
-
-    def compose(self, first: SparseOp) -> SparseOp:
-        """self applied after first."""
-        if first.tgt != self.src:
-            raise ValueError("shape mismatch in composition")
-        cols = []
-        for col in first.cols:
-            acc: dict[int, int] = {}
-            for mid, a in col.items():
-                for t, b in self.cols[mid].items():
-                    v = acc.get(t, 0) + a * b
-                    if v:
-                        acc[t] = v
-                    else:
-                        acc.pop(t, None)
-            cols.append(acc)
-        return SparseOp(first.src, self.tgt, cols)
-
-    def plus(self, other: SparseOp) -> SparseOp:
-        if (self.src, self.tgt) != (other.src, other.tgt):
-            raise ValueError("shape mismatch in sum")
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            acc = dict(a)
-            for t, v in b.items():
-                w = acc.get(t, 0) + v
-                if w:
-                    acc[t] = w
-                else:
-                    acc.pop(t, None)
-            cols.append(acc)
-        return SparseOp(self.src, self.tgt, cols)
-
-    def minus(self, other: SparseOp) -> SparseOp:
-        neg = SparseOp(other.src, other.tgt, [{t: -v for t, v in c.items()} for c in other.cols])
-        return self.plus(neg)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseOp)
-            and (self.src, self.tgt) == (other.src, other.tgt)
-            and self.cols == other.cols
-        )
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
-    def to_matrix(self) -> np.ndarray:
-        M = zeros(self.tgt, self.src)
-        for j, col in enumerate(self.cols):
-            for t, v in col.items():
-                M[t, j] = v
-        return M
+def _plus(A: list[Row], B: list[Row], b: int = 1) -> list[Row]:
+    """A + b * B, row by row; both must have the same number of rows."""
+    return [_comb(1, x, b, y) for x, y in zip(A, B, strict=True)]
 
 
 class AveragedLevel:
@@ -269,7 +200,9 @@ class AveragedLevel:
     Basis elements are triples (g, n, j): block g, averaging index n with
     n g dividing the level, and j running over the restricted points of
     level m/(n g).  The homotopy operators move only the (g, n) part, which
-    keeps every operator one-entry-per-column sparse.
+    keeps every operator one entry per source index.  Operators are lists
+    of sparse integer rows, one row per target index holding
+    {source index: coefficient}, so composition is ``_mul``.
     """
 
     def __init__(self, m: int, kind: str):
@@ -300,17 +233,17 @@ class AveragedLevel:
     def rank(self, i: int) -> int:
         return self.sb.ranks.get(i, 0)
 
-    def _build(self, i_src: int, i_tgt: int, rule) -> SparseOp:
-        if i_src not in self.index or i_tgt not in self.index:
-            return SparseOp.zero(self.rank(i_src), self.rank(i_tgt))
-        cols = []
-        tpos = self.pos[i_tgt]
-        for trip in self.index[i_src]:
-            img = rule(trip)
-            cols.append({} if img is None else {tpos[img[0]]: img[1]})
-        return SparseOp(self.rank(i_src), self.rank(i_tgt), cols)
+    def _build(self, i_src: int, i_tgt: int, rule) -> list[Row]:
+        rows: list[Row] = [{} for _ in range(self.rank(i_tgt))]
+        if i_src in self.index and i_tgt in self.index:
+            tpos = self.pos[i_tgt]
+            for a, trip in enumerate(self.index[i_src]):
+                img = rule(trip)
+                if img is not None:
+                    rows[tpos[img[0]]][a] = img[1]
+        return rows
 
-    def step_down(self, p: int, i: int) -> SparseOp:
+    def step_down(self, p: int, i: int) -> list[Row]:
         """The p-part of the differential, degree i to i + 1."""
 
         def rule(trip):
@@ -321,7 +254,7 @@ class AveragedLevel:
 
         return self._build(i, i + 1, rule)
 
-    def step_up(self, p: int, i: int) -> SparseOp:
+    def step_up(self, p: int, i: int) -> list[Row]:
         """The p-homotopy, degree i to i - 1."""
 
         def rule(trip):
@@ -332,32 +265,32 @@ class AveragedLevel:
 
         return self._build(i, i - 1, rule)
 
-    def projector(self, p: int, i: int) -> SparseOp:
-        if i not in self.index:
-            return SparseOp.zero(self.rank(i), self.rank(i))
-        diag = [1 if (n * g) % p else 0 for g, n, j in self.index[i]]
-        return SparseOp.diagonal(diag)
+    def projector(self, p: int, i: int) -> list[Row]:
+        return [
+            {a: 1} if (n * g) % p else {}
+            for a, (g, n, j) in enumerate(self.index.get(i, ()))
+        ]
 
-    def full_projector(self, i: int) -> SparseOp:
-        if i not in self.index:
-            return SparseOp.zero(self.rank(i), self.rank(i))
-        diag = [1 if (g, n) == (1, 1) else 0 for g, n, j in self.index[i]]
-        return SparseOp.diagonal(diag)
+    def full_projector(self, i: int) -> list[Row]:
+        return [
+            {a: 1} if (g, n) == (1, 1) else {}
+            for a, (g, n, j) in enumerate(self.index.get(i, ()))
+        ]
 
-    def full_d(self, i: int) -> SparseOp:
-        out = SparseOp.zero(self.rank(i), self.rank(i + 1))
+    def full_d(self, i: int) -> list[Row]:
+        out: list[Row] = [{} for _ in range(self.rank(i + 1))]
         for p in self.sb.primes:
-            out = out.plus(self.step_down(p, i))
+            out = _plus(out, self.step_down(p, i))
         return out
 
-    def staircase(self, i: int) -> SparseOp:
+    def staircase(self, i: int) -> list[Row]:
         """Sum over p of (product of earlier projectors) then the p-homotopy."""
-        out = SparseOp.zero(self.rank(i), self.rank(i - 1))
+        out: list[Row] = [{} for _ in range(self.rank(i - 1))]
         for a, p in enumerate(self.sb.primes):
             term = self.step_up(p, i)
             for q in self.sb.primes[:a]:
-                term = term.compose(self.projector(q, i))
-            out = out.plus(term)
+                term = _mul(term, self.projector(q, i))
+            out = _plus(out, term)
         return out
 
 
@@ -380,36 +313,36 @@ def homotopy_check(m: int) -> dict:
         degrees = range(sb.lo, 1)
         for i in degrees:
             n_i = av.rank(i)
-            ident = SparseOp.identity(n_i)
+            ident: list[Row] = [{a: 1} for a in range(n_i)]
             for p in sb.primes:
                 for q in sb.primes:
-                    lhs = av.step_down(q, i - 1).compose(av.step_up(p, i)).plus(
-                        av.step_up(p, i + 1).compose(av.step_down(q, i))
+                    lhs = _plus(
+                        _mul(av.step_down(q, i - 1), av.step_up(p, i)),
+                        _mul(av.step_up(p, i + 1), av.step_down(q, i)),
                     )
-                    want = (
-                        ident.minus(av.projector(p, i))
-                        if p == q
-                        else SparseOp.zero(n_i, n_i)
-                    )
-                    anti = anti and lhs == want
+                    if p == q:
+                        anti = anti and lhs == _plus(ident, av.projector(p, i), -1)
+                    else:
+                        anti = anti and not any(lhs)
                 pi = av.projector(p, i)
-                proj = proj and pi.compose(pi) == pi
+                proj = proj and _mul(pi, pi) == pi
                 for q in sb.primes:
                     qi = av.projector(q, i)
-                    proj = proj and pi.compose(qi) == qi.compose(pi)
+                    proj = proj and _mul(pi, qi) == _mul(qi, pi)
             full_pi = av.full_projector(i)
-            lhs = av.full_d(i - 1).compose(av.staircase(i)).plus(
-                av.staircase(i + 1).compose(av.full_d(i))
+            lhs = _plus(
+                _mul(av.full_d(i - 1), av.staircase(i)),
+                _mul(av.staircase(i + 1), av.full_d(i)),
             )
-            stair = stair and lhs == ident.minus(full_pi)
-            chain = SparseOp.identity(n_i)
+            stair = stair and lhs == _plus(ident, full_pi, -1)
+            chain = ident
             for p in sb.primes:
-                chain = chain.compose(av.projector(p, i))
-            image = image and chain == full_pi and (i == 0 or full_pi.is_zero())
+                chain = _mul(chain, av.projector(p, i))
+            image = image and chain == full_pi and (i == 0 or not any(full_pi))
             if i < 0:
-                sym = dmats[kind][i] @ av.change[i]
-                avg = av.change[i + 1] @ av.full_d(i).to_matrix()
-                match = match and mat_equal(sym, avg)
+                sym = _mul(_rows(dmats[kind][i]), _rows(av.change[i]))
+                avg = _mul(_rows(av.change[i + 1]), av.full_d(i))
+                match = match and sym == avg
         res[kind] = {
             "anticommutators": anti,
             "projectors": proj,

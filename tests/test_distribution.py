@@ -118,6 +118,11 @@ def test_tate_groups_are_memoised():
                 f(7, "both")
             with pytest.raises(ValueError):
                 f(-3, "odd")
+            for m in (0, 1, 2, 6):
+                with pytest.raises(ValueError, match=f"level {m} "):
+                    f(m, "odd")
+                with pytest.raises(ValueError, match=f"level {m} "):
+                    f(m, "even")
 
 
 def test_cohomology_closed_forms_small():

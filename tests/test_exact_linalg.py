@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from distlab.distribution import distribution_relation_rows, negation_matrix
 from distlab.exact_linalg import (
     Lattice,
+    _dense,
+    _mul,
+    _rows,
     det_exact,
     eye,
     hnf,
@@ -574,6 +577,23 @@ def test_kernel_basis_matches_sympy(normalforms, rows):
         # Saturated: K spans a direct summand of Z^c.
         facs = nf.invariant_factors(sympy.Matrix(K.tolist()), domain=sympy.ZZ)
         assert [abs(int(d)) for d in facs] == [1] * K.shape[0]
+
+
+def test_sparse_product_matches_dense():
+    rng = random.Random(5)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(60)]
+    for r, k, c in shapes:
+        A, B = zeros(r, k), zeros(k, c)
+        for M in (A, B):
+            for idx in np.ndindex(M.shape):
+                M[idx] = rng.choice([0, 0, 0, 1, -1, 1, -1, 2, -3])
+        P = _mul(_rows(A), _rows(B))
+        assert len(P) == r
+        assert mat_equal(_dense(P, c), A @ B), (A, B)
+        assert all(x != 0 for row in P for x in row.values())
+    # entries that cancel are dropped, not stored as zeros
+    assert _mul(_rows(imat([[1, 1], [2, 1]])), _rows(imat([[1, 2], [-1, -2]]))) == [{}, {0: 1, 1: 2}]
 
 
 def test_lattice_index_integer_sublattice():

@@ -1,23 +1,24 @@
 """Graded symbol complexes: structure, homotopy calculus, index identities."""
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
 from distlab import distribution
-from distlab.abgroup import abstract_index_check
+from distlab.abgroup import BoundedComplex, JComplex, abstract_index_check
 from distlab.arith import primes_of
 from distlab.distribution import negation_matrix, smoothing_factor
-from distlab.exact_linalg import eye, mat_equal, zeros
+from distlab.exact_linalg import _dense, eye, mat_equal, zeros
 from distlab.lcomplex import (
     AVERAGE,
     DIFFERENCE,
     KINDS,
     AveragedLevel,
-    SparseOp,
     _minus_pair_matrix,
     acyclicity_check,
+    build_complex,
     build_jcomplex,
     det_check,
     differentials,
@@ -53,23 +54,45 @@ def test_epsilon_alternates_over_primes():
     assert epsilon(15, 2) == 0
 
 
-def test_sparse_op_algebra():
-    a = SparseOp(2, 3, [{0: 1, 2: -1}, {1: 2}])
-    i2 = SparseOp.identity(2)
-    assert a.compose(i2) == a
-    assert a.plus(a.minus(a)).is_zero() is False  # a + 0 = a
-    assert a.minus(a).is_zero()
-    M = a.to_matrix()
-    assert M[0, 0] == 1 and M[2, 0] == -1 and M[1, 1] == 2
-    b = SparseOp(3, 1, [{0: 3}, {}, {0: 1}])
-    assert b.compose(a).to_matrix().tolist() == [[2, 0]]
-
-
-def test_complexes_validate_at_three_primes():
+@pytest.mark.parametrize("m", [30, 420])
+def test_complexes_validate_at_three_primes(m):
     for kind in KINDS:
-        jc = build_jcomplex(30, kind)  # constructor checks d^2 = 0, c d = d c
-        assert jc.complex.rank(0) == 30
-        assert jc.complex.rank(-3) == 1
+        jc = build_jcomplex(m, kind)  # constructor checks d^2 = 0, c d = d c
+        assert jc.complex.rank(0) == m
+        ps = primes_of(m)
+        assert jc.complex.rank(-len(ps)) == m // prod(ps)
+
+
+def test_structural_checks_reject_violations():
+    ranks = dict(symbol_basis(12).ranks)
+    d = differentials(12, DIFFERENCE)
+    d[-2][0, 0] += 1
+    with pytest.raises(ValueError, match=r"^d\^2 != 0 between degrees -2 and 0$"):
+        BoundedComplex(ranks, d)
+
+    C = build_complex(12, DIFFERENCE)
+    c = involution(12)
+    c[-2] = 2 * c[-2]
+    with pytest.raises(ValueError, match="^involution at degree -2 does not square to 1$"):
+        JComplex(C, c)
+
+    # Swapping the columns of the pair {1, -1} keeps c[0] an involution
+    # (it now fixes both points) but breaks c d = d c into degree 0.
+    c = involution(12)
+    c[0][:, [1, 11]] = c[0][:, [11, 1]]
+    assert mat_equal(c[0] @ c[0], eye(12))
+    with pytest.raises(ValueError, match="^involution does not commute with d at degree -1$"):
+        JComplex(C, c)
+
+    # Differentials and involutions are maps of free Z-modules.
+    d = differentials(12, DIFFERENCE)
+    d[-1][0, 0] = Fraction(1, 2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        BoundedComplex(ranks, d)
+    c = involution(12)
+    c[0][0, 0] = Fraction(1, 2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        JComplex(C, c)
 
 
 @pytest.mark.parametrize("m", [3, 4, 9, 12, 16, 18])
@@ -92,11 +115,9 @@ def test_homotopy_identities(m):
 def test_averaged_differential_matches_symbol_differential():
     # redundant with homotopy_check but pins the change-of-basis contract
     av = AveragedLevel(12, DIFFERENCE)
-    from distlab.lcomplex import differentials
-
     d = differentials(12, DIFFERENCE)
     lhs = d[-1] @ av.change[-1]
-    rhs = av.change[0] @ av.full_d(-1).to_matrix()
+    rhs = av.change[0] @ _dense(av.full_d(-1), av.rank(-1))
     assert mat_equal(lhs, rhs)
 
 

@@ -1,8 +1,8 @@
 """The per-layer tracer in perfbench/ still finds what it wraps.
 
 perfbench/tracer.py patches functions and methods by name; a rename in
-distlab would silently drop their metrics. This runs it once on a small
-spectral workload, in its own process so every cache starts cold.
+distlab would silently drop their metrics. This runs it on small spectral
+and complex workloads, each in its own process so every cache starts cold.
 """
 
 import json
@@ -14,13 +14,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_reports_spectral_layers():
+def _traced(suite: str) -> dict:
+    """The tracer's metrics for one CLI suite at level 8, in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "spectral", "--m-list", "8", "--format", "json"],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), suite, "--m-list", "8", "--format", "json"],
         capture_output=True,
         text=True,
         env=env,
@@ -30,7 +31,11 @@ def test_tracer_reports_spectral_layers():
     )
     result = json.loads(out.stdout)
     assert result["code"] == 0
-    metrics = result["metrics"]
+    return result["metrics"]
+
+
+def test_tracer_reports_spectral_layers():
+    metrics = _traced("spectral")
     for name in (
         "spectral.DoubleComplex.e_term.calls",
         "spectral.DoubleComplex.e_term.hit_ratio",
@@ -39,3 +44,10 @@ def test_tracer_reports_spectral_layers():
         assert name in metrics
     assert metrics["spectral.DoubleComplex.e_term.calls"][0] > 0
     assert metrics["exact_linalg.kernel_basis.calls"][0] > 0
+
+
+def test_tracer_reports_complex_layers():
+    metrics = _traced("complex")
+    # Every name is reported, at 0.0 when its wrapper never ran.
+    for name in ("lcomplex.build_jcomplex.self_s", "lcomplex.homotopy_check.self_s"):
+        assert metrics[name][0] > 0

@@ -37,7 +37,6 @@ from .exact_linalg import (
     kernel_basis,
     lattice_index,
     mat_equal,
-    rank_exact,
     scaled,
     snf_with_inverses,
     solve_exact,
@@ -205,21 +204,27 @@ class ZQuotient:
         Well defined as soon as C maps the relation lattice into itself;
         the caller is expected to pass such an integral map.  P @ C @ S is
         formed on sparse rows, since C is typically a signed permutation and
-        S is typically a coordinate selection.
+        S is typically a coordinate selection.  C must be n x n.
         """
+        self._check_endomorphism(C)
         PC = _mul(_rows(self.P), _rows(C))
         return _dense(_mul(PC, _rows(self.S)), self.free_rank)
 
     def stabilizes(self, C: np.ndarray) -> bool:
-        """Does C map the relation lattice into itself?"""
+        """Does C map the relation lattice into itself?  C must be n x n."""
+        self._check_endomorphism(C)
         if self.relations.shape[0] == 0:
             return True
         # solve_integral needs independent columns: use a lattice basis.
         H = hnf_nonzero(self.relations)
         try:
             return solve_integral(H.T, C @ H.T) is not None
-        except ValueError:
+        except ValueError:  # inconsistent: C moves relations out of their span
             return False
+
+    def _check_endomorphism(self, C: np.ndarray) -> None:
+        if C.shape != (self.n, self.n):
+            raise ValueError(f"map has shape {C.shape}, want {(self.n, self.n)}")
 
 
 def subquotient_group(num_basis_rows: IMat, den_gen_rows: IMat) -> FgAbGroup:
@@ -272,7 +277,9 @@ class BoundedComplex:
 
     ``diff[i]`` is the matrix of d: X^i -> X^{i+1} acting on columns, with
     shape (rank[i+1], rank[i]).  d-squared is validated at construction, on
-    sparse integer rows: a non-integral entry raises ValueError.
+    sparse integer rows: a non-integral entry raises ValueError.  The
+    complex is immutable after construction, so each degree's cohomology
+    data is computed once and kept.
     """
 
     def __init__(self, ranks: Mapping[int, int], diff: Mapping[int, np.ndarray]):
@@ -289,6 +296,7 @@ class BoundedComplex:
         for i in range(self.lo, self.hi):
             if any(_mul(_rows(self.d(i + 1)), _rows(self.d(i)))):
                 raise ValueError(f"d^2 != 0 between degrees {i} and {i + 2}")
+        self._cohomology: dict[int, tuple[IMat, ZQuotient]] = {}
 
     def rank(self, i: int) -> int:
         return self.ranks.get(i, 0)
@@ -301,19 +309,19 @@ class BoundedComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def kernel_at(self, i: int) -> IMat:
-        return kernel_basis(self.d(i))
-
     def cohomology_data(self, i: int) -> tuple[IMat, ZQuotient]:
         """(saturated kernel basis rows, quotient by the image) at degree i."""
-        K = self.kernel_at(i)
-        dm = self.d(i - 1)
-        if dm.size == 0 or K.shape[0] == 0:
-            return K, ZQuotient(K.shape[0], zeros(0, K.shape[0]))
-        coef = solve_integral(K.T, dm)  # image vectors in kernel coordinates
-        if coef is None:
-            raise ValueError("image does not lie in the integral kernel")
-        return K, ZQuotient(K.shape[0], coef.T)
+        if i not in self._cohomology:
+            K = kernel_basis(self.d(i))
+            dm = self.d(i - 1)
+            rel = zeros(0, K.shape[0])
+            if dm.size and K.shape[0]:
+                coef = solve_integral(K.T, dm)  # image vectors in kernel coordinates
+                if coef is None:
+                    raise ValueError("image does not lie in the integral kernel")
+                rel = coef.T
+            self._cohomology[i] = K, ZQuotient(K.shape[0], rel)
+        return self._cohomology[i]
 
     def cohomology(self, i: int) -> FgAbGroup:
         _, q = self.cohomology_data(i)
@@ -333,11 +341,13 @@ class JComplex:
 
     c^2 = 1 and c d = d c are validated at construction, on sparse integer
     rows: the involution is a map of free Z-modules, and a non-integral
-    entry raises ValueError.
+    entry raises ValueError.  Like its complex, it is immutable after
+    construction, so the fixed subcomplex is computed once and kept.
     """
 
     complex: BoundedComplex
     involution: dict[int, IMat] = field(default_factory=dict)
+    _fixed: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         C = self.complex
@@ -360,6 +370,8 @@ class JComplex:
 
     def fixed_subcomplex(self) -> tuple[BoundedComplex, dict[int, IMat]]:
         """The annihilator of 1+c, with its embedding bases per degree."""
+        if self._fixed is not None:
+            return self._fixed
         C = self.complex
         bases: dict[int, IMat] = {}
         ranks: dict[int, int] = {}
@@ -379,7 +391,8 @@ class JComplex:
             if coef is None:
                 raise ValueError("fixed subcomplex differential is not integral")
             diff[i] = coef
-        return BoundedComplex(ranks, diff), bases
+        self._fixed = BoundedComplex(ranks, diff), bases
+        return self._fixed
 
 
 # ---------------------------------------------------------------------------
@@ -528,20 +541,15 @@ def i_invariant(jc: JComplex) -> Fraction:
     """
     C = jc.complex
     for i in C.degrees():
-        if i == 0:
-            continue
-        K = C.kernel_at(i)
-        if K.shape[0] != rank_exact(C.d(i - 1)):
+        if i != 0 and not C.cohomology(i).is_finite:
             raise ValueError("complex is not rationally exact away from 0")
     n0 = C.rank(0)
-    c0 = jc.c(0)
     L_rows = C.d(-1).T if C.d(-1).size else zeros(0, n0)
-    K = integral_preimage(eye(n0) + c0, hnf_nonzero(L_rows) if L_rows.size else L_rows)
-    K0 = kernel_basis(eye(n0) + c0)
-    coker = subquotient_group(K, np.vstack([K0, L_rows]))
+    K = integral_preimage(eye(n0) + jc.c(0), hnf_nonzero(L_rows) if L_rows.size else L_rows)
+    fixed, bases = jc.fixed_subcomplex()
+    coker = subquotient_group(K, np.vstack([bases[0], L_rows]))
     if not coker.is_finite:
         raise ValueError("cokernel of the fixed-part comparison is infinite")
-    fixed, _ = jc.fixed_subcomplex()
     h0 = fixed.cohomology(0)
     denom = Fraction(h0.torsion_order())
     for i in fixed.degrees():
@@ -592,24 +600,22 @@ def abstract_index_check(
         if CC.cohomology(0).torsion:
             raise ValueError("H^0 is not torsion free")
 
-    # Left side: index of the two fixed lattices inside H^0 of d2.
-    n0 = C1.rank(0)
-    q = ZQuotient(n0, C2.d(-1).T if C2.d(-1).size else zeros(0, n0))
-    if q.group.torsion:
-        raise ValueError("H^0 of d2 is not torsion free")
-    P, S = q.P, q.S
-    cbar = P @ c[0] @ S
+    # Left side: index of the two fixed lattices inside H^0 of d2.  The
+    # kernel at degree 0 is everything, so H^0 is Z^n0 / (image of d2).
+    q = C2.cohomology_data(0)[1]
+    cbar = q.induced_on_free(j1.c(0))
     f = q.free_rank
     lat_L = Lattice(f, kernel_basis(eye(f) + cbar))
     N0, e0 = sc[0]
-    img = P @ N0  # columns span e0 times the image of the phi-twisted lattice
+    img = q.P @ N0  # columns span e0 times the image of the phi-twisted lattice
     lat_phi_full = Lattice(f, img.T, e0)
     lat_phi = _annihilator_part(lat_phi_full, cbar)
     lhs = lattice_index(lat_L, lat_phi)
 
     det_part = Fraction(1)
+    _, fixed_bases = j1.fixed_subcomplex()
     for i in sorted(C1.degrees()):
-        kc = kernel_basis(eye(C1.rank(i)) + j1.c(i))
+        kc = fixed_bases[i]
         k = kc.shape[0]
         if k == 0:
             continue

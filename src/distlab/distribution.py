@@ -196,11 +196,16 @@ def prime_step_relations_suffice(m: int) -> bool:
     return True
 
 
+# Memoised: the Tate groups of both parities and the Stickelberger checks of
+# a level read the same quotient.  Callers must not modify it; the bound is
+# small because each one holds its dense n x n Smith transforms.
+@lru_cache(maxsize=8)
 def universal_distribution(m: int) -> ZQuotient:
     rel = hnf_nonzero(distribution_relation_rows(m)) if m > 1 else zeros(0, 1)
     return ZQuotient(m, rel)
 
 
+@lru_cache(maxsize=8)
 def universal_predistribution(m: int) -> ZQuotient:
     rel = hnf_nonzero(predistribution_relation_rows(m)) if m > 1 else zeros(0, 1)
     return ZQuotient(m, rel)

@@ -133,13 +133,17 @@ def build_complex(m: int, kind: str) -> BoundedComplex:
     return BoundedComplex(dict(sb.ranks), differentials(m, kind))
 
 
+# The complex of one level, shared by every check on that level; JComplex and
+# its BoundedComplex are immutable and keep their cohomology and fixed part.
+# All reuse is within one level, so a small bound keeps --m-max sweeps lean.
+@lru_cache(maxsize=8)
 def build_jcomplex(m: int, kind: str) -> JComplex:
     return JComplex(build_complex(m, kind), involution(m))
 
 
 def h0_lattice(m: int, kind: str) -> Lattice:
     """Image of the last differential inside the degree-zero coordinates."""
-    C = build_complex(m, kind)
+    C = build_jcomplex(m, kind).complex
     d = C.d(-1)
     return Lattice(C.rank(0), d.T if d.size else None)
 

@@ -22,7 +22,6 @@ import numpy as np
 from .abgroup import (
     FgAbGroup,
     JComplex,
-    ZQuotient,
     elementary_power,
     i_invariant,
     subquotient_group,
@@ -112,26 +111,34 @@ class DoubleComplex:
         row_ranks = tuple(self.rank(p + i, q - i + 1) for i in range(length))
         return (p, q % 2, sizes, row_ranks)
 
-    def _staircase(self, p: int, q: int, length: int, extra_cols: int = 0):
-        """Staircase system with components at (p, q), (p+1, q-1), ...,
-        (p+length-1, q-length+1), plus extra_cols zero columns on the
-        right; returns the matrix and the component offsets."""
+    def _assemble(self, src: list, tgt: list) -> tuple[np.ndarray, list[int]]:
+        """The total differential from the entries src to the entries tgt.
+
+        Blocks follow the listed order on both sides; returns the matrix and
+        the column offsets of the source entries.
+        """
         offsets = [0]
-        for i in range(length):
-            offsets.append(offsets[-1] + self.rank(p + i, q - i))
-        ncols = offsets[-1] + extra_cols
-        blocks = [zeros(0, ncols)]
-        for i in range(length):
-            # component of the total differential in column p + i
-            row_rank = self.rank(p + i, q - i + 1)
-            if row_rank == 0:
-                continue
-            row = zeros(row_rank, ncols)
-            row[:, offsets[i] : offsets[i + 1]] = self.delta(p + i, q - i)
-            if i > 0:
-                row[:, offsets[i - 1] : offsets[i]] = self.d(p + i - 1, q - i + 1)
-            blocks.append(row)
-        return np.vstack(blocks), offsets
+        for pq in src:
+            offsets.append(offsets[-1] + self.rank(*pq))
+        row_off = {}
+        nrows = 0
+        for pq in tgt:
+            row_off[pq] = nrows
+            nrows += self.rank(*pq)
+        M = zeros(nrows, offsets[-1])
+        for (p, q), j, k in zip(src, offsets, offsets[1:]):
+            for to, blk in (((p + 1, q), self.d), ((p, q + 1), self.delta)):
+                if to in row_off:
+                    i = row_off[to]
+                    M[i : i + self.rank(*to), j:k] = blk(p, q)
+        return M, offsets
+
+    def _staircase(self, p: int, q: int, length: int):
+        """Staircase system with components at (p, q), (p+1, q-1), ...,
+        (p+length-1, q-length+1); returns the matrix and the component
+        offsets."""
+        src = [(p + i, q - i) for i in range(length)]
+        return self._assemble(src, [(a, b + 1) for a, b in src])
 
     def _zig(self, p: int, q: int, length: int):
         """Kernel rows of the staircase system at (p, q), plus offsets."""
@@ -204,19 +211,14 @@ class DoubleComplex:
         n = self.rank(p, q)
         if n == 0:
             return FgAbGroup(0, ())
-        pt, qt = p + r, q - r + 1
-        Bt = self.b_rows(pt, qt, r)
-        nl = Bt.shape[0]
-        M, offsets = self._staircase(p, q, r, extra_cols=nl)
-        nx = offsets[-1]
-        tgt_rank = self.rank(pt, qt)
-        if tgt_rank:
-            row = zeros(tgt_rank, nx + nl)
-            row[:, offsets[r - 1] : offsets[r]] = self.d(p + r - 1, q - r + 1)
-            if nl:
-                row[:, nx:] = -Bt.T
-            M = np.vstack([M, row])
-        ker = kernel_basis(M) if M.shape[0] else eye(nx + nl)
+        src = [(p + i, q - i) for i in range(r)]
+        land = (p + r, q - r + 1)
+        M, offsets = self._assemble(src, [(a, b + 1) for a, b in src] + [land])
+        Bt = self.b_rows(*land, r)
+        lift = zeros(M.shape[0], Bt.shape[0])
+        lift[M.shape[0] - Bt.shape[1] :, :] = -Bt.T  # the landing rows come last
+        M = np.hstack([M, lift])
+        ker = kernel_basis(M) if M.shape[0] else eye(M.shape[1])
         lead = ker[:, : offsets[1]]
         num = hnf_nonzero(lead) if lead.size else zeros(0, n)
         if num.shape[0] == 0:
@@ -236,31 +238,7 @@ class DoubleComplex:
         return sum(self.rank(p, q) for p, q in self.total_entries(n))
 
     def total_d(self, n: int) -> np.ndarray:
-        src = self.total_entries(n)
-        tgt = self.total_entries(n + 1)
-        src_off = {pq: 0 for pq in src}
-        acc = 0
-        for pq in src:
-            src_off[pq] = acc
-            acc += self.rank(*pq)
-        tgt_off = {}
-        acc_t = 0
-        for pq in tgt:
-            tgt_off[pq] = acc_t
-            acc_t += self.rank(*pq)
-        M = zeros(acc_t, acc)
-        for p, q in src:
-            j = src_off[(p, q)]
-            w = self.rank(p, q)
-            if (p + 1, q) in tgt_off:
-                blk = self.d(p, q)
-                i = tgt_off[(p + 1, q)]
-                M[i : i + blk.shape[0], j : j + w] = blk
-            if (p, q + 1) in tgt_off:
-                blk = self.delta(p, q)
-                i = tgt_off[(p, q + 1)]
-                M[i : i + blk.shape[0], j : j + w] = blk
-        return M
+        return self._assemble(self.total_entries(n), self.total_entries(n + 1))[0]
 
     def total_accessible(self, n: int) -> bool:
         if n - self.p_lo + 1 > self.q_hi:
@@ -394,7 +372,7 @@ def e2_page_check(m: int, kind: str) -> dict:
     half = build_double(m, kind, HALF)
     full = build_double(m, kind, FULL)
     jc = half.jc
-    fixed, _ = jc.fixed_subcomplex()
+    fixed, bases = jc.fixed_subcomplex()
     closed = row0 = True
     for p in range(sb.lo, 1):
         got0 = half.e_term(p, 0, 2)
@@ -409,12 +387,8 @@ def e2_page_check(m: int, kind: str) -> dict:
     # then the free image of the annihilator sublattice in degree-zero
     # cohomology
     r_stab = len(sb.primes) + 1
-    base = jc.complex
-    n0 = base.rank(0)
-    dm = base.d(-1)
-    q0 = ZQuotient(n0, dm.T if dm.size else zeros(0, n0))
-    K0 = kernel_basis(eye(n0) + jc.c(0))
-    img = hnf_nonzero(K0 @ q0.P.T) if K0.size else zeros(0, q0.free_rank)
+    q0 = jc.complex.cohomology_data(0)[1]
+    img = hnf_nonzero(bases[0] @ q0.P.T) if bases[0].size else zeros(0, q0.free_rank)
     corner = half.e_term(0, 0, r_stab)
     corner_ok = corner == FgAbGroup(img.shape[0], ())
     ok = closed and row0 and corner_ok

@@ -59,6 +59,19 @@ def test_stabilizes_with_dependent_relations():
     assert not ZQuotient(2, imat([[2, 0], [3, 0]])).stabilizes(imat([[0, 1], [1, 0]]))
 
 
+def test_zquotient_maps_must_be_square_of_its_rank():
+    q = ZQuotient(2, imat([[2, 0]]))
+    for C in (eye(3), eye(1), imat([[1, 0]])):
+        with pytest.raises(ValueError, match="map has shape"):
+            q.stabilizes(C)
+        with pytest.raises(ValueError, match="map has shape"):
+            q.induced_on_free(C)
+    with pytest.raises(ValueError, match="map has shape"):
+        ZQuotient(2, zeros(0, 2)).stabilizes(eye(3))
+    # an inconsistent system is an answer, not an error
+    assert not q.stabilizes(imat([[0, 1], [1, 0]]))
+
+
 def test_subquotient_group():
     num = imat([[1, 0], [0, 1]])
     den = imat([[2, 0]])

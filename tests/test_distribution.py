@@ -125,6 +125,13 @@ def test_tate_groups_are_memoised():
                     f(m, "even")
 
 
+def test_induced_on_free_rejects_a_non_square_map():
+    q = universal_distribution(7)
+    with pytest.raises(ValueError, match="map has shape"):
+        q.induced_on_free(negation_matrix(7)[:, :6])
+    assert q.induced_on_free(negation_matrix(7)).shape == (6, 6)
+
+
 def test_cohomology_closed_forms_small():
     for m in (3, 4, 5, 8, 9, 12, 15, 16, 45):
         assert cohomology_check(m)["ok"], m

@@ -8,9 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlab.abgroup import FgAbGroup, elementary_power
+from distlab import spectral
+from distlab.abgroup import BoundedComplex, FgAbGroup, JComplex, elementary_power, i_invariant
+from distlab.distribution import universal_distribution, universal_predistribution
 from distlab.exact_linalg import imat, inverse_exact, is_integral, mat_equal, to_int, zeros
-from distlab.lcomplex import AVERAGE, DIFFERENCE, KINDS, build_jcomplex, symbol_basis
+from distlab.lcomplex import (
+    AVERAGE,
+    DIFFERENCE,
+    KINDS,
+    acyclicity_check,
+    build_jcomplex,
+    differentials,
+    involution,
+    symbol_basis,
+)
 from distlab.spectral import (
     FULL,
     HALF,
@@ -39,6 +50,49 @@ def test_total_differential_squares_to_zero():
             assert mat_equal(a, zeros(*a.shape))
             b = dc.d(p, q + 1) @ dc.delta(p, q) + dc.delta(p + 1, q) @ dc.d(p, q)
             assert mat_equal(b, zeros(*b.shape))
+    # The assembled total differential, over the whole window and one
+    # degree past each end of it.
+    for m in (8, 12, 21):
+        for kind in KINDS:
+            for variant in (HALF, FULL):
+                dc = build_double(m, kind, variant)
+                for n in range(dc.p_lo + dc.q_lo - 1, dc.q_hi + 2):
+                    a = dc.total_d(n + 1) @ dc.total_d(n)
+                    assert a.shape == (dc.total_rank(n + 2), dc.total_rank(n))
+                    assert mat_equal(a, zeros(*a.shape)), (m, kind, variant, n)
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 21])
+def test_each_level_object_has_one_owner(m):
+    """A level's complexes, quotients and fixed parts are built once and
+    read by every check; after the checks have run on them in the CLI's
+    order, they still agree with fresh, unshared builds."""
+    # Start cold, so that earlier tests' cache evictions play no part.
+    for cache in (build_jcomplex, spectral._level, build_double):
+        cache.cache_clear()
+    for kind in KINDS:
+        jc = build_jcomplex(m, kind)
+        assert build_jcomplex(m, kind) is jc
+        assert build_double(m, kind, HALF).jc is jc
+        assert build_double(m, kind, FULL).jc is jc
+        assert jc.fixed_subcomplex() is jc.fixed_subcomplex()
+        assert jc.complex.cohomology_data(0) is jc.complex.cohomology_data(0)
+    assert universal_distribution(m) is universal_distribution(m)
+    assert universal_predistribution(m) is universal_predistribution(m)
+
+    assert acyclicity_check(m)["ok"]
+    assert spectral_verify(m)["ok"]
+    sb = symbol_basis(m)
+    for kind in KINDS:
+        jc = build_jcomplex(m, kind)
+        fresh = JComplex(BoundedComplex(sb.ranks, differentials(m, kind)), involution(m))
+        assert i_invariant(jc) == i_invariant(fresh)
+        (fixed, bases), (fixed0, bases0) = jc.fixed_subcomplex(), fresh.fixed_subcomplex()
+        assert fixed.ranks == fixed0.ranks
+        for i in jc.complex.degrees():
+            assert mat_equal(bases[i], bases0[i])
+            assert jc.complex.cohomology(i) == fresh.complex.cohomology(i)
+            assert fixed.cohomology(i) == fixed0.cohomology(i)
 
 
 def test_interior_predicate():

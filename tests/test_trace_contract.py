@@ -1,8 +1,9 @@
 """The per-layer tracer in perfbench/ still finds what it wraps.
 
 perfbench/tracer.py patches functions and methods by name; a rename in
-distlab would silently drop their metrics. This runs it on small spectral
-and complex workloads, each in its own process so every cache starts cold.
+distlab would silently drop their metrics. This runs it on small spectral,
+complex and cohomology workloads, each in its own process so every cache
+starts cold.
 """
 
 import json
@@ -14,14 +15,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced(suite: str) -> dict:
-    """The tracer's metrics for one CLI suite at level 8, in a fresh process."""
+def _traced(suite: str, levels: str = "8") -> dict:
+    """The tracer's metrics for one CLI suite, in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), suite, "--m-list", "8", "--format", "json"],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), suite, "--m-list", levels, "--format", "json"],
         capture_output=True,
         text=True,
         env=env,
@@ -50,4 +51,15 @@ def test_tracer_reports_complex_layers():
     metrics = _traced("complex")
     # Every name is reported, at 0.0 when its wrapper never ran.
     for name in ("lcomplex.build_jcomplex.self_s", "lcomplex.homotopy_check.self_s"):
+        assert metrics[name][0] > 0
+
+
+def test_tracer_reports_tate_sweep_layers():
+    # the command of the tate_sweep workload; its builders are memoised
+    metrics = _traced("cohomology", "12")
+    for name in (
+        "abgroup.ZQuotient.calls",
+        "abgroup.tate_group.calls",
+        "distribution.universal_distribution.self_s",
+    ):
         assert metrics[name][0] > 0

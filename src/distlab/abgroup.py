@@ -42,7 +42,6 @@ from .exact_linalg import (
     solve_exact,
     solve_integral,
     to_int,
-    unscaled,
     zeros,
 )
 
@@ -562,26 +561,41 @@ def i_invariant(jc: JComplex) -> Fraction:
     return Fraction(coker.order()) / denom
 
 
-def abstract_index_check(
-    ranks: Mapping[int, int],
-    d1: Mapping[int, IMat],
-    d2: Mapping[int, IMat],
-    c: Mapping[int, IMat],
-    phi: Mapping[int, QMat],
-) -> dict:
+def fixed_image_index(qa: ZQuotient, qb: ZQuotient, c: IMat, N: IMat, d: int) -> Fraction:
+    """The symbol (ker(1+c) of qb : phi(ker(1+c) of qa)) on free parts.
+
+    phi = N / d maps the Z^n of qa to that of qb, carries relations into
+    rational relations and commutes with the involution c of both; on the
+    free parts it is P_b N S_a / d and must be injective.  Then the image
+    of the fixed part is the fixed part of the image, so nothing is
+    saturated a second time.
+    """
+    ca = qa.induced_on_free(c)
+    cb = qb.induced_on_free(c)
+    phibar = qb.P @ N @ qa.S
+    pushed = kernel_basis(eye(qa.free_rank) + ca) @ phibar.T
+    return lattice_index(
+        Lattice(qb.free_rank, kernel_basis(eye(qb.free_rank) + cb)),
+        Lattice(qb.free_rank, pushed, d),
+    )
+
+
+def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) -> dict:
     """Index of the two fixed-part images against the local determinant data.
 
-    Both differentials must make the lattice acyclic away from 0 with free
-    H^0, phi must intertwine them (d2 ∘ phi = phi ∘ d1) and commute with the
-    involution.  Returns the two sides of the identity and their parts.
+    The two complexes must share their ranks and their involution, end in
+    degree 0 and be acyclic away from 0 with free H^0; phi must intertwine
+    them (d2 ∘ phi = phi ∘ d1) and commute with the involution.  Returns
+    the two sides of the identity and their parts.
 
     Each phi[i] is scaled once to N_i / e_i, and every product below runs on
     the integer numerators.
     """
-    C1 = BoundedComplex(ranks, d1)
-    C2 = BoundedComplex(ranks, d2)
-    j1 = JComplex(C1, dict(c))
-    j2 = JComplex(C2, dict(c))
+    C1, C2 = j1.complex, j2.complex
+    if C1.ranks != C2.ranks:
+        raise ValueError("the two complexes have different ranks")
+    if not all(mat_equal(j1.c(i), j2.c(i)) for i in C1.degrees()):
+        raise ValueError("the two complexes carry different involutions")
     sc = {i: scaled(phi[i]) for i in C1.degrees()}
     for i in C1.degrees():
         N, e = sc[i]
@@ -600,17 +614,11 @@ def abstract_index_check(
         if CC.cohomology(0).torsion:
             raise ValueError("H^0 is not torsion free")
 
-    # Left side: index of the two fixed lattices inside H^0 of d2.  The
-    # kernel at degree 0 is everything, so H^0 is Z^n0 / (image of d2).
-    q = C2.cohomology_data(0)[1]
-    cbar = q.induced_on_free(j1.c(0))
-    f = q.free_rank
-    lat_L = Lattice(f, kernel_basis(eye(f) + cbar))
-    N0, e0 = sc[0]
-    img = q.P @ N0  # columns span e0 times the image of the phi-twisted lattice
-    lat_phi_full = Lattice(f, img.T, e0)
-    lat_phi = _annihilator_part(lat_phi_full, cbar)
-    lhs = lattice_index(lat_L, lat_phi)
+    # Left side: the two fixed lattices inside H^0 of d2.  Degree 0 is the
+    # top degree, so H^0 is Z^n0 modulo the image of the last differential.
+    lhs = fixed_image_index(
+        C1.cohomology_data(0)[1], C2.cohomology_data(0)[1], j1.c(0), *sc[0]
+    )
 
     det_part = Fraction(1)
     _, fixed_bases = j1.fixed_subcomplex()
@@ -638,18 +646,6 @@ def abstract_index_check(
         "i_d2": i2,
         "equal": lhs == rhs,
     }
-
-
-def _annihilator_part(lat: Lattice, cbar: IMat) -> Lattice:
-    """Sublattice of lat annihilated by 1 + cbar."""
-    H, d = scaled(lat.basis)
-    W = H @ (eye(lat.ambient) + cbar).T
-    # kernel_basis scales each row of a rational matrix by its own least
-    # denominator, which keeps the Smith input small.
-    ku = kernel_basis(unscaled(W.T, d))
-    if ku.shape[0] == 0:
-        return Lattice(lat.ambient)
-    return Lattice(lat.ambient, ku @ H, d)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,6 @@ def primes_of(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(n))
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == ((n, 1),)
-
-
 def euler_phi(n: int) -> int:
     out = 1
     for p, e in factorize(n):

@@ -170,9 +170,6 @@ class CycNum:
     def __hash__(self):
         return hash((self.N, self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 

@@ -310,9 +310,9 @@ def homotopy_check(m: int) -> dict:
     sb = symbol_basis(m)
     res: dict = {"level": m}
     ok = True
-    dmats = {k: differentials(m, k) for k in KINDS}
     for kind in KINDS:
         av = AveragedLevel(m, kind)
+        C = build_jcomplex(m, kind).complex
         anti = proj = stair = image = match = True
         degrees = range(sb.lo, 1)
         for i in degrees:
@@ -344,7 +344,7 @@ def homotopy_check(m: int) -> dict:
                 chain = _mul(chain, av.projector(p, i))
             image = image and chain == full_pi and (i == 0 or not any(full_pi))
             if i < 0:
-                sym = _mul(_rows(dmats[kind][i]), _rows(av.change[i]))
+                sym = _mul(_rows(C.d(i)), _rows(av.change[i]))
                 avg = _mul(_rows(av.change[i + 1]), av.full_d(i))
                 match = match and sym == avg
         res[kind] = {
@@ -400,15 +400,13 @@ def intertwine_check(m: int) -> dict:
     On the scaled blocks N_i / d_i: d_avg N_i d_{i+1} == N_{i+1} d_diff d_i
     (cross-multiplied denominators), and N_i commutes with c."""
     phi = smoothing_blocks_scaled(m)
-    d_diff = differentials(m, DIFFERENCE)
-    d_avg = differentials(m, AVERAGE)
-    c = involution(m)
-    sb = symbol_basis(m)
+    jc = build_jcomplex(m, DIFFERENCE)
+    C_diff, C_avg = jc.complex, build_jcomplex(m, AVERAGE).complex
     inter = all(
-        mat_equal(d_avg[i] @ phi[i][0] * phi[i + 1][1], phi[i + 1][0] @ d_diff[i] * phi[i][1])
-        for i in range(sb.lo, 0)
+        mat_equal(C_avg.d(i) @ phi[i][0] * phi[i + 1][1], phi[i + 1][0] @ C_diff.d(i) * phi[i][1])
+        for i in range(C_diff.lo, 0)
     )
-    comm = all(mat_equal(N @ c[i], c[i] @ N) for i, (N, _) in phi.items())
+    comm = all(mat_equal(N @ jc.c(i), jc.c(i) @ N) for i, (N, _) in phi.items())
     return {"level": m, "intertwines": inter, "commutes_with_negation": comm,
             "ok": inter and comm}
 
@@ -470,14 +468,8 @@ def det_check(m: int) -> dict:
 def index_formula_check(m: int) -> dict:
     """The two fixed-part lattices in degree-zero cohomology against the
     determinant data and the two correction invariants."""
-    sb = symbol_basis(m)
-    ranks = dict(sb.ranks)
     res = abstract_index_check(
-        ranks,
-        differentials(m, DIFFERENCE),
-        differentials(m, AVERAGE),
-        involution(m),
-        smoothing_blocks(m),
+        build_jcomplex(m, DIFFERENCE), build_jcomplex(m, AVERAGE), smoothing_blocks(m)
     )
     res["level"] = m
     return res

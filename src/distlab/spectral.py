@@ -492,8 +492,6 @@ def scaled_rows_check(m: int) -> dict:
     integral and makes each column exact, which is what lets the full
     variant collapse onto its parity-reduced quotient.
     """
-    from .lcomplex import differentials
-
     sb = symbol_basis(m)
     jc = build_jcomplex(m, DIFFERENCE)
     # The diagonal of the scaling, as a column so that it broadcasts over rows.
@@ -505,7 +503,6 @@ def scaled_rows_check(m: int) -> dict:
             diag.append(2 if (k == 0 or 2 * k == s) else 1)
         scale[p] = np.array(diag, dtype=object).reshape(-1, 1)
     column_exact = maps_integral = d_stable = True
-    dmats = {k: differentials(m, k) for k in KINDS}
     for p in range(sb.lo, 1):
         n = sb.ranks[p]
         c = jc.c(p)
@@ -522,7 +519,7 @@ def scaled_rows_check(m: int) -> dict:
         )
         if p < 0:
             for kind in KINDS:
-                moved = dmats[kind][p] * scale[p].T
+                moved = build_jcomplex(m, kind).complex.d(p) * scale[p].T
                 d_stable = d_stable and _row_quotient(moved, scale[p + 1]) is not None
     return {
         "level": m,

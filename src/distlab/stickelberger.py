@@ -19,6 +19,7 @@ from math import gcd
 
 import numpy as np
 
+from .abgroup import fixed_image_index
 from .arith import inverse_mod, primes_of, prime_to_p_part, validate_level
 from .cyclotomic import (
     character_product_minus,
@@ -314,18 +315,12 @@ def smoothing_minus_image_check(m: int) -> dict:
     The character products are evaluated two independent ways.
     """
     validate_level(m)
-    qu = universal_distribution(m)
-    qo = universal_predistribution(m)
-    neg = negation_matrix(m)
-    cu = qu.induced_on_free(neg)
-    co = qo.induced_on_free(neg)
     # In degree zero the smoothing operator is N / d on the level points.
-    N, d = smoothing_scaled(m)
-    phibar = qo.P @ N @ qu.S
-    pushed = kernel_basis(eye(qu.free_rank) + cu) @ phibar.T
-    got = lattice_index(
-        image_lattice(kernel_basis(eye(qo.free_rank) + co)),
-        Lattice(qo.free_rank, pushed, d),
+    got = fixed_image_index(
+        universal_distribution(m),
+        universal_predistribution(m),
+        negation_matrix(m),
+        *smoothing_scaled(m),
     )
     r = len(primes_of(m))
     if r > 1:

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +157,22 @@ def test_text_format_summary_line(capsys):
     code, out = run(["cohomology", "--m", "5"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "2 checks, 2 passed, 0 failed"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [
+    line
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    for line in block.splitlines()
+    if line.startswith("distlab ")
+]
+
+
+def test_readme_commands_are_found():
+    assert len(README_COMMANDS) >= 4
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_passes(line, capsys):
+    code, _ = run(shlex.split(line)[1:], capsys)
+    assert code == 0, line

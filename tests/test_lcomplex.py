@@ -31,6 +31,7 @@ from distlab.lcomplex import (
     smoothing_blocks,
     symbol_basis,
 )
+from distlab.stickelberger import smoothing_minus_image_check
 
 
 def test_symbol_basis_bookkeeping():
@@ -172,13 +173,20 @@ def test_index_formula_rejects_a_perturbed_operator(m):
     phi = smoothing_blocks(m)
     phi[0][0, 1] += Fraction(1, primes_of(m)[0])
     with pytest.raises(ValueError, match="phi does not intertwine"):
+        abstract_index_check(build_jcomplex(m, DIFFERENCE), build_jcomplex(m, AVERAGE), phi)
+
+
+def test_index_formula_rejects_mismatched_complexes():
+    # Levels 8 and 9 have the same degrees but different ranks.
+    with pytest.raises(ValueError, match="^the two complexes have different ranks$"):
         abstract_index_check(
-            dict(symbol_basis(m).ranks),
-            differentials(m, DIFFERENCE),
-            differentials(m, AVERAGE),
-            involution(m),
-            phi,
+            build_jcomplex(9, DIFFERENCE), build_jcomplex(8, AVERAGE), smoothing_blocks(9)
         )
+    # The identity is an involution commuting with every differential.
+    C = build_complex(12, AVERAGE)
+    trivial = JComplex(C, {i: eye(C.rank(i)) for i in C.degrees()})
+    with pytest.raises(ValueError, match="^the two complexes carry different involutions$"):
+        abstract_index_check(build_jcomplex(12, DIFFERENCE), trivial, smoothing_blocks(12))
 
 
 def test_minus_pair_restriction_of_negation():
@@ -224,16 +232,107 @@ def test_index_formula_sides_at_12():
     assert r["det_part"] == Fraction(1, 2)
 
 
-# Recorded from the Fraction-matrix implementation before the smoothing
-# operator moved to scaled integer numerators.
+# Recorded at every level up to 60 from the route that saturated the whole
+# image of the smoothing operator before cutting out its fixed part (35 and
+# 55 did not finish there); 15 and 21 were first recorded from the
+# Fraction-matrix implementation.
 INDEX_FORMULA_PINNED = {
+    3: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 3}",
+    4: "{'lhs': Fraction(1, 1), 'rhs': Fraction(1, 1), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(2, 1), 'equal': True, 'level': 4}",
+    5: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 5}",
+    7: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 7}",
+    8: "{'lhs': Fraction(1, 1), 'rhs': Fraction(1, 1), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(2, 1), 'equal': True, 'level': 8}",
+    9: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 9}",
+    11: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 11}",
+    12: "{'lhs': Fraction(1, 4), 'rhs': Fraction(1, 4), 'det_part': Fraction(1, 2), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 12}",
+    13: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 13}",
     15: "{'lhs': Fraction(3, 8), 'rhs': Fraction(3, 8), 'det_part': Fraction(3, 4), "
     "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 15}",
+    16: "{'lhs': Fraction(1, 1), 'rhs': Fraction(1, 1), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(2, 1), 'equal': True, 'level': 16}",
+    17: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 17}",
+    19: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 19}",
+    20: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 20}",
     21: "{'lhs': Fraction(9, 16), 'rhs': Fraction(9, 16), 'det_part': Fraction(9, 8), "
     "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 21}",
+    23: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 23}",
+    24: "{'lhs': Fraction(3, 8), 'rhs': Fraction(3, 8), 'det_part': Fraction(3, 4), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 24}",
+    25: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 25}",
+    27: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 27}",
+    28: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 28}",
+    29: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 29}",
+    31: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 31}",
+    32: "{'lhs': Fraction(1, 1), 'rhs': Fraction(1, 1), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(2, 1), 'equal': True, 'level': 32}",
+    33: "{'lhs': Fraction(81, 176), 'rhs': Fraction(81, 176), 'det_part': Fraction(81, 88), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 33}",
+    36: "{'lhs': Fraction(1, 3), 'rhs': Fraction(1, 3), 'det_part': Fraction(2, 3), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 36}",
+    37: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 37}",
+    39: "{'lhs': Fraction(243, 416), 'rhs': Fraction(243, 416), 'det_part': Fraction(243, 208), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 39}",
+    40: "{'lhs': Fraction(5, 12), 'rhs': Fraction(5, 12), 'det_part': Fraction(5, 6), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 40}",
+    41: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 41}",
+    43: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 43}",
+    44: "{'lhs': Fraction(4, 9), 'rhs': Fraction(4, 9), 'det_part': Fraction(8, 9), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 44}",
+    45: "{'lhs': Fraction(25, 56), 'rhs': Fraction(25, 56), 'det_part': Fraction(25, 28), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 45}",
+    47: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 47}",
+    48: "{'lhs': Fraction(27, 80), 'rhs': Fraction(27, 80), 'det_part': Fraction(27, 40), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 48}",
+    49: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 49}",
+    51: "{'lhs': Fraction(729, 1544), 'rhs': Fraction(729, 1544), 'det_part': Fraction(729, 772), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 51}",
+    52: "{'lhs': Fraction(8, 15), 'rhs': Fraction(8, 15), 'det_part': Fraction(16, 15), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 52}",
+    53: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 53}",
+    56: "{'lhs': Fraction(7, 16), 'rhs': Fraction(7, 16), 'det_part': Fraction(7, 8), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 56}",
+    57: "{'lhs': Fraction(2187, 4144), 'rhs': Fraction(2187, 4144), 'det_part': Fraction(2187, 2072), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 57}",
+    59: "{'lhs': Fraction(1, 2), 'rhs': Fraction(1, 2), 'det_part': Fraction(1, 1), "
+    "'i_d1': Fraction(2, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 59}",
+    60: "{'lhs': Fraction(9, 32), 'rhs': Fraction(9, 32), 'det_part': Fraction(9, 8), "
+    "'i_d1': Fraction(4, 1), 'i_d2': Fraction(1, 1), 'equal': True, 'level': 60}",
 }
 
 
 @pytest.mark.parametrize("m", sorted(INDEX_FORMULA_PINNED))
 def test_index_formula_values_are_pinned(m):
     assert repr(index_formula_check(m)) == INDEX_FORMULA_PINNED[m]
+
+
+@pytest.mark.parametrize("m", [35, 55, 63, 105])
+def test_index_formula_left_side_is_the_closed_form(m):
+    # The expected value of the smoothed minus image is the inverse product of
+    # odd-character factors, evaluated without any lattice.
+    r = index_formula_check(m)
+    assert r["equal"], r
+    assert r["lhs"] == smoothing_minus_image_check(m)["expected"]

@@ -3,18 +3,22 @@
 Groups are kept in canonical form (free rank plus invariant-factor chain).
 A ``ZQuotient`` carries the explicit Smith coordinates of a presentation
 ``Z^n / rowspan(relations)`` so that subgroups, induced maps, and fixed
-parts can be pushed through presentations exactly.
+parts can be pushed through presentations exactly; the Smith form is run
+on first use of those coordinates, so a quotient read only through its
+relation rows never pays for it.
 
 The regulator of a rational isomorphism between commensurable groups, its
 multiplicativity along complexes, Tate cohomology of an involution on a
-presented group, and the index invariant of an involution acting on an
-acyclic-away-from-zero complex all live here.
+presented group (by a Smith form in ``tate_group``, and from ranks over F_2
+and F_3 in ``tate_pair``), and the index invariant of an involution acting
+on an acyclic-away-from-zero complex all live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Mapping
 
@@ -25,6 +29,7 @@ from .exact_linalg import (
     IMat,
     QMat,
     Lattice,
+    Row,
     _dense,
     _mul,
     _rows,
@@ -156,7 +161,10 @@ class ZQuotient:
     Tracks the Smith transform ``U @ rel.T @ V = D`` so the quotient gets
     explicit coordinates z = U Λ x: positions with d=1 are dead, d>1 are
     torsion coordinates, d=0 are free.  ``P`` projects onto the free
-    coordinates and ``S`` is a section with P @ S = identity.
+    coordinates and ``S`` is a section with P @ S = identity.  The Smith
+    form runs on the first read of ``group``, ``free_rank``, ``P``, ``S``,
+    ``induced_on_free`` or the coordinates themselves (``U``, ``Uinv``,
+    ``dvec``); ``relations`` and ``stabilizes`` do not need it.
     """
 
     def __init__(self, n: int, relation_rows: IMat):
@@ -167,15 +175,36 @@ class ZQuotient:
         if rel.shape[1] != n:
             raise ValueError("relation width mismatch")
         self.relations = to_int(rel)
-        G = self.relations.T  # n x k, columns generate the relation lattice
-        U, Uinv, D, _, _ = snf_with_inverses(G, want_v=False)
-        self.U, self.Uinv = U, Uinv
-        dvec = [0] * n
+
+    @cached_property
+    def _snf(self) -> tuple[IMat, IMat, list[int]]:
+        """(U, U^-1, d): the row transforms of the Smith form of relations.T
+        and its diagonal, padded with zeros to length n."""
+        U, Uinv, D, _, _ = snf_with_inverses(self.relations.T, want_v=False)
+        dvec = [0] * self.n
         for i in range(min(D.shape)):
             dvec[i] = D[i, i]
-        self.dvec = dvec
-        self.free_idx = [j for j in range(n) if dvec[j] == 0]
-        self.tor_idx = [j for j in range(n) if dvec[j] > 1]
+        return U, Uinv, dvec
+
+    @property
+    def U(self) -> IMat:
+        return self._snf[0]
+
+    @property
+    def Uinv(self) -> IMat:
+        return self._snf[1]
+
+    @property
+    def dvec(self) -> list[int]:
+        return self._snf[2]
+
+    @cached_property
+    def free_idx(self) -> list[int]:
+        return [j for j, d in enumerate(self.dvec) if d == 0]
+
+    @cached_property
+    def tor_idx(self) -> list[int]:
+        return [j for j, d in enumerate(self.dvec) if d > 1]
 
     @property
     def group(self) -> FgAbGroup:
@@ -261,6 +290,108 @@ def tate_group(C: IMat, relation_rows: IMat, degree_parity: str) -> FgAbGroup:
     return subquotient_group(num, den)
 
 
+def _f2_gain(basis: dict[int, int], rows: list[int]) -> int:
+    """Add F_2 rows (bit j = column j) to an echelon basis keyed by lowest bit.
+
+    Returns how many of them were independent of the basis so far.
+    """
+    gained = 0
+    for v in rows:
+        while v:
+            low = v & -v
+            b = basis.get(low)
+            if b is None:
+                basis[low] = v
+                gained += 1
+                break
+            v ^= b
+    return gained
+
+
+def _f3_gain(basis: dict[int, Row], rows: list[Row]) -> int:
+    """Add integer rows, read mod 3, to an echelon basis keyed by leading column.
+
+    Basis rows have leading entry 1 and are never modified once stored, so
+    a shallow copy of the basis can be extended separately.  Returns how
+    many of the rows were independent of the basis so far.
+    """
+    gained = 0
+    for row in rows:
+        v = {j: x % 3 for j, x in row.items() if x % 3}
+        while v:
+            j = min(v)
+            b = basis.get(j)
+            if b is None:
+                if v[j] == 2:
+                    v = {i: 3 - x for i, x in v.items()}
+                basis[j] = v
+                gained += 1
+                break
+            q = v[j]
+            for i, x in b.items():
+                y = (v.get(i, 0) - q * x) % 3
+                if y:
+                    v[i] = y
+                else:
+                    v.pop(i, None)
+    return gained
+
+
+def tate_pair(C: IMat, relation_rows: IMat) -> tuple[FgAbGroup, FgAbGroup]:
+    """(even, odd) Tate cohomology of the order-2 action C on M = Z^n / relations.
+
+    By Diederichsen and Reiner every Z[C2]-lattice is Z^a + Z_-^b +
+    Z[C2]^r, so Ĥ^even = ker(1-c)/im(1+c) = (Z/2)^a and Ĥ^odd = (Z/2)^b,
+    and the three counts are ranks over F_2 and F_3: rank_F2(1+c) = r,
+    rank_F3(1+c) = a + r, rank_F3(1-c) = b + r.  On M each rank is
+    rank_Fp([R; (1 ± C)^T]) - rank_Fp(R): R is eliminated once per prime
+    and the rows of (1 ± C)^T are reduced against that echelon, as Python
+    ints under XOR over F_2 and sparse rows over F_3, so nothing dense is
+    built.  Only the rows at the columns without a pivot are needed: with
+    R those unit vectors span F_p^n, and C maps R into itself, so their
+    images span the image of 1 ± C modulo R.  Agrees with ``tate_group``,
+    the Smith route.
+
+    The relation rows must be independent (a Hermite basis, say), and M
+    must have no 2- or 3-torsion: unless R keeps its row count as its
+    rank mod 2 and mod 3, ValueError names the prime.  Torsion of order
+    prime to 6 has trivial Tate groups and leaves the ranks unchanged, so
+    it is allowed.
+    """
+    n = C.shape[0]
+    if C.shape != (n, n):
+        raise ValueError(f"map has shape {C.shape}, want a square matrix")
+    if relation_rows.size and relation_rows.shape[1] != n:
+        raise ValueError("relation width mismatch")
+    R = _rows(relation_rows) if relation_rows.size else []
+    cols = _rows(C.T)
+
+    def image(k: int, s: int) -> Row:
+        # row k of (1 + s C)^T, that is e_k + s * column k of C; a zero
+        # entry is dropped when the row is read mod p
+        row = {j: s * x for j, x in cols[k].items()}
+        row[k] = row.get(k, 0) + 1
+        return row
+
+    def bits(rows: list[Row]) -> list[int]:
+        return [sum(1 << j for j, x in row.items() if x & 1) for row in rows]
+
+    f2: dict[int, int] = {}
+    f3: dict[int, Row] = {}
+    for p, got in ((2, _f2_gain(f2, bits(R))), (3, _f3_gain(f3, R))):
+        if got != len(R):
+            raise ValueError(
+                f"Z^{n} / relations has {p}-torsion (or dependent relation rows); "
+                "the rank route needs neither"
+            )
+    free2 = [k for k in range(n) if 1 << k not in f2]
+    free3 = [k for k in range(n) if k not in f3]
+    r = _f2_gain(f2, bits([image(k, 1) for k in free2]))
+    a = _f3_gain(dict(f3), [image(k, 1) for k in free3]) - r
+    b = _f3_gain(f3, [image(k, -1) for k in free3]) - r
+    return elementary_power(2, a), elementary_power(2, b)
+
+
 def theta_fixed(C: IMat) -> Lattice:
     """Saturated kernel of 1 + C on the ambient free module, as a lattice."""
     n = C.shape[0]
@@ -334,19 +465,24 @@ class BoundedComplex:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class JComplex:
     """A bounded complex with an involution commuting with the differential.
 
     c^2 = 1 and c d = d c are validated at construction, on sparse integer
     rows: the involution is a map of free Z-modules, and a non-integral
     entry raises ValueError.  Like its complex, it is immutable after
-    construction, so the fixed subcomplex is computed once and kept.
+    construction, so the fixed subcomplex and the index invariant are
+    computed once and kept.  ``pages`` is the store in which the spectral
+    layer keeps the pages of the double complexes built on it, so a
+    complex and its pages have one owner.  Equality is identity.
     """
 
     complex: BoundedComplex
     involution: dict[int, IMat] = field(default_factory=dict)
     _fixed: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _i_invariant: Fraction | None = field(default=None, init=False, compare=False, repr=False)
+    pages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         C = self.complex
@@ -536,8 +672,15 @@ def i_invariant(jc: JComplex) -> Fraction:
     """#coker(H^0(fixed) -> H^0 fixed part) over the parasitic finite parts.
 
     Requires the ambient complex to be rationally exact away from degree 0;
-    all auxiliary groups that the formula divides by must be finite.
+    all auxiliary groups that the formula divides by must be finite.  The
+    value is kept on the complex.
     """
+    if jc._i_invariant is None:
+        jc._i_invariant = _i_invariant(jc)
+    return jc._i_invariant
+
+
+def _i_invariant(jc: JComplex) -> Fraction:
     C = jc.complex
     for i in C.degrees():
         if i != 0 and not C.cohomology(i).is_finite:

@@ -8,14 +8,22 @@ comparison with the cyclotomic integer ring all live here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
-from .abgroup import FgAbGroup, ZQuotient, elementary_power, tate_group
-from .arith import divisors, euler_phi, factorize, inverse_mod, primes_of, validate_level
+from .abgroup import FgAbGroup, ZQuotient, elementary_power, tate_pair
+from .arith import (
+    divisors,
+    euler_phi,
+    factorize,
+    inverse_mod,
+    multiplicative_order,
+    prime_to_p_part,
+    primes_of,
+    validate_level,
+)
 from .cyclotomic import _zeta_power_table
 from .exact_linalg import (
     IMat,
@@ -27,7 +35,6 @@ from .exact_linalg import (
     kernel_basis,
     mat_equal,
     rank_exact,
-    scaled,
     unscaled,
     zeros,
 )
@@ -196,9 +203,11 @@ def prime_step_relations_suffice(m: int) -> bool:
     return True
 
 
-# Memoised: the Tate groups of both parities and the Stickelberger checks of
-# a level read the same quotient.  Callers must not modify it; the bound is
-# small because each one holds its dense n x n Smith transforms.
+# Memoised: the Tate groups and the Stickelberger checks of a level read
+# the same quotient.  Callers must not modify it.  The Tate groups read
+# only its Hermite relation rows; the Smith coordinates that the other
+# checks use are built on first use (see ZQuotient), and the bound is small
+# because each quotient that has them holds its dense n x n transforms.
 @lru_cache(maxsize=8)
 def universal_distribution(m: int) -> ZQuotient:
     rel = hnf_nonzero(distribution_relation_rows(m)) if m > 1 else zeros(0, 1)
@@ -215,26 +224,38 @@ def universal_predistribution(m: int) -> ZQuotient:
 # Tate cohomology of the negation action
 
 
-def _free_tate(q: ZQuotient, C, parity: str) -> FgAbGroup:
-    # valid shortcut for torsion-free quotients: act on free coordinates
-    assert not q.group.torsion, "shortcut needs a free quotient"
-    cbar = q.induced_on_free(C)
-    return tate_group(cbar, zeros(0, q.free_rank), parity)
-
-
 # Memoised: the cohomology check and every spectral page check of a level
-# ask for the same four groups.  FgAbGroup is frozen, and a bad level or
-# parity raises on every call, since lru_cache stores no exception.
-@lru_cache(maxsize=32)
+# ask for the same four groups, and both parities of a quotient come from
+# one call.  FgAbGroup is frozen, and a bad level raises on every call,
+# since lru_cache stores no exception.
+@lru_cache(maxsize=16)
+def _free_tate(m: int, bare: bool) -> tuple[FgAbGroup, FgAbGroup]:
+    """(even, odd) Tate groups of negation on the predistribution quotient
+    (``bare``) or the distribution quotient of level m.
+
+    ``tate_pair`` reads the Hermite relation rows and raises ValueError if
+    the quotient has 2- or 3-torsion, where its rank formula fails.
+    """
+    validate_level(m)
+    q = universal_predistribution(m) if bare else universal_distribution(m)
+    return tate_pair(negation_matrix(m), q.relations)
+
+
+def _parity_index(parity: str) -> int:
+    """Where a parity sits in the (even, odd) pair."""
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'odd' or 'even'")
+    return int(parity == "odd")
+
+
 def tate_distribution(m: int, parity: str) -> FgAbGroup:
-    validate_level(m)
-    return _free_tate(universal_distribution(m), negation_matrix(m), parity)
+    i = _parity_index(parity)
+    return _free_tate(m, False)[i]
 
 
-@lru_cache(maxsize=32)
 def tate_predistribution(m: int, parity: str) -> FgAbGroup:
-    validate_level(m)
-    return _free_tate(universal_predistribution(m), negation_matrix(m), parity)
+    i = _parity_index(parity)
+    return _free_tate(m, True)[i]
 
 
 def cohomology_check(m: int) -> dict:
@@ -274,14 +295,21 @@ def cohomology_check(m: int) -> dict:
 # the rational smoothing operator
 
 
-def smoothing_factor(m: int, p: int):
-    """(1 - S_p/p)^(-1) on level-m points by summing the geometric series.
+def smoothing_factor_scaled(m: int, p: int) -> tuple[IMat, int]:
+    """(N, d) with N / d = (1 - S_p/p)^(-1) on level-m points, d least.
 
     Columns follow the forward orbit of multiplication by p, which is a tail
     into a cycle; the tail contributes single hits 1/p^j and the cycle
-    contributes a closed geometric sum.
+    contributes a closed geometric sum, p^cl / (p^cl - 1) times 1/p^j.
+    With m = p^e f and o the order of p mod f, every tail is at most e
+    steps long and every cycle length cl divides o, so D = p^e (p^o - 1)
+    clears every denominator and each hit is an integer over D.  N and d
+    are those integers and D over their common divisor.
     """
-    M = zeros(m, m)
+    f = prime_to_p_part(m, p)
+    o = multiplicative_order(p, f)
+    D = m // f * (p**o - 1)
+    N = zeros(m, m)
     for k in range(m):
         path = []
         pos = {}
@@ -292,13 +320,16 @@ def smoothing_factor(m: int, p: int):
             cur = cur * p % m
         start = pos[cur]
         cl = len(path) - start
-        cyc = Fraction(p**cl, p**cl - 1)
+        on_cycle = p**cl * (D // (p**cl - 1))
         for j, node in enumerate(path):
-            hit = Fraction(1, p**j)
-            if j >= start:
-                hit *= cyc
-            M[node, k] += hit
-    return M
+            N[node, k] += (D if j < start else on_cycle) // p**j
+    g = gcd(D, *N.flat)
+    return N // g, D // g
+
+
+def smoothing_factor(m: int, p: int):
+    """(1 - S_p/p)^(-1) on level-m points, as ``Fraction`` entries."""
+    return unscaled(*smoothing_factor_scaled(m, p))
 
 
 def smoothing_scaled(m: int, primes=None) -> tuple[IMat, int]:
@@ -306,11 +337,11 @@ def smoothing_scaled(m: int, primes=None) -> tuple[IMat, int]:
 
     The product runs over ``primes`` (default: every p | m).  N is the
     integer product of the scaled factors and d the product of their
-    denominators, so no ``Fraction`` is multiplied.
+    denominators, so no ``Fraction`` is formed.
     """
     N, d = eye(m), 1
     for p in primes_of(m) if primes is None else primes:
-        F, e = scaled(smoothing_factor(m, p))
+        F, e = smoothing_factor_scaled(m, p)
         N, d = F @ N, d * e
     return N, d
 

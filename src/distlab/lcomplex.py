@@ -23,7 +23,7 @@ from .cyclotomic import smoothing_det, smoothing_det_minus
 from .distribution import (
     distribution_lattice,
     predistribution_lattice,
-    smoothing_factor,
+    smoothing_factor_scaled,
     smoothing_scaled,
     standard_basis,
 )
@@ -418,7 +418,7 @@ def _minus_pair_matrix(block: np.ndarray) -> np.ndarray:
     the entry is the coefficient of the target pair in the image."""
     s = block.shape[0]
     idx = [k for k in range(1, (s + 1) // 2) if 2 * k != s]
-    out = zeros(len(idx), len(idx)) + Fraction(0)
+    out = zeros(len(idx), len(idx))
     for b, k in enumerate(idx):
         v = block[:, k] - block[:, (s - k) % s]
         for a, i in enumerate(idx):
@@ -444,11 +444,12 @@ def det_check(m: int) -> dict:
             for p in sb.primes:
                 if g % p == 0:
                     continue
-                F = smoothing_factor(s, p)
-                full *= abs(det_exact(F)) ** sign
-                R = _minus_pair_matrix(F)
+                # the factor is N / d, so each determinant is det(N) / d^size
+                N, d = smoothing_factor_scaled(s, p)
+                full *= abs(det_exact(N) / d**s) ** sign
+                R = _minus_pair_matrix(N)
                 if R.shape[0]:
-                    minus *= abs(det_exact(R)) ** sign
+                    minus *= abs(det_exact(R) / d ** R.shape[0]) ** sign
     expect_full = Fraction(1)
     expect_minus = Fraction(1)
     for p in sb.primes:

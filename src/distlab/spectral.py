@@ -262,23 +262,27 @@ class DoubleComplex:
         return self._store[key]
 
 
-@lru_cache(maxsize=16)
-def _level(m: int, kind: str) -> tuple[JComplex, dict]:
-    """The complex of one level and the page store its double complexes share."""
-    return build_jcomplex(m, kind), {}
-
-
 @lru_cache(maxsize=32)
+def _double(jc: JComplex, variant: str, q_lo: int, q_hi: int) -> DoubleComplex:
+    dc = DoubleComplex(jc, variant, q_lo, q_hi)
+    dc._store = jc.pages
+    return dc
+
+
 def build_double(m: int, kind: str, variant: str, q_lo: int = -4, q_hi: int = 6) -> DoubleComplex:
     """Shared per-level instances so page caches survive across checks.
 
-    Both variants and every row window of a level share one JComplex and
-    one page store, so each distinct block is computed once.
+    Both variants and every row window of a level share the level's
+    JComplex and the page store it carries, so each distinct block is
+    computed once.  The instances are cached by the JComplex itself, so a
+    level whose complex was evicted and rebuilt gets new instances on the
+    new complex, never the old ones.
     """
-    jc, store = _level(m, kind)
-    dc = DoubleComplex(jc, variant, q_lo, q_hi)
-    dc._store = store
-    return dc
+    return _double(build_jcomplex(m, kind), variant, q_lo, q_hi)
+
+
+# build_double is a lookup in the cache of _double, so they share its counts.
+build_double.cache_info = _double.cache_info
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from distlab.abgroup import (
     FgAbGroup,
     JComplex,
     ZQuotient,
+    _random_unimodular,
     abstract_index_check,
     cohomology_regulators,
     elementary_power,
@@ -21,9 +22,22 @@ from distlab.abgroup import (
     regulator_via_subgroups,
     subquotient_group,
     tate_group,
+    tate_pair,
     theta_fixed,
 )
-from distlab.exact_linalg import Lattice, eye, imat, kernel_basis, qmat, zeros
+from distlab.exact_linalg import (
+    Lattice,
+    eye,
+    hnf_nonzero,
+    imat,
+    inverse_exact,
+    kernel_basis,
+    mat_equal,
+    qmat,
+    snf_with_inverses,
+    to_int,
+    zeros,
+)
 
 
 def test_canonical_form_basics():
@@ -100,6 +114,130 @@ def test_tate_of_sign_action():
     none = zeros(0, 1)
     assert tate_group(C, none, "odd") == FgAbGroup(0, (2,))
     assert tate_group(C, none, "even").is_trivial
+
+
+# The three indecomposable Z[C2]-lattices: trivial, sign, and the group ring.
+TRIVIAL, SIGN, REGULAR = imat([[1]]), imat([[-1]]), imat([[0, 1], [1, 0]])
+
+
+def _block_diag(blocks) -> np.ndarray:
+    n = sum(b.shape[0] for b in blocks)
+    out = zeros(n, n)
+    off = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[off : off + k, off : off + k] = b
+        off += k
+    return out
+
+
+def _reiner(a: int, b: int, r: int) -> np.ndarray:
+    return _block_diag([TRIVIAL] * a + [SIGN] * b + [REGULAR] * r)
+
+
+@pytest.mark.parametrize(
+    "a, b, r", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (3, 0, 2), (0, 2, 3), (2, 3, 1)]
+)
+def test_tate_pair_on_direct_sums_of_indecomposables(a, b, r):
+    # Z^a + Z_-^b + Z[C2]^r has even group (Z/2)^a and odd group (Z/2)^b.
+    C = _reiner(a, b, r)
+    want = (elementary_power(2, a), elementary_power(2, b))
+    none = zeros(0, C.shape[0])
+    assert tate_pair(C, none) == want
+    assert (tate_group(C, none, "even"), tate_group(C, none, "odd")) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tate_pair_on_disguised_quotients(seed):
+    # M = (Z^a + Z_-^b + Z[C2]^r) + K modulo K, for K another such lattice,
+    # written in a random basis g: C' = g C g^-1 and the relation columns
+    # g e_j for the coordinates j of K.  M is free of every torsion.
+    rng = random.Random(seed)
+    a, b, r = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+    ka, kb, kr = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 2)
+    C = _block_diag([_reiner(a, b, r), _reiner(ka, kb, kr)])
+    n = C.shape[0]
+    first = n - (ka + kb + 2 * kr)
+    g = _random_unimodular(n, rng)
+    Cg = to_int(g @ C @ inverse_exact(g))
+    rel = hnf_nonzero(g[:, first:].T)
+    want = (elementary_power(2, a), elementary_power(2, b))
+    assert tate_pair(Cg, rel) == want
+    assert (tate_group(Cg, rel, "even"), tate_group(Cg, rel, "odd")) == want
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tate_pair_rejects_two_and_three_torsion(p):
+    # Z/p, and Z[C2] + Z/p with the sign action on the torsion
+    for C, rel in (
+        (TRIVIAL, imat([[p]])),
+        (_block_diag([REGULAR, SIGN]), imat([[0, 0, p]])),
+    ):
+        with pytest.raises(ValueError, match=f"has {p}-torsion"):
+            tate_pair(C, rel)
+
+
+def test_tate_pair_allows_torsion_prime_to_six():
+    # Z + Z/5, Z_- + Z/5 and Z[C2] + Z/25, each torsion part with either sign:
+    # odd torsion has trivial Tate groups, so only the lattice part counts.
+    for free, want in ((TRIVIAL, (1, 0)), (SIGN, (0, 1)), (REGULAR, (0, 0))):
+        for tors in (TRIVIAL, SIGN):
+            for order in (5, 25):
+                C = _block_diag([free, tors])
+                n = C.shape[0]
+                rel = zeros(1, n)
+                rel[0, n - 1] = order
+                got = tate_pair(C, rel)
+                assert got == tuple(elementary_power(2, k) for k in want)
+                assert got == (tate_group(C, rel, "even"), tate_group(C, rel, "odd"))
+
+
+def test_tate_pair_rejects_dependent_relations():
+    with pytest.raises(ValueError, match="dependent relation rows"):
+        tate_pair(eye(2), imat([[1, 0], [1, 0]]))
+
+
+def _eager_smith(rel) -> tuple:
+    """U, U^-1 and the padded diagonal, computed at once from the relations."""
+    U, Uinv, D, _, _ = snf_with_inverses(rel.T, want_v=False)
+    dvec = [0] * rel.shape[1]
+    for i in range(min(D.shape)):
+        dvec[i] = D[i, i]
+    return U, Uinv, dvec
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_smith_coordinates_match_an_eager_smith_form(seed):
+    from distlab.distribution import universal_distribution, universal_predistribution
+
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    rows = imat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))])
+    m = (5, 8, 12, 21)[seed]
+    cases = [
+        (n, rows if rows.size else zeros(0, n)),
+        (2, imat([[2, 0]])),
+        (m, universal_distribution(m).relations),
+        (m, universal_predistribution(m).relations),
+    ]
+    for width, rel in cases:
+        q = ZQuotient(width, rel)
+        assert "_snf" not in vars(q)  # nothing is built before first use
+        U, Uinv, dvec = _eager_smith(to_int(rel) if rel.size else zeros(0, width))
+        free = [j for j in range(width) if dvec[j] == 0]
+        assert q.P.shape == (len(free), width)
+        assert "_snf" in vars(q)
+        assert mat_equal(q.U, U) and mat_equal(q.Uinv, Uinv) and q.dvec == dvec
+        assert mat_equal(q.P, U[free, :]) and mat_equal(q.S, Uinv[:, free])
+        assert q.group == FgAbGroup(len(free), tuple(d for d in dvec if d > 1))
+
+
+def test_tate_pair_needs_no_smith_coordinates():
+    from distlab.distribution import negation_matrix, universal_distribution
+
+    q = ZQuotient(60, universal_distribution(60).relations)
+    assert tate_pair(negation_matrix(60), q.relations) == (elementary_power(2, 4),) * 2
+    assert "_snf" not in vars(q)
 
 
 def test_theta_fixed_lattice():

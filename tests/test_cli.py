@@ -28,6 +28,20 @@ def test_cohomology_json_report(capsys):
     assert by_name["h1_rank"]["pass"] is True
 
 
+def test_cohomology_at_four_primes(capsys):
+    # level 420 = 2^2 * 3 * 5 * 7: the distribution's groups are (Z/2)^8
+    code, out = run(["cohomology", "--m-list", "420", "--format", "json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"] is True
+    by_name = {c["name"]: c for c in rep["checks"]}
+    eight = " + ".join(["Z/2"] * 8)
+    assert by_name["tate_closed_forms"]["computed"] == {
+        "u_odd": eight, "u_even": eight, "o_odd": "0", "o_even": "0"
+    }
+    assert by_name["h1_rank"]["computed"] == 8
+
+
 def test_checks_sorted_and_timings_opt_in(capsys):
     code, out = run(["detphi", "--m-list", "12,5", "--format", "json"], capsys)
     assert code == 0

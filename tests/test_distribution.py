@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from distlab import distribution
-from distlab.abgroup import FgAbGroup, tate_group
+from distlab.abgroup import FgAbGroup, elementary_power, tate_group
 from distlab.arith import euler_phi, primes_of
 from distlab.distribution import (
     basis_check,
@@ -24,6 +24,7 @@ from distlab.distribution import (
     restricted_points,
     smoothing_check,
     smoothing_factor,
+    smoothing_factor_scaled,
     smoothing_matrix,
     smoothing_matrix_inverse,
     tate_distribution,
@@ -33,7 +34,7 @@ from distlab.distribution import (
     x_matrix,
     y_matrix,
 )
-from distlab.exact_linalg import eye, mat_equal, zeros
+from distlab.exact_linalg import eye, mat_equal, scaled, zeros
 
 
 def test_x_matrix_shape_and_columns():
@@ -108,6 +109,49 @@ def test_negation_action_tate_groups():
             assert tate_distribution(m, parity) == slow
 
 
+def test_rank_route_matches_smith_route_up_to_200():
+    # Every valid level, both quotients, both parities, against tate_group
+    # on the full presentation by the Hermite relation rows.
+    bad = []
+    for m in [m for m in range(3, 201) if m % 4 != 2]:
+        C = negation_matrix(m)
+        for q, tate in (
+            (universal_distribution(m), tate_distribution),
+            (universal_predistribution(m), tate_predistribution),
+        ):
+            for parity in ("even", "odd"):
+                if tate(m, parity) != tate_group(C, q.relations, parity):
+                    bad.append((m, tate.__name__, parity))
+    assert not bad
+
+
+def test_rank_route_at_four_primes():
+    m = 420
+    C = negation_matrix(m)
+    u, o = universal_distribution(m).relations, universal_predistribution(m).relations
+    # the three groups whose Smith route is fast at this level
+    assert tate_distribution(m, "odd") == tate_group(C, u, "odd")
+    assert tate_predistribution(m, "odd") == tate_group(C, o, "odd")
+    assert tate_predistribution(m, "even") == tate_group(C, o, "even")
+    assert tate_distribution(m, "even") == elementary_power(2, 8)
+
+
+def test_tate_groups_build_no_smith_form(monkeypatch):
+    from distlab import abgroup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Smith form was built")
+
+    # fresh quotients, so that no Smith form built earlier is read
+    monkeypatch.setattr(abgroup, "snf_with_inverses", refuse)
+    monkeypatch.setattr(distribution, "universal_distribution", universal_distribution.__wrapped__)
+    monkeypatch.setattr(
+        distribution, "universal_predistribution", universal_predistribution.__wrapped__
+    )
+    for bare in (False, True):
+        assert len(distribution._free_tate.__wrapped__(60, bare)) == 2
+
+
 def test_tate_groups_are_memoised():
     assert tate_distribution(12, "odd") is tate_distribution(12, "odd")
     assert tate_predistribution(12, "even") is tate_predistribution(12, "even")
@@ -154,6 +198,35 @@ def test_smoothing_factor_geometric_series():
         assert mat_equal(lhs, eye(m))
 
 
+def _fraction_series(m: int, p: int):
+    """(1 - S_p/p)^(-1) summed entry by entry in Fractions along each orbit."""
+    M = zeros(m, m) + Fraction(0)
+    for k in range(m):
+        path, pos, cur = [], {}, k
+        while cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = cur * p % m
+        start = pos[cur]
+        cl = len(path) - start
+        for j, node in enumerate(path):
+            hit = Fraction(1, p**j)
+            if j >= start:
+                hit *= Fraction(p**cl, p**cl - 1)
+            M[node, k] += hit
+    return M
+
+
+@pytest.mark.parametrize("m", [m for m in range(3, 41) if m % 4 != 2])
+def test_smoothing_factor_numerators_match_fraction_series(m):
+    # every prime of m, and a few primes prime to m (no tail, pure cycles)
+    for p in sorted(set(primes_of(m)) | {2, 3, 5, 7}):
+        N, d = smoothing_factor_scaled(m, p)
+        ref_N, ref_d = scaled(_fraction_series(m, p))
+        assert all(type(x) is int for x in N.flat)
+        assert d == ref_d and mat_equal(N, ref_N), (m, p)
+
+
 def test_smoothing_inverse_and_relation_transport():
     for m in (1, 4, 9, 12, 24):
         assert smoothing_check(m)["ok"], m
@@ -188,16 +261,21 @@ def test_smoothing_builders_match_fraction_product(m):
 
 
 def _perturb_factor(monkeypatch, m0, p0):
-    """Make smoothing_factor(m0, p0) wrong by 1/p0 in one entry."""
-    real = distribution.smoothing_factor
+    """Make the factor at (m0, p0) wrong by 1/p0 in one entry.
+
+    The checks read the factor as integer numerators N over d, so the
+    perturbation is made there: N / d + 1/p = (p N + d) / (p d) in one entry.
+    """
+    real = distribution.smoothing_factor_scaled
 
     def perturbed(m, p):
-        F = real(m, p)
+        N, d = real(m, p)
         if (m, p) == (m0, p0):
-            F[0, 1] += Fraction(1, p)
-        return F
+            N, d = N * p, d * p
+            N[0, 1] += d // p
+        return N, d
 
-    monkeypatch.setattr(distribution, "smoothing_factor", perturbed)
+    monkeypatch.setattr(distribution, "smoothing_factor_scaled", perturbed)
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])

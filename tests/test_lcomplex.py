@@ -150,15 +150,16 @@ def test_smoothing_blocks_match_fraction_product(m):
 def _perturb_top_factor(monkeypatch, m):
     """Make the degree-zero smoothing operator wrong by 1/p in one entry."""
     p0 = primes_of(m)[0]
-    real = distribution.smoothing_factor
+    real = distribution.smoothing_factor_scaled
 
     def perturbed(s, p):
-        F = real(s, p)
+        N, d = real(s, p)
         if (s, p) == (m, p0):
-            F[0, 1] += Fraction(1, p)
-        return F
+            N, d = N * p, d * p
+            N[0, 1] += d // p
+        return N, d
 
-    monkeypatch.setattr(distribution, "smoothing_factor", perturbed)
+    monkeypatch.setattr(distribution, "smoothing_factor_scaled", perturbed)
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlab import spectral
 from distlab.abgroup import BoundedComplex, FgAbGroup, JComplex, elementary_power, i_invariant
 from distlab.distribution import universal_distribution, universal_predistribution
 from distlab.exact_linalg import imat, inverse_exact, is_integral, mat_equal, to_int, zeros
@@ -67,14 +66,12 @@ def test_each_level_object_has_one_owner(m):
     """A level's complexes, quotients and fixed parts are built once and
     read by every check; after the checks have run on them in the CLI's
     order, they still agree with fresh, unshared builds."""
-    # Start cold, so that earlier tests' cache evictions play no part.
-    for cache in (build_jcomplex, spectral._level, build_double):
-        cache.cache_clear()
     for kind in KINDS:
         jc = build_jcomplex(m, kind)
         assert build_jcomplex(m, kind) is jc
         assert build_double(m, kind, HALF).jc is jc
         assert build_double(m, kind, FULL).jc is jc
+        assert build_double(m, kind, HALF)._store is jc.pages
         assert jc.fixed_subcomplex() is jc.fixed_subcomplex()
         assert jc.complex.cohomology_data(0) is jc.complex.cohomology_data(0)
     assert universal_distribution(m) is universal_distribution(m)
@@ -93,6 +90,33 @@ def test_each_level_object_has_one_owner(m):
             assert mat_equal(bases[i], bases0[i])
             assert jc.complex.cohomology(i) == fresh.complex.cohomology(i)
             assert fixed.cohomology(i) == fixed0.cohomology(i)
+
+
+def test_a_rebuilt_level_gets_one_complex_and_one_store():
+    # build_jcomplex keeps 8 complexes, so five more levels evict level 5's
+    half = build_double(5, DIFFERENCE, HALF)
+    for m in (7, 8, 9, 12, 13):
+        for kind in KINDS:
+            build_jcomplex(m, kind)
+    jc = build_jcomplex(5, DIFFERENCE)
+    assert jc is not half.jc
+    for variant in (HALF, FULL):
+        dc = build_double(5, DIFFERENCE, variant)
+        assert dc.jc is jc and dc._store is jc.pages
+
+
+def test_index_invariant_is_kept_on_its_complex(monkeypatch):
+    from distlab import abgroup
+
+    values = {kind: i_invariant(build_jcomplex(12, kind)) for kind in KINDS}
+
+    def refuse(jc):
+        raise AssertionError("the index invariant was computed again")
+
+    monkeypatch.setattr(abgroup, "_i_invariant", refuse)
+    res = index_values_check(12)
+    for kind in KINDS:
+        assert i_invariant(build_jcomplex(12, kind)) == values[kind] == res[kind]["value"]
 
 
 def test_interior_predicate():

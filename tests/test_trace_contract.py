@@ -57,9 +57,12 @@ def test_tracer_reports_complex_layers():
 def test_tracer_reports_tate_sweep_layers():
     # the command of the tate_sweep workload; its builders are memoised
     metrics = _traced("cohomology", "12")
+    # The Tate groups come from F_2/F_3 ranks on the Hermite relation rows,
+    # so the Hermite form is the primitive this command must reach;
+    # tate_group, the Smith route, is still wrapped, so a rename fails here.
     for name in (
         "abgroup.ZQuotient.calls",
-        "abgroup.tate_group.calls",
+        "exact_linalg.hnf.calls",
         "distribution.universal_distribution.self_s",
     ):
         assert metrics[name][0] > 0

@@ -723,6 +723,25 @@ def fixed_image_index(qa: ZQuotient, qb: ZQuotient, c: IMat, N: IMat, d: int) ->
     )
 
 
+def intertwines(d1: IMat, d2: IMat, src: tuple[IMat, int], dst: tuple[IMat, int]) -> bool:
+    """Whether (N'/e') d1 == d2 (N/e) for src = (N, e) and dst = (N', e').
+
+    Compared cross-multiplied, e N' d1 == e' d2 N, on sparse rows.
+    """
+    (N, e), (N1, e1) = src, dst
+    a = _mul(_rows(N1), _rows(d1))
+    b = _mul(_rows(d2), _rows(N))
+    return [{j: e * x for j, x in r.items()} for r in a] == [
+        {j: e1 * x for j, x in r.items()} for r in b
+    ]
+
+
+def commutes(N: IMat, c: IMat) -> bool:
+    """Whether N c == c N, on sparse rows."""
+    n, cc = _rows(N), _rows(c)
+    return _mul(n, cc) == _mul(cc, n)
+
+
 def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) -> dict:
     """Index of the two fixed-part images against the local determinant data.
 
@@ -741,15 +760,13 @@ def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) ->
         raise ValueError("the two complexes carry different involutions")
     sc = {i: scaled(phi[i]) for i in C1.degrees()}
     for i in C1.degrees():
-        N, e = sc[i]
-        if i < C1.hi:
-            N1, e1 = sc[i + 1]
-            a = N1 @ C1.d(i) * e
-            b = C2.d(i) @ N * e1
-            if a.size and not mat_equal(a, b):
-                raise ValueError("phi does not intertwine the differentials")
-        cc = j1.c(i)
-        if N.size and not mat_equal(N @ cc, cc @ N):
+        n = C1.rank(i)
+        if sc[i][0].shape != (n, n):
+            raise ValueError(f"phi at degree {i} is not {n} x {n}")
+    for i in C1.degrees():
+        if i < C1.hi and not intertwines(C1.d(i), C2.d(i), sc[i], sc[i + 1]):
+            raise ValueError("phi does not intertwine the differentials")
+        if not commutes(sc[i][0], j1.c(i)):
             raise ValueError("phi does not commute with the involution")
     for CC in (C1, C2):
         if not CC.is_exact_away_from(0):

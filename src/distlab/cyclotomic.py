@@ -435,14 +435,60 @@ def h_minus(m: int) -> int:
     return int(total)
 
 
+# Boost's rational approximation of digamma on [1, 2] (digamma_imp_1_2),
+# as Cephes ``psi`` runs it: psi(x) = g * Y + g * P(x - 1) / Q(x - 1) with
+# g = x - root, the root split in three parts.  P and Q are highest first.
+_PSI_ROOT = (
+    1569415565.0 / 1073741824.0,
+    (381566830.0 / 1073741824.0) / 1073741824.0,
+    0.9016312093258695918615325266959189453125e-19,
+)
+_PSI_Y = 0.9955816268920898  # the float32 0.99558162689208984f, widened
+_PSI_P = (
+    -0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+    -0.65031853770896507, -0.32555031186804491, 0.25479851061131551,
+)
+_PSI_Q = (
+    -0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+    0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0,
+)
+
+
+def _horner(coef: tuple, x: float) -> float:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _digamma01(x: float) -> float:
+    """digamma(x) for 0 < x < 1, operation for operation as Cephes ``psi``.
+
+    One step of psi(x) = psi(x + 1) - 1/x moves x into [1, 2], where the
+    Boost rational form applies.  Every operation is an IEEE double one in
+    the compiled routine's order, so the result is the same float.
+    """
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"digamma argument {x!r} is not in (0, 1)")
+    y = 0.0 - 1.0 / x
+    x += 1.0
+    g = x - _PSI_ROOT[0]
+    g -= _PSI_ROOT[1]
+    g -= _PSI_ROOT[2]
+    t = x - 1.0  # not the x passed in: (x + 1) - 1 rounds differently
+    r = _horner(_PSI_P, t) / _horner(_PSI_Q, t)
+    return y + (g * _PSI_Y + g * r)
+
+
 def l_value_crosscheck(m: int, tol: float = 1e-6) -> list[dict]:
     """Float sanity net for every odd character at level m.
 
     Compares |L(1, chi)| from the digamma series against pi*|B_1|/sqrt(f);
-    purely diagnostic, the exact layer never consumes these numbers.
+    purely diagnostic, the exact layer never consumes these numbers.  The
+    digamma values come from ``_digamma01``, a port of Cephes ``psi`` with
+    Boost's ``digamma_imp_1_2`` on [1, 2], as the xsf special-function
+    library compiles it.
     """
-    from scipy.special import digamma
-
     out = []
     for chi in odd_characters(m):
         prim = chi.primitive_at_conductor()
@@ -452,7 +498,7 @@ def l_value_crosscheck(m: int, tol: float = 1e-6) -> list[dict]:
             t = prim.value_exponent(a)
             if t is None:
                 continue
-            s += np.exp(2j * np.pi * float(t)) * digamma(a / f)
+            s += np.exp(2j * np.pi * float(t)) * _digamma01(a / f)
         lval = abs(-s / f)
         bval = np.pi * abs(bernoulli1(chi).complex_value()) / np.sqrt(f)
         rel = abs(lval - bval) / bval

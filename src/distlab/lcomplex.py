@@ -17,7 +17,7 @@ from math import lcm
 
 import numpy as np
 
-from .abgroup import BoundedComplex, JComplex, abstract_index_check
+from .abgroup import BoundedComplex, JComplex, abstract_index_check, commutes, intertwines
 from .arith import prime_to_p_part, primes_of, squarefree_divisors
 from .cyclotomic import smoothing_det, smoothing_det_minus
 from .distribution import (
@@ -34,7 +34,6 @@ from .exact_linalg import (
     _mul,
     _rows,
     det_exact,
-    mat_equal,
     rank_exact,
     unscaled,
     zeros,
@@ -403,10 +402,9 @@ def intertwine_check(m: int) -> dict:
     jc = build_jcomplex(m, DIFFERENCE)
     C_diff, C_avg = jc.complex, build_jcomplex(m, AVERAGE).complex
     inter = all(
-        mat_equal(C_avg.d(i) @ phi[i][0] * phi[i + 1][1], phi[i + 1][0] @ C_diff.d(i) * phi[i][1])
-        for i in range(C_diff.lo, 0)
+        intertwines(C_diff.d(i), C_avg.d(i), phi[i], phi[i + 1]) for i in range(C_diff.lo, 0)
     )
-    comm = all(mat_equal(N @ jc.c(i), jc.c(i) @ N) for i, (N, _) in phi.items())
+    comm = all(commutes(N, jc.c(i)) for i, (N, _) in phi.items())
     return {"level": m, "intertwines": inter, "commutes_with_negation": comm,
             "ok": inter and comm}
 

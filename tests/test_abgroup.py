@@ -14,9 +14,11 @@ from distlab.abgroup import (
     _random_unimodular,
     abstract_index_check,
     cohomology_regulators,
+    commutes,
     elementary_power,
     euler_regulator_check,
     i_invariant,
+    intertwines,
     random_regulator_pair,
     regulator,
     regulator_via_subgroups,
@@ -360,3 +362,32 @@ def test_fixed_subcomplex_shapes():
     fixed, bases = jc.fixed_subcomplex()
     assert fixed.rank(0) == 2  # pairs [k] - [-k]
     assert fixed.rank(-1) == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sparse_intertwines_and_commutes_match_dense_products(seed):
+    rng = random.Random(seed)
+    a, b = rng.randint(0, 4), rng.randint(0, 4)
+
+    def rand(r, c, lo=-2, hi=2):
+        return imat([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]).reshape(r, c)
+
+    d1, d2, N, N1 = rand(b, a), rand(b, a), rand(a, a), rand(b, b)
+    e, e1 = rng.randint(1, 3), rng.randint(1, 3)
+    dense = mat_equal(N1 @ d1 * e, d2 @ N * e1)
+    assert intertwines(d1, d2, (N, e), (N1, e1)) == dense
+    # a true intertwiner: the identity (as eI / e) on the source, N1 on the target
+    assert intertwines(d1, N1 @ d1, (eye(a) * e, e), (N1, 1))
+    c = rand(a, a, 0, 1)
+    assert commutes(N, c) == mat_equal(N @ c, c @ N)
+    assert commutes(N, eye(a)) and commutes(c, c)
+
+
+def test_index_check_rejects_phi_off_the_involution_or_shape():
+    # one degree, rank 2, the involution swaps the two basis vectors
+    swap = JComplex(BoundedComplex({0: 2}, {}), {0: imat([[0, 1], [1, 0]])})
+    with pytest.raises(ValueError, match="^phi does not commute with the involution$"):
+        abstract_index_check(swap, swap, {0: qmat([[1, 0], [0, 2]])})
+    with pytest.raises(ValueError, match="^phi at degree 0 is not 2 x 2$"):
+        abstract_index_check(swap, swap, {0: qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])})
+    assert abstract_index_check(swap, swap, {0: qmat([[2, 1], [1, 2]])})["equal"]

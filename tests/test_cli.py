@@ -1,11 +1,17 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from distlab import cli
+from distlab.cyclotomic import l_value_crosscheck
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv, capsys):
@@ -173,7 +179,7 @@ def test_text_format_summary_line(capsys):
     assert out.splitlines()[-1] == "2 checks, 2 passed, 0 failed"
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 README_COMMANDS = [
     line
     for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
@@ -190,3 +196,39 @@ def test_readme_commands_are_found():
 def test_readme_command_passes(line, capsys):
     code, _ = run(shlex.split(line)[1:], capsys)
     assert code == 0, line
+
+
+# repr of every row of the float net, recorded with scipy's digamma
+L_VALUE_GOLDEN = json.loads((ROOT / "tests" / "data" / "l_value_golden.json").read_text())
+
+
+@pytest.mark.parametrize("m", [5, 7, 8, 21, 105])
+def test_l_value_rows_are_pinned(m):
+    assert repr(l_value_crosscheck(m)) == L_VALUE_GOLDEN[str(m)]
+
+
+NO_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy refused: " + name)
+
+sys.meta_path.insert(0, RefuseScipy())
+from distlab.cli import main
+code = main(["verify", "--suite", "all", "--m-list", "7", "--format", "json"])
+print("scipy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_verify_runs_without_scipy():
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

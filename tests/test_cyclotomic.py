@@ -1,7 +1,9 @@
 """Root-of-unity arithmetic, characters, B_1 values, class numbers."""
 
+import math
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -19,6 +21,7 @@ from distlab.arith import (
 from distlab.cyclotomic import (
     CycNum,
     DirichletChar,
+    _digamma01,
     all_characters,
     bernoulli1,
     character_product_full,
@@ -146,3 +149,43 @@ def test_smoothing_det_minus_branch():
 def test_l_value_float_crosscheck():
     for m in (4, 15, 23):
         assert all(r["ok"] for r in l_value_crosscheck(m))
+
+
+EULER_GAMMA = 0.57721566490153286061
+
+
+def _gauss_digamma(m: int) -> dict[int, float]:
+    """psi(r/m) for r prime to m by Gauss's digamma theorem, in stdlib floats:
+    -gamma - ln 2m - (pi/2) cot(pi r/m) + 2 sum_{n < m/2} cos(2 pi n r/m) ln sin(pi n/m)."""
+    cos = [math.cos(2 * math.pi * k / m) for k in range(m)]
+    ns = range(1, (m + 1) // 2)
+    log_sin = [math.log(math.sin(math.pi * n / m)) for n in ns]
+    out = {}
+    for r in range(1, m):
+        if gcd(r, m) == 1:
+            s = sum(map(mul, (cos[n * r % m] for n in ns), log_sin))
+            cot = 1 / math.tan(math.pi * r / m)
+            out[r] = -EULER_GAMMA - math.log(2 * m) - math.pi / 2 * cot + 2 * s
+    return out
+
+
+def test_digamma01_against_gauss_theorem():
+    # every value r/m with m <= 400, each once in lowest terms
+    worst = 0.0
+    for m in range(2, 401):
+        for r, psi in _gauss_digamma(m).items():
+            worst = max(worst, abs(_digamma01(r / m) - psi) / max(1.0, abs(psi)))
+    assert worst <= 1e-10
+
+
+def test_digamma01_is_scipy_digamma_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    xs = [a / f for f in range(2, 1200) for a in range(1, f)]
+    ref = special.digamma(xs).tolist()
+    assert [x for x, y in zip(xs, ref) if _digamma01(x) != y] == []
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 1.5])
+def test_digamma01_rejects_arguments_outside_the_unit_interval(x):
+    with pytest.raises(ValueError, match="not in \\(0, 1\\)"):
+        _digamma01(x)

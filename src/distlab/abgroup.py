@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .arith import factorize
 from .exact_linalg import (
@@ -42,13 +40,15 @@ from .exact_linalg import (
     kernel_basis,
     lattice_index,
     mat_equal,
-    scaled,
     snf_with_inverses,
     solve_exact,
     solve_integral,
     to_int,
     zeros,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,8 @@ class FgAbGroup:
     @classmethod
     def from_relations(cls, ngens: int, relations) -> "FgAbGroup":
         """The group Z^ngens modulo the rows of ``relations``."""
+        import numpy as np
+
         rel = np.array(relations, dtype=object) if not isinstance(
             relations, np.ndarray
         ) else relations
@@ -155,8 +157,21 @@ def elementary_power(order: int, copies: int) -> FgAbGroup:
 # Presentations with explicit coordinates
 
 
+def _check_relations(rel: IMat, n: int) -> None:
+    """ValueError unless rel is a matrix of relation rows on Z^n."""
+    if rel.ndim != 2:
+        raise ValueError(f"relations must be a matrix, not of shape {rel.shape}")
+    if rel.shape[1] != n:
+        raise ValueError(f"relation rows have width {rel.shape[1]}, want {n}")
+
+
 class ZQuotient:
-    """Z^n modulo the row span of an integer relation matrix.
+    """Z^n modulo the row span of integer relations.
+
+    The relations are given as a dense matrix of width n, or as sparse
+    ``dict`` rows (kept as given; callers must not change them).  ``rows``
+    holds them sparse, and ``relations`` is a dense view built on first
+    read.
 
     Tracks the Smith transform ``U @ rel.T @ V = D`` so the quotient gets
     explicit coordinates z = U Λ x: positions with d=1 are dead, d>1 are
@@ -164,17 +179,21 @@ class ZQuotient:
     coordinates and ``S`` is a section with P @ S = identity.  The Smith
     form runs on the first read of ``group``, ``free_rank``, ``P``, ``S``,
     ``induced_on_free`` or the coordinates themselves (``U``, ``Uinv``,
-    ``dvec``); ``relations`` and ``stabilizes`` do not need it.
+    ``dvec``); ``rows``, ``relations`` and ``stabilizes`` do not need it.
     """
 
-    def __init__(self, n: int, relation_rows: IMat):
+    def __init__(self, n: int, relation_rows: IMat | list[Row]):
         self.n = n
-        rel = relation_rows
-        if rel.size == 0:
-            rel = zeros(0, n)
-        if rel.shape[1] != n:
-            raise ValueError("relation width mismatch")
-        self.relations = to_int(rel)
+        if isinstance(relation_rows, list):
+            self.rows = relation_rows
+        else:
+            _check_relations(relation_rows, n)
+            self.rows = _rows(relation_rows)
+
+    @cached_property
+    def relations(self) -> IMat:
+        """The relation rows as a dense n-column matrix."""
+        return _dense(self.rows, self.n)
 
     @cached_property
     def _snf(self) -> tuple[IMat, IMat, list[int]]:
@@ -241,7 +260,7 @@ class ZQuotient:
     def stabilizes(self, C: np.ndarray) -> bool:
         """Does C map the relation lattice into itself?  C must be n x n."""
         self._check_endomorphism(C)
-        if self.relations.shape[0] == 0:
+        if not self.rows:
             return True
         # solve_integral needs independent columns: use a lattice basis.
         H = hnf_nonzero(self.relations)
@@ -276,6 +295,8 @@ def tate_group(C: IMat, relation_rows: IMat, degree_parity: str) -> FgAbGroup:
     'odd'  -> ker(1+c) / im(1-c)
     'even' -> ker(1-c) / im(1+c)
     """
+    import numpy as np
+
     n = C.shape[0]
     idm = eye(n)
     if degree_parity == "odd":
@@ -284,9 +305,9 @@ def tate_group(C: IMat, relation_rows: IMat, degree_parity: str) -> FgAbGroup:
         f, g = idm - C, idm + C
     else:
         raise ValueError("parity must be 'odd' or 'even'")
-    rel = relation_rows if relation_rows.size else zeros(0, n)
-    num = integral_preimage(f, rel)
-    den = np.vstack([g.T, rel])
+    _check_relations(relation_rows, n)
+    num = integral_preimage(f, relation_rows)
+    den = np.vstack([g.T, relation_rows])
     return subquotient_group(num, den)
 
 
@@ -356,15 +377,18 @@ def tate_pair(C: IMat, relation_rows: IMat) -> tuple[FgAbGroup, FgAbGroup]:
     must have no 2- or 3-torsion: unless R keeps its row count as its
     rank mod 2 and mod 3, ValueError names the prime.  Torsion of order
     prime to 6 has trivial Tate groups and leaves the ranks unchanged, so
-    it is allowed.
+    it is allowed.  The relation rows must have width n.
     """
     n = C.shape[0]
     if C.shape != (n, n):
         raise ValueError(f"map has shape {C.shape}, want a square matrix")
-    if relation_rows.size and relation_rows.shape[1] != n:
-        raise ValueError("relation width mismatch")
-    R = _rows(relation_rows) if relation_rows.size else []
-    cols = _rows(C.T)
+    _check_relations(relation_rows, n)
+    return _tate_pair(_rows(C.T), _rows(relation_rows))
+
+
+def _tate_pair(cols: list[Row], R: list[Row]) -> tuple[FgAbGroup, FgAbGroup]:
+    """``tate_pair`` on sparse rows: cols[k] is column k of C, R the relation rows."""
+    n = len(cols)
 
     def image(k: int, s: int) -> Row:
         # row k of (1 + s C)^T, that is e_k + s * column k of C; a zero
@@ -413,6 +437,8 @@ class BoundedComplex:
     """
 
     def __init__(self, ranks: Mapping[int, int], diff: Mapping[int, np.ndarray]):
+        import numpy as np
+
         self.ranks = dict(ranks)
         self.lo = min(self.ranks)
         self.hi = max(self.ranks)
@@ -541,6 +567,7 @@ def regulator(A: FgAbGroup, B: FgAbGroup, lam: QMat) -> Fraction:
     torsion orders.  Independent of which finite-index free subgroups are
     used to define it; see the randomized property test.
 
+    >>> import numpy as np
     >>> regulator(FgAbGroup(1, (2,)), FgAbGroup(1), np.array([[3]], dtype=object))
     Fraction(3, 2)
     """
@@ -564,6 +591,8 @@ def regulator_via_subgroups(
     isomorphism between them, then applies the defining formula
     |det(R(phi) ∘ lam)| * #(B/B'') / #(A/A'').  Always equals regulator().
     """
+    import numpy as np
+
     r = A.free_rank
 
     def draw(G: FgAbGroup):
@@ -681,6 +710,8 @@ def i_invariant(jc: JComplex) -> Fraction:
 
 
 def _i_invariant(jc: JComplex) -> Fraction:
+    import numpy as np
+
     C = jc.complex
     for i in C.degrees():
         if i != 0 and not C.cohomology(i).is_finite:
@@ -742,7 +773,9 @@ def commutes(N: IMat, c: IMat) -> bool:
     return _mul(n, cc) == _mul(cc, n)
 
 
-def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) -> dict:
+def abstract_index_check(
+    j1: JComplex, j2: JComplex, phi: Mapping[int, tuple[IMat, int]]
+) -> dict:
     """Index of the two fixed-part images against the local determinant data.
 
     The two complexes must share their ranks and their involution, end in
@@ -750,23 +783,23 @@ def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) ->
     them (d2 ∘ phi = phi ∘ d1) and commute with the involution.  Returns
     the two sides of the identity and their parts.
 
-    Each phi[i] is scaled once to N_i / e_i, and every product below runs on
-    the integer numerators.
+    phi[i] = (N_i, e_i) is the map N_i / e_i in degree i, integer
+    numerators over a positive denominator as ``scaled`` gives them, and
+    every product below runs on the numerators.
     """
     C1, C2 = j1.complex, j2.complex
     if C1.ranks != C2.ranks:
         raise ValueError("the two complexes have different ranks")
     if not all(mat_equal(j1.c(i), j2.c(i)) for i in C1.degrees()):
         raise ValueError("the two complexes carry different involutions")
-    sc = {i: scaled(phi[i]) for i in C1.degrees()}
     for i in C1.degrees():
         n = C1.rank(i)
-        if sc[i][0].shape != (n, n):
+        if phi[i][0].shape != (n, n):
             raise ValueError(f"phi at degree {i} is not {n} x {n}")
     for i in C1.degrees():
-        if i < C1.hi and not intertwines(C1.d(i), C2.d(i), sc[i], sc[i + 1]):
+        if i < C1.hi and not intertwines(C1.d(i), C2.d(i), phi[i], phi[i + 1]):
             raise ValueError("phi does not intertwine the differentials")
-        if not commutes(sc[i][0], j1.c(i)):
+        if not commutes(phi[i][0], j1.c(i)):
             raise ValueError("phi does not commute with the involution")
     for CC in (C1, C2):
         if not CC.is_exact_away_from(0):
@@ -777,7 +810,7 @@ def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) ->
     # Left side: the two fixed lattices inside H^0 of d2.  Degree 0 is the
     # top degree, so H^0 is Z^n0 modulo the image of the last differential.
     lhs = fixed_image_index(
-        C1.cohomology_data(0)[1], C2.cohomology_data(0)[1], j1.c(0), *sc[0]
+        C1.cohomology_data(0)[1], C2.cohomology_data(0)[1], j1.c(0), *phi[0]
     )
 
     det_part = Fraction(1)
@@ -789,7 +822,7 @@ def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) ->
             continue
         # N_i preserves ker(1 + c) and kc is saturated, so the restriction
         # is integral; it is e_i times the restriction of phi[i].
-        N, e = sc[i]
+        N, e = phi[i]
         restr = solve_integral(kc.T, N @ kc.T)
         if restr is None:
             raise ValueError("phi does not preserve the integral (1+c)-kernel")
@@ -814,6 +847,8 @@ def abstract_index_check(j1: JComplex, j2: JComplex, phi: Mapping[int, QMat]) ->
 
 def random_complex(rng, degrees=(-2, -1, 0), max_rank: int = 4) -> BoundedComplex:
     """A random bounded complex of free groups with honest d^2 = 0."""
+    import numpy as np
+
     lo, hi = min(degrees), max(degrees)
     ranks = {i: rng.randint(1, max_rank) for i in range(lo, hi + 1)}
     diff: dict[int, IMat] = {}

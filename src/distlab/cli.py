@@ -4,6 +4,11 @@ Every subcommand resolves a set of levels, runs its checks, and prints one
 report. JSON reports are deterministic for fixed inputs: records are sorted
 by (level, check name) and timings are left out unless requested. Exit code
 0 means every check passed, 1 means at least one failed, 2 is a usage error.
+
+Each suite builder imports the modules its checks use, and ``main`` builds
+every item before the first check is timed, so no check time covers a
+module import.  Only the numpy-free modules are imported at the top, so
+``distlab cohomology`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,57 +23,12 @@ from fractions import Fraction
 from . import __version__
 from .abgroup import FgAbGroup, euler_regulator_check, random_regulator_pair
 from .arith import primes_of, prime_to_p_part, validate_level
-from .cyclotomic import (
-    character_product_full,
-    character_product_minus,
-    h_minus,
-    l_value_crosscheck,
-    smoothing_det,
-    smoothing_det_minus,
-)
 from .distribution import (
     cohomology_check,
     exp_kernel_check,
     smoothing_check,
     tate_distribution,
 )
-from .lcomplex import (
-    AVERAGE,
-    DIFFERENCE,
-    KINDS,
-    acyclicity_check,
-    det_check,
-    homotopy_check,
-    index_formula_check,
-    intertwine_check,
-    symbol_basis,
-)
-from .spectral import (
-    HALF,
-    abutment_check,
-    build_double,
-    degeneration_check,
-    e1_page_check,
-    e2_page_check,
-    index_values_check,
-    scaled_rows_check,
-    splitting_check,
-)
-from .stickelberger import (
-    alpha_compat_check,
-    alpha_ideal_index_check,
-    alpha_image_index_check,
-    antisymmetrization_index_check,
-    definition_report,
-    group_stability_check,
-    minus_ideal_index_check,
-    smoothing_minus_image_check,
-    stickelberger_ideal,
-    theta_norm_check,
-    units_of,
-)
-
-KIND_BY_FLAG = {"d1": DIFFERENCE, "d2": AVERAGE}
 
 ASSUMPTIONS = {
     "w": "root-of-unity count: m for even levels, 2m for odd levels",
@@ -168,6 +128,8 @@ def suite_cohomology(m: int, args) -> list:
 
 
 def suite_complex(m: int, args) -> list:
+    from .lcomplex import acyclicity_check, homotopy_check, intertwine_check
+
     return [
         (m, "acyclic_and_h0", {"m": m}, lambda: _bool_check(acyclicity_check(m))),
         (m, "homotopy_identities", {"m": m}, lambda: _bool_check(homotopy_check(m))),
@@ -178,6 +140,14 @@ def suite_complex(m: int, args) -> list:
 
 
 def suite_detphi(m: int, args) -> list:
+    from .cyclotomic import (
+        character_product_full,
+        character_product_minus,
+        smoothing_det,
+        smoothing_det_minus,
+    )
+    from .lcomplex import det_check
+
     def dets():
         res = det_check(m)
         expected = {"full": res["full_expected"], "minus": res["minus_expected"]}
@@ -203,18 +173,41 @@ def suite_detphi(m: int, args) -> list:
     return items
 
 
+def _kinds(args) -> list[str]:
+    """The differential kinds of a run: the one ``--d`` names, or both."""
+    from .lcomplex import AVERAGE, DIFFERENCE, KINDS
+
+    flag = getattr(args, "d", None)
+    return [{"d1": DIFFERENCE, "d2": AVERAGE}[flag]] if flag else list(KINDS)
+
+
 def _index_values(m: int):
-    """The index invariant of each variant against its closed form."""
-    res = index_values_check(m)
-    expected = {k: res[k]["expected"] for k in KINDS}
-    computed = {k: res[k]["value"] for k in KINDS}
-    return expected, computed, res["ok"]
+    """The check of the index invariant of each variant against its closed form."""
+    from .lcomplex import KINDS
+    from .spectral import index_values_check
+
+    def run():
+        res = index_values_check(m)
+        expected = {k: res[k]["expected"] for k in KINDS}
+        computed = {k: res[k]["value"] for k in KINDS}
+        return expected, computed, res["ok"]
+
+    return run
 
 
 def suite_spectral(m: int, args) -> list:
-    kinds = [KIND_BY_FLAG[args.d]] if getattr(args, "d", None) else list(KINDS)
+    from .lcomplex import DIFFERENCE
+    from .spectral import (
+        abutment_check,
+        degeneration_check,
+        e1_page_check,
+        e2_page_check,
+        scaled_rows_check,
+        splitting_check,
+    )
+
     items = []
-    for kind in kinds:
+    for kind in _kinds(args):
         tag = "d1" if kind == DIFFERENCE else "d2"
         items += [
             (m, f"page1:{tag}", {"m": m, "d": tag}, lambda k=kind: _bool_check(e1_page_check(m, k))),
@@ -224,13 +217,16 @@ def suite_spectral(m: int, args) -> list:
             (m, f"h0_splitting:{tag}", {"m": m, "d": tag}, lambda k=kind: _bool_check(splitting_check(m, k))),
         ]
 
-    items.append((m, "i_invariant", {"m": m}, lambda: _index_values(m)))
+    items.append((m, "i_invariant", {"m": m}, _index_values(m)))
     items.append((m, "scaled_rows", {"m": m}, lambda: _bool_check(scaled_rows_check(m))))
     return items
 
 
 def page_table(m: int, kind: str, page: int, qmax: int) -> dict:
     """Entries of one page of the first-quadrant-style variant, as strings."""
+    from .lcomplex import DIFFERENCE, symbol_basis
+    from .spectral import HALF, build_double
+
     dc = build_double(m, kind, HALF, q_hi=qmax)
     sb = symbol_basis(m)
     cells = []
@@ -248,6 +244,8 @@ def page_table(m: int, kind: str, page: int, qmax: int) -> dict:
 
 
 def suite_index(m: int, args) -> list:
+    from .lcomplex import index_formula_check
+
     def formula():
         res = index_formula_check(m)
         computed = {
@@ -259,7 +257,7 @@ def suite_index(m: int, args) -> list:
         return res["rhs"], computed, res["equal"]
 
     return [
-        (m, "i_invariant_closed_forms", {"m": m}, lambda: _index_values(m)),
+        (m, "i_invariant_closed_forms", {"m": m}, _index_values(m)),
         (m, "index_formula", {"m": m}, formula),
     ]
 
@@ -281,6 +279,20 @@ def random_index_items(seed: int, trials: int) -> list:
 
 
 def suite_stickelberger(m: int, args) -> list:
+    from .stickelberger import (
+        alpha_compat_check,
+        alpha_ideal_index_check,
+        alpha_image_index_check,
+        antisymmetrization_index_check,
+        definition_report,
+        group_stability_check,
+        minus_ideal_index_check,
+        smoothing_minus_image_check,
+        stickelberger_ideal,
+        theta_norm_check,
+        units_of,
+    )
+
     def ranks():
         data = stickelberger_ideal(m)
         half = len(units_of(m)) // 2
@@ -318,6 +330,8 @@ def suite_stickelberger(m: int, args) -> list:
 
 
 def suite_hminus(m: int, args) -> list:
+    from .cyclotomic import h_minus, l_value_crosscheck
+
     def value():
         h = h_minus(m)
         return "positive integer", h, h >= 1
@@ -537,8 +551,7 @@ def main(argv=None) -> int:
         for m in levels:
             items += suite_spectral(m, args)
             if args.page is not None:
-                kinds = [KIND_BY_FLAG[args.d]] if args.d else list(KINDS)
-                for kind in kinds:
+                for kind in _kinds(args):
                     tables.append(page_table(m, kind, args.page, args.qmax))
         report = assemble("spectral", levels, _run_items(items), tables=tables)
     else:

@@ -11,9 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, gcd
 
-import numpy as np
-
-from .abgroup import FgAbGroup, ZQuotient, elementary_power, tate_pair
+from .abgroup import FgAbGroup, ZQuotient, _tate_pair, elementary_power
 from .arith import (
     divisors,
     euler_phi,
@@ -24,12 +22,13 @@ from .arith import (
     primes_of,
     validate_level,
 )
-from .cyclotomic import _zeta_power_table
 from .exact_linalg import (
     IMat,
     Lattice,
+    Row,
+    _dense,
+    _hermite,
     eye,
-    hnf_nonzero,
     image_lattice,
     is_unimodular,
     kernel_basis,
@@ -122,6 +121,8 @@ def standard_basis(m: int, difference: bool = False):
     points of level m/n, over all divisors n of m; the count works out to
     exactly m and the matrix is expected to be unimodular.
     """
+    import numpy as np
+
     cols = []
     index = []
     for n in divisors(m):
@@ -149,31 +150,38 @@ def basis_check(m: int) -> dict:
 # relation lattices and the two quotients
 
 
-def distribution_relation_rows(m: int):
-    """One row per pair (n, a): [a] minus the sum of its n preimages."""
+def _relation_rows(m: int, bare: bool) -> list[Row]:
+    """Sparse relation rows at level m, one per pair (n, a), 1 < n | m, a < m/n.
+
+    The level-(m/n) point a is the point n a of level m, and its n
+    preimages are a + t m/n, the ones of column a of ``x_matrix(m, n)``.
+    The bare (predistribution) row is their sum; the distribution row is
+    [n a] minus that sum, in which [n a] cancels a preimage it equals.
+    """
     rows = []
     for n in divisors(m):
         if n == 1:
             continue
-        X = x_matrix(m, n)
         s = m // n
-        for i in range(s):
-            row = -X[:, i]
-            row[(i * n) % m] += 1
+        sign = 1 if bare else -1
+        for a in range(s):
+            row = {a + t * s: sign for t in range(n)}
+            if not bare:
+                x = row.pop(a * n, 0) + 1
+                if x:
+                    row[a * n] = x
             rows.append(row)
-    return np.stack(rows, axis=0) if rows else zeros(0, m)
+    return rows
+
+
+def distribution_relation_rows(m: int):
+    """One row per pair (n, a): [a] minus the sum of its n preimages."""
+    return _dense(_relation_rows(m, False), m)
 
 
 def predistribution_relation_rows(m: int):
     """One row per pair (n, a): the bare preimage sum."""
-    rows = []
-    for n in divisors(m):
-        if n == 1:
-            continue
-        X = x_matrix(m, n)
-        for i in range(m // n):
-            rows.append(X[:, i].copy())
-    return np.stack(rows, axis=0) if rows else zeros(0, m)
+    return _dense(_relation_rows(m, True), m)
 
 
 def distribution_lattice(m: int) -> Lattice:
@@ -186,6 +194,8 @@ def predistribution_lattice(m: int) -> Lattice:
 
 def prime_step_relations_suffice(m: int) -> bool:
     """Relations at prime n already span the full relation lattice."""
+    import numpy as np
+
     for bare in (False, True):
         rows = []
         for p in primes_of(m):
@@ -204,20 +214,20 @@ def prime_step_relations_suffice(m: int) -> bool:
 
 
 # Memoised: the Tate groups and the Stickelberger checks of a level read
-# the same quotient.  Callers must not modify it.  The Tate groups read
-# only its Hermite relation rows; the Smith coordinates that the other
-# checks use are built on first use (see ZQuotient), and the bound is small
-# because each quotient that has them holds its dense n x n transforms.
+# the same quotient.  Callers must not modify it.  It holds its Hermite
+# relation rows sparse, built from the index arithmetic with no dense
+# matrix, and the Tate groups read only those; the dense view and the Smith
+# coordinates that the other checks use are built on first use (see
+# ZQuotient), and the bound is small because each quotient that has them
+# holds its dense n x n transforms.
 @lru_cache(maxsize=8)
 def universal_distribution(m: int) -> ZQuotient:
-    rel = hnf_nonzero(distribution_relation_rows(m)) if m > 1 else zeros(0, 1)
-    return ZQuotient(m, rel)
+    return ZQuotient(m, _hermite(_relation_rows(m, False), m))
 
 
 @lru_cache(maxsize=8)
 def universal_predistribution(m: int) -> ZQuotient:
-    rel = hnf_nonzero(predistribution_relation_rows(m)) if m > 1 else zeros(0, 1)
-    return ZQuotient(m, rel)
+    return ZQuotient(m, _hermite(_relation_rows(m, True), m))
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +243,14 @@ def _free_tate(m: int, bare: bool) -> tuple[FgAbGroup, FgAbGroup]:
     """(even, odd) Tate groups of negation on the predistribution quotient
     (``bare``) or the distribution quotient of level m.
 
-    ``tate_pair`` reads the Hermite relation rows and raises ValueError if
-    the quotient has 2- or 3-torsion, where its rank formula fails.
+    The rank route of ``tate_pair`` reads the sparse Hermite relation rows
+    and negation as its permutation columns, column k being e_(-k), so
+    nothing dense is built; it raises ValueError if the quotient has 2- or
+    3-torsion, where its rank formula fails.
     """
     validate_level(m)
     q = universal_predistribution(m) if bare else universal_distribution(m)
-    return tate_pair(negation_matrix(m), q.relations)
+    return _tate_pair([{(-k) % m: 1} for k in range(m)], q.rows)
 
 
 def _parity_index(parity: str) -> int:
@@ -370,6 +382,8 @@ def smoothing_check(m: int) -> dict:
 
     Both run on the scaled numerators: N N' == d d' I, and the positive
     scalar d changes no rank."""
+    import numpy as np
+
     N, d = smoothing_scaled(m)
     N_inv, d_inv = smoothing_inverse_scaled(m)
     inv_ok = mat_equal(N @ N_inv, d * d_inv * eye(m))
@@ -390,6 +404,10 @@ def smoothing_check(m: int) -> dict:
 
 def exp_map_matrix(m: int):
     """[k/m] -> (k-th power of a primitive root) in Z[x]/(level-m minimal poly)."""
+    import numpy as np
+
+    from .cyclotomic import _zeta_power_table
+
     table = _zeta_power_table(m)
     phi = euler_phi(m)
     M = zeros(phi, m)

@@ -5,6 +5,11 @@ are Python ``int`` or ``fractions.Fraction``, so every operation here is
 exact.  Linear maps act on column vectors (``A @ x``); lattices and other
 subgroup-like data are stored as matrices whose *rows* generate.
 
+numpy is loaded only by the dense front end: the functions that build or
+read an array import it when called, and the sparse-row core below needs
+none, so a caller that stays on sparse rows (the Tate route of
+``abgroup.tate_pair``) never loads it.
+
 Provided tools: Smith and Hermite normal forms with transform matrices,
 fraction-free determinants, saturated kernel bases, exact solving and
 inversion, and a ``Lattice`` class with index / intersection / sum in the
@@ -25,10 +30,12 @@ complex layer: every row operation is one ``_axpy(dst, src, q)`` over the
 support of ``src``, and ``_mul(A, B)`` builds the rows of A @ B from
 ``_axpy`` alone, so structural identities such as d^2 = 0 cost O(nnz).
 
-One elimination core.  ``_smith`` and ``hnf`` work on these rows.  The
-Smith pivot is the first least nonzero |entry| of the trailing block in
-row-major order (Kannan-Bachem; Cohen, §2.4): rows are scanned one at a
-time and a unit ends the search.  Once the pivot column is cleared it is
+One elimination core.  ``_smith`` and ``_hermite`` work on these rows.
+``_hermite``, the Hermite row core, takes sparse rows and returns the
+nonzero Hermite rows; ``hnf`` and ``hnf_nonzero`` are ``_rows``/``_dense``
+wrappers around it.  The Smith pivot is the first least nonzero |entry|
+of the trailing block in row-major order (Kannan-Bachem; Cohen, §2.4):
+rows are scanned one at a time and a unit ends the search.  Once the pivot column is cleared it is
 p * e_t, so the column operations touch the pivot row only, and column
 swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows too, built
 only when asked for: ``snf`` builds U and V, ``snf_with_inverses`` all
@@ -55,17 +62,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+# Type aliases for readability; both are numpy object arrays.  Outside a
+# type checker they are only names, so importing them loads no numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
-# Type aliases for readability; both are numpy object arrays.
-IMat = np.ndarray
-QMat = np.ndarray
+    IMat = np.ndarray
+    QMat = np.ndarray
+else:
+    IMat = QMat = "numpy.ndarray"
 
 
 def imat(rows: Sequence[Sequence[int]]) -> IMat:
     """Build an integer object matrix from nested sequences."""
+    import numpy as np
+
     a = np.array([[int(x) for x in row] for row in rows], dtype=object)
     if a.ndim == 1:
         a = a.reshape(len(rows), 0)
@@ -74,6 +87,8 @@ def imat(rows: Sequence[Sequence[int]]) -> IMat:
 
 def qmat(rows: Sequence[Sequence]) -> QMat:
     """Build a rational object matrix, coercing entries to Fraction."""
+    import numpy as np
+
     a = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
     if a.ndim == 1:
         a = a.reshape(len(rows), 0)
@@ -88,6 +103,8 @@ def eye(n: int) -> IMat:
 
 
 def zeros(r: int, c: int) -> IMat:
+    import numpy as np
+
     a = np.empty((r, c), dtype=object)
     a[...] = 0
     return a
@@ -117,6 +134,8 @@ def _exact(x) -> Fraction:
 
 def to_int(a: np.ndarray) -> IMat:
     """Coerce a matrix with integral entries to plain ints (a new array)."""
+    import numpy as np
+
     if a.dtype == object and _all_int(a):
         return a.copy()
     out = np.empty(a.shape, dtype=object)
@@ -134,6 +153,8 @@ def scaled(a: np.ndarray) -> tuple[IMat, int]:
     N holds plain ints.  An all-``int`` input comes back as a copy with
     d = 1 and builds no ``Fraction``.
     """
+    import numpy as np
+
     if a.dtype == object and _all_int(a):
         return a.copy(), 1
     vals = [x if type(x) in (int, Fraction) else _exact(x) for x in a.flat]
@@ -144,6 +165,8 @@ def scaled(a: np.ndarray) -> tuple[IMat, int]:
 
 def unscaled(N: IMat, d: int) -> QMat:
     """The rational matrix N / d, every entry a ``Fraction``."""
+    import numpy as np
+
     out = np.empty(N.shape, dtype=object)
     for idx, x in np.ndenumerate(N):
         out[idx] = Fraction(x, d)
@@ -158,6 +181,8 @@ Row = dict  # column -> nonzero int; absent columns are zero
 
 def _rows(A: np.ndarray) -> list[Row]:
     """The rows of an integral matrix as sparse rows of plain ints."""
+    import numpy as np
+
     I, J = np.nonzero(A)
     vals = A[I, J].tolist()
     if not set(map(type, vals)) <= {int}:
@@ -418,13 +443,14 @@ def invariant_factors(A: IMat) -> tuple[int, ...]:
 # Hermite normal form (row style)
 
 
-def hnf(A: IMat) -> IMat:
-    """Row Hermite normal form: positive pivots, entries above reduced.
+def _hermite(M: list[Row], c: int) -> list[Row]:
+    """Row Hermite form of sparse integer rows over columns < c, in place.
 
-    Zero rows sink to the bottom; the row span is unchanged.
+    Returns the nonzero Hermite rows: positive pivots, entries above each
+    pivot reduced.  The rows of M are reused and changed; the row span is
+    unchanged.
     """
-    M = _rows(A)
-    r, c = A.shape
+    r = len(M)
     row = 0
     for col in range(c):
         if row >= r:
@@ -466,13 +492,23 @@ def hnf(A: IMat) -> IMat:
             if q:
                 _axpy(M[i], piv, -q)
         row += 1
-    return _dense(M, c)
+    # Every row from `row` on is now zero.
+    return M[:row]
+
+
+def hnf(A: IMat) -> IMat:
+    """Row Hermite normal form: positive pivots, entries above reduced.
+
+    Zero rows sink to the bottom; the row span is unchanged.
+    """
+    r, c = A.shape
+    H = _hermite(_rows(A), c)
+    return _dense(H + [{} for _ in range(r - len(H))], c)
 
 
 def hnf_nonzero(A: IMat) -> IMat:
     """HNF with zero rows dropped."""
-    H = hnf(A)
-    return H[(H != 0).any(axis=1)]
+    return _dense(_hermite(_rows(A), A.shape[1]), A.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +517,8 @@ def hnf_nonzero(A: IMat) -> IMat:
 
 def _row_scaled(A: np.ndarray) -> tuple[IMat, list[int]]:
     """(N, s): row i of N is s[i] * A[i], s[i] the least positive integer making it integral."""
+    import numpy as np
+
     r = A.shape[0]
     if r == 0 or _all_int(A):
         return A, [1] * r
@@ -565,6 +603,8 @@ def _solve(A: np.ndarray, B: np.ndarray, rows) -> tuple[list[int], int, list[Row
     Raises ValueError when the row counts differ or the system is
     inconsistent (a row zero on A and nonzero on B).
     """
+    import numpy as np
+
     r, c = A.shape
     if B.ndim == 1:
         B = B.reshape(-1, 1)
@@ -669,7 +709,7 @@ class Lattice:
         g = gcd(den, *N.flat)
         if g > 1:
             N, den = N // g, den // g
-        self._hnf, self._den = _rows(hnf_nonzero(N)), den
+        self._hnf, self._den = _hermite(_rows(N), ambient), den
 
     @property
     def basis(self) -> QMat:
@@ -747,6 +787,8 @@ def lattice_index(A: Lattice, B: Lattice) -> Fraction:
 
 def _stacked(A: Lattice, B: Lattice) -> tuple[IMat, int]:
     """(N, d): the two bases stacked, as integer rows N over d = lcm of the denominators."""
+    import numpy as np
+
     if A.ambient != B.ambient:
         raise ValueError("ambient dimension mismatch")
     d = lcm(A._den, B._den)
@@ -771,6 +813,8 @@ def lattice_intersect(A: Lattice, B: Lattice) -> Lattice:
 
 def integral_preimage(M: IMat, gens: IMat) -> IMat:
     """Rows generating {x in Z^n : M @ x in the Z-row-span of gens}."""
+    import numpy as np
+
     n = M.shape[1]
     if gens.shape[0] == 0:
         return kernel_basis(M)

@@ -468,7 +468,7 @@ def index_formula_check(m: int) -> dict:
     """The two fixed-part lattices in degree-zero cohomology against the
     determinant data and the two correction invariants."""
     res = abstract_index_check(
-        build_jcomplex(m, DIFFERENCE), build_jcomplex(m, AVERAGE), smoothing_blocks(m)
+        build_jcomplex(m, DIFFERENCE), build_jcomplex(m, AVERAGE), smoothing_blocks_scaled(m)
     )
     res["level"] = m
     return res

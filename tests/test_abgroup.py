@@ -36,6 +36,7 @@ from distlab.exact_linalg import (
     kernel_basis,
     mat_equal,
     qmat,
+    scaled,
     snf_with_inverses,
     to_int,
     zeros,
@@ -234,6 +235,49 @@ def test_lazy_smith_coordinates_match_an_eager_smith_form(seed):
         assert q.group == FgAbGroup(len(free), tuple(d for d in dvec if d > 1))
 
 
+def test_tate_pair_rejects_relations_of_another_width():
+    # an empty relation matrix of width 2 is no presentation of Z^3
+    with pytest.raises(ValueError, match="^relation rows have width 2, want 3$"):
+        tate_pair(eye(3), zeros(0, 2))
+    with pytest.raises(ValueError, match="^relation rows have width 4, want 3$"):
+        tate_pair(eye(3), imat([[2, 0, 0, 0]]))
+
+
+def test_tate_group_rejects_relations_of_another_width():
+    for parity in ("even", "odd"):
+        with pytest.raises(ValueError, match="^relation rows have width 2, want 3$"):
+            tate_group(eye(3), zeros(0, 2), parity)
+        with pytest.raises(ValueError, match="^relation rows have width 0, want 1$"):
+            tate_group(eye(1), zeros(1, 0), parity)
+
+
+def test_zquotient_rejects_relations_of_another_width():
+    # two empty rows of width 0 must not be dropped silently
+    with pytest.raises(ValueError, match="^relation rows have width 0, want 3$"):
+        ZQuotient(3, zeros(2, 0))
+    with pytest.raises(ValueError, match="^relation rows have width 3, want 2$"):
+        ZQuotient(2, imat([[1, 2, 3]]))
+    with pytest.raises(ValueError, match="must be a matrix"):
+        ZQuotient(3, np.array([2, 0, 0], dtype=object))
+    assert ZQuotient(3, zeros(0, 3)).group == FgAbGroup(3)
+
+
+def test_zquotient_keeps_sparse_rows_and_a_dense_view():
+    rel = imat([[2, 0, 4], [0, 0, 0], [0, 3, 0]])
+    q = ZQuotient(3, rel)
+    assert q.rows == [{0: 2, 2: 4}, {}, {1: 3}]
+    assert "relations" not in vars(q)  # the dense view is built on first read
+    assert mat_equal(q.relations, rel)
+    # the same rows given sparse: same dense view, same group
+    p = ZQuotient(3, [{0: 2, 2: 4}, {}, {1: 3}])
+    assert mat_equal(p.relations, rel) and p.group == q.group == FgAbGroup(1, (6,))
+    # integral Fractions become plain ints, as to_int made them
+    f = ZQuotient(2, qmat([[Fraction(4, 2), 0]]))
+    assert f.rows == [{0: 2}] and type(f.rows[0][0]) is int
+    with pytest.raises(ValueError, match="not an integer"):
+        ZQuotient(2, qmat([[Fraction(1, 2), 0]]))
+
+
 def test_tate_pair_needs_no_smith_coordinates():
     from distlab.distribution import negation_matrix, universal_distribution
 
@@ -387,7 +431,7 @@ def test_index_check_rejects_phi_off_the_involution_or_shape():
     # one degree, rank 2, the involution swaps the two basis vectors
     swap = JComplex(BoundedComplex({0: 2}, {}), {0: imat([[0, 1], [1, 0]])})
     with pytest.raises(ValueError, match="^phi does not commute with the involution$"):
-        abstract_index_check(swap, swap, {0: qmat([[1, 0], [0, 2]])})
+        abstract_index_check(swap, swap, {0: scaled(qmat([[1, 0], [0, 2]]))})
     with pytest.raises(ValueError, match="^phi at degree 0 is not 2 x 2$"):
-        abstract_index_check(swap, swap, {0: qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])})
-    assert abstract_index_check(swap, swap, {0: qmat([[2, 1], [1, 2]])})["equal"]
+        abstract_index_check(swap, swap, {0: scaled(qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))})
+    assert abstract_index_check(swap, swap, {0: scaled(qmat([[2, 1], [1, 2]]))})["equal"]

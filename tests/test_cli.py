@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from distlab import cli
+from distlab import cli, cyclotomic
 from distlab.cyclotomic import l_value_crosscheck
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,7 +101,8 @@ def test_small_level_is_usage_error():
 
 
 def test_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "h_minus", lambda m: 0)
+    # the hminus builder imports h_minus when it runs, so this reaches it
+    monkeypatch.setattr(cyclotomic, "h_minus", lambda m: 0)
     code, out = run(["hminus", "--m", "5", "--format", "json"], capsys)
     assert code == 1
     rep = json.loads(out)
@@ -232,3 +233,95 @@ def test_verify_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter on this checkout's sources; stdout as bytes."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True, timeout=300
+    )
+
+
+NO_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy refused: " + name)
+
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, RefuseNumpy())
+from distlab.cli import main
+sys.exit(main(["cohomology", "--m-list", "109,111,156", "--format", "json"]))
+"""
+
+
+def test_cohomology_runs_without_numpy():
+    refused = _python(NO_NUMPY, "refuse")
+    assert refused.returncode == 0, refused.stderr.decode()
+    normal = _python(NO_NUMPY, "allow")
+    assert normal.returncode == 0, normal.stderr.decode()
+    assert refused.stdout == normal.stdout
+    assert json.loads(refused.stdout)["pass"] is True
+
+
+def test_importing_the_package_and_cli_loads_no_numpy():
+    code = (
+        "import sys, distlab; a = 'numpy' in sys.modules; "
+        "import distlab.cli; print(a, 'numpy' in sys.modules)"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.split() == [b"False", b"False"]
+
+
+TIMED_IMPORTS = """
+import sys
+from distlab import cli
+
+run_items = cli._run_items
+entered = []
+
+def timed(items):
+    before = set(sys.modules)
+    records = run_items(items)
+    entered.extend(sorted(set(sys.modules) - before))
+    return records
+
+cli._run_items = timed
+code = cli.main(["verify", "--suite", "all", "--m-list", "7", "--format", "json"])
+print([m for m in entered if m.split(".")[0] in ("numpy", "distlab")])
+sys.exit(code)
+"""
+
+
+def test_no_timed_check_pays_for_an_import():
+    # The builders import what their checks use before any check is timed.
+    proc = _python(TIMED_IMPORTS)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.splitlines()[-1] == b"[]"
+
+
+def test_lazy_package_names():
+    import distlab
+    from distlab import abgroup, exact_linalg, spectral
+
+    assert distlab.tate_group is abgroup.tate_group
+    assert distlab.Lattice is exact_linalg.Lattice
+    assert distlab.spectral is spectral
+    # dir lists every re-export and submodule, whether loaded yet or not
+    submodules = {
+        "abgroup", "arith", "cyclotomic", "distribution", "exact_linalg", "lcomplex",
+        "spectral", "stickelberger",
+    }
+    public = {name for name in dir(distlab) if not name.startswith("_")}
+    assert public - {"cli"} == set(distlab.__all__) | submodules
+    assert len(distlab.__all__) == len(set(distlab.__all__)) == 102
+    namespace = {}
+    exec("from distlab import *", namespace)
+    assert namespace["DoubleComplex"] is spectral.DoubleComplex
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        distlab.nonexistent

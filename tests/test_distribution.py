@@ -7,7 +7,7 @@ import pytest
 
 from distlab import distribution
 from distlab.abgroup import FgAbGroup, elementary_power, tate_group
-from distlab.arith import euler_phi, primes_of
+from distlab.arith import divisors, euler_phi, primes_of
 from distlab.distribution import (
     basis_check,
     cohomology_check,
@@ -34,7 +34,7 @@ from distlab.distribution import (
     x_matrix,
     y_matrix,
 )
-from distlab.exact_linalg import eye, mat_equal, scaled, zeros
+from distlab.exact_linalg import eye, hnf_nonzero, mat_equal, scaled, zeros
 
 
 def test_x_matrix_shape_and_columns():
@@ -107,6 +107,40 @@ def test_negation_action_tate_groups():
         for parity in ("odd", "even"):
             slow = tate_group(negation_matrix(m), rel, parity)
             assert tate_distribution(m, parity) == slow
+
+
+def _stacked_relation_rows(m: int, bare: bool):
+    """The relation rows stacked from the columns of x_matrix, as the dense route built them."""
+    rows = []
+    for n in divisors(m):
+        if n == 1:
+            continue
+        X = x_matrix(m, n)
+        for i in range(m // n):
+            row = X[:, i].copy()
+            if not bare:
+                row = -row
+                row[(i * n) % m] += 1
+            rows.append(row)
+    return np.stack(rows, axis=0) if rows else zeros(0, m)
+
+
+def test_sparse_relation_rows_match_the_dense_route():
+    # Every valid level up to 200, both quotients: the rows built from the
+    # index arithmetic, densified, are the stacked x_matrix rows, and the
+    # quotients hold the Hermite rows of that matrix.
+    bad = []
+    for m in [1] + [m for m in range(3, 201) if m % 4 != 2]:
+        for bare, dense, quotient in (
+            (False, distribution_relation_rows, universal_distribution),
+            (True, predistribution_relation_rows, universal_predistribution),
+        ):
+            want = _stacked_relation_rows(m, bare)
+            if not mat_equal(dense(m), want):
+                bad.append((m, bare, "rows"))
+            if not mat_equal(quotient(m).relations, hnf_nonzero(want)):
+                bad.append((m, bare, "hermite"))
+    assert not bad
 
 
 def test_rank_route_matches_smith_route_up_to_200():

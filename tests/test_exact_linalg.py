@@ -15,6 +15,7 @@ from distlab.distribution import distribution_relation_rows, negation_matrix
 from distlab.exact_linalg import (
     Lattice,
     _dense,
+    _hermite,
     _mul,
     _rows,
     det_exact,
@@ -469,6 +470,15 @@ def test_snf_matches_sympy(normalforms, rows):
     assert invariant_factors(imat(rows)) == want
 
 
+def _check_hermite_row_core(A):
+    """The row core on A's sparse rows gives the nonzero rows of the dense HNF."""
+    r, c = A.shape
+    H = _hermite(_rows(A), c)
+    assert all(H)  # nonzero rows only
+    assert _dense(H, c).tolist() == hnf_nonzero(A).tolist()
+    assert _dense(H + [{}] * (r - len(H)), c).tolist() == hnf(A).tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_matrices)
 def test_hnf_matches_sympy(normalforms, rows):
@@ -476,10 +486,21 @@ def test_hnf_matches_sympy(normalforms, rows):
     # reversing rows and columns turns it into the row style used here.
     sympy, nf = normalforms
     A = imat(rows)
+    _check_hermite_row_core(A)
     H = hnf_nonzero(A)
     assume(H.shape[0] > 0)
     W = nf.hermite_normal_form(sympy.Matrix(rows).T[::-1, :])[::-1, ::-1]
     assert W.T.tolist() == H.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(SNF_GOLDEN))
+def test_hermite_row_core_on_golden_matrices(normalforms, name):
+    sympy, nf = normalforms
+    want = SNF_GOLDEN[name]
+    A = imat(want["A"]) if "A" in want else GOLDEN_INPUTS[name]()
+    _check_hermite_row_core(A)
+    W = nf.hermite_normal_form(sympy.Matrix(A.tolist()).T[::-1, :])[::-1, ::-1]
+    assert W.T.tolist() == hnf_nonzero(A).tolist()
 
 
 @settings(max_examples=100, deadline=None)

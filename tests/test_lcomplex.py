@@ -10,7 +10,7 @@ from distlab import distribution
 from distlab.abgroup import BoundedComplex, JComplex, abstract_index_check
 from distlab.arith import primes_of
 from distlab.distribution import negation_matrix, smoothing_factor
-from distlab.exact_linalg import _dense, eye, mat_equal, zeros
+from distlab.exact_linalg import _dense, eye, mat_equal, scaled, zeros
 from distlab.lcomplex import (
     AVERAGE,
     DIFFERENCE,
@@ -29,6 +29,7 @@ from distlab.lcomplex import (
     involution,
     level_inclusion_check,
     smoothing_blocks,
+    smoothing_blocks_scaled,
     symbol_basis,
 )
 from distlab.stickelberger import smoothing_minus_image_check
@@ -173,6 +174,7 @@ def test_intertwine_check_sees_a_perturbed_entry(monkeypatch, m):
 def test_index_formula_rejects_a_perturbed_operator(m):
     phi = smoothing_blocks(m)
     phi[0][0, 1] += Fraction(1, primes_of(m)[0])
+    phi = {i: scaled(block) for i, block in phi.items()}
     with pytest.raises(ValueError, match="phi does not intertwine"):
         abstract_index_check(build_jcomplex(m, DIFFERENCE), build_jcomplex(m, AVERAGE), phi)
 
@@ -181,13 +183,13 @@ def test_index_formula_rejects_mismatched_complexes():
     # Levels 8 and 9 have the same degrees but different ranks.
     with pytest.raises(ValueError, match="^the two complexes have different ranks$"):
         abstract_index_check(
-            build_jcomplex(9, DIFFERENCE), build_jcomplex(8, AVERAGE), smoothing_blocks(9)
+            build_jcomplex(9, DIFFERENCE), build_jcomplex(8, AVERAGE), smoothing_blocks_scaled(9)
         )
     # The identity is an involution commuting with every differential.
     C = build_complex(12, AVERAGE)
     trivial = JComplex(C, {i: eye(C.rank(i)) for i in C.degrees()})
     with pytest.raises(ValueError, match="^the two complexes carry different involutions$"):
-        abstract_index_check(build_jcomplex(12, DIFFERENCE), trivial, smoothing_blocks(12))
+        abstract_index_check(build_jcomplex(12, DIFFERENCE), trivial, smoothing_blocks_scaled(12))
 
 
 def test_minus_pair_restriction_of_negation():

@@ -57,12 +57,19 @@ def test_tracer_reports_complex_layers():
 def test_tracer_reports_tate_sweep_layers():
     # the command of the tate_sweep workload; its builders are memoised
     metrics = _traced("cohomology", "12")
-    # The Tate groups come from F_2/F_3 ranks on the Hermite relation rows,
-    # so the Hermite form is the primitive this command must reach;
-    # tate_group, the Smith route, is still wrapped, so a rename fails here.
+    # The Tate groups come from F_2/F_3 ranks on the sparse Hermite relation
+    # rows, which the quotient builders make with the Hermite row core, so
+    # their time is the builders' own; tate_group (the Smith route), hnf and
+    # to_int are still wrapped, so a rename fails here, and this command
+    # reaches none of the dense ones.
     for name in (
         "abgroup.ZQuotient.calls",
-        "exact_linalg.hnf.calls",
         "distribution.universal_distribution.self_s",
     ):
         assert metrics[name][0] > 0
+    for name in (
+        "exact_linalg.hnf.calls",
+        "exact_linalg.to_int.calls",
+        "abgroup.tate_group.calls",
+    ):
+        assert metrics[name][0] == 0

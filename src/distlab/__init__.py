@@ -72,7 +72,6 @@ _EXPORTS = {
         "Lattice",
         "det_exact",
         "hnf",
-        "image_lattice",
         "invariant_factors",
         "inverse_exact",
         "kernel_basis",
@@ -80,7 +79,6 @@ _EXPORTS = {
         "lattice_intersect",
         "lattice_sum",
         "rank_exact",
-        "snf",
         "solve_exact",
         "solve_integral",
     ),
@@ -110,7 +108,6 @@ _EXPORTS = {
         "index_values_check",
         "page_homology_check",
         "scaled_rows_check",
-        "spectral_verify",
         "splitting_check",
     ),
     "stickelberger": (
@@ -120,13 +117,11 @@ _EXPORTS = {
         "alpha_ideal_index_check",
         "alpha_image_index_check",
         "alpha_lattice",
-        "alpha_matrix",
         "antisymmetrization_index_check",
         "definition_report",
         "minus_ideal_index_check",
         "smoothing_minus_image_check",
         "stickelberger_ideal",
-        "stickelberger_verify",
         "theta_element",
     ),
 }

@@ -165,13 +165,27 @@ def _check_relations(rel: IMat, n: int) -> None:
         raise ValueError(f"relation rows have width {rel.shape[1]}, want {n}")
 
 
+def _check_rows(rows: list[Row], n: int) -> None:
+    """ValueError unless rows are sparse relation rows of ints on Z^n."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"relation row {i} is a {type(row).__name__}, not a dict row")
+        for j, x in row.items():
+            if type(j) is not int or j < 0:
+                raise ValueError(f"relation row {i} has column {j!r}, want 0 to {n - 1}")
+            if j >= n:
+                raise ValueError(f"relation rows have width {j + 1}, want {n}")
+            if type(x) is not int:
+                raise ValueError(f"entry {x!r} at {(i, j)} is not an integer")
+
+
 class ZQuotient:
     """Z^n modulo the row span of integer relations.
 
     The relations are given as a dense matrix of width n, or as sparse
-    ``dict`` rows (kept as given; callers must not change them).  ``rows``
-    holds them sparse, and ``relations`` is a dense view built on first
-    read.
+    ``dict`` rows of ints (checked, then kept as given; callers must not
+    change them).  ``rows`` holds them sparse, and ``relations`` is a
+    dense view built on first read.
 
     Tracks the Smith transform ``U @ rel.T @ V = D`` so the quotient gets
     explicit coordinates z = U Λ x: positions with d=1 are dead, d>1 are
@@ -185,6 +199,7 @@ class ZQuotient:
     def __init__(self, n: int, relation_rows: IMat | list[Row]):
         self.n = n
         if isinstance(relation_rows, list):
+            _check_rows(relation_rows, n)
             self.rows = relation_rows
         else:
             _check_relations(relation_rows, n)
@@ -678,7 +693,7 @@ def euler_regulator_check(
         if i < CA.hi:
             left = CB.d(i) @ lam[i]
             right = lam[i + 1] @ CA.d(i)
-            if left.size and not mat_equal(left, right):
+            if not mat_equal(left, right):
                 raise ValueError("maps do not commute with the differentials")
     lhs = Fraction(1)
     for i in CA.degrees():
@@ -717,8 +732,8 @@ def _i_invariant(jc: JComplex) -> Fraction:
         if i != 0 and not C.cohomology(i).is_finite:
             raise ValueError("complex is not rationally exact away from 0")
     n0 = C.rank(0)
-    L_rows = C.d(-1).T if C.d(-1).size else zeros(0, n0)
-    K = integral_preimage(eye(n0) + jc.c(0), hnf_nonzero(L_rows) if L_rows.size else L_rows)
+    L_rows = C.d(-1).T
+    K = integral_preimage(eye(n0) + jc.c(0), hnf_nonzero(L_rows))
     fixed, bases = jc.fixed_subcomplex()
     coker = subquotient_group(K, np.vstack([bases[0], L_rows]))
     if not coker.is_finite:

@@ -493,6 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_level(m: int) -> bool:
+    try:
+        validate_level(m)
+    except ValueError:
+        return False
+    return True
+
+
 def resolve_levels(args, parser, required=True) -> list:
     ms = []
     if args.m is not None:
@@ -507,7 +515,10 @@ def resolve_levels(args, parser, required=True) -> list:
             except ValueError:
                 parser.error(f"--m-list entry {part!r} is not an integer")
     if args.m_max is not None:
-        ms.extend(x for x in range(3, args.m_max + 1) if x % 4 != 2)
+        sweep = [x for x in range(args.m_max + 1) if _is_level(x)]
+        if not sweep:
+            parser.error(f"--m-max {args.m_max} sweeps no level: the least level is 3")
+        ms.extend(sweep)
     if not ms:
         if required:
             parser.error("one of --m, --m-list, --m-max is required")
@@ -523,44 +534,31 @@ def resolve_levels(args, parser, required=True) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    trials = getattr(args, "trials", 0)
+    if trials < 0:
+        parser.error("--trials must be at least 0")
+    levels = resolve_levels(args, parser, required=trials == 0)
+    page = getattr(args, "page", None)
+    if page is not None and page < 1:
+        parser.error("--page must be at least 1")
+    if args.command == "spectral" and args.qmax < 2:
+        parser.error("--qmax must be at least 2")
 
     if args.command == "verify":
+        suite = f"verify:{args.suite}"
         names = list(SUITES) if args.suite == "all" else [args.suite]
-        levels = resolve_levels(args, parser)
-        items = []
-        for m in levels:
-            for name in names:
-                items += SUITES[name](m, args)
-        report = assemble(f"verify:{args.suite}", levels, _run_items(items))
-    elif args.command == "index":
-        levels = resolve_levels(args, parser, required=args.trials == 0)
-        items = []
-        for m in levels:
-            items += suite_index(m, args)
-        if args.trials:
-            items += random_index_items(args.seed, args.trials)
-        report = assemble("index", levels, _run_items(items))
-    elif args.command == "spectral":
-        levels = resolve_levels(args, parser)
-        if args.page is not None and args.page < 1:
-            parser.error("--page must be at least 1")
-        if args.qmax < 2:
-            parser.error("--qmax must be at least 2")
-        items = []
-        tables = []
-        for m in levels:
-            items += suite_spectral(m, args)
-            if args.page is not None:
-                for kind in _kinds(args):
-                    tables.append(page_table(m, kind, args.page, args.qmax))
-        report = assemble("spectral", levels, _run_items(items), tables=tables)
     else:
-        levels = resolve_levels(args, parser)
-        suite = SUITES[args.command]
-        items = []
-        for m in levels:
-            items += suite(m, args)
-        report = assemble(args.command, levels, _run_items(items))
+        suite, names = args.command, [args.command]
+    items = []
+    tables = []
+    for m in levels:
+        for name in names:
+            items += SUITES[name](m, args)
+        if page is not None:
+            tables += [page_table(m, kind, page, args.qmax) for kind in _kinds(args)]
+    if trials:
+        items += random_index_items(args.seed, trials)
+    report = assemble(suite, levels, _run_items(items), tables)
 
     emit(report, args)
     return 0 if report["pass"] else 1

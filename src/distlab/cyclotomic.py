@@ -69,7 +69,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+# An n x phi(n) table per modulus: the reuse is within one level (the Galois
+# orbits of h_minus, one exponential map), so a small bound keeps --m-max
+# sweeps lean.
+@lru_cache(maxsize=8)
 def _zeta_power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """x^k mod Phi_n for k = 0..n-1, each of length phi(n)."""
     phi = euler_phi(n)

@@ -29,12 +29,10 @@ from .exact_linalg import (
     _dense,
     _hermite,
     eye,
-    image_lattice,
     is_unimodular,
     kernel_basis,
     mat_equal,
     rank_exact,
-    unscaled,
     zeros,
 )
 
@@ -339,11 +337,6 @@ def smoothing_factor_scaled(m: int, p: int) -> tuple[IMat, int]:
     return N // g, D // g
 
 
-def smoothing_factor(m: int, p: int):
-    """(1 - S_p/p)^(-1) on level-m points, as ``Fraction`` entries."""
-    return unscaled(*smoothing_factor_scaled(m, p))
-
-
 def smoothing_scaled(m: int, primes=None) -> tuple[IMat, int]:
     """(N, d) with N / d the product of the geometric factors at level m.
 
@@ -358,22 +351,12 @@ def smoothing_scaled(m: int, primes=None) -> tuple[IMat, int]:
     return N, d
 
 
-def smoothing_matrix(m: int):
-    """prod over p | m of the geometric factors; the identity at m = 1."""
-    return unscaled(*smoothing_scaled(m))
-
-
 def smoothing_inverse_scaled(m: int) -> tuple[IMat, int]:
     """(prod over p | m of (p I - S_p), prod over p | m of p)."""
     N, d = eye(m), 1
     for p in primes_of(m):
         N, d = (p * eye(m) - mult_matrix(m, p)) @ N, d * p
     return N, d
-
-
-def smoothing_matrix_inverse(m: int):
-    """prod over p | m of (1 - S_p/p)."""
-    return unscaled(*smoothing_inverse_scaled(m))
 
 
 def smoothing_check(m: int) -> dict:
@@ -421,6 +404,6 @@ def exp_kernel_check(m: int) -> dict:
     and the map is onto the full integer ring."""
     E = exp_map_matrix(m)
     ker = Lattice(m, kernel_basis(E))
-    onto = image_lattice(E.T) == Lattice(euler_phi(m), eye(euler_phi(m)))
+    onto = Lattice(euler_phi(m), E.T) == Lattice(euler_phi(m), eye(euler_phi(m)))
     same = ker == predistribution_lattice(m) if m > 1 else ker.rank == 0
     return {"level": m, "kernel_matches": same, "onto": onto, "ok": same and onto}

@@ -38,8 +38,8 @@ of the trailing block in row-major order (Kannan-Bachem; Cohen, §2.4):
 rows are scanned one at a time and a unit ends the search.  Once the pivot column is cleared it is
 p * e_t, so the column operations touch the pivot row only, and column
 swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows too, built
-only when asked for: ``snf`` builds U and V, ``snf_with_inverses`` all
-four (``ZQuotient`` passes ``want_v=False`` and gets U and U^-1 only),
+only when asked for: ``snf_with_inverses`` builds all four
+(``ZQuotient`` passes ``want_v=False`` and gets U and U^-1 only),
 ``kernel_basis`` V only and ``invariant_factors`` none.  Public inputs
 and results are dense arrays; ``_rows`` and ``_dense`` convert.
 
@@ -59,7 +59,6 @@ Hermite pivots and ``Lattice.contains`` a Hermite reduction; neither solves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Sequence
@@ -241,20 +240,6 @@ def _mul(A: list[Row], B: list[Row]) -> list[Row]:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """U @ A @ V == D with U, V unimodular and D diagonal, d1 | d2 | ..."""
-
-    U: IMat
-    D: IMat
-    V: IMat
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        k = min(self.D.shape)
-        return tuple(self.D[i, i] for i in range(k) if self.D[i, i] != 0)
-
-
 def _smith(A: np.ndarray, *, u=False, u_inv=False, v=False, v_inv=False):
     """Smith form of an integral matrix on sparse rows.
 
@@ -410,15 +395,11 @@ def _diag(d: list[int], r: int, c: int) -> IMat:
     return D
 
 
-def snf(A: IMat) -> SnfResult:
-    """Smith normal form: returns (U, D, V) with U @ A @ V == D."""
-    r, c = A.shape
-    d, U, _, V, _ = _smith(A, u=True, v=True)
-    return SnfResult(U=_dense(U, r), D=_diag(d, r, c), V=_dense(V, c, transposed=True))
-
-
 def snf_with_inverses(A: IMat, *, want_v: bool = True):
-    """(U, U^-1, D, V, V^-1) with U @ A @ V == D, the inverses tracked.
+    """Smith normal form: (U, U^-1, D, V, V^-1) with U @ A @ V == D.
+
+    U and V are unimodular and D is diagonal with d1 | d2 | ...; the
+    inverses are tracked along the same operations.
 
     With ``want_v=False`` the column transforms are not built and come
     back as None.
@@ -763,11 +744,6 @@ class Lattice:
             if v:
                 return False
         return True
-
-
-def image_lattice(A: np.ndarray) -> Lattice:
-    """Lattice spanned by the rows of A."""
-    return Lattice(A.shape[1], A)
 
 
 def lattice_index(A: Lattice, B: Lattice) -> Fraction:

@@ -35,7 +35,6 @@ from .exact_linalg import (
     _rows,
     det_exact,
     rank_exact,
-    unscaled,
     zeros,
 )
 
@@ -143,8 +142,7 @@ def build_jcomplex(m: int, kind: str) -> JComplex:
 def h0_lattice(m: int, kind: str) -> Lattice:
     """Image of the last differential inside the degree-zero coordinates."""
     C = build_jcomplex(m, kind).complex
-    d = C.d(-1)
-    return Lattice(C.rank(0), d.T if d.size else None)
+    return Lattice(C.rank(0), C.d(-1).T)
 
 
 def acyclicity_check(m: int) -> dict:
@@ -385,11 +383,6 @@ def smoothing_blocks_scaled(m: int) -> dict[int, tuple[np.ndarray, int]]:
             off += s
         out[i] = (N, d)
     return out
-
-
-def smoothing_blocks(m: int) -> dict[int, np.ndarray]:
-    """Per-degree matrices of the smoothing operator in symbol coordinates."""
-    return {i: unscaled(N, d) for i, (N, d) in smoothing_blocks_scaled(m).items()}
 
 
 def intertwine_check(m: int) -> dict:

@@ -37,13 +37,11 @@ from .distribution import (
 from .exact_linalg import (
     Lattice,
     eye,
-    image_lattice,
     kernel_basis,
     lattice_index,
     lattice_intersect,
     mat_equal,
     scaled,
-    unscaled,
     zeros,
 )
 from .lcomplex import DIFFERENCE, differentials
@@ -134,7 +132,7 @@ class StickelbergerData:
 def minus_sublattice(m: int) -> Lattice:
     """Annihilator of 1+c inside the integral group ring."""
     n = len(units_of(m))
-    return image_lattice(kernel_basis(eye(n) + conjugation_matrix(m)))
+    return Lattice(n, kernel_basis(eye(n) + conjugation_matrix(m)))
 
 
 # Memoised: every index check of a level reads the same ideal.  Its
@@ -163,7 +161,7 @@ def principal_multiples_lattice(m: int) -> Lattice:
     validate_level(m)
     n = len(units_of(m))
     rows = np.array([theta_element(m, b).coeffs for b in units_of(m)], dtype=object)
-    return lattice_intersect(image_lattice(rows), Lattice(n, eye(n)))
+    return lattice_intersect(Lattice(n, rows), Lattice(n, eye(n)))
 
 
 def definition_report(m: int) -> dict:
@@ -199,9 +197,12 @@ def definition_report(m: int) -> dict:
 
 
 def alpha_scaled(m: int) -> np.ndarray:
-    """Integer numerators N of alpha_matrix(m) = N / 2m.
+    """Integer numerators N over 2m of the antisymmetrized fractional-part map.
 
-    N[i, k] = m - 2 {k t_i^{-1} mod m} for k >= 1, and column 0 is zero.
+    Column k of N / 2m is the group-ring vector of the antisymmetrized
+    class of k/m, with entries 1/2 - {k t^{-1} / m}, so for k >= 1
+    N[i, k] = m - 2 {k t_i^{-1} mod m}.  The columns of the two
+    self-negative points (k = 0, and k = m/2 when present) vanish.
     """
     validate_level(m)
     N = zeros(len(units_of(m)), m)
@@ -209,15 +210,6 @@ def alpha_scaled(m: int) -> np.ndarray:
         for k in range(1, m):
             N[i, k] = m - 2 * (k * u % m)
     return N
-
-
-def alpha_matrix(m: int) -> np.ndarray:
-    """Column k is the group-ring vector of the antisymmetrized class of k/m.
-
-    Entries are 1/2 - {k t^{-1} / m}; the columns of the two self-negative
-    points (k = 0, and k = m/2 when present) vanish identically.
-    """
-    return unscaled(alpha_scaled(m), 2 * m)
 
 
 def alpha_lattice(m: int) -> Lattice:
@@ -232,12 +224,9 @@ def alpha_compat_check(m: int) -> dict:
     image is spanned by the halved conjugate-differences of the
     fractional-part elements.
     """
-    N = alpha_scaled(m)  # alpha_matrix(m) = N / 2m
-    d = differentials(m, DIFFERENCE).get(-1)
-    relations_killed = True
-    if d is not None and d.size:
-        prod = N @ d
-        relations_killed = mat_equal(prod, zeros(*prod.shape))
+    N = alpha_scaled(m)  # the map is N / 2m
+    prod = N @ differentials(m, DIFFERENCE)[-1]
+    relations_killed = mat_equal(prod, zeros(*prod.shape))
     n = len(units_of(m))
     lat = Lattice(n, N.T, 2 * m)
     rank_ok = lat.rank == n // 2
@@ -274,8 +263,8 @@ def antisymmetrization_index_check(m: int) -> dict:
     cu = qu.induced_on_free(negation_matrix(m))
     f = qu.free_rank
     got = lattice_index(
-        image_lattice(kernel_basis(eye(f) + cu)),
-        image_lattice((eye(f) - cu).T),
+        Lattice(f, kernel_basis(eye(f) + cu)),
+        Lattice(f, (eye(f) - cu).T),
     )
     r = len(primes_of(m))
     want = Fraction(2 ** (2 ** (r - 1)))
@@ -387,26 +376,3 @@ def group_stability_check(m: int) -> bool:
             if Lattice(n, H[:, perm], d) != lat:
                 return False
     return True
-
-
-def stickelberger_verify(m: int) -> dict:
-    """Every index identity of the minus-part bridge at one level."""
-    data = stickelberger_ideal(m)
-    n = len(units_of(m))
-    res = {
-        "level": m,
-        "theta_norm": theta_norm_check(m),
-        "ideal_rank": data.S.rank == n // 2 + 1,
-        "minus_rank": data.S_minus.rank == n // 2,
-        "stability": group_stability_check(m),
-        "alpha": alpha_compat_check(m)["ok"],
-        "antisymmetrization": antisymmetrization_index_check(m)["ok"],
-        "alpha_image": alpha_image_index_check(m)["ok"],
-        "alpha_ideal": alpha_ideal_index_check(m)["ok"],
-        "smoothing_minus": smoothing_minus_image_check(m)["ok"],
-        "minus_ideal": minus_ideal_index_check(m)["ok"],
-        "definitions_agree": definition_report(m)["agree"],
-    }
-    keys = [k for k in res if k not in ("level", "definitions_agree")]
-    res["ok"] = all(res[k] for k in keys)
-    return res

@@ -278,6 +278,22 @@ def test_zquotient_keeps_sparse_rows_and_a_dense_view():
         ZQuotient(2, qmat([[Fraction(1, 2), 0]]))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[2, 0, 0]], r"^relation row 0 is a list, not a dict row$"),
+        ([{5: 1}], r"^relation rows have width 6, want 3$"),
+        ([{0: 2}, {-1: 1}], r"^relation row 1 has column -1, want 0 to 2$"),
+        ([{}, {1: Fraction(1, 2)}], r"^entry Fraction\(1, 2\) at \(1, 1\) is not an integer$"),
+    ],
+    ids=["dense_list_row", "column_past_the_width", "negative_column", "non_int_entry"],
+)
+def test_zquotient_checks_sparse_rows(rows, message):
+    # as the dense path does, at construction and not at the first Smith form
+    with pytest.raises(ValueError, match=message):
+        ZQuotient(3, rows)
+
+
 def test_tate_pair_needs_no_smith_coordinates():
     from distlab.distribution import negation_matrix, universal_distribution
 

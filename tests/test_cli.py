@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from distlab import cli, cyclotomic
+from distlab.arith import validate_level
 from distlab.cyclotomic import l_value_crosscheck
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +176,52 @@ def test_m_max_sweep_skips_forbidden(capsys):
     assert rep["levels"] == [3, 4, 5, 7, 8, 9]
 
 
+def test_m_max_sweep_is_every_valid_level(capsys):
+    code, out = run(["cohomology", "--m-max", "40", "--format", "json"], capsys)
+    assert code == 0
+
+    def valid(m):
+        try:
+            validate_level(m)
+        except ValueError:
+            return False
+        return True
+
+    assert json.loads(out)["levels"] == [m for m in range(41) if valid(m)]
+
+
+def test_m_max_below_the_least_level_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cohomology", "--m-max", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--m-max 2" in err and "least level is 3" in err
+
+
+def test_negative_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["index", "--trials", "-1", "--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+# The report digests that the benchmark checks on every run.
+DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "workload, argv",
+    [
+        ("verify_small", ["verify", "--suite", "all", "--m-list", "7,8,21"]),
+        ("tate_sweep", ["cohomology", "--m-list", "109,111,156"]),
+    ],
+)
+def test_benchmark_reports_are_pinned(workload, argv, capsys):
+    code, out = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[workload]["report"]
+
+
 def test_text_format_summary_line(capsys):
     code, out = run(["cohomology", "--m", "5"], capsys)
     assert code == 0
@@ -319,7 +367,7 @@ def test_lazy_package_names():
     }
     public = {name for name in dir(distlab) if not name.startswith("_")}
     assert public - {"cli"} == set(distlab.__all__) | submodules
-    assert len(distlab.__all__) == len(set(distlab.__all__)) == 102
+    assert len(distlab.__all__) == len(set(distlab.__all__)) == 97
     namespace = {}
     exec("from distlab import *", namespace)
     assert namespace["DoubleComplex"] is spectral.DoubleComplex

@@ -189,3 +189,13 @@ def test_digamma01_is_scipy_digamma_bit_for_bit():
 def test_digamma01_rejects_arguments_outside_the_unit_interval(x):
     with pytest.raises(ValueError, match="not in \\(0, 1\\)"):
         _digamma01(x)
+
+
+def test_zeta_power_tables_stay_bounded_over_a_sweep():
+    from distlab import cyclotomic
+    from distlab.distribution import exp_kernel_check
+
+    for m in [m for m in range(3, 50) if m % 4 != 2][:30]:
+        assert exp_kernel_check(m)["ok"], m
+    info = cyclotomic._zeta_power_table.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize

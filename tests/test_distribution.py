@@ -23,10 +23,9 @@ from distlab.distribution import (
     restricted_point,
     restricted_points,
     smoothing_check,
-    smoothing_factor,
     smoothing_factor_scaled,
-    smoothing_matrix,
-    smoothing_matrix_inverse,
+    smoothing_inverse_scaled,
+    smoothing_scaled,
     tate_distribution,
     tate_predistribution,
     universal_distribution,
@@ -34,7 +33,7 @@ from distlab.distribution import (
     x_matrix,
     y_matrix,
 )
-from distlab.exact_linalg import eye, hnf_nonzero, mat_equal, scaled, zeros
+from distlab.exact_linalg import eye, hnf_nonzero, mat_equal, scaled, unscaled, zeros
 
 
 def test_x_matrix_shape_and_columns():
@@ -222,13 +221,13 @@ def test_cohomology_check_rejects_bad_levels():
 
 def test_smoothing_factor_geometric_series():
     # column of 1 at level 4, p = 2: orbit 1 -> 2 -> 0 -> 0 cycle
-    F = smoothing_factor(4, 2)
+    F = unscaled(*smoothing_factor_scaled(4, 2))
     assert F[1, 1] == 1
     assert F[2, 1] == Fraction(1, 2)
     assert F[0, 1] == Fraction(1, 4) * 2  # tail hit then the fixed cycle at 0
     # defining property, all levels
     for m, p in ((4, 2), (9, 3), (12, 2), (12, 3), (15, 5)):
-        lhs = (eye(m) - mult_matrix(m, p) * Fraction(1, p)) @ smoothing_factor(m, p)
+        lhs = (eye(m) - mult_matrix(m, p) * Fraction(1, p)) @ unscaled(*smoothing_factor_scaled(m, p))
         assert mat_equal(lhs, eye(m))
 
 
@@ -270,7 +269,8 @@ def test_smoothing_against_direct_inverse():
     from distlab.exact_linalg import inverse_exact
 
     for m in (4, 9, 12):
-        assert mat_equal(smoothing_matrix(m), inverse_exact(smoothing_matrix_inverse(m)))
+        phi, inverse = unscaled(*smoothing_scaled(m)), unscaled(*smoothing_inverse_scaled(m))
+        assert mat_equal(phi, inverse_exact(inverse))
 
 
 VALID_LEVELS = [m for m in range(3, 41) if m % 4 != 2]
@@ -287,11 +287,12 @@ def _fraction_product(factors, m):
 @pytest.mark.parametrize("m", VALID_LEVELS)
 def test_smoothing_builders_match_fraction_product(m):
     primes = primes_of(m)
-    phi = smoothing_matrix(m)
-    assert mat_equal(phi, _fraction_product([smoothing_factor(m, p) for p in primes], m))
+    phi = unscaled(*smoothing_scaled(m))
+    factors = [unscaled(*smoothing_factor_scaled(m, p)) for p in primes]
+    assert mat_equal(phi, _fraction_product(factors, m))
     assert all(type(x) is Fraction for x in phi.flat)
     inverse = [eye(m) - mult_matrix(m, p) * Fraction(1, p) for p in primes]
-    assert mat_equal(smoothing_matrix_inverse(m), _fraction_product(inverse, m))
+    assert mat_equal(unscaled(*smoothing_inverse_scaled(m)), _fraction_product(inverse, m))
 
 
 def _perturb_factor(monkeypatch, m0, p0):

@@ -9,8 +9,8 @@ import pytest
 from distlab import distribution
 from distlab.abgroup import BoundedComplex, JComplex, abstract_index_check
 from distlab.arith import primes_of
-from distlab.distribution import negation_matrix, smoothing_factor
-from distlab.exact_linalg import _dense, eye, mat_equal, scaled, zeros
+from distlab.distribution import negation_matrix, smoothing_factor_scaled
+from distlab.exact_linalg import _dense, eye, mat_equal, scaled, unscaled, zeros
 from distlab.lcomplex import (
     AVERAGE,
     DIFFERENCE,
@@ -28,7 +28,6 @@ from distlab.lcomplex import (
     intertwine_check,
     involution,
     level_inclusion_check,
-    smoothing_blocks,
     smoothing_blocks_scaled,
     symbol_basis,
 )
@@ -128,17 +127,22 @@ def test_smoothing_intertwines_and_commutes(m):
     assert intertwine_check(m)["ok"]
 
 
+def _smoothing_blocks(m):
+    """Per-degree smoothing operator as ``Fraction`` matrices."""
+    return {i: unscaled(N, d) for i, (N, d) in smoothing_blocks_scaled(m).items()}
+
+
 @pytest.mark.parametrize("m", [m for m in range(3, 41) if m % 4 != 2])
 def test_smoothing_blocks_match_fraction_product(m):
     sb = symbol_basis(m)
-    blocks = smoothing_blocks(m)
+    blocks = _smoothing_blocks(m)
     assert sorted(blocks) == list(range(sb.lo, 1))
     for i in range(sb.lo, 1):
         ref = zeros(sb.ranks[i], sb.ranks[i]) + Fraction(0)
         off = 0
         for g in sb.blocks[i]:
             s = m // g
-            factors = [smoothing_factor(s, p) for p in sb.primes if g % p]
+            factors = [unscaled(*smoothing_factor_scaled(s, p)) for p in sb.primes if g % p]
             blk = factors[0] if factors else eye(s)
             for F in factors[1:]:
                 blk = F @ blk
@@ -172,7 +176,7 @@ def test_intertwine_check_sees_a_perturbed_entry(monkeypatch, m):
 
 @pytest.mark.parametrize("m", [9, 12, 15])
 def test_index_formula_rejects_a_perturbed_operator(m):
-    phi = smoothing_blocks(m)
+    phi = _smoothing_blocks(m)
     phi[0][0, 1] += Fraction(1, primes_of(m)[0])
     phi = {i: scaled(block) for i, block in phi.items()}
     with pytest.raises(ValueError, match="phi does not intertwine"):
@@ -202,7 +206,7 @@ def test_minus_pair_restriction_of_negation():
 
 
 def test_minus_pair_restriction_entries():
-    F = smoothing_factor(5, 2)
+    F = unscaled(*smoothing_factor_scaled(5, 2))
     R = _minus_pair_matrix(F)
     for b, k in enumerate([1, 2]):
         v = F[:, k] - F[:, 5 - k]

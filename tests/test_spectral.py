@@ -1,6 +1,7 @@
 """Tests for the involution double complexes and their filtration pages."""
 
 import json
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distlab import cli
 from distlab.abgroup import BoundedComplex, FgAbGroup, JComplex, elementary_power, i_invariant
 from distlab.distribution import universal_distribution, universal_predistribution
 from distlab.exact_linalg import imat, inverse_exact, is_integral, mat_equal, to_int, zeros
@@ -36,7 +38,6 @@ from distlab.spectral import (
     index_values_check,
     page_homology_check,
     scaled_rows_check,
-    spectral_verify,
     splitting_check,
 )
 
@@ -61,6 +62,12 @@ def test_total_differential_squares_to_zero():
                     assert mat_equal(a, zeros(*a.shape)), (m, kind, variant, n)
 
 
+def _failing_spectral_items(m):
+    """Run the items of ``distlab spectral`` at level m in process; the names that fail."""
+    records = cli._run_items(cli.suite_spectral(m, Namespace()))
+    return [r["name"] for r in records if not r["pass"]]
+
+
 @pytest.mark.parametrize("m", [5, 8, 12, 21])
 def test_each_level_object_has_one_owner(m):
     """A level's complexes, quotients and fixed parts are built once and
@@ -78,7 +85,7 @@ def test_each_level_object_has_one_owner(m):
     assert universal_predistribution(m) is universal_predistribution(m)
 
     assert acyclicity_check(m)["ok"]
-    assert spectral_verify(m)["ok"]
+    assert _failing_spectral_items(m) == []
     sb = symbol_basis(m)
     for kind in KINDS:
         jc = build_jcomplex(m, kind)
@@ -244,7 +251,7 @@ def test_index_invariants(m):
     assert index_values_check(m)["ok"]
 
 
-@pytest.mark.parametrize("m", [4, 12, 16])
+@pytest.mark.parametrize("m", [4, 5, 8, 12, 15, 16, 21])
 def test_index_invariants_as_page_products(m):
     res = index_values_check(m, with_pages=True)
     assert res["ok"]
@@ -253,7 +260,7 @@ def test_index_invariants_as_page_products(m):
 
 
 def test_verify_bundle():
-    assert spectral_verify(15)["ok"]
+    assert _failing_spectral_items(15) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
+from argparse import Namespace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from distlab import stickelberger
+from distlab import cli, stickelberger
 from distlab.arith import euler_phi
 from distlab.cyclotomic import corrector_w
 from distlab.exact_linalg import (
     Lattice,
     eye,
-    image_lattice,
     is_integral,
     lattice_index,
     mat_equal,
+    unscaled,
     zeros,
 )
 from distlab.stickelberger import (
@@ -22,7 +23,6 @@ from distlab.stickelberger import (
     alpha_ideal_index_check,
     alpha_image_index_check,
     alpha_lattice,
-    alpha_matrix,
     alpha_scaled,
     conjugation_matrix,
     antisymmetrization_index_check,
@@ -33,7 +33,6 @@ from distlab.stickelberger import (
     principal_multiples_lattice,
     smoothing_minus_image_check,
     stickelberger_ideal,
-    stickelberger_verify,
     theta_element,
     theta_norm_check,
     unit_translation,
@@ -118,13 +117,13 @@ def test_lattice_index_matches_sympy_coordinates(m):
 
 
 def test_alpha_small_column():
-    A = alpha_matrix(3)
+    A = unscaled(alpha_scaled(3), 6)
     assert list(A[:, 1]) == [Fraction(1, 6), Fraction(-1, 6)]
     assert all(x == 0 for x in A[:, 0])
 
 
 def test_alpha_even_level_middle_column_vanishes():
-    A = alpha_matrix(8)
+    A = unscaled(alpha_scaled(8), 16)
     assert all(x == 0 for x in A[:, 4])
 
 
@@ -142,9 +141,9 @@ def test_alpha_numerators_over_twice_the_level(m):
     N = alpha_scaled(m)
     assert all(type(x) is int for x in N.flat)
     ref = _alpha_by_fractions(m)
-    assert mat_equal(alpha_matrix(m), ref)
+    assert mat_equal(unscaled(N, 2 * m), ref)
     assert mat_equal(N, ref * (2 * m))
-    assert alpha_lattice(m) == image_lattice(ref.T)
+    assert alpha_lattice(m) == Lattice(len(units_of(m)), ref.T)
 
 
 @pytest.mark.parametrize("m", [5, 8, 12, 21])
@@ -287,8 +286,5 @@ def test_smoothing_minus_image_values_are_pinned(m):
 
 @pytest.mark.parametrize("m", [12, 21])
 def test_verify_bundle(m):
-    res = stickelberger_verify(m)
-    for key, val in res.items():
-        if key in ("level", "definitions_agree"):
-            continue
-        assert val, key
+    records = cli._run_items(cli.suite_stickelberger(m, Namespace()))
+    assert [r["name"] for r in records if not r["pass"]] == []

@@ -42,12 +42,7 @@ for n in (1, 2):
 
 # the full variant is periodic and degenerates at page 2
 full = build_double(m, DIFFERENCE, FULL)
-cells = [
-    (p, q)
-    for p in range(sb.lo, 1)
-    for q in range(full.q_lo, full.q_hi + 1)
-    if full.interior(p, q, 4)
-]
+cells = list(full.interior_cells(4))
 assert all(
     full.e_term(p, q, 2) == full.e_term(p, q, 3) == full.e_term(p, q, 4)
     for p, q in cells

@@ -22,7 +22,6 @@ from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING, Mapping
 
-from .arith import factorize
 from .exact_linalg import (
     IMat,
     QMat,
@@ -92,27 +91,21 @@ class FgAbGroup:
     def from_invariants(cls, free_rank: int, factors) -> "FgAbGroup":
         """Canonicalize an arbitrary multiset of cyclic orders.
 
+        An order 0 is a free summand.  The chain is the Smith form of the
+        diagonal matrix of the orders.
+
         >>> FgAbGroup.from_invariants(0, [2, 3]).torsion
         (6,)
+        >>> str(FgAbGroup.from_invariants(1, [4, 0, 6]))
+        'Z^2 + Z/2 + Z/12'
         """
-        by_prime: dict[int, list[int]] = {}
-        for d in factors:
-            if d == 0:
-                free_rank += 1
-                continue
-            for p, e in factorize(d):
-                by_prime.setdefault(p, []).append(e)
-        depth = max((len(v) for v in by_prime.values()), default=0)
-        chain = []
-        for k in range(depth):
-            # k-th largest primary component of each prime multiplied up.
-            d = 1
-            for p, exps in by_prime.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if k < len(exps_sorted):
-                    d *= p ** exps_sorted[k]
-            chain.append(d)
-        return cls(free_rank, tuple(d for d in reversed(chain) if d > 1))
+        orders = list(factors)
+        if any(d < 0 for d in orders):
+            raise ValueError(f"cyclic orders must be non-negative, got {orders}")
+        k = len(orders)
+        diag = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(orders)]
+        G = cls.from_relations(k, diag)
+        return cls(free_rank + G.free_rank, G.torsion)
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
@@ -148,8 +141,6 @@ class FgAbGroup:
 
 def elementary_power(order: int, copies: int) -> FgAbGroup:
     """(Z/order)^copies, a convenient literal for expected values."""
-    if copies == 0:
-        return FgAbGroup(0, ())
     return FgAbGroup(0, (order,) * copies)
 
 
@@ -763,10 +754,7 @@ def fixed_image_index(qa: ZQuotient, qb: ZQuotient, c: IMat, N: IMat, d: int) ->
     cb = qb.induced_on_free(c)
     phibar = qb.P @ N @ qa.S
     pushed = kernel_basis(eye(qa.free_rank) + ca) @ phibar.T
-    return lattice_index(
-        Lattice(qb.free_rank, kernel_basis(eye(qb.free_rank) + cb)),
-        Lattice(qb.free_rank, pushed, d),
-    )
+    return lattice_index(theta_fixed(cb), Lattice(qb.free_rank, pushed, d))
 
 
 def intertwines(d1: IMat, d2: IMat, src: tuple[IMat, int], dst: tuple[IMat, int]) -> bool:

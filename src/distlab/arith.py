@@ -118,27 +118,30 @@ def crt(pairs: list[tuple[int, int]]) -> int:
     """Solve x = r (mod n) for pairwise coprime moduli; result mod the product."""
     x, n = 0, 1
     for r, m in pairs:
-        g, s = _inv_pair(n % m, m)
-        if g != 1:
+        if gcd(n, m) != 1:
             raise ValueError("crt moduli must be coprime")
+        s, _ = _xgcd(n % m, m)
         x += n * ((r - x) * s % m)
         n *= m
     return x % n
 
 
-def _inv_pair(a: int, m: int) -> tuple[int, int]:
-    # returns (gcd, inverse of a mod m when the gcd is 1)
-    old_r, r = a, m
+def _xgcd(a: int, b: int) -> tuple[int, int]:
+    """Return (s, t) with s*a + t*b == gcd(a, b)."""
+    old_r, r = a, b
     old_s, s = 1, 0
-    while r:
+    old_t, t = 0, 1
+    while r != 0:
         q = old_r // r
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
-    return old_r, old_s % m if m > 1 else 0
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
 
 
 def inverse_mod(a: int, m: int) -> int:
-    g, s = _inv_pair(a % m, m)
-    if g != 1:
+    if gcd(a, m) != 1:
         raise ValueError(f"{a} is not invertible modulo {m}")
-    return s
+    return _xgcd(a % m, m)[0] % m

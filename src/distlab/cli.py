@@ -224,17 +224,14 @@ def suite_spectral(m: int, args) -> list:
 
 def page_table(m: int, kind: str, page: int, qmax: int) -> dict:
     """Entries of one page of the first-quadrant-style variant, as strings."""
-    from .lcomplex import DIFFERENCE, symbol_basis
+    from .lcomplex import DIFFERENCE
     from .spectral import HALF, build_double
 
     dc = build_double(m, kind, HALF, q_hi=qmax)
-    sb = symbol_basis(m)
-    cells = []
-    for p in range(sb.lo, 1):
-        for q in range(0, qmax + 1):
-            if not dc.interior(p, q, page):
-                continue
-            cells.append({"p": p, "q": q, "group": str(dc.e_term(p, q, page))})
+    cells = [
+        {"p": p, "q": q, "group": str(dc.e_term(p, q, page))}
+        for p, q in dc.interior_cells(page)
+    ]
     return {
         "m": m,
         "d": "d1" if kind == DIFFERENCE else "d2",
@@ -543,6 +540,19 @@ def main(argv=None) -> int:
         parser.error("--page must be at least 1")
     if args.command == "spectral" and args.qmax < 2:
         parser.error("--qmax must be at least 2")
+    if page is not None and page > args.qmax + 1:
+        # page r at (p, q) reads rows up to q + r - 1, so row 0 needs qmax >= r - 1
+        parser.error(
+            f"--page {page} has no cell inside --qmax {args.qmax}: "
+            f"it needs --qmax {page - 1} or more"
+        )
+    if args.out:
+        # Fail before any check runs; append mode keeps an existing report
+        # intact until the new one is written.
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            parser.error(f"cannot write the report to --out {args.out}: {exc.strerror}")
 
     if args.command == "verify":
         suite = f"verify:{args.suite}"

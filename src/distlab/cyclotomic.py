@@ -554,19 +554,17 @@ def smoothing_det_minus(p: int, f: int) -> Fraction:
 
 def character_product_full(p: int, f: int) -> Fraction:
     """prod over all characters mod f of (1 - chi(p)/p), exactly."""
-    g = unit_group(f)
-    N = g.exponent
-    out = CycNum.rational(N, 1)
-    for chi in all_characters(f):
-        out = out * (1 - chi.value(p, N) * Fraction(1, p))
-    return out.as_rational()
+    return _character_product(p, f, all_characters(f))
 
 
 def character_product_minus(p: int, f: int) -> Fraction:
     """prod over odd characters mod f of (1 - chi(p)/p), exactly."""
-    g = unit_group(f)
-    N = g.exponent
+    return _character_product(p, f, odd_characters(f))
+
+
+def _character_product(p: int, f: int, chars) -> Fraction:
+    N = unit_group(f).exponent
     out = CycNum.rational(N, 1)
-    for chi in odd_characters(f):
+    for chi in chars:
         out = out * (1 - chi.value(p, N) * Fraction(1, p))
     return out.as_rational()

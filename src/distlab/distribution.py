@@ -148,20 +148,19 @@ def basis_check(m: int) -> dict:
 # relation lattices and the two quotients
 
 
-def _relation_rows(m: int, bare: bool) -> list[Row]:
-    """Sparse relation rows at level m, one per pair (n, a), 1 < n | m, a < m/n.
+def _relation_rows(m: int, bare: bool, steps) -> list[Row]:
+    """Sparse relation rows at level m, one per pair (n, a), n in steps, a < m/n.
 
-    The level-(m/n) point a is the point n a of level m, and its n
-    preimages are a + t m/n, the ones of column a of ``x_matrix(m, n)``.
-    The bare (predistribution) row is their sum; the distribution row is
-    [n a] minus that sum, in which [n a] cancels a preimage it equals.
+    Each step n must be a divisor of m above 1.  The level-(m/n) point a is
+    the point n a of level m, and its n preimages are a + t m/n, the ones of
+    column a of ``x_matrix(m, n)``.  The bare (predistribution) row is their
+    sum; the distribution row is [n a] minus that sum, in which [n a]
+    cancels a preimage it equals.
     """
     rows = []
-    for n in divisors(m):
-        if n == 1:
-            continue
+    sign = 1 if bare else -1
+    for n in steps:
         s = m // n
-        sign = 1 if bare else -1
         for a in range(s):
             row = {a + t * s: sign for t in range(n)}
             if not bare:
@@ -174,41 +173,28 @@ def _relation_rows(m: int, bare: bool) -> list[Row]:
 
 def distribution_relation_rows(m: int):
     """One row per pair (n, a): [a] minus the sum of its n preimages."""
-    return _dense(_relation_rows(m, False), m)
+    return _dense(_relation_rows(m, False, divisors(m)[1:]), m)
 
 
 def predistribution_relation_rows(m: int):
     """One row per pair (n, a): the bare preimage sum."""
-    return _dense(_relation_rows(m, True), m)
+    return _dense(_relation_rows(m, True, divisors(m)[1:]), m)
 
 
 def distribution_lattice(m: int) -> Lattice:
-    return Lattice(m, distribution_relation_rows(m))
+    return Lattice(m, universal_distribution(m).relations)
 
 
 def predistribution_lattice(m: int) -> Lattice:
-    return Lattice(m, predistribution_relation_rows(m))
+    return Lattice(m, universal_predistribution(m).relations)
 
 
 def prime_step_relations_suffice(m: int) -> bool:
     """Relations at prime n already span the full relation lattice."""
-    import numpy as np
-
-    for bare in (False, True):
-        rows = []
-        for p in primes_of(m):
-            X = x_matrix(m, p)
-            for i in range(m // p):
-                row = X[:, i].copy()
-                if not bare:
-                    row = -row
-                    row[(i * p) % m] += 1
-                rows.append(row)
-        rows = np.stack(rows, axis=0) if rows else zeros(0, m)
-        full = distribution_lattice(m) if not bare else predistribution_lattice(m)
-        if m > 1 and Lattice(m, rows) != full:
-            return False
-    return True
+    return all(
+        _hermite(_relation_rows(m, bare, primes_of(m)), m) == q(m).rows
+        for bare, q in ((False, universal_distribution), (True, universal_predistribution))
+    )
 
 
 # Memoised: the Tate groups and the Stickelberger checks of a level read
@@ -220,12 +206,12 @@ def prime_step_relations_suffice(m: int) -> bool:
 # holds its dense n x n transforms.
 @lru_cache(maxsize=8)
 def universal_distribution(m: int) -> ZQuotient:
-    return ZQuotient(m, _hermite(_relation_rows(m, False), m))
+    return ZQuotient(m, _hermite(_relation_rows(m, False, divisors(m)[1:]), m))
 
 
 @lru_cache(maxsize=8)
 def universal_predistribution(m: int) -> ZQuotient:
-    return ZQuotient(m, _hermite(_relation_rows(m, True), m))
+    return ZQuotient(m, _hermite(_relation_rows(m, True, divisors(m)[1:]), m))
 
 
 # ---------------------------------------------------------------------------

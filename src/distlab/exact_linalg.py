@@ -63,6 +63,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Sequence
 
+from .arith import _xgcd
+
 # Type aliases for readability; both are numpy object arrays.  Outside a
 # type checker they are only names, so importing them loads no numpy.
 if TYPE_CHECKING:
@@ -371,21 +373,6 @@ def _smith(A: np.ndarray, *, u=False, u_inv=False, v=False, v_inv=False):
             d[i], d[i + 1] = g, a // g * b
             changed = True
     return d, U, Ui, V, Vi
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int]:
-    """Return (s, t) with s*a + t*b == gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def _diag(d: list[int], r: int, c: int) -> IMat:

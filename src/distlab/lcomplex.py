@@ -26,6 +26,8 @@ from .distribution import (
     smoothing_factor_scaled,
     smoothing_scaled,
     standard_basis,
+    universal_distribution,
+    universal_predistribution,
 )
 from .exact_linalg import (
     Lattice,
@@ -167,8 +169,6 @@ def acyclicity_check(m: int) -> dict:
 
 def level_inclusion_check(m: int, mult: int) -> dict:
     """Degree-zero cohomology injects into any deeper level's."""
-    from .distribution import universal_distribution, universal_predistribution
-
     M = m * mult
     emb = zeros(M, m)
     for k in range(m):

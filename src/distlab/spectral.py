@@ -98,6 +98,13 @@ class DoubleComplex:
             return False
         return True
 
+    def interior_cells(self, r: int):
+        """The cells (p, q) of page r that pass ``interior``, p-major with q ascending."""
+        for p in range(self.p_lo, 1):
+            for q in range(self.q_lo, self.q_hi + 1):
+                if self.interior(p, q, r):
+                    yield p, q
+
     # -- integral zig-zags of the column filtration
 
     def _stair(self, p: int, q: int, length: int) -> tuple:
@@ -335,19 +342,15 @@ def _total_parity(n: int) -> str:
 
 def e1_page_check(m: int, kind: str) -> dict:
     """Page 1 of both variants against the counting of self-negative symbols."""
-    sb = symbol_basis(m)
-    half = build_double(m, kind, HALF)
-    full = build_double(m, kind, FULL)
     ok = True
-    for p in range(sb.lo, 1):
-        got = half.e_term(p, 0, 1)
-        ok = ok and got == FgAbGroup(e1_row0_rank(m, p), ())
-        for q in range(1, half.q_hi + 1):
-            if half.interior(p, q, 1):
-                ok = ok and half.e_term(p, q, 1) == e1_expected(m, p, q)
-        for q in range(full.q_lo, full.q_hi + 1):
-            if full.interior(p, q, 1):
-                ok = ok and full.e_term(p, q, 1) == e1_expected(m, p, q)
+    for variant in (HALF, FULL):
+        dc = build_double(m, kind, variant)
+        for p, q in dc.interior_cells(1):
+            if dc.variant == HALF and q == 0:
+                want = FgAbGroup(e1_row0_rank(m, p), ())
+            else:
+                want = e1_expected(m, p, q)
+            ok = ok and dc.e_term(p, q, 1) == want
     return {"level": m, "kind": kind, "ok": ok}
 
 
@@ -360,15 +363,12 @@ def e2_page_check(m: int, kind: str) -> dict:
     jc = half.jc
     fixed, bases = jc.fixed_subcomplex()
     closed = row0 = True
-    for p in range(sb.lo, 1):
-        got0 = half.e_term(p, 0, 2)
-        row0 = row0 and got0 == fixed.cohomology(p)
-        for q in range(1, half.q_hi + 1):
-            if half.interior(p, q, 2):
-                closed = closed and half.e_term(p, q, 2) == e2_expected(m, kind, p, q)
-        for q in range(full.q_lo, full.q_hi + 1):
-            if full.interior(p, q, 2):
-                closed = closed and full.e_term(p, q, 2) == e2_expected(m, kind, p, q)
+    for dc in (half, full):
+        for p, q in dc.interior_cells(2):
+            if dc.variant == HALF and q == 0:
+                row0 = row0 and dc.e_term(p, q, 2) == fixed.cohomology(p)
+            else:
+                closed = closed and dc.e_term(p, q, 2) == e2_expected(m, kind, p, q)
     # the (0, 0) entry stabilizes one page after the columns run out and is
     # then the free image of the annihilator sublattice in degree-zero
     # cohomology
@@ -390,29 +390,21 @@ def e2_page_check(m: int, kind: str) -> dict:
 
 def degeneration_check(m: int, kind: str) -> dict:
     """Pages 2, 3, 4 of the full variant agree wherever all three are stored."""
-    sb = symbol_basis(m)
     full = build_double(m, kind, FULL)
     ok = True
-    for p in range(sb.lo, 1):
-        for q in range(full.q_lo, full.q_hi + 1):
-            if not full.interior(p, q, 4):
-                continue
-            e2 = full.e_term(p, q, 2)
-            ok = ok and e2 == full.e_term(p, q, 3) == full.e_term(p, q, 4)
+    for p, q in full.interior_cells(4):
+        e2 = full.e_term(p, q, 2)
+        ok = ok and e2 == full.e_term(p, q, 3) == full.e_term(p, q, 4)
     return {"level": m, "kind": kind, "ok": ok}
 
 
 def page_homology_check(m: int, kind: str, variant: str, rmax: int = 3) -> dict:
     """Each page is the homology of the previous one under its differential."""
-    sb = symbol_basis(m)
     dc = build_double(m, kind, variant)
     ok = True
     for r in range(1, rmax + 1):
-        for p in range(sb.lo, 1):
-            for q in range(dc.q_lo, dc.q_hi + 1):
-                if not dc.interior(p, q, r + 1):
-                    continue
-                ok = ok and dc.e_term(p, q, r + 1) == dc.e_via_homology(p, q, r)
+        for p, q in dc.interior_cells(r + 1):
+            ok = ok and dc.e_term(p, q, r + 1) == dc.e_via_homology(p, q, r)
     return {"level": m, "kind": kind, "variant": variant, "ok": ok}
 
 

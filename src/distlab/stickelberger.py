@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .abgroup import fixed_image_index
+from .abgroup import fixed_image_index, theta_fixed
 from .arith import inverse_mod, primes_of, prime_to_p_part, validate_level
 from .cyclotomic import (
     character_product_minus,
@@ -37,14 +37,13 @@ from .distribution import (
 from .exact_linalg import (
     Lattice,
     eye,
-    kernel_basis,
     lattice_index,
     lattice_intersect,
     mat_equal,
     scaled,
     zeros,
 )
-from .lcomplex import DIFFERENCE, differentials
+from .lcomplex import DIFFERENCE, build_jcomplex
 
 
 @lru_cache(maxsize=64)
@@ -54,13 +53,7 @@ def units_of(m: int) -> tuple[int, ...]:
 
 def conjugation_matrix(m: int) -> np.ndarray:
     """Permutation of the group-ring basis induced by t -> -t."""
-    units = units_of(m)
-    idx = {t: i for i, t in enumerate(units)}
-    n = len(units)
-    C = zeros(n, n)
-    for t in units:
-        C[idx[(m - t) % m], idx[t]] = 1
-    return C
+    return eye(len(units_of(m)))[:, unit_translation(m, m - 1)]
 
 
 @dataclass(frozen=True)
@@ -131,8 +124,7 @@ class StickelbergerData:
 
 def minus_sublattice(m: int) -> Lattice:
     """Annihilator of 1+c inside the integral group ring."""
-    n = len(units_of(m))
-    return Lattice(n, kernel_basis(eye(n) + conjugation_matrix(m)))
+    return theta_fixed(conjugation_matrix(m))
 
 
 # Memoised: every index check of a level reads the same ideal.  Its
@@ -225,10 +217,10 @@ def alpha_compat_check(m: int) -> dict:
     fractional-part elements.
     """
     N = alpha_scaled(m)  # the map is N / 2m
-    prod = N @ differentials(m, DIFFERENCE)[-1]
+    prod = N @ build_jcomplex(m, DIFFERENCE).complex.d(-1)
     relations_killed = mat_equal(prod, zeros(*prod.shape))
     n = len(units_of(m))
-    lat = Lattice(n, N.T, 2 * m)
+    lat = alpha_lattice(m)
     rank_ok = lat.rank == n // 2
     # numerators over 2m of (theta - conj theta) / 2; conjugation permutes columns
     rows = _theta_scaled(m)
@@ -262,10 +254,7 @@ def antisymmetrization_index_check(m: int) -> dict:
     qu = universal_distribution(m)
     cu = qu.induced_on_free(negation_matrix(m))
     f = qu.free_rank
-    got = lattice_index(
-        Lattice(f, kernel_basis(eye(f) + cu)),
-        Lattice(f, (eye(f) - cu).T),
-    )
+    got = lattice_index(theta_fixed(cu), Lattice(f, (eye(f) - cu).T))
     r = len(primes_of(m))
     want = Fraction(2 ** (2 ** (r - 1)))
     return {"level": m, "value": got, "expected": want, "ok": got == want}
@@ -278,7 +267,7 @@ def alpha_image_index_check(m: int) -> dict:
     prime factors.
     """
     validate_level(m)
-    got = lattice_index(minus_sublattice(m), alpha_lattice(m))
+    got = lattice_index(stickelberger_ideal(m).R_minus, alpha_lattice(m))
     r = len(primes_of(m))
     want = Fraction(h_minus(m), corrector_w(m) * corrector_q(m))
     if r > 1:
@@ -341,12 +330,8 @@ def minus_ideal_index_check(m: int) -> dict:
 
 def theta_norm_check(m: int) -> bool:
     """(1+c) theta is the norm element: {x} + {-x} = 1 off the integers."""
-    units = units_of(m)
-    one_plus_c = [Fraction(0)] * len(units)
-    one_plus_c[units.index(1)] = Fraction(1)
-    one_plus_c[units.index(m - 1)] += Fraction(1)
-    prod = GroupRingElem(m, tuple(one_plus_c)) * theta_element(m)
-    return all(x == 1 for x in prod.coeffs)
+    theta = theta_element(m)
+    return all(x + y == 1 for x, y in zip(theta.coeffs, theta.conjugate().coeffs))
 
 
 def unit_translation(m: int, b: int) -> list[int]:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distlab.abgroup import (
     BoundedComplex,
@@ -27,6 +29,7 @@ from distlab.abgroup import (
     tate_pair,
     theta_fixed,
 )
+from distlab.arith import factorize
 from distlab.exact_linalg import (
     Lattice,
     eye,
@@ -50,6 +53,44 @@ def test_canonical_form_basics():
     assert FgAbGroup.from_invariants(0, [2, 2, 3]).torsion == (2, 6)
     assert FgAbGroup(0, ()).is_trivial
     assert elementary_power(2, 3) == FgAbGroup(0, (2, 2, 2))
+
+
+def _chain_by_prime_powers(free_rank, factors):
+    """(free rank, invariant factors) of a multiset of cyclic orders, by hand:
+    the k-th invariant factor from the top multiplies the k-th largest
+    power of every prime."""
+    by_prime = {}
+    for d in factors:
+        if d == 0:
+            free_rank += 1
+            continue
+        for p, e in factorize(d):
+            by_prime.setdefault(p, []).append(e)
+    depth = max((len(v) for v in by_prime.values()), default=0)
+    chain = []
+    for k in range(depth):
+        d = 1
+        for p, exps in by_prime.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if k < len(exps_sorted):
+                d *= p ** exps_sorted[k]
+        chain.append(d)
+    return free_rank, tuple(d for d in reversed(chain) if d > 1)
+
+
+ORDERS = [0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 36, 60, 64, 97]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), st.lists(st.sampled_from(ORDERS), max_size=6))
+def test_from_invariants_matches_the_prime_power_rule(free_rank, factors):
+    G = FgAbGroup.from_invariants(free_rank, factors)
+    assert (G.free_rank, G.torsion) == _chain_by_prime_powers(free_rank, factors)
+
+
+def test_from_invariants_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="non-negative"):
+        FgAbGroup.from_invariants(0, [2, -3])
 
 
 def test_direct_sum_renormalizes():

@@ -205,6 +205,49 @@ def test_negative_trials_is_usage_error(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_page_past_the_window_is_usage_error(capsys):
+    # page 9 at (p, q) reads rows up to q + 8, so no cell fits under --qmax 6
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectral", "--m", "12", "--d", "d1", "--page", "9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--page 9" in captured.err and "--qmax 8" in captured.err
+    # the largest page with a cell in the window still runs
+    code, out = run(
+        ["spectral", "--m", "12", "--d", "d1", "--qmax", "2", "--page", "3", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["tables"][0]["cells"]
+
+
+def test_unwritable_out_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    proc = _python(
+        "import sys; from distlab.cli import main; sys.exit(main(sys.argv[1:]))",
+        "cohomology", "--m", "12", "--out", str(target),
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    assert str(target) in err
+    assert proc.stdout == b""
+
+
+def test_out_keeps_the_old_report_until_the_new_one_is_ready(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("old report\n")
+
+    def broken(m):
+        raise RuntimeError("check crashed")
+
+    monkeypatch.setattr(cyclotomic, "h_minus", broken)
+    with pytest.raises(RuntimeError, match="check crashed"):
+        cli.main(["hminus", "--m", "5", "--out", str(path)])
+    assert path.read_text() == "old report\n"
+
+
 # The report digests that the benchmark checks on every run.
 DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text())
 

@@ -89,8 +89,11 @@ def test_relation_lattices():
     assert d.rank == o.rank == 2
     assert universal_distribution(4).group == FgAbGroup(2)
     assert universal_predistribution(4).group == FgAbGroup(2)
-    assert prime_step_relations_suffice(12)
-    assert prime_step_relations_suffice(8)
+
+
+@pytest.mark.parametrize("m", [8, 12, 60, 105])
+def test_prime_step_relations_suffice(m):
+    assert prime_step_relations_suffice(m)
 
 
 def test_quotients_are_free_of_unit_rank():

@@ -137,6 +137,23 @@ def test_interior_predicate():
     assert not full.interior(-1, -3, 1)
 
 
+@pytest.mark.parametrize("m", [12, 21, 105])
+def test_interior_cells_is_the_window_loop(m):
+    for variant in (HALF, FULL):
+        dc = build_double(m, DIFFERENCE, variant)
+        for r in range(1, 5):
+            want = [
+                (p, q)
+                for p in range(symbol_basis(m).lo, 1)
+                for q in range(dc.q_lo, dc.q_hi + 1)
+                if dc.interior(p, q, r)
+            ]
+            assert list(dc.interior_cells(r)) == want
+            if variant == HALF:
+                # the row-0 checks of the half variant ride on the same walk
+                assert {p for p, q in want if q == 0} == set(range(dc.p_lo, 1))
+
+
 def test_first_page_bottom_row_ranks():
     assert e1_row0_rank(12, 0) == 5
     assert e1_row0_rank(12, -1) == 3

@@ -80,6 +80,24 @@ def test_convolution_translates_theta():
 @pytest.mark.parametrize("m", [3, 5, 8, 12, 21])
 def test_theta_norm_identity(m):
     assert theta_norm_check(m)
+    # the same identity through the group-ring product with 1 + c
+    units = units_of(m)
+    one_plus_c = [Fraction(0)] * len(units)
+    one_plus_c[units.index(1)] += 1
+    one_plus_c[units.index(m - 1)] += 1
+    prod = GroupRingElem(m, tuple(one_plus_c)) * theta_element(m)
+    assert all(x == 1 for x in prod.coeffs)
+
+
+def test_theta_norm_check_sees_a_broken_element(monkeypatch):
+    real = stickelberger.theta_element
+
+    def broken(m, a=1):
+        th = real(m, a)
+        return GroupRingElem(m, (th.coeffs[0] + 1,) + th.coeffs[1:])
+
+    monkeypatch.setattr(stickelberger, "theta_element", broken)
+    assert not theta_norm_check(12)
 
 
 @pytest.mark.parametrize("m", [3, 5, 8, 9, 12, 15, 21])
@@ -155,6 +173,16 @@ def test_antisymmetrized_theta_rows_by_permutation(m):
     )
     perm = unit_translation(m, m - 1)
     assert mat_equal(rows[:, perm], rows @ conjugation_matrix(m).T)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 35, 60, 105, 420])
+def test_conjugation_matrix_sends_t_to_minus_t(m):
+    units = units_of(m)
+    idx = {t: i for i, t in enumerate(units)}
+    C = zeros(len(units), len(units))
+    for t in units:
+        C[idx[m - t], idx[t]] = 1
+    assert mat_equal(conjugation_matrix(m), C)
 
 
 @pytest.mark.parametrize("m", [7, 12])

@@ -67,6 +67,8 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError(f"free rank must be non-negative, got {self.free_rank}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion is not an invariant-factor chain")
@@ -78,9 +80,8 @@ class FgAbGroup:
         """The group Z^ngens modulo the rows of ``relations``."""
         import numpy as np
 
-        rel = np.array(relations, dtype=object) if not isinstance(
-            relations, np.ndarray
-        ) else relations
+        rel = np.asarray(relations, dtype=object)
+        _check_relations(rel, ngens)
         if rel.size == 0:
             return cls(ngens, ())
         facs = invariant_factors(rel)
@@ -102,9 +103,10 @@ class FgAbGroup:
         orders = list(factors)
         if any(d < 0 for d in orders):
             raise ValueError(f"cyclic orders must be non-negative, got {orders}")
-        k = len(orders)
-        diag = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(orders)]
-        G = cls.from_relations(k, diag)
+        diag = zeros(len(orders), len(orders))
+        for i, d in enumerate(orders):
+            diag[i, i] = d
+        G = cls.from_relations(len(orders), diag)
         return cls(free_rank + G.free_rank, G.torsion)
 
     def order(self) -> int | None:
@@ -497,68 +499,76 @@ class BoundedComplex:
         )
 
 
+def _two_cycles(perm: list[int]) -> list[int]:
+    """The smaller index of each 2-cycle of the involution perm."""
+    return [k for k, j in enumerate(perm) if k < j]
+
+
+def fixed_basis(perm: list[int]) -> IMat:
+    """Rows e_k - e_c(k), one per 2-cycle: a basis of the saturated ker(1 + c)."""
+    B = zeros(len(_two_cycles(perm)), len(perm))
+    for a, k in enumerate(_two_cycles(perm)):
+        B[a, k], B[a, perm[k]] = 1, -1
+    return B
+
+
+def fixed_restriction(N: IMat, src: list[int], tgt: list[int]) -> IMat:
+    """N on ``fixed_basis`` rows, for N c_src = c_tgt N: entries N[i, k] - N[i, c(k)]."""
+    ks = _two_cycles(src)
+    return (N[:, ks] - N[:, [src[k] for k in ks]])[_two_cycles(tgt), :]
+
+
 @dataclass(eq=False)
 class JComplex:
-    """A bounded complex with an involution commuting with the differential.
+    """A bounded complex with an involution c commuting with the differential.
 
-    c^2 = 1 and c d = d c are validated at construction, on sparse integer
-    rows: the involution is a map of free Z-modules, and a non-integral
-    entry raises ValueError.  Like its complex, it is immutable after
-    construction, so the fixed subcomplex and the index invariant are
-    computed once and kept.  ``pages`` is the store in which the spectral
-    layer keeps the pages of the double complexes built on it, so a
-    complex and its pages have one owner.  Equality is identity.
+    ``involution[i][k]`` is the index of c(e_k); missing degrees are filled
+    in as the identity.  The fixed subcomplex, the index invariant and each
+    dense c(i) are computed once and kept; ``pages`` holds the spectral
+    pages built on it.  Equality is identity.
     """
 
     complex: BoundedComplex
-    involution: dict[int, IMat] = field(default_factory=dict)
+    involution: dict[int, list[int]] = field(default_factory=dict)
     _fixed: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _i_invariant: Fraction | None = field(default=None, init=False, compare=False, repr=False)
+    _matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     pages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        C = self.complex
-        for i in C.degrees():
-            n = C.rank(i)
-            if self.c(i).shape != (n, n):
-                raise ValueError(f"involution shape mismatch at degree {i}")
-        c = {i: _rows(self.c(i)) for i in C.degrees()}
-        for i in C.degrees():
-            if _mul(c[i], c[i]) != [{j: 1} for j in range(C.rank(i))]:
+        C, given = self.complex, self.involution
+        for i in set(given) - set(C.degrees()):
+            raise ValueError(f"involution at degree {i}, outside the complex")
+        self.involution = {i: given.get(i, list(range(C.rank(i)))) for i in C.degrees()}
+        for i, perm in self.involution.items():
+            for j in perm:
+                if type(j) is not int:
+                    raise ValueError(f"involution at degree {i}: entry {j!r} is not an integer")
+            if sorted(perm) != list(range(C.rank(i))):
+                raise ValueError(f"involution at degree {i} is not a permutation of {C.rank(i)} indices")
+            if any(perm[j] != k for k, j in enumerate(perm)):
                 raise ValueError(f"involution at degree {i} does not square to 1")
+        # as c^2 = 1, row k of c is {perm[k]: 1}
+        c = {i: [{j: 1} for j in perm] for i, perm in self.involution.items()}
+        for i in C.degrees():
             d = _rows(C.d(i))
             if _mul(c.get(i + 1, []), d) != _mul(d, c[i]):
                 raise ValueError(f"involution does not commute with d at degree {i}")
 
     def c(self, i: int) -> IMat:
-        if i in self.involution:
-            return self.involution[i]
-        return eye(self.complex.rank(i))
+        """c at degree i as a dense matrix, built once."""
+        if i not in self._matrices:
+            self._matrices[i] = eye(self.complex.rank(i))[:, self.involution[i]]
+        return self._matrices[i]
 
     def fixed_subcomplex(self) -> tuple[BoundedComplex, dict[int, IMat]]:
-        """The annihilator of 1+c, with its embedding bases per degree."""
-        if self._fixed is not None:
-            return self._fixed
-        C = self.complex
-        bases: dict[int, IMat] = {}
-        ranks: dict[int, int] = {}
-        for i in C.degrees():
-            k = kernel_basis(eye(C.rank(i)) + self.c(i))
-            bases[i] = k
-            ranks[i] = k.shape[0]
-        diff: dict[int, IMat] = {}
-        for i in C.degrees():
-            if i + 1 not in ranks:
-                continue
-            if ranks[i] == 0 or ranks[i + 1] == 0:
-                diff[i] = zeros(ranks[i + 1], ranks[i])
-                continue
-            imgs = C.d(i) @ bases[i].T
-            coef = solve_integral(bases[i + 1].T, imgs)
-            if coef is None:
-                raise ValueError("fixed subcomplex differential is not integral")
-            diff[i] = coef
-        self._fixed = BoundedComplex(ranks, diff), bases
+        """The annihilator of 1+c on its ``fixed_basis`` rows, and those rows."""
+        if self._fixed is None:
+            C, c = self.complex, self.involution
+            bases = {i: fixed_basis(c[i]) for i in C.degrees()}
+            diff = {i: fixed_restriction(C.d(i), c[i], c[i + 1]) for i in range(C.lo, C.hi)}
+            ranks = {i: B.shape[0] for i, B in bases.items()}
+            self._fixed = BoundedComplex(ranks, diff), bases
         return self._fixed
 
 
@@ -770,10 +780,9 @@ def intertwines(d1: IMat, d2: IMat, src: tuple[IMat, int], dst: tuple[IMat, int]
     ]
 
 
-def commutes(N: IMat, c: IMat) -> bool:
-    """Whether N c == c N, on sparse rows."""
-    n, cc = _rows(N), _rows(c)
-    return _mul(n, cc) == _mul(cc, n)
+def commutes(N: IMat, perm: list[int]) -> bool:
+    """Whether N c == c N for the involution c(e_k) = e_perm[k], that is N[:, perm] == N[perm]."""
+    return mat_equal(N[:, perm], N[perm])
 
 
 def abstract_index_check(
@@ -793,7 +802,7 @@ def abstract_index_check(
     C1, C2 = j1.complex, j2.complex
     if C1.ranks != C2.ranks:
         raise ValueError("the two complexes have different ranks")
-    if not all(mat_equal(j1.c(i), j2.c(i)) for i in C1.degrees()):
+    if j1.involution != j2.involution:
         raise ValueError("the two complexes carry different involutions")
     for i in C1.degrees():
         n = C1.rank(i)
@@ -802,7 +811,7 @@ def abstract_index_check(
     for i in C1.degrees():
         if i < C1.hi and not intertwines(C1.d(i), C2.d(i), phi[i], phi[i + 1]):
             raise ValueError("phi does not intertwine the differentials")
-        if not commutes(phi[i][0], j1.c(i)):
+        if not commutes(phi[i][0], j1.involution[i]):
             raise ValueError("phi does not commute with the involution")
     for CC in (C1, C2):
         if not CC.is_exact_away_from(0):
@@ -817,20 +826,10 @@ def abstract_index_check(
     )
 
     det_part = Fraction(1)
-    _, fixed_bases = j1.fixed_subcomplex()
-    for i in sorted(C1.degrees()):
-        kc = fixed_bases[i]
-        k = kc.shape[0]
-        if k == 0:
-            continue
-        # N_i preserves ker(1 + c) and kc is saturated, so the restriction
-        # is integral; it is e_i times the restriction of phi[i].
+    for i in C1.degrees():  # N_i commutes with c, so it restricts to ker(1 + c)
         N, e = phi[i]
-        restr = solve_integral(kc.T, N @ kc.T)
-        if restr is None:
-            raise ValueError("phi does not preserve the integral (1+c)-kernel")
-        det = Fraction(det_exact(restr), e**k)
-        det_part *= abs(det) ** ((-1) ** (i % 2))
+        R = fixed_restriction(N, j1.involution[i], j1.involution[i])
+        det_part *= abs(Fraction(det_exact(R), e ** R.shape[0])) ** ((-1) ** (i % 2))
     i1 = i_invariant(j1)
     i2 = i_invariant(j2)
     rhs = det_part / i1 * i2

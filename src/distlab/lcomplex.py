@@ -17,7 +17,14 @@ from math import lcm
 
 import numpy as np
 
-from .abgroup import BoundedComplex, JComplex, abstract_index_check, commutes, intertwines
+from .abgroup import (
+    BoundedComplex,
+    JComplex,
+    abstract_index_check,
+    commutes,
+    fixed_restriction,
+    intertwines,
+)
 from .arith import prime_to_p_part, primes_of, squarefree_divisors
 from .cyclotomic import smoothing_det, smoothing_det_minus
 from .distribution import (
@@ -114,18 +121,11 @@ def differentials(m: int, kind: str) -> dict[int, np.ndarray]:
     return out
 
 
-def involution(m: int) -> dict[int, np.ndarray]:
-    """Negation of the point coordinate, block by block."""
+def involution(m: int) -> dict[int, list[int]]:
+    """Negation of the point coordinate, block by block, as the permutation
+    of each degree's symbols: entry k is the position of c of symbol k."""
     sb = symbol_basis(m)
-    out = {}
-    for i in range(sb.lo, 1):
-        C = zeros(sb.ranks[i], sb.ranks[i])
-        col = 0
-        for g, k in sb.symbols(i):
-            C[sb.position(g, -k), col] = 1
-            col += 1
-        out[i] = C
-    return out
+    return {i: [sb.position(g, -k) for g, k in sb.symbols(i)] for i in range(sb.lo, 1)}
 
 
 def build_complex(m: int, kind: str) -> BoundedComplex:
@@ -397,24 +397,9 @@ def intertwine_check(m: int) -> dict:
     inter = all(
         intertwines(C_diff.d(i), C_avg.d(i), phi[i], phi[i + 1]) for i in range(C_diff.lo, 0)
     )
-    comm = all(commutes(N, jc.c(i)) for i, (N, _) in phi.items())
+    comm = all(commutes(N, jc.involution[i]) for i, (N, _) in phi.items())
     return {"level": m, "intertwines": inter, "commutes_with_negation": comm,
             "ok": inter and comm}
-
-
-def _minus_pair_matrix(block: np.ndarray) -> np.ndarray:
-    """Restriction of a negation-equivariant block to the difference vectors.
-
-    Rows and columns are indexed by the pairs e_k - e_{-k} with 0 < k < s/2;
-    the entry is the coefficient of the target pair in the image."""
-    s = block.shape[0]
-    idx = [k for k in range(1, (s + 1) // 2) if 2 * k != s]
-    out = zeros(len(idx), len(idx))
-    for b, k in enumerate(idx):
-        v = block[:, k] - block[:, (s - k) % s]
-        for a, i in enumerate(idx):
-            out[a, b] = v[i]
-    return out
 
 
 def det_check(m: int) -> dict:
@@ -432,15 +417,16 @@ def det_check(m: int) -> dict:
         sign = (-1) ** (i % 2)
         for g in sb.blocks[i]:
             s = m // g
+            negation = [-k % s for k in range(s)]
             for p in sb.primes:
                 if g % p == 0:
                     continue
                 # the factor is N / d, so each determinant is det(N) / d^size
                 N, d = smoothing_factor_scaled(s, p)
                 full *= abs(det_exact(N) / d**s) ** sign
-                R = _minus_pair_matrix(N)
-                if R.shape[0]:
-                    minus *= abs(det_exact(R) / d ** R.shape[0]) ** sign
+                # N commutes with negation; R is N on the pairs e_k - e_{-k}
+                R = fixed_restriction(N, negation, negation)
+                minus *= abs(det_exact(R) / d ** R.shape[0]) ** sign
     expect_full = Fraction(1)
     expect_minus = Fraction(1)
     for p in sb.primes:

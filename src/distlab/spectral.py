@@ -38,24 +38,25 @@ from .lcomplex import DIFFERENCE, KINDS, build_jcomplex, symbol_basis
 
 HALF = "half"
 FULL = "full"
+FULL_Q_LO = -4
 
 
 class DoubleComplex:
     """Column filtration data of the involution double complex.
 
     Rows of the half variant vanish below zero; rows of the full variant
-    are periodic and stored on the window [q_lo, q_hi].  Entries outside
-    the window have rank zero, so results are only meaningful where the
-    `interior` predicate grants enough stored rows.
+    are periodic and stored on the window [q_lo, q_hi], q_lo = FULL_Q_LO.
+    Entries outside the window have rank zero, so results are only
+    meaningful where the `interior` predicate grants enough stored rows.
     """
 
-    def __init__(self, jc: JComplex, variant: str, q_lo: int = -4, q_hi: int = 6):
+    def __init__(self, jc: JComplex, variant: str, q_hi: int = 6):
         if variant not in (HALF, FULL):
             raise ValueError("variant must be 'half' or 'full'")
         self.jc = jc
         self.base = jc.complex
         self.variant = variant
-        self.q_lo = 0 if variant == HALF else q_lo
+        self.q_lo = 0 if variant == HALF else FULL_Q_LO
         self.q_hi = q_hi
         self.p_lo = self.base.lo
         # Results keyed by the blocks they are built from (see _stair), so
@@ -252,13 +253,13 @@ class DoubleComplex:
 
 
 @lru_cache(maxsize=32)
-def _double(jc: JComplex, variant: str, q_lo: int, q_hi: int) -> DoubleComplex:
-    dc = DoubleComplex(jc, variant, q_lo, q_hi)
+def _double(jc: JComplex, variant: str, q_hi: int) -> DoubleComplex:
+    dc = DoubleComplex(jc, variant, q_hi)
     dc._store = jc.pages
     return dc
 
 
-def build_double(m: int, kind: str, variant: str, q_lo: int = -4, q_hi: int = 6) -> DoubleComplex:
+def build_double(m: int, kind: str, variant: str, q_hi: int = 6) -> DoubleComplex:
     """Shared per-level instances so page caches survive across checks.
 
     Both variants and every row window of a level share the level's
@@ -267,7 +268,7 @@ def build_double(m: int, kind: str, variant: str, q_lo: int = -4, q_hi: int = 6)
     level whose complex was evicted and rebuilt gets new instances on the
     new complex, never the old ones.
     """
-    return _double(build_jcomplex(m, kind), variant, q_lo, q_hi)
+    return _double(build_jcomplex(m, kind), variant, q_hi)
 
 
 # build_double is a lookup in the cache of _double, so they share its counts.

@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .abgroup import fixed_image_index, theta_fixed
+from .abgroup import fixed_basis, fixed_image_index, theta_fixed
 from .arith import inverse_mod, primes_of, prime_to_p_part, validate_level
 from .cyclotomic import (
     character_product_minus,
@@ -49,11 +49,6 @@ from .lcomplex import DIFFERENCE, build_jcomplex
 @lru_cache(maxsize=64)
 def units_of(m: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, m) if gcd(t, m) == 1)
-
-
-def conjugation_matrix(m: int) -> np.ndarray:
-    """Permutation of the group-ring basis induced by t -> -t."""
-    return eye(len(units_of(m)))[:, unit_translation(m, m - 1)]
 
 
 @dataclass(frozen=True)
@@ -123,8 +118,8 @@ class StickelbergerData:
 
 
 def minus_sublattice(m: int) -> Lattice:
-    """Annihilator of 1+c inside the integral group ring."""
-    return theta_fixed(conjugation_matrix(m))
+    """Annihilator of 1+c inside the integral group ring, c: t -> -t."""
+    return Lattice(len(units_of(m)), fixed_basis(unit_translation(m, m - 1)))
 
 
 # Memoised: every index check of a level reads the same ideal.  Its

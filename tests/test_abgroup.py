@@ -15,7 +15,6 @@ from distlab.abgroup import (
     ZQuotient,
     _random_unimodular,
     abstract_index_check,
-    cohomology_regulators,
     commutes,
     elementary_power,
     euler_regulator_check,
@@ -31,12 +30,10 @@ from distlab.abgroup import (
 )
 from distlab.arith import factorize
 from distlab.exact_linalg import (
-    Lattice,
     eye,
     hnf_nonzero,
     imat,
     inverse_exact,
-    kernel_basis,
     mat_equal,
     qmat,
     scaled,
@@ -44,6 +41,30 @@ from distlab.exact_linalg import (
     to_int,
     zeros,
 )
+
+
+@pytest.mark.parametrize(
+    "ngens, relations, message",
+    [
+        (2, eye(3), "^relation rows have width 3, want 2$"),
+        (3, [[2, 0]], "^relation rows have width 2, want 3$"),
+        (3, zeros(0, 2), "^relation rows have width 2, want 3$"),
+        (3, [2, 0, 0], r"^relations must be a matrix, not of shape \(3,\)$"),
+    ],
+    ids=["too_wide", "too_narrow", "empty_too_narrow", "one_row_unnested"],
+)
+def test_from_relations_rejects_malformed_relations(ngens, relations, message):
+    with pytest.raises(ValueError, match=message):
+        FgAbGroup.from_relations(ngens, relations)
+
+
+def test_free_rank_is_non_negative():
+    with pytest.raises(ValueError, match="^free rank must be non-negative, got -1$"):
+        FgAbGroup(-1)
+    assert FgAbGroup.from_relations(2, zeros(0, 2)) == FgAbGroup(2)
+    assert FgAbGroup.from_relations(2, [[0, 0]]) == FgAbGroup(2)
+    assert FgAbGroup.from_invariants(3, []) == FgAbGroup(3)
+    assert FgAbGroup.from_invariants(0, []) == FgAbGroup(0)
 
 
 def test_canonical_form_basics():
@@ -430,10 +451,7 @@ def _lp_complex(p):
     for k in range(1, p):
         d[k, 0] = 1
     C = BoundedComplex({-1: 1, 0: p}, {-1: d})
-    c0 = zeros(p, p)
-    for k in range(p):
-        c0[(-k) % p, k] = 1
-    return JComplex(C, {0: c0, -1: eye(1)})
+    return JComplex(C, {0: [(-k) % p for k in range(p)], -1: [0]})
 
 
 def test_i_invariant_prime_level():
@@ -451,10 +469,7 @@ def test_i_invariant_predistribution_prime_level():
     for k in range(p):
         d[k, 0] = 1
     C = BoundedComplex({-1: 1, 0: p}, {-1: d})
-    c0 = zeros(p, p)
-    for k in range(p):
-        c0[(-k) % p, k] = 1
-    jc = JComplex(C, {0: c0, -1: eye(1)})
+    jc = JComplex(C, {0: [(-k) % p for k in range(p)], -1: [0]})
     assert i_invariant(jc) == 1
 
 
@@ -479,14 +494,21 @@ def test_sparse_intertwines_and_commutes_match_dense_products(seed):
     assert intertwines(d1, d2, (N, e), (N1, e1)) == dense
     # a true intertwiner: the identity (as eI / e) on the source, N1 on the target
     assert intertwines(d1, N1 @ d1, (eye(a) * e, e), (N1, 1))
-    c = rand(a, a, 0, 1)
-    assert commutes(N, c) == mat_equal(N @ c, c @ N)
-    assert commutes(N, eye(a)) and commutes(c, c)
+    # a random involution: disjoint swaps of a shuffled index list
+    perm, ks = list(range(a)), list(range(a))
+    rng.shuffle(ks)
+    for x, y in zip(ks[::2], ks[1::2]):
+        if rng.random() < 0.7:
+            perm[x], perm[y] = y, x
+    c = eye(a)[:, perm]
+    assert commutes(N, perm) == mat_equal(N @ c, c @ N)
+    assert commutes(N, list(range(a))) and commutes(c, perm)
+    assert commutes(N + c @ N @ c, perm)
 
 
 def test_index_check_rejects_phi_off_the_involution_or_shape():
     # one degree, rank 2, the involution swaps the two basis vectors
-    swap = JComplex(BoundedComplex({0: 2}, {}), {0: imat([[0, 1], [1, 0]])})
+    swap = JComplex(BoundedComplex({0: 2}, {}), {0: [1, 0]})
     with pytest.raises(ValueError, match="^phi does not commute with the involution$"):
         abstract_index_check(swap, swap, {0: scaled(qmat([[1, 0], [0, 2]]))})
     with pytest.raises(ValueError, match="^phi at degree 0 is not 2 x 2$"):

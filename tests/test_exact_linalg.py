@@ -26,7 +26,6 @@ from distlab.exact_linalg import (
     integral_preimage,
     inverse_exact,
     invariant_factors,
-    is_integral,
     is_unimodular,
     kernel_basis,
     lattice_index,

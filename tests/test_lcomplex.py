@@ -7,16 +7,35 @@ import numpy as np
 import pytest
 
 from distlab import distribution
-from distlab.abgroup import BoundedComplex, JComplex, abstract_index_check
+from distlab.abgroup import (
+    BoundedComplex,
+    JComplex,
+    _i_invariant,
+    abstract_index_check,
+    fixed_basis,
+    fixed_restriction,
+    i_invariant,
+    theta_fixed,
+)
 from distlab.arith import primes_of
 from distlab.distribution import negation_matrix, smoothing_factor_scaled
-from distlab.exact_linalg import _dense, eye, mat_equal, scaled, unscaled, zeros
+from distlab.exact_linalg import (
+    Lattice,
+    _dense,
+    det_exact,
+    eye,
+    kernel_basis,
+    mat_equal,
+    scaled,
+    solve_integral,
+    unscaled,
+    zeros,
+)
 from distlab.lcomplex import (
     AVERAGE,
     DIFFERENCE,
     KINDS,
     AveragedLevel,
-    _minus_pair_matrix,
     acyclicity_check,
     build_complex,
     build_jcomplex,
@@ -71,17 +90,20 @@ def test_structural_checks_reject_violations():
     with pytest.raises(ValueError, match=r"^d\^2 != 0 between degrees -2 and 0$"):
         BoundedComplex(ranks, d)
 
+    # A 3-cycle on the points 1, 2, 3 of the block of 3 (positions 7, 8, 9),
+    # which negation pairs as {1, 3} and fixes at 2.
     C = build_complex(12, DIFFERENCE)
     c = involution(12)
-    c[-2] = 2 * c[-2]
-    with pytest.raises(ValueError, match="^involution at degree -2 does not square to 1$"):
+    assert c[-1][6:] == [6, 9, 8, 7]
+    c[-1][7:] = [8, 9, 7]
+    with pytest.raises(ValueError, match="^involution at degree -1 does not square to 1$"):
         JComplex(C, c)
 
-    # Swapping the columns of the pair {1, -1} keeps c[0] an involution
-    # (it now fixes both points) but breaks c d = d c into degree 0.
+    # Swapping the pair {1, -1} = {1, 11} keeps c[0] an involution (it now
+    # fixes both points) but breaks c d = d c into degree 0.
     c = involution(12)
-    c[0][:, [1, 11]] = c[0][:, [11, 1]]
-    assert mat_equal(c[0] @ c[0], eye(12))
+    c[0][1], c[0][11] = c[0][11], c[0][1]
+    assert all(c[0][j] == k for k, j in enumerate(c[0]))
     with pytest.raises(ValueError, match="^involution does not commute with d at degree -1$"):
         JComplex(C, c)
 
@@ -91,9 +113,62 @@ def test_structural_checks_reject_violations():
     with pytest.raises(ValueError, match="is not an integer"):
         BoundedComplex(ranks, d)
     c = involution(12)
-    c[0][0, 0] = Fraction(1, 2)
+    c[0][0] = Fraction(0)
     with pytest.raises(ValueError, match="is not an integer"):
         JComplex(C, c)
+
+
+def _set(degree, k, value):
+    def edit(c):
+        c[degree][k] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c[0].pop(), "^involution at degree 0 is not a permutation of 12 indices$"),
+        (lambda c: c[-1].append(10), "^involution at degree -1 is not a permutation of 10 indices$"),
+        (_set(0, 1, 2), "^involution at degree 0 is not a permutation of 12 indices$"),
+        (_set(0, 1, 12), "^involution at degree 0 is not a permutation of 12 indices$"),
+        (_set(-2, 1, -1), "^involution at degree -2 is not a permutation of 2 indices$"),
+        (_set(0, 0, 0.0), "^involution at degree 0: entry 0.0 is not an integer$"),
+        (_set(-2, 1, True), "^involution at degree -2: entry True is not an integer$"),
+        (_set(-2, 0, np.int64(0)), "^involution at degree -2: entry .*0.* is not an integer$"),
+        (lambda c: c.update({1: []}), "^involution at degree 1, outside the complex$"),
+        (lambda c: c.update({-3: [0]}), "^involution at degree -3, outside the complex$"),
+    ],
+    ids=[
+        "short",
+        "long",
+        "repeated_entry",
+        "entry_past_the_rank",
+        "negative_entry",
+        "float_entry",
+        "bool_entry",
+        "numpy_int_entry",
+        "degree_above",
+        "degree_below",
+    ],
+)
+def test_jcomplex_rejects_a_malformed_permutation(edit, message):
+    c = involution(12)
+    edit(c)
+    with pytest.raises(ValueError, match=message):
+        JComplex(build_complex(12, DIFFERENCE), c)
+
+
+def test_jcomplex_fills_missing_degrees_with_the_identity():
+    C = build_complex(12, AVERAGE)
+    given = {-2: [0, 1]}
+    jc = JComplex(C, given)
+    assert jc.involution == {-2: [0, 1], -1: list(range(10)), 0: list(range(12))}
+    assert given == {-2: [0, 1]}  # the caller's dict is left as it was
+    assert mat_equal(jc.c(0), eye(12))
+    jc = JComplex(C, involution(12))
+    assert jc.c(0) is jc.c(0)  # built once
+    assert mat_equal(jc.c(0), negation_matrix(12))
 
 
 @pytest.mark.parametrize("m", [3, 4, 9, 12, 16, 18])
@@ -189,31 +264,96 @@ def test_index_formula_rejects_mismatched_complexes():
         abstract_index_check(
             build_jcomplex(9, DIFFERENCE), build_jcomplex(8, AVERAGE), smoothing_blocks_scaled(9)
         )
-    # The identity is an involution commuting with every differential.
+    # The identity, which an empty dict gives, commutes with every differential.
     C = build_complex(12, AVERAGE)
-    trivial = JComplex(C, {i: eye(C.rank(i)) for i in C.degrees()})
+    trivial = JComplex(C)
     with pytest.raises(ValueError, match="^the two complexes carry different involutions$"):
         abstract_index_check(build_jcomplex(12, DIFFERENCE), trivial, smoothing_blocks_scaled(12))
 
 
+def _negation(s):
+    return [-k % s for k in range(s)]
+
+
 def test_minus_pair_restriction_of_negation():
-    R = _minus_pair_matrix(negation_matrix(5))
+    R = fixed_restriction(negation_matrix(5), _negation(5), _negation(5))
     assert R.shape == (2, 2)
     assert mat_equal(R, -np.array([[1, 0], [0, 1]], dtype=object))
     # even block size drops the self-negative midpoint
-    assert _minus_pair_matrix(negation_matrix(6)).shape == (2, 2)
-    assert _minus_pair_matrix(negation_matrix(2)).shape == (0, 0)
+    assert fixed_restriction(negation_matrix(6), _negation(6), _negation(6)).shape == (2, 2)
+    assert fixed_restriction(negation_matrix(2), _negation(2), _negation(2)).shape == (0, 0)
 
 
 def test_minus_pair_restriction_entries():
     F = unscaled(*smoothing_factor_scaled(5, 2))
-    R = _minus_pair_matrix(F)
+    R = fixed_restriction(F, _negation(5), _negation(5))
     for b, k in enumerate([1, 2]):
         v = F[:, k] - F[:, 5 - k]
         assert v[0] == 0
         for a, i in enumerate([1, 2]):
             assert R[a, b] == v[i]
             assert v[5 - i] == -v[i]
+
+
+# ---------------------------------------------------------------------------
+# the orbit route to the (1+c)-fixed parts against the Smith route
+
+
+def _fixed_subcomplex_by_smith(jc):
+    """The fixed subcomplex by the Smith route: a Smith kernel of 1 + c per
+    degree and an integral solve per differential."""
+    C = jc.complex
+    bases = {i: kernel_basis(eye(C.rank(i)) + jc.c(i)) for i in C.degrees()}
+    diff = {}
+    for i in range(C.lo, C.hi):
+        src, tgt = bases[i], bases[i + 1]
+        diff[i] = zeros(tgt.shape[0], src.shape[0])
+        if src.shape[0] and tgt.shape[0]:
+            diff[i] = solve_integral(tgt.T, C.d(i) @ src.T)
+            assert diff[i] is not None
+    return BoundedComplex({i: B.shape[0] for i, B in bases.items()}, diff), bases
+
+
+def _det_part_by_solve(bases, phi):
+    """The determinant part of the index formula from integral solves on the
+    Smith bases of ker(1 + c)."""
+    out = Fraction(1)
+    for i, B in bases.items():
+        if B.shape[0]:
+            N, e = phi[i]
+            R = solve_integral(B.T, N @ B.T)
+            out *= abs(Fraction(det_exact(R), e ** B.shape[0])) ** ((-1) ** (i % 2))
+    return out
+
+
+ORBIT_LEVELS = [m for m in range(3, 61) if m % 4 != 2] + [105]
+
+
+@pytest.mark.parametrize("m", ORBIT_LEVELS)
+def test_orbit_route_matches_the_smith_route(m):
+    phi = smoothing_blocks_scaled(m)
+    for kind in KINDS:
+        jc = build_jcomplex(m, kind)
+        C, c = jc.complex, jc.involution
+        for i in C.degrees():
+            n, B = C.rank(i), fixed_basis(c[i])
+            assert Lattice(n, B) == theta_fixed(jc.c(i)), (m, kind, i)
+            # the differential into degree i + 1 and phi within degree i
+            for N, j in ((C.d(i), i + 1), (phi[i][0], i)):
+                if j in c:
+                    R = fixed_restriction(N, c[i], c[j])
+                    assert mat_equal(N @ B.T, fixed_basis(c[j]).T @ R), (m, kind, i, j)
+        fixed, _ = jc.fixed_subcomplex()
+        oracle = _fixed_subcomplex_by_smith(jc)
+        assert fixed.ranks == oracle[0].ranks
+        for i in C.degrees():
+            assert fixed.cohomology(i) == oracle[0].cohomology(i), (m, kind, i)
+        smith = JComplex(C, c)
+        smith._fixed = oracle  # so that the invariant reads the Smith-route subcomplex
+        assert _i_invariant(smith) == i_invariant(jc), (m, kind)
+        if kind == DIFFERENCE:
+            det_part = _det_part_by_solve(oracle[1], phi)
+    assert index_formula_check(m)["det_part"] == det_part
 
 
 @pytest.mark.parametrize("m", [4, 9, 12, 15, 16, 24, 40])

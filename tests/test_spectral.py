@@ -292,7 +292,8 @@ def test_variants_of_a_level_share_complex_and_store():
     half, full = _variants(12, DIFFERENCE)
     assert half.jc is full.jc
     assert half._store is full._store
-    assert build_double(12, DIFFERENCE, FULL, -2, 4)._store is half._store
+    assert build_double(12, DIFFERENCE, FULL, 4)._store is half._store
+    assert (half.q_lo, full.q_lo, build_double(12, DIFFERENCE, FULL, 4).q_hi) == (0, -4, 4)
     assert build_double(12, AVERAGE, HALF)._store is not half._store
     own = DoubleComplex(half.jc, HALF)
     assert own._store is not half._store
@@ -314,7 +315,7 @@ def test_shared_store_matches_an_emptied_store(m, kind):
                 for q in range(dc.q_lo, dc.q_hi + 1):
                     dc.e_term(p, q, r)
     for dc in shared:
-        fresh = DoubleComplex(dc.jc, dc.variant, dc.q_lo, dc.q_hi)
+        fresh = DoubleComplex(dc.jc, dc.variant, dc.q_hi)
         for r in range(1, 5):
             for p in range(sb.lo, 1):
                 for q in range(dc.q_lo, dc.q_hi + 1):

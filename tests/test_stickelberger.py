@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distlab import cli, stickelberger
+from distlab.abgroup import theta_fixed
 from distlab.arith import euler_phi
 from distlab.cyclotomic import corrector_w
 from distlab.exact_linalg import (
@@ -24,7 +25,6 @@ from distlab.stickelberger import (
     alpha_image_index_check,
     alpha_lattice,
     alpha_scaled,
-    conjugation_matrix,
     antisymmetrization_index_check,
     definition_report,
     group_stability_check,
@@ -171,8 +171,12 @@ def test_antisymmetrized_theta_rows_by_permutation(m):
         rows * Fraction(1, m),
         np.array([theta_element(m, a).coeffs for a in range(1, m)], dtype=object),
     )
+    # t -> -t permutes the columns into those of the conjugate elements
     perm = unit_translation(m, m - 1)
-    assert mat_equal(rows[:, perm], rows @ conjugation_matrix(m).T)
+    assert mat_equal(
+        rows[:, perm] * Fraction(1, m),
+        np.array([theta_element(m, a).conjugate().coeffs for a in range(1, m)], dtype=object),
+    )
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 35, 60, 105, 420])
@@ -182,7 +186,9 @@ def test_conjugation_matrix_sends_t_to_minus_t(m):
     C = zeros(len(units), len(units))
     for t in units:
         C[idx[m - t], idx[t]] = 1
-    assert mat_equal(conjugation_matrix(m), C)
+    assert mat_equal(eye(len(units))[:, unit_translation(m, m - 1)], C)
+    # the orbit basis of ker(1 + c) against the Smith kernel of 1 + C
+    assert minus_sublattice(m) == theta_fixed(C)
 
 
 @pytest.mark.parametrize("m", [7, 12])

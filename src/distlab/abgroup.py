@@ -28,6 +28,7 @@ from .exact_linalg import (
     Lattice,
     Row,
     _dense,
+    _hermite,
     _mul,
     _rows,
     det_exact,
@@ -176,27 +177,33 @@ class ZQuotient:
     """Z^n modulo the row span of integer relations.
 
     The relations are given as a dense matrix of width n, or as sparse
-    ``dict`` rows of ints (checked, then kept as given; callers must not
-    change them).  ``rows`` holds them sparse, and ``relations`` is a
-    dense view built on first read.
+    ``dict`` rows of ints (checked, then copied).  ``rows`` holds their one
+    canonical form, the nonzero Hermite rows, sparse: two presentations of
+    one lattice get equal rows and equal coordinates.  ``relations`` is a
+    dense view built on first read.  As the rows are independent, ``group``
+    is their Smith form alone and ``free_rank`` is n minus their count.
 
     Tracks the Smith transform ``U @ rel.T @ V = D`` so the quotient gets
     explicit coordinates z = U Λ x: positions with d=1 are dead, d>1 are
     torsion coordinates, d=0 are free.  ``P`` projects onto the free
-    coordinates and ``S`` is a section with P @ S = identity.  The Smith
-    form runs on the first read of ``group``, ``free_rank``, ``P``, ``S``,
-    ``induced_on_free`` or the coordinates themselves (``U``, ``Uinv``,
-    ``dvec``); ``rows``, ``relations`` and ``stabilizes`` do not need it.
+    coordinates and ``S`` is a section with P @ S = identity.  The
+    transforms are built on the first read of ``P``, ``S``,
+    ``induced_on_free``, ``U``, ``Uinv`` or ``dvec``.
     """
 
     def __init__(self, n: int, relation_rows: IMat | list[Row]):
         self.n = n
         if isinstance(relation_rows, list):
             _check_rows(relation_rows, n)
-            self.rows = relation_rows
+            # copies, as the reduction works in place; a zero entry is no pivot
+            rows = [
+                {j: x for j, x in row.items() if x} if 0 in row.values() else dict(row)
+                for row in relation_rows
+            ]
         else:
             _check_relations(relation_rows, n)
-            self.rows = _rows(relation_rows)
+            rows = _rows(relation_rows)
+        self.rows = _hermite(rows, n)
 
     @cached_property
     def relations(self) -> IMat:
@@ -230,18 +237,12 @@ class ZQuotient:
         return [j for j, d in enumerate(self.dvec) if d == 0]
 
     @cached_property
-    def tor_idx(self) -> list[int]:
-        return [j for j, d in enumerate(self.dvec) if d > 1]
-
-    @property
     def group(self) -> FgAbGroup:
-        return FgAbGroup(
-            len(self.free_idx), tuple(self.dvec[j] for j in self.tor_idx)
-        )
+        return FgAbGroup.from_relations(self.n, self.relations)
 
     @property
     def free_rank(self) -> int:
-        return len(self.free_idx)
+        return self.n - len(self.rows)
 
     @property
     def P(self) -> IMat:
@@ -270,10 +271,10 @@ class ZQuotient:
         self._check_endomorphism(C)
         if not self.rows:
             return True
-        # solve_integral needs independent columns: use a lattice basis.
-        H = hnf_nonzero(self.relations)
+        # solve_integral needs independent columns, as the rows are.
+        H = self.relations.T
         try:
-            return solve_integral(H.T, C @ H.T) is not None
+            return solve_integral(H, C @ H) is not None
         except ValueError:  # inconsistent: C moves relations out of their span
             return False
 
@@ -627,11 +628,10 @@ def regulator_via_subgroups(
         rel = zeros(t, r + t)
         for j, d in enumerate(G.torsion):
             rel[j, r + j] = d
-        stacked = np.vstack([rel, np.hstack([V, W])])
-        facs = invariant_factors(stacked) if stacked.size else ()
-        if len(facs) < r + t:
+        Q = FgAbGroup.from_relations(r + t, np.vstack([rel, np.hstack([V, W])]))
+        if not Q.is_finite:
             raise ValueError("subgroup is not finite index")
-        return V, prod(facs) if facs else 1
+        return V, Q.order()
 
     VA, ordA = draw(A)
     VB, ordB = draw(B)

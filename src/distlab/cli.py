@@ -327,7 +327,7 @@ def suite_stickelberger(m: int, args) -> list:
 
 
 def suite_hminus(m: int, args) -> list:
-    from .cyclotomic import h_minus, l_value_crosscheck
+    from .cyclotomic import L_VALUE_TOL, h_minus, l_value_crosscheck
 
     def value():
         h = h_minus(m)
@@ -336,7 +336,7 @@ def suite_hminus(m: int, args) -> list:
     def floats():
         rows = l_value_crosscheck(m)
         worst = max(r["rel_err"] for r in rows)
-        return "relative error <= 1e-06", f"{worst:.3e}", all(r["ok"] for r in rows)
+        return f"relative error <= {L_VALUE_TOL}", f"{worst:.3e}", all(r["ok"] for r in rows)
 
     return [
         (m, "h_minus", {"m": m}, value),

@@ -64,7 +64,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     for d in divisors(n):
         if d < n:
             q, r = _poly_divmod_monic(num, list(cyclotomic_poly(d)))
-            assert not any(r), "cyclotomic division must be exact"
+            if any(r):
+                raise ArithmeticError(f"Phi_{d} leaves remainder {r} in x^{n} - 1")
             num = q
     return tuple(num)
 
@@ -255,7 +256,8 @@ class UnitGroup:
             for g, k in zip(gens, exps):
                 u = u * pow(g, k, f) % f
             table[u] = exps
-        assert len(table) == euler_phi(f)
+        if len(table) != euler_phi(f):
+            raise ArithmeticError(f"{len(table)} discrete logs mod {f}, want {euler_phi(f)}")
         self._dlog = table
 
     def units(self) -> list[int]:
@@ -358,7 +360,8 @@ class DirichletChar:
                 a += f
             t = self.value_exponent(a)
             k = t * d
-            assert k.denominator == 1, "character does not descend to its conductor"
+            if k.denominator != 1:
+                raise ArithmeticError(f"character does not descend to its conductor: exponent {k}")
             exps.append(int(k))
         return DirichletChar(f, exps)
 
@@ -407,7 +410,8 @@ def _galois_orbits(chars: list[DirichletChar]) -> list[list[DirichletChar]]:
             tw = DirichletChar(chi.modulus, [t * k for k in chi.exponents])
             orbit.append(tw)
             seen.add(tw.exponents)
-        assert len(orbit) == euler_phi(N)
+        if len(orbit) != euler_phi(N):
+            raise ArithmeticError(f"Galois orbit of {len(orbit)} characters, want {euler_phi(N)}")
         orbits.append(orbit)
     return orbits
 
@@ -427,14 +431,15 @@ def h_minus(m: int) -> int:
 
     Computed as Q * w * prod over odd characters of (-B_1/2), with each
     Galois orbit contributing an exact field norm; the result must come out
-    a positive integer and an assertion enforces that.
+    a positive integer, and ArithmeticError names any other value.
     """
     validate_level(m)
     total = Fraction(corrector_q(m) * corrector_w(m))
     for orbit in _galois_orbits(odd_characters(m)):
         rep = orbit[0]
         total *= (bernoulli1(rep) * Fraction(-1, 2)).norm()
-    assert total > 0 and total.denominator == 1, f"h-minus({m}) = {total}"
+    if total <= 0 or total.denominator != 1:
+        raise ArithmeticError(f"h-minus({m}) = {total} is not a positive integer")
     return int(total)
 
 
@@ -483,14 +488,19 @@ def _digamma01(x: float) -> float:
     return y + (g * _PSI_Y + g * r)
 
 
-def l_value_crosscheck(m: int, tol: float = 1e-6) -> list[dict]:
+# The relative error that the float net allows between its two routes.
+L_VALUE_TOL = 1e-6
+
+
+def l_value_crosscheck(m: int) -> list[dict]:
     """Float sanity net for every odd character at level m.
 
-    Compares |L(1, chi)| from the digamma series against pi*|B_1|/sqrt(f);
-    purely diagnostic, the exact layer never consumes these numbers.  The
-    digamma values come from ``_digamma01``, a port of Cephes ``psi`` with
-    Boost's ``digamma_imp_1_2`` on [1, 2], as the xsf special-function
-    library compiles it.
+    Compares |L(1, chi)| from the digamma series against pi*|B_1|/sqrt(f),
+    up to a relative error of ``L_VALUE_TOL``; purely diagnostic, the exact
+    layer never consumes these numbers.  The digamma values come from
+    ``_digamma01``, a port of Cephes ``psi`` with Boost's
+    ``digamma_imp_1_2`` on [1, 2], as the xsf special-function library
+    compiles it.
     """
     out = []
     for chi in odd_characters(m):
@@ -512,7 +522,7 @@ def l_value_crosscheck(m: int, tol: float = 1e-6) -> list[dict]:
                 "l_value": float(lval),
                 "bernoulli_route": float(bval),
                 "rel_err": float(rel),
-                "ok": bool(rel <= tol),
+                "ok": bool(rel <= L_VALUE_TOL),
             }
         )
     return out
@@ -522,14 +532,19 @@ def l_value_crosscheck(m: int, tol: float = 1e-6) -> list[dict]:
 # local determinant factors of the smoothing operator
 
 
+def _cosets(phi: int, c: int, f: int) -> int:
+    """phi / c, the number of cosets of a subgroup of order c in (Z/f)^*."""
+    if phi % c:
+        raise ArithmeticError(f"subgroup order {c} does not divide #(Z/{f})^* = {phi}")
+    return phi // c
+
+
 def smoothing_det(p: int, f: int) -> Fraction:
     """det of the p-smoothing factor on the full rational algebra of (Z/f)^*."""
     if gcd(p, f) != 1:
         raise ValueError("p must be coprime to the conductor")
     c = multiplicative_order(p, f)
-    phi = euler_phi(f)
-    assert phi % c == 0
-    return (1 - Fraction(1, p**c)) ** (-(phi // c))
+    return (1 - Fraction(1, p**c)) ** (-_cosets(euler_phi(f), c, f))
 
 
 def smoothing_det_minus(p: int, f: int) -> Fraction:
@@ -546,10 +561,8 @@ def smoothing_det_minus(p: int, f: int) -> Fraction:
     c = multiplicative_order(p, f)
     phi = euler_phi(f)
     if c % 2 == 0 and pow(p, c // 2, f) == f - 1:
-        assert phi % c == 0
-        return (1 + Fraction(1, p ** (c // 2))) ** (-(phi // c))
-    assert phi % (2 * c) == 0
-    return (1 - Fraction(1, p**c)) ** (-(phi // (2 * c)))
+        return (1 + Fraction(1, p ** (c // 2))) ** (-_cosets(phi, c, f))
+    return (1 - Fraction(1, p**c)) ** (-_cosets(phi, 2 * c, f))
 
 
 def character_product_full(p: int, f: int) -> Fraction:

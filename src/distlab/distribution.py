@@ -27,7 +27,6 @@ from .exact_linalg import (
     Lattice,
     Row,
     _dense,
-    _hermite,
     eye,
     is_unimodular,
     kernel_basis,
@@ -192,26 +191,24 @@ def predistribution_lattice(m: int) -> Lattice:
 def prime_step_relations_suffice(m: int) -> bool:
     """Relations at prime n already span the full relation lattice."""
     return all(
-        _hermite(_relation_rows(m, bare, primes_of(m)), m) == q(m).rows
+        ZQuotient(m, _relation_rows(m, bare, primes_of(m))).rows == q(m).rows
         for bare, q in ((False, universal_distribution), (True, universal_predistribution))
     )
 
 
 # Memoised: the Tate groups and the Stickelberger checks of a level read
-# the same quotient.  Callers must not modify it.  It holds its Hermite
-# relation rows sparse, built from the index arithmetic with no dense
-# matrix, and the Tate groups read only those; the dense view and the Smith
-# coordinates that the other checks use are built on first use (see
-# ZQuotient), and the bound is small because each quotient that has them
-# holds its dense n x n transforms.
+# the same quotient, and callers must not modify it.  The Tate groups read
+# only its sparse Hermite rows; the dense view and the Smith coordinates
+# are built on first use, and the bound is small because each quotient
+# that has them holds its dense n x n transforms.
 @lru_cache(maxsize=8)
 def universal_distribution(m: int) -> ZQuotient:
-    return ZQuotient(m, _hermite(_relation_rows(m, False, divisors(m)[1:]), m))
+    return ZQuotient(m, _relation_rows(m, False, divisors(m)[1:]))
 
 
 @lru_cache(maxsize=8)
 def universal_predistribution(m: int) -> ZQuotient:
-    return ZQuotient(m, _hermite(_relation_rows(m, True, divisors(m)[1:]), m))
+    return ZQuotient(m, _relation_rows(m, True, divisors(m)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +325,21 @@ def smoothing_scaled(m: int, primes=None) -> tuple[IMat, int]:
 
     The product runs over ``primes`` (default: every p | m).  N is the
     integer product of the scaled factors and d the product of their
-    denominators, so no ``Fraction`` is formed.
+    denominators, so no ``Fraction`` is formed.  The product is memoised
+    by (m, primes), so the degree-zero block of the symbol operator and
+    the checks on level points read one N, which is read-only.
     """
+    return _smoothing_product(m, tuple(primes_of(m) if primes is None else primes))
+
+
+# The bound holds every block of one level with up to five primes.
+@lru_cache(maxsize=32)
+def _smoothing_product(m: int, primes: tuple[int, ...]) -> tuple[IMat, int]:
     N, d = eye(m), 1
-    for p in primes_of(m) if primes is None else primes:
+    for p in primes:
         F, e = smoothing_factor_scaled(m, p)
         N, d = F @ N, d * e
+    N.flags.writeable = False  # shared by every caller
     return N, d
 
 

@@ -28,8 +28,6 @@ from .abgroup import (
 from .arith import prime_to_p_part, primes_of, squarefree_divisors
 from .cyclotomic import smoothing_det, smoothing_det_minus
 from .distribution import (
-    distribution_lattice,
-    predistribution_lattice,
     smoothing_factor_scaled,
     smoothing_scaled,
     standard_basis,
@@ -37,7 +35,6 @@ from .distribution import (
     universal_predistribution,
 )
 from .exact_linalg import (
-    Lattice,
     Row,
     _comb,
     _mul,
@@ -50,6 +47,7 @@ from .exact_linalg import (
 DIFFERENCE = "difference"
 AVERAGE = "average"
 KINDS = (DIFFERENCE, AVERAGE)
+QUOTIENT = {DIFFERENCE: universal_distribution, AVERAGE: universal_predistribution}
 
 
 def epsilon(g: int, p: int) -> int:
@@ -141,14 +139,12 @@ def build_jcomplex(m: int, kind: str) -> JComplex:
     return JComplex(build_complex(m, kind), involution(m))
 
 
-def h0_lattice(m: int, kind: str) -> Lattice:
-    """Image of the last differential inside the degree-zero coordinates."""
-    C = build_jcomplex(m, kind).complex
-    return Lattice(C.rank(0), C.d(-1).T)
-
-
 def acyclicity_check(m: int) -> dict:
-    """Negative degrees vanish and degree zero recovers the two quotients."""
+    """Negative degrees vanish and degree zero recovers the two quotients.
+
+    Degree 0 is the top degree, so its quotient's rows are the Hermite rows
+    of the image of d(-1) in the level-m points, as the universal ones are.
+    """
     sb = symbol_basis(m)
     res: dict = {"level": m}
     ok = True
@@ -156,10 +152,7 @@ def acyclicity_check(m: int) -> dict:
         jc = build_jcomplex(m, kind)  # also validates d^2 = 0 and c d = d c
         C = jc.complex
         acyclic = all(C.cohomology(i).is_trivial for i in range(sb.lo, 0))
-        target = (
-            distribution_lattice(m) if kind == DIFFERENCE else predistribution_lattice(m)
-        )
-        same = h0_lattice(m, kind) == target if m > 1 else h0_lattice(m, kind).rank == 0
+        same = C.cohomology_data(0)[1].rows == QUOTIENT[kind](m).rows
         free = not C.cohomology(0).torsion
         res[kind] = {"acyclic_below": acyclic, "h0_matches": same, "h0_free": free}
         ok = ok and acyclic and same and free
@@ -175,10 +168,8 @@ def level_inclusion_check(m: int, mult: int) -> dict:
         emb[k * (M // m), k] = 1
     out: dict = {"level": m, "factor": mult}
     ok = True
-    builders = {DIFFERENCE: universal_distribution, AVERAGE: universal_predistribution}
     for kind in KINDS:
-        qs = builders[kind](m)
-        qb = builders[kind](M)
+        qs, qb = QUOTIENT[kind](m), QUOTIENT[kind](M)
         induced = qb.P @ emb @ qs.S
         out[kind] = rank_exact(induced) == induced.shape[1]
         ok = ok and out[kind]

@@ -399,11 +399,15 @@ def degeneration_check(m: int, kind: str) -> dict:
     return {"level": m, "kind": kind, "ok": ok}
 
 
-def page_homology_check(m: int, kind: str, variant: str, rmax: int = 3) -> dict:
-    """Each page is the homology of the previous one under its differential."""
+# The last page whose differential page_homology_check takes homology of.
+PAGE_RMAX = 3
+
+
+def page_homology_check(m: int, kind: str, variant: str) -> dict:
+    """Pages 2 to PAGE_RMAX + 1 are each the homology of the page before."""
     dc = build_double(m, kind, variant)
     ok = True
-    for r in range(1, rmax + 1):
+    for r in range(1, PAGE_RMAX + 1):
         for p, q in dc.interior_cells(r + 1):
             ok = ok and dc.e_term(p, q, r + 1) == dc.e_via_homology(p, q, r)
     return {"level": m, "kind": kind, "variant": variant, "ok": ok}

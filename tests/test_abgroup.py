@@ -30,6 +30,7 @@ from distlab.abgroup import (
 )
 from distlab.arith import factorize
 from distlab.exact_linalg import (
+    _rows,
     eye,
     hnf_nonzero,
     imat,
@@ -288,7 +289,10 @@ def test_lazy_smith_coordinates_match_an_eager_smith_form(seed):
     for width, rel in cases:
         q = ZQuotient(width, rel)
         assert "_snf" not in vars(q)  # nothing is built before first use
-        U, Uinv, dvec = _eager_smith(to_int(rel) if rel.size else zeros(0, width))
+        # the group is the Smith form of the independent rows, with no transforms
+        assert q.group == FgAbGroup.from_relations(width, rel) and "_snf" not in vars(q)
+        # the coordinates are those of the canonical rows, not of the given ones
+        U, Uinv, dvec = _eager_smith(q.relations)
         free = [j for j in range(width) if dvec[j] == 0]
         assert q.P.shape == (len(free), width)
         assert "_snf" in vars(q)
@@ -327,17 +331,45 @@ def test_zquotient_rejects_relations_of_another_width():
 def test_zquotient_keeps_sparse_rows_and_a_dense_view():
     rel = imat([[2, 0, 4], [0, 0, 0], [0, 3, 0]])
     q = ZQuotient(3, rel)
-    assert q.rows == [{0: 2, 2: 4}, {}, {1: 3}]
+    assert q.rows == [{0: 2, 2: 4}, {1: 3}]  # the Hermite rows: the zero row goes
     assert "relations" not in vars(q)  # the dense view is built on first read
-    assert mat_equal(q.relations, rel)
-    # the same rows given sparse: same dense view, same group
-    p = ZQuotient(3, [{0: 2, 2: 4}, {}, {1: 3}])
-    assert mat_equal(p.relations, rel) and p.group == q.group == FgAbGroup(1, (6,))
+    assert mat_equal(q.relations, imat([[2, 0, 4], [0, 3, 0]]))
+    # the same rows given sparse: same rows, same group, and the list is copied
+    given = [{0: 2, 2: 4}, {}, {1: 3}]
+    p = ZQuotient(3, given)
+    assert given == [{0: 2, 2: 4}, {}, {1: 3}]
+    assert p.rows == q.rows and p.group == q.group == FgAbGroup(1, (6,))
+    # above each pivot the entries are reduced; a multiple of a row adds nothing
+    assert ZQuotient(2, imat([[2, 5], [0, 3], [4, 10]])).rows == [{0: 2, 1: 2}, {1: 3}]
+    # an explicit zero entry is dropped, not taken for a pivot
+    assert ZQuotient(2, [{0: 0, 1: -2}]).rows == [{1: 2}]
     # integral Fractions become plain ints, as to_int made them
     f = ZQuotient(2, qmat([[Fraction(4, 2), 0]]))
     assert f.rows == [{0: 2}] and type(f.rows[0][0]) is int
     with pytest.raises(ValueError, match="not an integer"):
         ZQuotient(2, qmat([[Fraction(1, 2), 0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    entries=st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5), max_size=4),
+    rng=st.randoms(use_true_random=False),
+)
+def test_zquotient_rows_are_one_canonical_form(n, entries, rng):
+    rel = imat([row[:n] for row in entries]) if entries else zeros(0, n)
+    base = ZQuotient(n, rel)
+    # the same lattice: unimodular row operations, then a zero row and a
+    # duplicate row added and the rows shuffled
+    mixed = _rows(_random_unimodular(len(entries), rng) @ rel) if entries else []
+    given = mixed + [{}] + mixed[:1]
+    rng.shuffle(given)
+    snapshot = [dict(row) for row in given]
+    q = ZQuotient(n, given)
+    assert given == snapshot  # the caller's list is not reduced in place
+    assert q.rows == base.rows
+    assert q.group == base.group == FgAbGroup.from_relations(n, rel)
+    assert q.free_rank == len(q.free_idx) == n - len(q.rows)
 
 
 @pytest.mark.parametrize(

@@ -183,7 +183,7 @@ def test_criterion_8_oracle_self_consistency():
     bad_float = [
         m
         for m in levels_up_to(40)
-        if not all(row["ok"] for row in l_value_crosscheck(m, tol=1e-6))
+        if not all(row["ok"] for row in l_value_crosscheck(m))
     ]
     dt = time.perf_counter() - t0
     report(

@@ -7,6 +7,7 @@ from operator import mul
 
 import pytest
 
+from distlab import cyclotomic
 from distlab.arith import (
     crt,
     divisors,
@@ -119,6 +120,14 @@ def test_h_minus_classical_values():
     assert h_minus(37) == 37
     assert h_minus(39) == 2
     assert h_minus(40) == 1
+
+
+@pytest.mark.parametrize("q, shown", [(Fraction(1, 7), "3/7"), (-1, "-3")])
+def test_h_minus_raises_on_a_product_that_is_no_class_number(monkeypatch, q, shown):
+    # h-minus(23) = 3 with Q = 1: a wrong corrector must not be truncated by int()
+    monkeypatch.setattr(cyclotomic, "corrector_q", lambda m: q)
+    with pytest.raises(ArithmeticError, match=rf"^h-minus\(23\) = {shown} is not a positive integer$"):
+        h_minus(23)
 
 
 def test_h_minus_rejects_redundant_levels():

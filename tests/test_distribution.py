@@ -298,12 +298,17 @@ def test_smoothing_builders_match_fraction_product(m):
     assert mat_equal(unscaled(*smoothing_inverse_scaled(m)), _fraction_product(inverse, m))
 
 
-def _perturb_factor(monkeypatch, m0, p0):
+def _perturb_factor(monkeypatch, request, m0, p0):
     """Make the factor at (m0, p0) wrong by 1/p0 in one entry.
 
     The checks read the factor as integer numerators N over d, so the
     perturbation is made there: N / d + 1/p = (p N + d) / (p d) in one entry.
+    The memoised products are dropped now, so that the perturbation reaches
+    the checks, and again at teardown, so that no perturbed product outlives
+    the test.
     """
+    distribution._smoothing_product.cache_clear()
+    request.addfinalizer(distribution._smoothing_product.cache_clear)
     real = distribution.smoothing_factor_scaled
 
     def perturbed(m, p):
@@ -317,9 +322,9 @@ def _perturb_factor(monkeypatch, m0, p0):
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])
-def test_smoothing_check_sees_a_perturbed_entry(monkeypatch, m):
+def test_smoothing_check_sees_a_perturbed_entry(monkeypatch, request, m):
     assert smoothing_check(m)["inverse_ok"]
-    _perturb_factor(monkeypatch, m, primes_of(m)[-1])
+    _perturb_factor(monkeypatch, request, m, primes_of(m)[-1])
     res = smoothing_check(m)
     assert not res["inverse_ok"] and not res["ok"]
 

@@ -18,7 +18,13 @@ from distlab.abgroup import (
     theta_fixed,
 )
 from distlab.arith import primes_of
-from distlab.distribution import negation_matrix, smoothing_factor_scaled
+from distlab.distribution import (
+    negation_matrix,
+    smoothing_check,
+    smoothing_factor_scaled,
+    universal_distribution,
+    universal_predistribution,
+)
 from distlab.exact_linalg import (
     Lattice,
     _dense,
@@ -227,8 +233,14 @@ def test_smoothing_blocks_match_fraction_product(m):
         assert all(type(x) is Fraction for x in blocks[i].flat)
 
 
-def _perturb_top_factor(monkeypatch, m):
-    """Make the degree-zero smoothing operator wrong by 1/p in one entry."""
+def _perturb_top_factor(monkeypatch, request, m):
+    """Make the degree-zero smoothing operator wrong by 1/p in one entry.
+
+    The memoised products are dropped now and at teardown, as in
+    ``test_distribution._perturb_factor``.
+    """
+    distribution._smoothing_product.cache_clear()
+    request.addfinalizer(distribution._smoothing_product.cache_clear)
     p0 = primes_of(m)[0]
     real = distribution.smoothing_factor_scaled
 
@@ -243,10 +255,46 @@ def _perturb_top_factor(monkeypatch, m):
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])
-def test_intertwine_check_sees_a_perturbed_entry(monkeypatch, m):
-    _perturb_top_factor(monkeypatch, m)
+def test_intertwine_check_sees_a_perturbed_entry(monkeypatch, request, m):
+    _perturb_top_factor(monkeypatch, request, m)
     res = intertwine_check(m)
     assert not res["intertwines"] and not res["ok"]
+
+
+def test_each_smoothing_product_is_built_once(monkeypatch, request):
+    # intertwine_check and index_formula_check read every block of the
+    # symbol operator, smoothing_check and smoothing_minus_image_check the
+    # degree-zero one on level points: one memoised product per key serves all.
+    distribution._smoothing_product.cache_clear()
+    request.addfinalizer(distribution._smoothing_product.cache_clear)
+    real, built = distribution.smoothing_factor_scaled, []
+
+    def counting(s, p):
+        built.append((s, p))
+        return real(s, p)
+
+    monkeypatch.setattr(distribution, "smoothing_factor_scaled", counting)
+    m = 21
+    assert intertwine_check(m)["ok"] and index_formula_check(m)["equal"]
+    assert smoothing_check(m)["ok"] and smoothing_minus_image_check(m)["ok"]
+    info = distribution._smoothing_product.cache_info()
+    # one key per block g of 21: (21, (3, 7)), (7, (7,)), (3, (3,)) and (1, ())
+    assert info.misses == info.currsize == 4
+    assert info.hits == 4 + 1 + 1
+    assert sorted(built) == [(3, 3), (7, 7), (21, 3), (21, 7)]
+    N, _ = distribution.smoothing_scaled(m)
+    with pytest.raises(ValueError, match="read-only"):
+        N[0, 0] += 1  # the shared product cannot be changed by one caller
+
+
+@pytest.mark.parametrize("m", [m for m in range(3, 61) if m % 4 != 2] + [105, 420])
+def test_degree_zero_quotient_has_the_universal_rows(m):
+    # Degree 0 is the top degree: the quotient's rows are in the level-m
+    # point coordinates, and both presentations reduce to one Hermite form.
+    quotients = {DIFFERENCE: universal_distribution, AVERAGE: universal_predistribution}
+    for kind, universal in quotients.items():
+        q = build_jcomplex(m, kind).complex.cohomology_data(0)[1]
+        assert q.rows == universal(m).rows, (m, kind)
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])

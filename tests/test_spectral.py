@@ -199,7 +199,7 @@ def test_pages_are_homology_of_previous(kind, variant):
 
 def test_pages_are_homology_of_previous_three_primes_sample():
     # one deeper level keeps the slack-variable route honest at r = 3
-    assert page_homology_check(30, DIFFERENCE, HALF, rmax=3)["ok"]
+    assert page_homology_check(30, DIFFERENCE, HALF)["ok"]
 
 
 @pytest.mark.parametrize("m", [4, 9, 12, 16])

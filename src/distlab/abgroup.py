@@ -33,7 +33,6 @@ from .exact_linalg import (
     _rows,
     det_exact,
     eye,
-    hnf_nonzero,
     integral_preimage,
     invariant_factors,
     inverse_exact,
@@ -732,9 +731,11 @@ def _i_invariant(jc: JComplex) -> Fraction:
     for i in C.degrees():
         if i != 0 and not C.cohomology(i).is_finite:
             raise ValueError("complex is not rationally exact away from 0")
-    n0 = C.rank(0)
-    L_rows = C.d(-1).T
-    K = integral_preimage(eye(n0) + jc.c(0), hnf_nonzero(L_rows))
+    if C.d(0).any():
+        raise ValueError("the index invariant needs d = 0 out of degree 0")
+    # with d(0) = 0, H^0 is Z^n0 modulo the Hermite rows of d(-1)^T
+    L_rows = C.cohomology_data(0)[1].relations
+    K = integral_preimage(eye(C.rank(0)) + jc.c(0), L_rows)
     fixed, bases = jc.fixed_subcomplex()
     coker = subquotient_group(K, np.vstack([bases[0], L_rows]))
     if not coker.is_finite:

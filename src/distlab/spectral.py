@@ -29,6 +29,12 @@ from .abgroup import (
 from .arith import euler_phi, factorize, primes_of
 from .distribution import tate_distribution, tate_predistribution
 from .exact_linalg import (
+    Row,
+    _axpy,
+    _dense,
+    _hermite,
+    _mul,
+    _rows,
     eye,
     hnf_nonzero,
     kernel_basis,
@@ -70,15 +76,34 @@ class DoubleComplex:
             return 0
         return self.base.rank(p)
 
+    def _sign(self, p: int, q: int) -> tuple[int, int]:
+        """(sigma, s) with delta(p, q) = sigma (1 + s c)."""
+        return (-1) ** (p % 2), (1 if q % 2 == 0 else -1)
+
     def delta(self, p: int, q: int) -> np.ndarray:
         """Vertical map out of (p, q), shape rank(p, q+1) x rank(p, q)."""
-        rows, cols = self.rank(p, q + 1), self.rank(p, q)
-        if rows == 0 or cols == 0:
-            return zeros(rows, cols)
-        s = 1 if q % 2 == 0 else -1
-        sign = (-1) ** (p % 2)
-        c = self.jc.c(p)
-        return sign * (eye(cols) + s * c)
+        return _dense(self._delta_cols(p, q), self.rank(p, q + 1), transposed=True)
+
+    def _delta_cols(self, p: int, q: int) -> list[Row]:
+        """The columns of delta(p, q) as sparse rows, read off the permutation c."""
+        n = self.rank(p, q)
+        if n == 0 or self.rank(p, q + 1) == 0:
+            return [{} for _ in range(n)]
+        sign, s = self._sign(p, q)
+        cols = []
+        for k, j in enumerate(self.jc.involution[p]):
+            if j != k:
+                cols.append({k: sign, j: sign * s})
+            else:
+                cols.append({k: 2 * sign} if s == 1 else {})
+        return cols
+
+    def _d_cols(self, p: int) -> list[Row]:
+        """The columns of the base differential d(p) as sparse rows, built once."""
+        key = ("dcols", p)
+        if key not in self._store:
+            self._store[key] = _rows(self.base.d(p).T)
+        return self._store[key]
 
     def d(self, p: int, q: int) -> np.ndarray:
         rows, cols = self.rank(p + 1, q), self.rank(p, q)
@@ -141,39 +166,113 @@ class DoubleComplex:
                     M[i : i + self.rank(*to), j:k] = blk(p, q)
         return M, offsets
 
-    def _staircase(self, p: int, q: int, length: int):
-        """Staircase system with components at (p, q), (p+1, q-1), ...,
-        (p+length-1, q-length+1); returns the matrix and the component
-        offsets."""
-        src = [(p + i, q - i) for i in range(length)]
-        return self._assemble(src, [(a, b + 1) for a, b in src])
+    def _zig(self, p: int, q: int, length: int) -> tuple[list[Row], list[int]]:
+        """Integral kernel of the staircase at (p, q) of this length, plus offsets.
 
-    def _zig(self, p: int, q: int, length: int):
-        """Kernel rows of the staircase system at (p, q), plus offsets."""
+        The staircase has components x_i at (p+i, q-i), i < length, and the
+        equations delta x_0 = 0 and delta x_i + d x_{i-1} = 0 in the entries
+        (p+i, q-i+1).  Its kernel is returned as a basis of sparse rows over
+        the concatenated components, component i in the columns
+        offsets[i]:offsets[i+1]; it is built from the kernel one component
+        shorter by ``_extend``, so the staircases of one cell share a store
+        entry per length.
+        """
         key = ("zig", self._stair(p, q, length))
         if key not in self._store:
-            M, offsets = self._staircase(p, q, length)
-            self._store[key] = (kernel_basis(M), offsets)
+            rows, offsets = self._zig(p, q, length - 1) if length > 1 else ([], [0])
+            pl, ql = p + length - 1, q - length + 1
+            self._store[key] = (
+                self._extend(rows, offsets, pl, ql),
+                offsets + [offsets[-1] + self.rank(pl, ql)],
+            )
         return self._store[key]
+
+    def _d_last(self, rows: list[Row], offsets: list[int], p: int) -> list[Row]:
+        """d of the last component of each row, which sits in degree p."""
+        lo = offsets[-2]
+        last = [{j - lo: x for j, x in row.items() if j >= lo} for row in rows]
+        return _mul(last, self._d_cols(p))
+
+    def _extend(self, Y: list[Row], offsets: list[int], p: int, q: int) -> list[Row]:
+        """The staircase kernel with a new last component x at (p, q).
+
+        Y is the kernel without it.  A row (lambda Y, x) lies in the kernel
+        when delta(p, q) x = -w, w = d of the last block of lambda Y.  As c
+        permutes the basis, delta = sigma (1 + s c) is solved orbit by orbit:
+        on a 2-cycle {a, b} (a < b), x_a = -sigma w_a and x_b = 0 once
+        w_b = s w_a; on a fixed point f, x_f = -sigma w_f / 2 once w_f is
+        even if s = 1, and x_f = 0 once w_f = 0 if s = -1.  Where the window
+        clips (p, q) away but keeps (p, q+1), every w_j = 0 is required.  The
+        allowed lambda are the integral kernel of the linear conditions
+        (vacuous away from the window's edges, as d delta = -delta d), cut
+        down by the parity conditions over F_2: each row that is independent
+        mod 2 of the rows before it is doubled, and each other row is added to
+        the rows that cancel it mod 2.  The kernel of delta, e_b - s e_a per
+        2-cycle and e_f per fixed point if s = -1, completes the basis.
+        """
+        off = offsets[-1]
+        n, t = self.rank(p, q), self.rank(p, q + 1)
+        if t == 0:  # delta and d leave the window: x is free
+            return Y + [{off + k: 1} for k in range(n)]
+        W = self._d_last(Y, offsets, p - 1) if Y else []
+        sign, s = self._sign(p, q)
+        perm = self.jc.involution[p] if n else []
+        # w_j enters the linear condition linear[j][0] with coefficient linear[j][1]
+        linear: dict[int, tuple[int, int]] = {}
+        ker: list[Row] = []
+        if n == 0:
+            linear = {j: (j, 1) for j in range(t)}
+        for a, b in enumerate(perm):
+            if a < b:
+                linear[a], linear[b] = (a, -s), (a, 1)
+                ker.append({off + a: -s, off + b: 1})
+            elif a == b and s == -1:
+                linear[a] = (a, 1)
+                ker.append({off + a: 1})
+        conds = []
+        for w in W:
+            cond: Row = {}
+            for j, x in w.items():
+                if j in linear:
+                    i, u = linear[j]
+                    cond[i] = cond.get(i, 0) + u * x
+            conds.append({i: x for i, x in cond.items() if x})
+        if any(conds):
+            index = {i: k for k, i in enumerate(sorted(set().union(*conds)))}
+            A = _dense([{index[i]: x for i, x in c.items()} for c in conds], len(index), True)
+            K = _rows(kernel_basis(A))
+            Y, W = _mul(K, Y), _mul(K, W)
+        if s == 1 and n:
+            Y, W = _even_rows(Y, W, [f for f, g in enumerate(perm) if f == g])
+        rows = []
+        for y, w in zip(Y, W):
+            row = dict(y)
+            for j, x in w.items():
+                if j < perm[j]:
+                    row[off + j] = -sign * x
+                elif j == perm[j]:
+                    row[off + j] = -sign * (x // 2)
+            rows.append(row)
+        return rows + ker
 
     def z_rows(self, p: int, q: int, r: int) -> np.ndarray:
         """Basis rows of the page-r numerator lattice at (p, q)."""
         n = self.rank(p, q)
         if n == 0:
             return zeros(0, 0)
-        ker, offsets = self._zig(p, q, r)
-        return hnf_nonzero(ker[:, : offsets[1]])
+        rows, _ = self._zig(p, q, r)
+        return _dense(_hermite([{j: x for j, x in row.items() if j < n} for row in rows], n), n)
 
     def b_rows(self, p: int, q: int, r: int) -> np.ndarray:
         """Generator rows of the page-r denominator lattice at (p, q)."""
         n = self.rank(p, q)
         if n == 0:
             return zeros(0, 0)
-        parts = [self.delta(p, q - 1).T]
+        gens = self._delta_cols(p, q - 1)
         if r >= 2:
-            ker, offsets = self._zig(p - r + 1, q + r - 2, r - 1)
-            parts.append(ker[:, offsets[-2] : offsets[-1]] @ self.d(p - 1, q).T)
-        return hnf_nonzero(np.vstack(parts))
+            rows, offsets = self._zig(p - r + 1, q + r - 2, r - 1)
+            gens += self._d_last(rows, offsets, p - 1)
+        return _dense(_hermite(gens, n), n)
 
     def _e_key(self, p: int, q: int, r: int) -> tuple:
         # z_rows reads the staircase at (p, q); b_rows the vertical map
@@ -247,9 +346,52 @@ class DoubleComplex:
     def total_cohomology(self, n: int) -> FgAbGroup:
         key = self._total_key(n)
         if key not in self._store:
-            K = kernel_basis(self.total_d(n))
+            # total degree n is the full staircase from (p_lo, n - p_lo)
+            rows, offsets = self._zig(self.p_lo, n - self.p_lo, 1 - self.p_lo)
+            K = _dense(rows, offsets[-1])
             self._store[key] = subquotient_group(K, self.total_d(n - 1).T)
         return self._store[key]
+
+
+def _even_rows(Y: list[Row], W: list[Row], fixed: list[int]) -> tuple[list[Row], list[Row]]:
+    """A basis of the combinations of the rows (Y_i, W_i) whose W is even on ``fixed``.
+
+    One F_2 elimination of the parities, pivots keyed by their lowest odd
+    bit as in ``abgroup._f2_gain``: a row independent mod 2 of the rows
+    before it is doubled, and any other row is added to the earlier rows
+    that cancel its parities.  The new rows are triangular over the old
+    ones, so they are a basis of that index-2^rank sublattice.
+    """
+    bit = {f: 1 << k for k, f in enumerate(fixed)}
+    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (parities, rows used)
+    Y2, W2 = [], []
+    for i, w in enumerate(W):
+        v = sum(bit[j] for j, x in w.items() if j in bit and x & 1)
+        used = 1 << i
+        while v:
+            low = v & -v
+            if low not in pivots:
+                pivots[low] = (v, used)
+                break
+            pv, pu = pivots[low]
+            v, used = v ^ pv, used ^ pu
+        if v:
+            Y2.append({j: 2 * x for j, x in Y[i].items()})
+            W2.append({j: 2 * x for j, x in w.items()})
+            continue
+        if used == 1 << i:  # already even
+            Y2.append(Y[i])
+            W2.append(w)
+            continue
+        y: Row = {}
+        w2: Row = {}
+        for k in range(used.bit_length()):
+            if used >> k & 1:
+                _axpy(y, Y[k], 1)
+                _axpy(w2, W[k], 1)
+        Y2.append(y)
+        W2.append(w2)
+    return Y2, W2
 
 
 @lru_cache(maxsize=32)

@@ -494,6 +494,13 @@ def test_i_invariant_prime_level():
     assert i_invariant(jc5) == 2
 
 
+def test_i_invariant_needs_d_zero_out_of_degree_zero():
+    # H^0 is read as Z^n0 modulo the image of d(-1); with d(0) != 0 it is not
+    C = BoundedComplex({0: 1, 1: 1}, {0: imat([[1]])})
+    with pytest.raises(ValueError, match="d = 0 out of degree 0"):
+        i_invariant(JComplex(C))
+
+
 def test_i_invariant_predistribution_prime_level():
     # predistribution-style differential: sum over preimages only
     p = 3

@@ -30,6 +30,7 @@ from distlab.exact_linalg import (
     _dense,
     det_exact,
     eye,
+    hnf_nonzero,
     kernel_basis,
     mat_equal,
     scaled,
@@ -295,6 +296,15 @@ def test_degree_zero_quotient_has_the_universal_rows(m):
     for kind, universal in quotients.items():
         q = build_jcomplex(m, kind).complex.cohomology_data(0)[1]
         assert q.rows == universal(m).rows, (m, kind)
+
+
+@pytest.mark.parametrize("m", [7, 8, 21, 105])
+def test_index_invariant_reads_the_degree_zero_relations(m):
+    # _i_invariant presents H^0 by the degree-0 quotient's relations, which
+    # are the Hermite rows of d(-1)^T it used to build for itself
+    for kind in KINDS:
+        C = build_jcomplex(m, kind).complex
+        assert mat_equal(C.cohomology_data(0)[1].relations, hnf_nonzero(C.d(-1).T)), (m, kind)
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])

@@ -9,10 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlab import cli
+from distlab import cli, spectral
 from distlab.abgroup import BoundedComplex, FgAbGroup, JComplex, elementary_power, i_invariant
 from distlab.distribution import universal_distribution, universal_predistribution
-from distlab.exact_linalg import imat, inverse_exact, is_integral, mat_equal, to_int, zeros
+from distlab.exact_linalg import (
+    _dense,
+    hnf_nonzero,
+    imat,
+    inverse_exact,
+    is_integral,
+    kernel_basis,
+    mat_equal,
+    to_int,
+    zeros,
+)
 from distlab.lcomplex import (
     AVERAGE,
     DIFFERENCE,
@@ -326,6 +336,12 @@ def test_shared_store_matches_an_emptied_store(m, kind):
             assert dc.total_cohomology(n) == fresh.total_cohomology(n), (dc.variant, n)
 
 
+def _staircase(dc, p, q, length):
+    """The assembled staircase at (p, q) of this length and its component offsets."""
+    src = [(p + i, q - i) for i in range(length)]
+    return dc._assemble(src, [(a, b + 1) for a, b in src])
+
+
 def _same_matrices(a, b):
     return len(a) == len(b) and all(
         x.shape == y.shape and mat_equal(x, y) for x, y in zip(a, b)
@@ -357,14 +373,98 @@ def test_equal_keys_give_equal_inputs(m):
             for r in range(1, 5):
                 for p in range(sb.lo, 1):
                     for q in range(dc.q_lo, dc.q_hi + 1):
-                        record((kind, dc._stair(p, q, r)), dc._staircase(p, q, r)[:1], variant)
-                        mats = [dc._staircase(p, q, r)[0], dc.delta(p, q - 1), dc.d(p - 1, q)]
+                        record((kind, dc._stair(p, q, r)), _staircase(dc, p, q, r)[:1], variant)
+                        mats = [_staircase(dc, p, q, r)[0], dc.delta(p, q - 1), dc.d(p - 1, q)]
                         if r >= 2:
-                            mats.append(dc._staircase(p - r + 1, q + r - 2, r - 1)[0])
+                            mats.append(_staircase(dc, p - r + 1, q + r - 2, r - 1)[0])
                         record((kind,) + dc._e_key(p, q, r), mats, variant)
             for n in range(dc.p_lo + dc.q_lo, dc.q_hi + 1):
                 record((kind,) + dc._total_key(n), [dc.total_d(n), dc.total_d(n - 1)], variant)
     assert across_variants == set(KINDS)
+
+
+def _is_kernel_basis(rows, M):
+    """Whether the sparse rows are a basis of the integral kernel of M.
+
+    The oracle is the Smith kernel of the assembled matrix; the two
+    lattices are compared through their Hermite forms."""
+    got = hnf_nonzero(_dense(rows, M.shape[1]))
+    want = hnf_nonzero(kernel_basis(M))
+    return len(rows) == got.shape[0] and got.shape == want.shape and mat_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [5, 7, 8, 12, 15, 16, 20, 21, 60])
+def test_zig_rows_are_a_basis_of_the_staircase_kernel(m):
+    """The zig-zags solved one component at a time on the orbits of c span
+    the kernel of the assembled staircase: the numerator and denominator
+    staircases of every cell of pages 1-5, inside the window or at its
+    edges, and the full staircases of the total complex, in both variants
+    and for both kinds."""
+    for kind in KINDS:
+        jc = build_jcomplex(m, kind)
+        for variant in (HALF, FULL):
+            dc = DoubleComplex(jc, variant)
+            seen = set()
+            for r in range(1, 6):
+                for p in range(dc.p_lo, 1):
+                    for q in range(dc.q_lo, dc.q_hi + 1):
+                        cells = [(p, q, r)] + ([(p - r + 1, q + r - 2, r - 1)] if r >= 2 else [])
+                        for cell in cells:
+                            if dc._stair(*cell) in seen:
+                                continue  # equal keys, equal staircases
+                            seen.add(dc._stair(*cell))
+                            rows, offsets = dc._zig(*cell)
+                            M, want = _staircase(dc, *cell)
+                            assert offsets == want, (kind, variant, cell)
+                            assert _is_kernel_basis(rows, M), (kind, variant, cell)
+            for n in range(dc.p_lo + dc.q_lo - 1, dc.q_hi + 2):
+                rows, offsets = dc._zig(dc.p_lo, n - dc.p_lo, 1 - dc.p_lo)
+                assert offsets[-1] == dc.total_rank(n)
+                assert _is_kernel_basis(rows, dc.total_d(n)), (kind, variant, n)
+
+
+def test_window_edges_take_the_constraint_route(monkeypatch):
+    """Where the window clips a staircase, the conditions on the shorter
+    kernel no longer vanish and one step calls kernel_basis: below the half
+    variant's row 0 and above the top row of either variant."""
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return kernel_basis(A)
+
+    monkeypatch.setattr(spectral, "kernel_basis", counted)
+    for variant, cell in ((HALF, (-1, 0, 2)), (HALF, (-2, 6, 2)), (FULL, (-2, 6, 2))):
+        dc = DoubleComplex(build_jcomplex(12, DIFFERENCE), variant)
+        before = len(calls)
+        rows, _ = dc._zig(*cell)
+        assert len(calls) == before + 1, (variant, cell)
+        assert _is_kernel_basis(rows, _staircase(dc, *cell)[0]), (variant, cell)
+
+
+def test_interior_zig_zags_need_no_smith_form(monkeypatch):
+    """Pages 1-4 at 21 are solved on the orbits of c alone: no kernel_basis
+    call on any interior cell of the full variant, nor on any interior cell
+    of the half variant whose staircase stays on the rows q >= 0 (below
+    them the half variant is zero, an edge of its window)."""
+
+    def refuse(A):
+        raise AssertionError(f"kernel_basis on a {A.shape} matrix")
+
+    monkeypatch.setattr(spectral, "kernel_basis", refuse)
+    built = skipped = 0
+    for kind in KINDS:
+        jc = build_jcomplex(21, kind)
+        for variant in (HALF, FULL):
+            dc = DoubleComplex(jc, variant)
+            for r in range(1, 5):
+                for p, q in dc.interior_cells(r):
+                    if variant == HALF and q - min(r - 1, -p) < 0:
+                        skipped += 1
+                        continue
+                    dc.e_term(p, q, r)
+                    built += 1
+    assert (built, skipped) == (284, 16)
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "pages_golden.json").read_text())

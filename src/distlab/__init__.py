@@ -80,7 +80,6 @@ _EXPORTS = {
         "lattice_sum",
         "rank_exact",
         "solve_exact",
-        "solve_integral",
     ),
     "lcomplex": (
         "AVERAGE",

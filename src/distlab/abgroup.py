@@ -27,21 +27,22 @@ from .exact_linalg import (
     QMat,
     Lattice,
     Row,
+    _bareiss,
+    _coords,
     _dense,
     _hermite,
     _mul,
     _rows,
+    _smith,
     det_exact,
     eye,
     integral_preimage,
-    invariant_factors,
     inverse_exact,
     kernel_basis,
     lattice_index,
     mat_equal,
     snf_with_inverses,
     solve_exact,
-    solve_integral,
     to_int,
     zeros,
 )
@@ -82,11 +83,7 @@ class FgAbGroup:
 
         rel = np.asarray(relations, dtype=object)
         _check_relations(rel, ngens)
-        if rel.size == 0:
-            return cls(ngens, ())
-        facs = invariant_factors(rel)
-        tor = tuple(d for d in facs if d > 1)
-        return cls(ngens - len(facs), tor)
+        return _group(ngens, _rows(rel))
 
     @classmethod
     def from_invariants(cls, free_rank: int, factors) -> "FgAbGroup":
@@ -139,6 +136,12 @@ class FgAbGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
+
+
+def _group(n: int, rows: list[Row]) -> FgAbGroup:
+    """Z^n modulo the sparse relation rows, off their Smith diagonal (in place)."""
+    facs = [d for d in _smith(rows, n)[0] if d]
+    return FgAbGroup(n - len(facs), tuple(d for d in facs if d > 1))
 
 
 def elementary_power(order: int, copies: int) -> FgAbGroup:
@@ -237,7 +240,7 @@ class ZQuotient:
 
     @cached_property
     def group(self) -> FgAbGroup:
-        return FgAbGroup.from_relations(self.n, self.relations)
+        return _group(self.n, [dict(row) for row in self.rows])
 
     @property
     def free_rank(self) -> int:
@@ -268,18 +271,39 @@ class ZQuotient:
     def stabilizes(self, C: np.ndarray) -> bool:
         """Does C map the relation lattice into itself?  C must be n x n."""
         self._check_endomorphism(C)
-        if not self.rows:
-            return True
-        # solve_integral needs independent columns, as the rows are.
-        H = self.relations.T
-        try:
-            return solve_integral(H, C @ H) is not None
-        except ValueError:  # inconsistent: C moves relations out of their span
-            return False
+        # C moves relation r (a column) to C r, the row r C^T.
+        piv = {min(h): i for i, h in enumerate(self.rows)}
+        return all(_coords(self.rows, v, piv) is not None for v in _mul(self.rows, _rows(C.T)))
 
     def _check_endomorphism(self, C: np.ndarray) -> None:
         if C.shape != (self.n, self.n):
             raise ValueError(f"map has shape {C.shape}, want {(self.n, self.n)}")
+
+
+def _subquotient(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
+    """(Z-span of num) / (Z-span of den) for sparse rows over columns < n.
+
+    The num rows must be independent and every den row an integral
+    combination of them; ValueError names the first row that is not.  The
+    group is read off the Smith diagonal of the den rows' coordinates in
+    the Hermite basis of num, which is reduced in place.
+    """
+    k = len(num)
+    H = _hermite(num, n)
+    if len(H) < k:
+        raise ValueError(f"numerator rows are dependent: rank {len(H)} of {k} rows")
+    piv = {min(h): i for i, h in enumerate(H)}
+    coords = []
+    for i, v in enumerate(den):
+        x = _coords(H, v, piv)
+        if x is None:
+            if len(_bareiss([dict(h) for h in H] + [dict(v)], n)[0]) == len(H):
+                where = "inside its rational span, not integral"
+            else:
+                where = "outside its rational span"
+            raise ValueError(f"denominator row {i} is not in the numerator lattice: {where}")
+        coords.append(x)
+    return _group(k, coords)
 
 
 def subquotient_group(num_basis_rows: IMat, den_gen_rows: IMat) -> FgAbGroup:
@@ -288,13 +312,7 @@ def subquotient_group(num_basis_rows: IMat, den_gen_rows: IMat) -> FgAbGroup:
     ``num_basis_rows`` must be linearly independent; den generators must be
     integral combinations of them (raises otherwise).
     """
-    k = num_basis_rows.shape[0]
-    if den_gen_rows.size == 0:
-        return FgAbGroup(k, ())
-    coef = solve_integral(num_basis_rows.T, den_gen_rows.T)
-    if coef is None:
-        raise ValueError("denominator does not sit inside the numerator span")
-    return FgAbGroup.from_relations(k, coef.T)
+    return _subquotient(_rows(num_basis_rows), _rows(den_gen_rows), num_basis_rows.shape[1])
 
 
 def tate_group(C: IMat, relation_rows: IMat, degree_parity: str) -> FgAbGroup:
@@ -474,17 +492,20 @@ class BoundedComplex:
         return range(self.lo, self.hi + 1)
 
     def cohomology_data(self, i: int) -> tuple[IMat, ZQuotient]:
-        """(saturated kernel basis rows, quotient by the image) at degree i."""
+        """(Hermite basis rows of the saturated kernel, quotient by the image) at degree i."""
         if i not in self._cohomology:
-            K = kernel_basis(self.d(i))
-            dm = self.d(i - 1)
-            rel = zeros(0, K.shape[0])
-            if dm.size and K.shape[0]:
-                coef = solve_integral(K.T, dm)  # image vectors in kernel coordinates
-                if coef is None:
-                    raise ValueError("image does not lie in the integral kernel")
-                rel = coef.T
-            self._cohomology[i] = K, ZQuotient(K.shape[0], rel)
+            n = self.rank(i)
+            K = _hermite(_rows(kernel_basis(self.d(i))), n)
+            piv = {min(h): t for t, h in enumerate(K)}
+            rel = []  # the image columns in kernel coordinates
+            for j, col in enumerate(_rows(self.d(i - 1).T)):
+                x = _coords(K, col, piv)
+                if x is None:
+                    raise ValueError(
+                        f"column {j} of d at degree {i - 1} is not in the integral kernel"
+                    )
+                rel.append(x)
+            self._cohomology[i] = _dense(K, n), ZQuotient(len(K), rel)
         return self._cohomology[i]
 
     def cohomology(self, i: int) -> FgAbGroup:

@@ -30,31 +30,36 @@ complex layer: every row operation is one ``_axpy(dst, src, q)`` over the
 support of ``src``, and ``_mul(A, B)`` builds the rows of A @ B from
 ``_axpy`` alone, so structural identities such as d^2 = 0 cost O(nnz).
 
-One elimination core.  ``_smith`` and ``_hermite`` work on these rows.
-``_hermite``, the Hermite row core, takes sparse rows and returns the
-nonzero Hermite rows; ``hnf`` and ``hnf_nonzero`` are ``_rows``/``_dense``
-wrappers around it.  The Smith pivot is the first least nonzero |entry|
-of the trailing block in row-major order (Kannan-Bachem; Cohen, §2.4):
-rows are scanned one at a time and a unit ends the search.  Once the pivot column is cleared it is
+One elimination core.  ``_smith`` and ``_hermite`` take these rows and
+work in place.  ``_hermite`` returns the nonzero Hermite rows; ``hnf``
+and ``hnf_nonzero`` are ``_rows``/``_dense`` wrappers around it.  The
+Smith pivot is the first least nonzero |entry| of the trailing block in
+row-major order (Kannan-Bachem; Cohen, §2.4): rows are scanned one at a
+time and a unit ends the search.  Once the pivot column is cleared it is
 p * e_t, so the column operations touch the pivot row only, and column
-swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows too, built
-only when asked for: ``snf_with_inverses`` builds all four
-(``ZQuotient`` passes ``want_v=False`` and gets U and U^-1 only),
-``kernel_basis`` V only and ``invariant_factors`` none.  Public inputs
-and results are dense arrays; ``_rows`` and ``_dense`` convert.
+swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows
+too, built only when asked for.  ``snf_with_inverses``, ``kernel_basis``
+and ``invariant_factors`` are its dense front ends: the first builds all
+four transforms (``ZQuotient`` passes ``want_v=False`` and gets U and
+U^-1 only), the second V only and the third none.  Public inputs and
+results are dense arrays; ``_rows`` and ``_dense`` convert.
 
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
-rows left to right (Bareiss 1968): every update is an exact
-division by the previous pivot, so no ``Fraction`` is formed, and the
-pivot rows end as d * [I | X].  ``rank_exact`` counts its pivots,
-``det_exact`` reads d and the sign of the row swaps, and ``solve_exact``
-and ``solve_integral`` run it on [A | B]: the first returns X = (d X) / d
-with the free variables zero; the second writes integer vectors in an
-integer basis, returning the integer coordinates, or None when d does not
-divide them.  Rational inputs are scaled row by row, each row by its own
-least denominator.  ``Lattice`` keeps its Hermite basis as integer rows
-over one denominator, so ``lattice_index`` is a ratio of products of
-Hermite pivots and ``Lattice.contains`` a Hermite reduction; neither solves.
+rows left to right (Bareiss 1968): every update is an exact division by
+the previous pivot, so no ``Fraction`` is formed, and the pivot rows end
+as d * [I | X].  ``rank_exact`` counts its pivots, ``det_exact`` reads d
+and the sign of the row swaps, and ``solve_exact`` runs it on [A | B]
+and returns X = (d X) / d with the free variables zero.  Rational inputs
+are scaled row by row, each row by its own least denominator.
+
+One coordinate route.  ``_coords`` writes an integer vector in the basis
+of Hermite rows by one triangular reduction over the vector's support,
+lowest column first (Cohen, §2.4.3), or reports that it is not in their
+Z-span.  ``Lattice.contains`` and every subquotient and cohomology group
+of ``abgroup`` read their coordinates this way, so none of them solves.
+``Lattice`` keeps its Hermite basis as integer rows over one
+denominator, so ``lattice_index`` is a ratio of products of Hermite
+pivots.
 """
 
 from __future__ import annotations
@@ -242,16 +247,17 @@ def _mul(A: list[Row], B: list[Row]) -> list[Row]:
 # Smith normal form
 
 
-def _smith(A: np.ndarray, *, u=False, u_inv=False, v=False, v_inv=False):
-    """Smith form of an integral matrix on sparse rows.
+def _smith(M: list[Row], c: int, *, u=False, u_inv=False, v=False, v_inv=False):
+    """Smith form of the sparse integer rows M over columns < c, in place.
 
     Returns ``(d, U, Ui, V, Vi)``: the diagonal d of length min(r, c) and
     the transforms asked for, None for the others.  U and V^-1 are lists
     of rows; U^-1 and V are lists of columns, so that every elementary
     operation on any transform is an update of one of its sparse rows.
+    The rows of M are reused and changed, so a caller holding them passes
+    copies.
     """
-    M = _rows(A)
-    r, c = A.shape
+    r = len(M)
     U = [{i: 1} for i in range(r)] if u else None
     Ui = [{i: 1} for i in range(r)] if u_inv else None
     V = [{i: 1} for i in range(c)] if v else None
@@ -392,7 +398,7 @@ def snf_with_inverses(A: IMat, *, want_v: bool = True):
     back as None.
     """
     r, c = A.shape
-    d, U, Ui, V, Vi = _smith(A, u=True, u_inv=True, v=want_v, v_inv=want_v)
+    d, U, Ui, V, Vi = _smith(_rows(A), c, u=True, u_inv=True, v=want_v, v_inv=want_v)
     return (
         _dense(U, r),
         _dense(Ui, r, transposed=True),
@@ -404,7 +410,7 @@ def snf_with_inverses(A: IMat, *, want_v: bool = True):
 
 def invariant_factors(A: IMat) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, without transform bookkeeping."""
-    return tuple(x for x in _smith(A)[0] if x)
+    return tuple(x for x in _smith(_rows(A), A.shape[1])[0] if x)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +483,31 @@ def hnf(A: IMat) -> IMat:
 def hnf_nonzero(A: IMat) -> IMat:
     """HNF with zero rows dropped."""
     return _dense(_hermite(_rows(A), A.shape[1]), A.shape[1])
+
+
+def _coords(H: list[Row], v: Row, piv: dict[int, int]) -> Row | None:
+    """The integer coordinates of v in the Hermite rows H, as a sparse row.
+
+    piv maps the pivot column of each row of H to its index.  The support
+    of v is walked lowest column first: its least column must be a pivot
+    column and its entry there a multiple of the pivot, and subtracting
+    that multiple of the row clears it, as the row is zero to the left.
+    Returns None when v is not in the Z-span of H, either off its rational
+    span or with a non-integral coordinate.  v is not changed.
+    """
+    v = dict(v)
+    out: Row = {}
+    while v:
+        j = min(v)
+        i = piv.get(j)
+        if i is None:
+            return None
+        q, rem = divmod(v[j], H[i][j])
+        if rem:
+            return None
+        _axpy(v, H[i], -q)
+        out[i] = q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +596,12 @@ def rank_exact(A: np.ndarray) -> int:
     return len(_bareiss(_rows(_row_scaled(A)[0]), A.shape[1])[0])
 
 
-def _solve(A: np.ndarray, B: np.ndarray, rows) -> tuple[list[int], int, list[Row], int]:
-    """Eliminate [A | B] built by rows(); (pivots, d, pivot rows, width of A).
+def solve_exact(A: np.ndarray, B: np.ndarray) -> QMat:
+    """Solve A @ X = B exactly over the rationals.
 
-    Raises ValueError when the row counts differ or the system is
-    inconsistent (a row zero on A and nonzero on B).
+    B may be a matrix or a single column reshaped as (n, 1).  Raises
+    ValueError when the row counts differ or the system is inconsistent;
+    with a non-unique solution the free variables are set to zero.
     """
     import numpy as np
 
@@ -578,51 +610,16 @@ def _solve(A: np.ndarray, B: np.ndarray, rows) -> tuple[list[int], int, list[Row
         B = B.reshape(-1, 1)
     if B.shape[0] != r:
         raise ValueError("row count of B does not match A")
-    M = rows(np.hstack([A, B]))
+    M = _rows(_row_scaled(np.hstack([A, B]))[0])
     piv, d, _ = _bareiss(M, c)
     if any(M[len(piv) :]):
         raise ValueError("inconsistent linear system")
-    return piv, d, M[: len(piv)], B.shape[1]
-
-
-def solve_exact(A: np.ndarray, B: np.ndarray) -> QMat:
-    """Solve A @ X = B exactly over the rationals.
-
-    B may be a matrix or a single column reshaped as (n, 1).  Raises
-    ValueError when the row counts differ or the system is inconsistent;
-    with a non-unique solution the free variables are set to zero.
-    """
-    c = A.shape[1]
-    piv, d, M, k = _solve(A, B, lambda AB: _rows(_row_scaled(AB)[0]))
-    X = zeros(c, k)
+    X = zeros(c, B.shape[1])
     X[...] = Fraction(0)
     for col, row in zip(piv, M):
         for j, x in row.items():
             if j >= c:
                 X[col, j - c] = Fraction(x, d)
-    return X
-
-
-def solve_integral(A: IMat, B: IMat) -> IMat | None:
-    """The integer X with A @ X == B, for integer A with independent columns.
-
-    Fraction-free Gauss-Jordan on [A | B] leaves the pivot rows as
-    d * [I | X], so one divisibility test by d decides integrality.
-    Returns None when the unique solution is rational but not integral;
-    raises ValueError when the system is inconsistent or the columns of A
-    are dependent.
-    """
-    c = A.shape[1]
-    piv, d, M, k = _solve(A, B, _rows)
-    if len(piv) < c:
-        raise ValueError("columns of A are dependent")
-    X = zeros(c, k)
-    for t, row in enumerate(M):
-        for j, x in row.items():
-            if j >= c:
-                if x % d:
-                    return None
-                X[t, j - c] = x // d
     return X
 
 
@@ -643,7 +640,7 @@ def kernel_basis(A: np.ndarray) -> IMat:
     r, c = A.shape
     if r == 0 or c == 0:
         return eye(c)
-    d, _, _, V, _ = _smith(_row_scaled(A)[0], v=True)
+    d, _, _, V, _ = _smith(_rows(_row_scaled(A)[0]), c, v=True)
     # The columns of V past the nonzero diagonal span the kernel.
     nz = sum(1 for x in d if x)
     return _dense(V[nz:], c)
@@ -715,20 +712,13 @@ class Lattice:
             raise ValueError("row width does not match ambient dimension")
         N, e = scaled(R)
         den = self._den
-        # x = n / e is in the lattice iff den * x is integral and its
-        # Hermite reduction against the integer basis leaves zero.
+        piv = {min(h): i for i, h in enumerate(self._hnf)}
+        # x = n / e is in the lattice iff den * x is integral and has
+        # integer coordinates in the integer basis.
         for v in _rows(N):
             if any(x * den % e for x in v.values()):
                 return False
-            v = {j: x * den // e for j, x in v.items()}
-            for h in self._hnf:
-                j = min(h)
-                q, rem = divmod(v.get(j, 0), h[j])
-                if rem:
-                    return False
-                if q:
-                    _axpy(v, h, -q)
-            if v:
+            if _coords(self._hnf, {j: x * den // e for j, x in v.items()}, piv) is None:
                 return False
         return True
 

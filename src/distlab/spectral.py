@@ -22,6 +22,7 @@ import numpy as np
 from .abgroup import (
     FgAbGroup,
     JComplex,
+    _subquotient,
     elementary_power,
     i_invariant,
     subquotient_group,
@@ -38,7 +39,6 @@ from .exact_linalg import (
     eye,
     hnf_nonzero,
     kernel_basis,
-    zeros,
 )
 from .lcomplex import DIFFERENCE, KINDS, build_jcomplex, symbol_basis
 
@@ -80,12 +80,9 @@ class DoubleComplex:
         """(sigma, s) with delta(p, q) = sigma (1 + s c)."""
         return (-1) ** (p % 2), (1 if q % 2 == 0 else -1)
 
-    def delta(self, p: int, q: int) -> np.ndarray:
-        """Vertical map out of (p, q), shape rank(p, q+1) x rank(p, q)."""
-        return _dense(self._delta_cols(p, q), self.rank(p, q + 1), transposed=True)
-
     def _delta_cols(self, p: int, q: int) -> list[Row]:
-        """The columns of delta(p, q) as sparse rows, read off the permutation c."""
+        """The columns of the vertical map delta(p, q) out of (p, q) as sparse rows,
+        read off the permutation c."""
         n = self.rank(p, q)
         if n == 0 or self.rank(p, q + 1) == 0:
             return [{} for _ in range(n)]
@@ -104,12 +101,6 @@ class DoubleComplex:
         if key not in self._store:
             self._store[key] = _rows(self.base.d(p).T)
         return self._store[key]
-
-    def d(self, p: int, q: int) -> np.ndarray:
-        rows, cols = self.rank(p + 1, q), self.rank(p, q)
-        if rows == 0 or cols == 0:
-            return zeros(rows, cols)
-        return self.base.d(p)
 
     def interior(self, p: int, q: int, r: int) -> bool:
         """Whether page r at (p, q) only needs rows the window stores.
@@ -144,27 +135,30 @@ class DoubleComplex:
         row_ranks = tuple(self.rank(p + i, q - i + 1) for i in range(length))
         return (p, q % 2, sizes, row_ranks)
 
-    def _assemble(self, src: list, tgt: list) -> tuple[np.ndarray, list[int]]:
-        """The total differential from the entries src to the entries tgt.
+    def _columns(self, src: list, tgt: list) -> list[Row]:
+        """The columns of the total differential from the entries src to the entries tgt.
 
-        Blocks follow the listed order on both sides; returns the matrix and
-        the column offsets of the source entries.
+        One sparse row per column, blocks in the listed order on both sides:
+        the columns of entry (p, q) carry d into (p+1, q) and delta into
+        (p, q+1), each at the row offset of that entry in tgt if it is there.
         """
-        offsets = [0]
-        for pq in src:
-            offsets.append(offsets[-1] + self.rank(*pq))
-        row_off = {}
-        nrows = 0
+        at, off = {}, 0
         for pq in tgt:
-            row_off[pq] = nrows
-            nrows += self.rank(*pq)
-        M = zeros(nrows, offsets[-1])
-        for (p, q), j, k in zip(src, offsets, offsets[1:]):
-            for to, blk in (((p + 1, q), self.d), ((p, q + 1), self.delta)):
-                if to in row_off:
-                    i = row_off[to]
-                    M[i : i + self.rank(*to), j:k] = blk(p, q)
-        return M, offsets
+            at[pq] = off
+            off += self.rank(*pq)
+        cols = []
+        for p, q in src:
+            blocks = [
+                (at[to], blk)
+                for to, blk in (((p + 1, q), self._d_cols(p)), ((p, q + 1), self._delta_cols(p, q)))
+                if to in at and self.rank(*to)
+            ]
+            for k in range(self.rank(p, q)):
+                col: Row = {}
+                for o, blk in blocks:
+                    col.update((o + j, x) for j, x in blk[k].items())
+                cols.append(col)
+        return cols
 
     def _zig(self, p: int, q: int, length: int) -> tuple[list[Row], list[int]]:
         """Integral kernel of the staircase at (p, q) of this length, plus offsets.
@@ -255,24 +249,24 @@ class DoubleComplex:
             rows.append(row)
         return rows + ker
 
-    def z_rows(self, p: int, q: int, r: int) -> np.ndarray:
-        """Basis rows of the page-r numerator lattice at (p, q)."""
+    def z_rows(self, p: int, q: int, r: int) -> list[Row]:
+        """Hermite basis rows of the page-r numerator lattice at (p, q), sparse."""
         n = self.rank(p, q)
         if n == 0:
-            return zeros(0, 0)
+            return []
         rows, _ = self._zig(p, q, r)
-        return _dense(_hermite([{j: x for j, x in row.items() if j < n} for row in rows], n), n)
+        return _hermite([{j: x for j, x in row.items() if j < n} for row in rows], n)
 
-    def b_rows(self, p: int, q: int, r: int) -> np.ndarray:
-        """Generator rows of the page-r denominator lattice at (p, q)."""
+    def b_rows(self, p: int, q: int, r: int) -> list[Row]:
+        """Hermite rows of the page-r denominator lattice at (p, q), sparse."""
         n = self.rank(p, q)
         if n == 0:
-            return zeros(0, 0)
+            return []
         gens = self._delta_cols(p, q - 1)
         if r >= 2:
             rows, offsets = self._zig(p - r + 1, q + r - 2, r - 1)
             gens += self._d_last(rows, offsets, p - 1)
-        return _dense(_hermite(gens, n), n)
+        return _hermite(gens, n)
 
     def _e_key(self, p: int, q: int, r: int) -> tuple:
         # z_rows reads the staircase at (p, q); b_rows the vertical map
@@ -286,10 +280,8 @@ class DoubleComplex:
         key = self._e_key(p, q, r)
         if key not in self._store:
             Z = self.z_rows(p, q, r)
-            if Z.shape[0] == 0:
-                self._store[key] = FgAbGroup(0, ())
-            else:
-                self._store[key] = subquotient_group(Z, self.b_rows(p, q, r))
+            B = self.b_rows(p, q, r) if Z else []
+            self._store[key] = _subquotient(Z, B, self.rank(p, q))
         return self._store[key]
 
     def e_via_homology(self, p: int, q: int, r: int) -> FgAbGroup:
@@ -304,15 +296,14 @@ class DoubleComplex:
             return FgAbGroup(0, ())
         src = [(p + i, q - i) for i in range(r)]
         land = (p + r, q - r + 1)
-        M, offsets = self._assemble(src, [(a, b + 1) for a, b in src] + [land])
-        Bt = self.b_rows(*land, r)
-        lift = zeros(M.shape[0], Bt.shape[0])
-        lift[M.shape[0] - Bt.shape[1] :, :] = -Bt.T  # the landing rows come last
-        M = np.hstack([M, lift])
-        num = hnf_nonzero(kernel_basis(M)[:, : offsets[1]])
-        if num.shape[0] == 0:
-            return FgAbGroup(0, ())
-        return subquotient_group(num, self.b_rows(p, q, r + 1))
+        tgt = [(a, b + 1) for a, b in src] + [land]
+        height = sum(self.rank(*pq) for pq in tgt)
+        # the landing rows come last; each of its denominator rows is lifted
+        lo = height - self.rank(*land)
+        lift = [{lo + j: -x for j, x in b.items()} for b in self.b_rows(*land, r)]
+        M = _dense(self._columns(src, tgt) + lift, height, transposed=True)
+        num = _hermite(_rows(kernel_basis(M)[:, :n]), n)
+        return _subquotient(num, self.b_rows(p, q, r + 1) if num else [], n)
 
     # -- the total complex on the stored window
 
@@ -326,9 +317,6 @@ class DoubleComplex:
     def total_rank(self, n: int) -> int:
         return sum(self.rank(p, q) for p, q in self.total_entries(n))
 
-    def total_d(self, n: int) -> np.ndarray:
-        return self._assemble(self.total_entries(n), self.total_entries(n + 1))[0]
-
     def total_accessible(self, n: int) -> bool:
         if n - self.p_lo + 1 > self.q_hi:
             return False
@@ -337,7 +325,8 @@ class DoubleComplex:
         return True
 
     def _total_key(self, n: int) -> tuple:
-        # total_d(k) is fixed by the entries of total degrees k and k+1
+        # the total differential out of degree k is fixed by the entries of
+        # total degrees k and k+1
         return ("total",) + tuple(
             tuple((p, q % 2, self.rank(p, q)) for p, q in self.total_entries(k))
             for k in (n - 1, n, n + 1)
@@ -348,8 +337,8 @@ class DoubleComplex:
         if key not in self._store:
             # total degree n is the full staircase from (p_lo, n - p_lo)
             rows, offsets = self._zig(self.p_lo, n - self.p_lo, 1 - self.p_lo)
-            K = _dense(rows, offsets[-1])
-            self._store[key] = subquotient_group(K, self.total_d(n - 1).T)
+            image = self._columns(self.total_entries(n - 1), self.total_entries(n))
+            self._store[key] = _subquotient([dict(row) for row in rows], image, offsets[-1])
         return self._store[key]
 
 

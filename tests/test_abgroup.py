@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distlab.abgroup import (
@@ -14,6 +14,7 @@ from distlab.abgroup import (
     JComplex,
     ZQuotient,
     _random_unimodular,
+    _subquotient,
     abstract_index_check,
     commutes,
     elementary_power,
@@ -35,10 +36,13 @@ from distlab.exact_linalg import (
     hnf_nonzero,
     imat,
     inverse_exact,
+    is_integral,
     mat_equal,
     qmat,
+    rank_exact,
     scaled,
     snf_with_inverses,
+    solve_exact,
     to_int,
     zeros,
 )
@@ -156,8 +160,59 @@ def test_subquotient_group():
     num = imat([[1, 0], [0, 1]])
     den = imat([[2, 0]])
     assert subquotient_group(num, den) == FgAbGroup(1, (2,))
-    with pytest.raises(ValueError):
+    assert subquotient_group(num, zeros(0, 2)) == FgAbGroup(2, ())
+    with pytest.raises(ValueError, match="denominator row 0 is not in the numerator lattice"):
         subquotient_group(imat([[2, 0]]), imat([[1, 0]]))
+
+
+def test_subquotient_names_its_witness():
+    with pytest.raises(ValueError, match=r"^numerator rows are dependent: rank 1 of 2 rows$"):
+        subquotient_group(imat([[1, 2], [2, 4]]), zeros(0, 2))
+    with pytest.raises(
+        ValueError,
+        match=r"^denominator row 1 is not in the numerator lattice: inside its rational span, not integral$",
+    ):
+        subquotient_group(imat([[2, 0], [0, 1]]), imat([[4, 1], [1, 0]]))
+    with pytest.raises(
+        ValueError, match=r"^denominator row 2 is not in the numerator lattice: outside its rational span$"
+    ):
+        subquotient_group(imat([[1, 1]]), imat([[2, 2], [0, 0], [0, 1]]))
+
+
+def _drawn_matrix(data, r, c):
+    """An r x c matrix of small ints, any of r and c zero."""
+    A = zeros(r, c)
+    for i in range(r):
+        A[i, :] = data.draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=c, max_size=c))
+    return A
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_subquotient_against_rational_solve(data):
+    """``_subquotient`` against the presentation by the den rows'
+    coordinates in the num rows, solved over Q: equal groups for integral
+    combinations of num, and a raise exactly when a drawn row's
+    coordinates are missing or not integral."""
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    num = _drawn_matrix(data, k, n)
+    assume(rank_exact(num) == k)
+    den = _drawn_matrix(data, data.draw(st.integers(min_value=0, max_value=4)), k) @ num
+    want = FgAbGroup.from_relations(k, to_int(solve_exact(num.T, den.T)).T)
+    assert _subquotient(_rows(num), _rows(den), n) == want
+    w = _drawn_matrix(data, 1, n)
+    try:
+        ok = is_integral(solve_exact(num.T, w.T))
+    except ValueError:  # off the rational span
+        ok = False
+    if ok:
+        assert _subquotient(_rows(num), _rows(w), n) == FgAbGroup.from_relations(
+            k, to_int(solve_exact(num.T, w.T)).T
+        )
+    else:
+        with pytest.raises(ValueError, match="denominator row 0 is not in the numerator lattice"):
+            _subquotient(_rows(num), _rows(w), n)
 
 
 def test_tate_of_swap_action():
@@ -451,6 +506,16 @@ def test_cohomology_of_two_term():
     C = _two_term([[2, 0], [0, 3]])
     assert C.cohomology(0) == FgAbGroup(0, (6,))
     assert C.cohomology(-1).is_trivial
+
+
+def test_cohomology_names_the_column_outside_the_kernel():
+    # d^2 = 0 is checked at construction; break it afterwards, so that
+    # column 1 of d(-1) leaves the kernel of d(0)
+    C = BoundedComplex({-1: 2, 0: 2, 1: 1}, {-1: imat([[1, 0], [0, 0]]), 0: imat([[0, 0]])})
+    C.diff[-1] = imat([[1, 0], [0, 1]])
+    C.diff[0] = imat([[0, 1]])
+    with pytest.raises(ValueError, match=r"^column 1 of d at degree -1 is not in the integral kernel$"):
+        C.cohomology_data(0)
 
 
 def test_euler_regulator_identity_fixed_example():

@@ -410,7 +410,7 @@ def test_lazy_package_names():
     }
     public = {name for name in dir(distlab) if not name.startswith("_")}
     assert public - {"cli"} == set(distlab.__all__) | submodules
-    assert len(distlab.__all__) == len(set(distlab.__all__)) == 97
+    assert len(distlab.__all__) == len(set(distlab.__all__)) == 96
     namespace = {}
     exec("from distlab import *", namespace)
     assert namespace["DoubleComplex"] is spectral.DoubleComplex

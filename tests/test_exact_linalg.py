@@ -11,9 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from distlab.abgroup import FgAbGroup, _subquotient
 from distlab.distribution import distribution_relation_rows, negation_matrix
 from distlab.exact_linalg import (
     Lattice,
+    _coords,
     _dense,
     _hermite,
     _mul,
@@ -26,6 +28,7 @@ from distlab.exact_linalg import (
     integral_preimage,
     inverse_exact,
     invariant_factors,
+    is_integral,
     is_unimodular,
     kernel_basis,
     lattice_index,
@@ -37,7 +40,6 @@ from distlab.exact_linalg import (
     scaled,
     snf_with_inverses,
     solve_exact,
-    solve_integral,
     to_int,
     unscaled,
     zeros,
@@ -259,26 +261,54 @@ def test_solve_and_inverse():
         solve_exact(imat([[1, 1], [1, 1]]), imat([[1], [0]]))
 
 
-def test_solve_integral_examples():
-    A = imat([[2, 1], [1, 1]])
-    assert mat_equal(solve_integral(A, imat([[1], [0]])), imat([[1], [-1]]))
-    assert solve_integral(imat([[2]]), imat([[1]])) is None
-    assert mat_equal(solve_integral(zeros(2, 0), zeros(2, 1)), zeros(0, 1))
-    with pytest.raises(ValueError):
-        solve_integral(imat([[1], [1]]), imat([[1], [0]]))
-    with pytest.raises(ValueError):
-        solve_integral(imat([[1, 1], [1, 1]]), imat([[2], [2]]))
+def _pivots(H):
+    """The pivot column of each Hermite row, mapped to its index."""
+    return {min(h): i for i, h in enumerate(H)}
 
 
-@settings(max_examples=80, deadline=None)
-@given(solve_systems)
-def test_solve_integral_recovers_integer_solution(system):
-    rows, xrows, _ = system
-    A, X = imat(rows), imat(xrows)
-    assume(rank_exact(A) == A.shape[1])
-    got = solve_integral(A, A @ X)
-    assert mat_equal(got, X)
-    assert all(type(x) is int for x in got.flat)
+def test_coords_examples():
+    H = _hermite(_rows(imat([[2, 1], [0, 3], [0, 0]])), 2)  # rows (2, 1), (0, 3)
+    piv = _pivots(H)
+    assert _coords(H, {0: 4, 1: 5}, piv) == {0: 2, 1: 1}
+    assert _coords(H, {1: -3}, piv) == {1: -1}
+    assert _coords(H, {0: 1}, piv) is None  # half the first row: not integral
+    assert _coords(H, {}, piv) == {}
+    v = {0: 2, 1: 1}
+    assert _coords(H, v, piv) == {0: 1} and v == {0: 2, 1: 1}  # v is not changed
+    line = _hermite(_rows(imat([[1, 1]])), 2)
+    assert _coords(line, {1: 1}, _pivots(line)) is None  # off the rational span
+    assert _coords([], {}, {}) == {}
+    assert _coords([], {0: 1}, {}) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_matrices, st.data())
+def test_coords_against_rational_solve(rows, data):
+    """``_coords`` in the Hermite rows H of a drawn matrix against
+    ``solve_exact(H.T, v)``: integer coefficients are recovered, half of a
+    row of 2H and a vector off the span give None, and a drawn vector gets
+    coordinates exactly when its rational solution is integral."""
+    A = imat(rows)
+    c = A.shape[1]
+    H = _hermite(_rows(A), c)
+    k, piv = len(H), _pivots(H)
+    x = data.draw(st.lists(st.integers(min_value=-5, max_value=5), min_size=k, max_size=k))
+    x = {i: xi for i, xi in enumerate(x) if xi}
+    assert _coords(H, _mul([x], H)[0], piv) == x
+    H2 = [{j: 2 * y for j, y in h.items()} for h in H]
+    for h in H:
+        assert _coords(H2, h, piv) is None
+    w = data.draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c))
+    got = _coords(H, {j: y for j, y in enumerate(w) if y}, piv)
+    try:
+        X = solve_exact(_dense(H, c).T, imat([w]).T)
+    except ValueError:  # off the rational span
+        assert got is None
+        return
+    if is_integral(X):
+        assert got == {i: int(X[i, 0]) for i in range(k) if X[i, 0]}
+    else:
+        assert got is None
 
 
 def _sympy_solve(sympy, A, B):
@@ -296,43 +326,6 @@ def _sympy_solve(sympy, A, B):
             x = R[i, c + j]
             X[p][j] = Fraction(int(x.p), int(x.q))
     return X
-
-
-@settings(max_examples=120, deadline=None)
-@given(solve_systems)
-def test_solve_integral_verdict_matches_rational_solve(normalforms, system):
-    sympy, _ = normalforms
-    rows, _, brows = system
-    A, B = imat(rows), imat(brows)
-    assume(sympy.Matrix(rows).rank() == A.shape[1])
-    ref = _sympy_solve(sympy, A, B)
-    if ref is None:
-        with pytest.raises(ValueError):
-            solve_integral(A, B)
-        return
-    got = solve_integral(A, B)
-    if all(x.denominator == 1 for row in ref for x in row):
-        assert got.tolist() == ref
-    else:
-        assert got is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(solve_systems, st.integers(min_value=1, max_value=5), st.randoms())
-def test_solve_integral_rejects_inconsistent(system, bump, rnd):
-    # A zero row of A facing a nonzero entry of B, hidden by a row shuffle.
-    rows, xrows, _ = system
-    A, X = imat(rows), imat(xrows)
-    assume(rank_exact(A) == A.shape[1])
-    B = A @ X
-    A2 = np.vstack([A, zeros(1, A.shape[1])])
-    extra = zeros(1, B.shape[1])
-    extra[0, rnd.randrange(B.shape[1])] = bump
-    B2 = np.vstack([B, extra])
-    perm = list(range(A2.shape[0]))
-    rnd.shuffle(perm)
-    with pytest.raises(ValueError):
-        solve_integral(A2[perm, :], B2[perm, :])
 
 
 @settings(max_examples=60, deadline=None)
@@ -710,10 +703,11 @@ def test_contains_checks_every_row_and_the_width():
 # make, deduplicated.  Entries are ints or "p/q" strings; a lattice is its
 # ambient dimension and basis.
 SOLVE_GOLDEN = json.loads((Path(__file__).parent / "data" / "solve_golden.json").read_text())
-# The function and the type of every entry of its result.
+# The function and the type of every entry of its result.  The integral
+# solves recorded under "solve_integral" are read through the coordinate
+# route instead (the last test below).
 SOLVES = {
     "solve_exact": (solve_exact, Fraction),
-    "solve_integral": (solve_integral, int),
     "rank_exact": (rank_exact, int),
     "det_exact": (det_exact, Fraction),
     "lattice_index": (lattice_index, Fraction),
@@ -727,7 +721,7 @@ def _from_golden(m):
     return a
 
 
-@pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
+@pytest.mark.parametrize("name", sorted(SOLVES))
 def test_solves_are_pinned(name):
     fn, kind = SOLVES[name]
     for rec in SOLVE_GOLDEN[name]:
@@ -744,3 +738,19 @@ def test_solves_are_pinned(name):
         else:
             assert type(got) is kind
             assert got == (Fraction(want) if isinstance(want, str) else want)
+
+
+def test_subquotient_reads_the_pinned_integral_solves():
+    """The integral systems num.T @ X == den.T of the same runs, pinned with
+    their integer X: each den row has integer coordinates in the Hermite
+    rows of num, and ``_subquotient`` gives the group that X presents."""
+    for rec in SOLVE_GOLDEN["solve_integral"]:
+        A, B = (_from_golden(a) for a in rec["args"])
+        X = _from_golden(rec["out"])
+        n, k = A.shape
+        H = _hermite(_rows(A.T), n)
+        assert len(H) == k
+        for v in _rows(B.T):
+            x = _coords(H, v, _pivots(H))
+            assert x is not None and _mul([x], H)[0] == v
+        assert _subquotient(_rows(A.T), _rows(B.T), n) == FgAbGroup.from_relations(k, X.T)

@@ -34,7 +34,8 @@ from distlab.exact_linalg import (
     kernel_basis,
     mat_equal,
     scaled,
-    solve_integral,
+    solve_exact,
+    to_int,
     unscaled,
     zeros,
 )
@@ -359,7 +360,8 @@ def test_minus_pair_restriction_entries():
 
 def _fixed_subcomplex_by_smith(jc):
     """The fixed subcomplex by the Smith route: a Smith kernel of 1 + c per
-    degree and an integral solve per differential."""
+    degree and a rational solve per differential, integral (``to_int``
+    raises otherwise)."""
     C = jc.complex
     bases = {i: kernel_basis(eye(C.rank(i)) + jc.c(i)) for i in C.degrees()}
     diff = {}
@@ -367,19 +369,18 @@ def _fixed_subcomplex_by_smith(jc):
         src, tgt = bases[i], bases[i + 1]
         diff[i] = zeros(tgt.shape[0], src.shape[0])
         if src.shape[0] and tgt.shape[0]:
-            diff[i] = solve_integral(tgt.T, C.d(i) @ src.T)
-            assert diff[i] is not None
+            diff[i] = to_int(solve_exact(tgt.T, C.d(i) @ src.T))
     return BoundedComplex({i: B.shape[0] for i, B in bases.items()}, diff), bases
 
 
 def _det_part_by_solve(bases, phi):
-    """The determinant part of the index formula from integral solves on the
-    Smith bases of ker(1 + c)."""
+    """The determinant part of the index formula from rational solves on the
+    Smith bases of ker(1 + c), each integral."""
     out = Fraction(1)
     for i, B in bases.items():
         if B.shape[0]:
             N, e = phi[i]
-            R = solve_integral(B.T, N @ B.T)
+            R = to_int(solve_exact(B.T, N @ B.T))
             out *= abs(Fraction(det_exact(R), e ** B.shape[0])) ** ((-1) ** (i % 2))
     return out
 

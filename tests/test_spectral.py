@@ -1,7 +1,9 @@
 """Tests for the involution double complexes and their filtration pages."""
 
 import json
+import sys
 from argparse import Namespace
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distlab import cli, spectral
+from distlab import abgroup, cli, exact_linalg, spectral
 from distlab.abgroup import BoundedComplex, FgAbGroup, JComplex, elementary_power, i_invariant
 from distlab.distribution import universal_distribution, universal_predistribution
 from distlab.exact_linalg import (
@@ -52,13 +54,30 @@ from distlab.spectral import (
 )
 
 
+def _block(dc, src, tgt):
+    """Dense view of the total differential's columns from the entries src to the entries tgt."""
+    return _dense(dc._columns(src, tgt), sum(dc.rank(*pq) for pq in tgt), transposed=True)
+
+
+def _delta(dc, p, q):
+    return _block(dc, [(p, q)], [(p, q + 1)])
+
+
+def _d(dc, p, q):
+    return _block(dc, [(p, q)], [(p + 1, q)])
+
+
+def _total_d(dc, n):
+    return _block(dc, dc.total_entries(n), dc.total_entries(n + 1))
+
+
 def test_total_differential_squares_to_zero():
     dc = build_double(12, DIFFERENCE, FULL)
     for p in range(-2, 0):
         for q in range(-2, 4):
-            a = dc.delta(p, q + 1) @ dc.delta(p, q)
+            a = _delta(dc, p, q + 1) @ _delta(dc, p, q)
             assert mat_equal(a, zeros(*a.shape))
-            b = dc.d(p, q + 1) @ dc.delta(p, q) + dc.delta(p + 1, q) @ dc.d(p, q)
+            b = _d(dc, p, q + 1) @ _delta(dc, p, q) + _delta(dc, p + 1, q) @ _d(dc, p, q)
             assert mat_equal(b, zeros(*b.shape))
     # The assembled total differential, over the whole window and one
     # degree past each end of it.
@@ -67,7 +86,7 @@ def test_total_differential_squares_to_zero():
             for variant in (HALF, FULL):
                 dc = build_double(m, kind, variant)
                 for n in range(dc.p_lo + dc.q_lo - 1, dc.q_hi + 2):
-                    a = dc.total_d(n + 1) @ dc.total_d(n)
+                    a = _total_d(dc, n + 1) @ _total_d(dc, n)
                     assert a.shape == (dc.total_rank(n + 2), dc.total_rank(n))
                     assert mat_equal(a, zeros(*a.shape)), (m, kind, variant, n)
 
@@ -339,7 +358,10 @@ def test_shared_store_matches_an_emptied_store(m, kind):
 def _staircase(dc, p, q, length):
     """The assembled staircase at (p, q) of this length and its component offsets."""
     src = [(p + i, q - i) for i in range(length)]
-    return dc._assemble(src, [(a, b + 1) for a, b in src])
+    offsets = [0]
+    for pq in src:
+        offsets.append(offsets[-1] + dc.rank(*pq))
+    return _block(dc, src, [(a, b + 1) for a, b in src]), offsets
 
 
 def _same_matrices(a, b):
@@ -374,12 +396,12 @@ def test_equal_keys_give_equal_inputs(m):
                 for p in range(sb.lo, 1):
                     for q in range(dc.q_lo, dc.q_hi + 1):
                         record((kind, dc._stair(p, q, r)), _staircase(dc, p, q, r)[:1], variant)
-                        mats = [_staircase(dc, p, q, r)[0], dc.delta(p, q - 1), dc.d(p - 1, q)]
+                        mats = [_staircase(dc, p, q, r)[0], _delta(dc, p, q - 1), _d(dc, p - 1, q)]
                         if r >= 2:
                             mats.append(_staircase(dc, p - r + 1, q + r - 2, r - 1)[0])
                         record((kind,) + dc._e_key(p, q, r), mats, variant)
             for n in range(dc.p_lo + dc.q_lo, dc.q_hi + 1):
-                record((kind,) + dc._total_key(n), [dc.total_d(n), dc.total_d(n - 1)], variant)
+                record((kind,) + dc._total_key(n), [_total_d(dc, n), _total_d(dc, n - 1)], variant)
     assert across_variants == set(KINDS)
 
 
@@ -420,7 +442,7 @@ def test_zig_rows_are_a_basis_of_the_staircase_kernel(m):
             for n in range(dc.p_lo + dc.q_lo - 1, dc.q_hi + 2):
                 rows, offsets = dc._zig(dc.p_lo, n - dc.p_lo, 1 - dc.p_lo)
                 assert offsets[-1] == dc.total_rank(n)
-                assert _is_kernel_basis(rows, dc.total_d(n)), (kind, variant, n)
+                assert _is_kernel_basis(rows, _total_d(dc, n)), (kind, variant, n)
 
 
 def test_window_edges_take_the_constraint_route(monkeypatch):
@@ -465,6 +487,42 @@ def test_interior_zig_zags_need_no_smith_form(monkeypatch):
                     dc.e_term(p, q, r)
                     built += 1
     assert (built, skipped) == (284, 16)
+
+
+def test_checks_read_coordinates_off_hermite_rows(monkeypatch):
+    """A work contract that does not depend on load: at 21, the page,
+    degeneration and abutment checks of both kinds never call
+    ``solve_exact``, and ``spectral`` builds a dense view only for the
+    window-edge conditions of ``_extend`` (and in ``e_via_homology``,
+    which these checks do not run)."""
+    solves, dense_from, quotients = [], Counter(), []
+    solve, dense, subquotient = exact_linalg.solve_exact, spectral._dense, spectral._subquotient
+
+    def counted_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    def counted_dense(*args, **kwargs):
+        dense_from[sys._getframe(1).f_code.co_name] += 1
+        return dense(*args, **kwargs)
+
+    def counted_subquotient(*args):
+        quotients.append(args[2])
+        return subquotient(*args)
+
+    for module in (exact_linalg, abgroup):
+        monkeypatch.setattr(module, "solve_exact", counted_solve)
+    monkeypatch.setattr(spectral, "_dense", counted_dense)
+    monkeypatch.setattr(spectral, "_subquotient", counted_subquotient)
+    # cold caches, so that every page and total group is computed here
+    spectral._double.cache_clear()
+    build_jcomplex.cache_clear()
+    for kind in KINDS:
+        for check in (e1_page_check, e2_page_check, degeneration_check, abutment_check):
+            assert check(21, kind)["ok"], (check.__name__, kind)
+    assert solves == []
+    assert set(dense_from) <= {"_extend", "e_via_homology"}, dense_from
+    assert dense_from["_extend"] and quotients
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "pages_golden.json").read_text())

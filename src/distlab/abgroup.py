@@ -355,32 +355,27 @@ def _f2_gain(basis: dict[int, int], rows: list[int]) -> int:
     return gained
 
 
-def _f3_gain(basis: dict[int, Row], rows: list[Row]) -> int:
-    """Add integer rows, read mod 3, to an echelon basis keyed by leading column.
+def _f3_gain(basis: dict[int, tuple[int, int]], rows: list[tuple[int, int]]) -> int:
+    """Add F_3 rows to an echelon basis keyed by lowest bit, as ``_f2_gain`` does.
 
-    Basis rows have leading entry 1 and are never modified once stored, so
-    a shallow copy of the basis can be extended separately.  Returns how
-    many of the rows were independent of the basis so far.
+    A row is two bit planes (ones, twos): bit j is set in the first where
+    its entry at column j is 1 and in the second where it is 2, so -v
+    swaps them.  Basis rows have leading entry 1.  Returns how many of the
+    rows were independent of the basis so far.
     """
     gained = 0
-    for row in rows:
-        v = {j: x % 3 for j, x in row.items() if x % 3}
-        while v:
-            j = min(v)
-            b = basis.get(j)
+    for u, w in rows:
+        while u | w:
+            low = (u | w) & -(u | w)
+            b = basis.get(low)
             if b is None:
-                if v[j] == 2:
-                    v = {i: 3 - x for i, x in v.items()}
-                basis[j] = v
+                basis[low] = (u, w) if u & low else (w, u)
                 gained += 1
                 break
-            q = v[j]
-            for i, x in b.items():
-                y = (v.get(i, 0) - q * x) % 3
-                if y:
-                    v[i] = y
-                else:
-                    v.pop(i, None)
+            # v - b if v leads with 1, v + b if with 2, in six bit operations
+            x, y = b if w & low else b[::-1]
+            t = (u | y) ^ (w | x)
+            u, w = (w | y) ^ t, (u | x) ^ t
     return gained
 
 
@@ -393,11 +388,11 @@ def tate_pair(C: IMat, relation_rows: IMat) -> tuple[FgAbGroup, FgAbGroup]:
     rank_F3(1+c) = a + r, rank_F3(1-c) = b + r.  On M each rank is
     rank_Fp([R; (1 ± C)^T]) - rank_Fp(R): R is eliminated once per prime
     and the rows of (1 ± C)^T are reduced against that echelon, as Python
-    ints under XOR over F_2 and sparse rows over F_3, so nothing dense is
-    built.  Only the rows at the columns without a pivot are needed: with
-    R those unit vectors span F_p^n, and C maps R into itself, so their
-    images span the image of 1 ± C modulo R.  Agrees with ``tate_group``,
-    the Smith route.
+    ints under XOR over F_2 and as pairs of bit-plane ints over F_3, so
+    nothing dense is built.  Only the rows at the columns without a pivot
+    are needed: with R those unit vectors span F_p^n, and C maps R into
+    itself, so their images span the image of 1 ± C modulo R.  Agrees
+    with ``tate_group``, the Smith route.
 
     The relation rows must be independent (a Hermite basis, say), and M
     must have no 2- or 3-torsion: unless R keeps its row count as its
@@ -423,22 +418,36 @@ def _tate_pair(cols: list[Row], R: list[Row]) -> tuple[FgAbGroup, FgAbGroup]:
         row[k] = row.get(k, 0) + 1
         return row
 
-    def bits(rows: list[Row]) -> list[int]:
-        return [sum(1 << j for j, x in row.items() if x & 1) for row in rows]
+    def bits(rows: list[Row]) -> tuple[list[int], list[tuple[int, int]]]:
+        # per row, the bits of its odd entries and its two F_3 bit planes
+        odd, planes = [], []
+        for row in rows:
+            o = u = w = 0
+            for j, x in row.items():
+                if x & 1:
+                    o |= 1 << j
+                if x % 3 == 1:
+                    u |= 1 << j
+                elif x % 3:
+                    w |= 1 << j
+            odd.append(o)
+            planes.append((u, w))
+        return odd, planes
 
+    R2, R3 = bits(R)
     f2: dict[int, int] = {}
-    f3: dict[int, Row] = {}
-    for p, got in ((2, _f2_gain(f2, bits(R))), (3, _f3_gain(f3, R))):
+    f3: dict[int, tuple[int, int]] = {}
+    for p, got in ((2, _f2_gain(f2, R2)), (3, _f3_gain(f3, R3))):
         if got != len(R):
             raise ValueError(
                 f"Z^{n} / relations has {p}-torsion (or dependent relation rows); "
                 "the rank route needs neither"
             )
     free2 = [k for k in range(n) if 1 << k not in f2]
-    free3 = [k for k in range(n) if k not in f3]
-    r = _f2_gain(f2, bits([image(k, 1) for k in free2]))
-    a = _f3_gain(dict(f3), [image(k, 1) for k in free3]) - r
-    b = _f3_gain(f3, [image(k, -1) for k in free3]) - r
+    free3 = [k for k in range(n) if 1 << k not in f3]
+    r = _f2_gain(f2, bits([image(k, 1) for k in free2])[0])
+    a = _f3_gain(dict(f3), bits([image(k, 1) for k in free3])[1]) - r
+    b = _f3_gain(f3, bits([image(k, -1) for k in free3])[1]) - r
     return elementary_power(2, a), elementary_power(2, b)
 
 

@@ -26,6 +26,7 @@ from .exact_linalg import (
     IMat,
     Lattice,
     Row,
+    _axpy,
     _dense,
     eye,
     is_unimodular,
@@ -150,15 +151,17 @@ def basis_check(m: int) -> dict:
 def _relation_rows(m: int, bare: bool, steps) -> list[Row]:
     """Sparse relation rows at level m, one per pair (n, a), n in steps, a < m/n.
 
-    Each step n must be a divisor of m above 1.  The level-(m/n) point a is
-    the point n a of level m, and its n preimages are a + t m/n, the ones of
-    column a of ``x_matrix(m, n)``.  The bare (predistribution) row is their
-    sum; the distribution row is [n a] minus that sum, in which [n a]
-    cancels a preimage it equals.
+    Each step n must be a divisor of m above 1; ValueError names any other.
+    The level-(m/n) point a is the point n a of level m, and its n
+    preimages are a + t m/n, the ones of column a of ``x_matrix(m, n)``.
+    The bare (predistribution) row is their sum; the distribution row is
+    [n a] minus that sum, in which [n a] cancels a preimage it equals.
     """
     rows = []
     sign = 1 if bare else -1
     for n in steps:
+        if type(n) is not int or n <= 1 or m % n:
+            raise ValueError(f"relation step {n!r} is not a divisor of {m} above 1")
         s = m // n
         for a in range(s):
             row = {a + t * s: sign for t in range(n)}
@@ -168,6 +171,28 @@ def _relation_rows(m: int, bare: bool, steps) -> list[Row]:
                     row[a * n] = x
             rows.append(row)
     return rows
+
+
+def _certified_rows(m: int, bare: bool) -> list[Row]:
+    """The prime-step relation rows of level m, once every composite-step
+    row is certified to lie in their span.
+
+    With p the least prime of n and n' = n/p, the row of (n, a) must equal
+    R_p(n' a) + sum over t < p of R_n'(a + t m/n), and the bare rows have
+    no R_p term; by induction on n, each composite row then lies in the
+    span.  ArithmeticError names the first row that differs.
+    """
+    rows = {n: _relation_rows(m, bare, [n]) for n in divisors(m)[1:]}
+    for n, got in rows.items():
+        p = primes_of(n)[0]
+        for a, row in enumerate(got if p < n else ()):
+            want = {} if bare else dict(rows[p][n // p * a])
+            for t in range(p):
+                _axpy(want, rows[n // p][a + t * (m // n)], 1)
+            if want != row:
+                kind = "predistribution" if bare else "distribution"
+                raise ArithmeticError(f"{kind} relation at step n = {n}, a = {a} is not certified")
+    return [row for p in primes_of(m) for row in rows[p]]
 
 
 def distribution_relation_rows(m: int):
@@ -189,26 +214,32 @@ def predistribution_lattice(m: int) -> Lattice:
 
 
 def prime_step_relations_suffice(m: int) -> bool:
-    """Relations at prime n already span the full relation lattice."""
+    """Relations at prime n already span the full relation lattice.
+
+    The ``universal_*`` quotients rest on the certificate of
+    ``_certified_rows``; this is the independent route, on Hermite rows.
+    """
     return all(
-        ZQuotient(m, _relation_rows(m, bare, primes_of(m))).rows == q(m).rows
-        for bare, q in ((False, universal_distribution), (True, universal_predistribution))
+        ZQuotient(m, _relation_rows(m, bare, divisors(m)[1:])).rows
+        == ZQuotient(m, _relation_rows(m, bare, primes_of(m))).rows
+        for bare in (False, True)
     )
 
 
 # Memoised: the Tate groups and the Stickelberger checks of a level read
-# the same quotient, and callers must not modify it.  The Tate groups read
-# only its sparse Hermite rows; the dense view and the Smith coordinates
-# are built on first use, and the bound is small because each quotient
-# that has them holds its dense n x n transforms.
+# the same quotient, built from the certified prime-step rows, and callers
+# must not modify it.  The Tate groups read only its sparse Hermite rows;
+# the dense view and the Smith coordinates are built on first use, and the
+# bound is small because each quotient that has them holds its dense n x n
+# transforms.
 @lru_cache(maxsize=8)
 def universal_distribution(m: int) -> ZQuotient:
-    return ZQuotient(m, _relation_rows(m, False, divisors(m)[1:]))
+    return ZQuotient(m, _certified_rows(m, False))
 
 
 @lru_cache(maxsize=8)
 def universal_predistribution(m: int) -> ZQuotient:
-    return ZQuotient(m, _relation_rows(m, True, divisors(m)[1:]))
+    return ZQuotient(m, _certified_rows(m, True))
 
 
 # ---------------------------------------------------------------------------

@@ -421,53 +421,47 @@ def _hermite(M: list[Row], c: int) -> list[Row]:
     """Row Hermite form of sparse integer rows over columns < c, in place.
 
     Returns the nonzero Hermite rows: positive pivots, entries above each
-    pivot reduced.  The rows of M are reused and changed; the row span is
-    unchanged.
+    pivot reduced.  The rows wait in buckets by leading column, so a column
+    touches only the rows that start there; its pivot is the least |entry|
+    and, among those, the row with the fewest nonzeros.  The entries above
+    the pivots are reduced once, bottom-up, after the echelon pass.  The
+    rows of M are reused and changed; the row span is unchanged.
     """
-    r = len(M)
-    row = 0
+    start: dict[int, list[Row]] = {}
+    for row in M:
+        if row:
+            start.setdefault(min(row), []).append(row)
+    H: dict[int, Row] = {}  # pivot column -> its row, in column order
     for col in range(c):
-        if row >= r:
-            break
-        # Reduce all entries below `row` in this column to zero, always
-        # against the first of the least nonzero |entries|.
-        while True:
-            pivots = [i for i in range(row, r) if col in M[i]]
-            if not pivots:
-                break
-            i0 = min(pivots, key=lambda i: abs(M[i][col]))
-            if i0 != row:
-                M[row], M[i0] = M[i0], M[row]
-            piv = M[row]
-            p = piv[col]
-            done = True
-            # The other nonzero rows; the old row `row` now sits at i0.
-            for i in pivots:
-                if i == i0:
-                    continue
-                if i == row:
-                    i = i0
-                q = M[i][col] // p
-                if q:
-                    _axpy(M[i], piv, -q)
-                if col in M[i]:
-                    done = False
-            if done:
-                break
-        piv = M[row]
-        p = piv.get(col)
-        if p is None:
+        rows = start.pop(col, None)
+        if rows is None:
             continue
-        if p < 0:
-            piv = M[row] = {j: -x for j, x in piv.items()}
-            p = -p
-        for i in [i for i in range(row) if col in M[i]]:
-            q = M[i][col] // p
+        while len(rows) > 1:
+            piv = min(rows, key=lambda row: (abs(row[col]), len(row)))
+            p = piv[col]
+            rest = []
+            for row in rows:
+                if row is not piv:
+                    _axpy(row, piv, -(row[col] // p))
+                    if col in row:
+                        rest.append(row)  # a remainder below |p|
+                    elif row:
+                        start.setdefault(min(row), []).append(row)
+            rows = rest + [piv]
+        piv = rows[0]
+        H[col] = piv if piv[col] > 0 else {j: -x for j, x in piv.items()}
+    # Bottom-up, each row is reduced against the rows below it, which are
+    # reduced already, at its pivot columns lowest first: a row op at
+    # column j changes only columns past j, and a reduced row is zero at
+    # every unit pivot, so it can only add entries at the `wide` pivots.
+    wide = {j for j, h in H.items() if h[j] > 1}
+    for col in reversed(H):
+        row = H[col]
+        for j in sorted(j for j in wide.union(row) if j > col and j in H):
+            q = row.get(j, 0) // H[j][j]
             if q:
-                _axpy(M[i], piv, -q)
-        row += 1
-    # Every row from `row` on is now zero.
-    return M[:row]
+                _axpy(row, H[j], -q)
+    return list(H.values())
 
 
 def hnf(A: IMat) -> IMat:

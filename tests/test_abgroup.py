@@ -13,6 +13,7 @@ from distlab.abgroup import (
     FgAbGroup,
     JComplex,
     ZQuotient,
+    _f3_gain,
     _random_unimodular,
     _subquotient,
     abstract_index_check,
@@ -285,6 +286,46 @@ def test_tate_pair_on_disguised_quotients(seed):
     want = (elementary_power(2, a), elementary_power(2, b))
     assert tate_pair(Cg, rel) == want
     assert (tate_group(Cg, rel, "even"), tate_group(Cg, rel, "odd")) == want
+
+
+def _rank_mod3(rows: list[list[int]], n: int) -> int:
+    """Rank over F_3 of integer rows of length n, by plain Gaussian elimination on lists."""
+    M = [[x % 3 for x in row] for row in rows]
+    rank = 0
+    for col in range(n):
+        i = next((i for i in range(rank, len(M)) if M[i][col]), None)
+        if i is None:
+            continue
+        M[rank], M[i] = M[i], M[rank]
+        top = [x * M[rank][col] % 3 for x in M[rank]]  # 1 and 2 are their own inverses
+        for i in range(len(M)):
+            if i != rank and M[i][col]:
+                M[i] = [(x - M[i][col] * y) % 3 for x, y in zip(M[i], top)]
+        M[rank] = top
+        rank += 1
+    return rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_f3_gain_against_plain_elimination(data):
+    """The bit-plane F_3 echelon of ``_f3_gain`` gains exactly the rank of
+    a plain mod-3 elimination, in two batches as ``_tate_pair`` feeds it,
+    and a copy of the basis extends without touching the original."""
+    n = data.draw(st.integers(1, 12))
+    entries = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -5]), min_size=n, max_size=n)
+    rows = data.draw(st.lists(entries, max_size=10))
+    k = data.draw(st.integers(0, len(rows)))
+    planes = [
+        tuple(sum(1 << j for j, x in enumerate(row) if x % 3 == y) for y in (1, 2)) for row in rows
+    ]
+    basis: dict[int, tuple[int, int]] = {}
+    assert _f3_gain(basis, planes[:k]) == _rank_mod3(rows[:k], n)
+    for low, (u, w) in basis.items():
+        assert low == (u | w) & -(u | w) and u & low and not u & w
+    before = dict(basis)
+    assert _f3_gain(dict(basis), planes[k:]) == _rank_mod3(rows, n) - _rank_mod3(rows[:k], n)
+    assert basis == before
 
 
 @pytest.mark.parametrize("p", [2, 3])

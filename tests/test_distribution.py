@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distlab import distribution
+from distlab import abgroup, distribution
 from distlab.abgroup import FgAbGroup, elementary_power, tate_group
 from distlab.arith import divisors, euler_phi, primes_of
 from distlab.distribution import (
@@ -94,6 +94,81 @@ def test_relation_lattices():
 @pytest.mark.parametrize("m", [8, 12, 60, 105])
 def test_prime_step_relations_suffice(m):
     assert prime_step_relations_suffice(m)
+
+
+def _cold_quotients(request):
+    """Drop the memoised quotients and Tate groups now and at teardown, as
+    ``_perturb_factor`` does, so that a patched builder reaches the
+    quotients and no quotient built under it outlives the test."""
+    caches = (
+        distribution.universal_distribution,
+        distribution.universal_predistribution,
+        distribution._free_tate,
+    )
+    for f in caches:
+        f.cache_clear()
+        request.addfinalizer(f.cache_clear)
+
+
+@pytest.mark.parametrize("step", [5, 1, 0, -3, 24])
+def test_relation_rows_reject_bad_steps(step):
+    # a non-divisor gave rows over the wrong points, and step 1 empty rows
+    with pytest.raises(ValueError, match=rf"^relation step {step} is not a divisor of 12 above 1$"):
+        distribution._relation_rows(12, False, [step])
+
+
+@pytest.mark.parametrize("m", [12, 60])
+def test_prime_step_check_sees_a_perturbed_prime_row(monkeypatch, m):
+    # The check builds both quotients itself, so the memoised ones are
+    # neither read nor changed.  Row 0 of the prime-step rows gains e_1.
+    real = distribution._relation_rows
+
+    def perturbed(level, bare, steps):
+        rows = real(level, bare, steps)
+        if tuple(steps) == primes_of(level):
+            rows[0][1] = rows[0].get(1, 0) + 1
+        return rows
+
+    monkeypatch.setattr(distribution, "_relation_rows", perturbed)
+    assert not prime_step_relations_suffice(m)
+
+
+@pytest.mark.parametrize("bare, kind", [(False, "distribution"), (True, "predistribution")])
+def test_certificate_names_a_perturbed_composite_row(monkeypatch, request, bare, kind):
+    # The row of (n, a) = (12, 3) at level 60 gains e_0, off its support.
+    _cold_quotients(request)
+    real = distribution._relation_rows
+
+    def perturbed(level, bare, steps):
+        rows = real(level, bare, steps)
+        if list(steps) == [12]:
+            rows[3][0] = 1
+        return rows
+
+    monkeypatch.setattr(distribution, "_relation_rows", perturbed)
+    quotient = universal_predistribution if bare else universal_distribution
+    with pytest.raises(ArithmeticError, match=rf"^{kind} relation at step n = 12, a = 3 "):
+        quotient(60)
+
+
+@pytest.mark.parametrize("m", [60, 105])
+def test_quotient_reduces_only_the_prime_step_rows(monkeypatch, request, m):
+    """A work contract that does not depend on load: ``universal_distribution``
+    hands the Hermite core the sum over p | m of m/p prime-step rows (62 of
+    the 108 relation rows at 60, 71 of 87 at 105), and its rows are still
+    those of every relation."""
+    sizes = []
+    real = abgroup._hermite
+
+    def counted(M, c):
+        sizes.append(len(M))
+        return real(M, c)
+
+    _cold_quotients(request)
+    monkeypatch.setattr(abgroup, "_hermite", counted)
+    rows = universal_distribution(m).rows
+    assert sizes == [sum(m // p for p in primes_of(m))]
+    assert rows == real(distribution._relation_rows(m, False, divisors(m)[1:]), m)
 
 
 def test_quotients_are_free_of_unit_rank():

@@ -15,6 +15,7 @@ from distlab.abgroup import FgAbGroup, _subquotient
 from distlab.distribution import distribution_relation_rows, negation_matrix
 from distlab.exact_linalg import (
     Lattice,
+    _comb,
     _coords,
     _dense,
     _hermite,
@@ -309,6 +310,47 @@ def test_coords_against_rational_solve(rows, data):
         assert got == {i: int(X[i, 0]) for i in range(k) if X[i, 0]}
     else:
         assert got is None
+
+
+@st.composite
+def hermite_inputs(draw):
+    """(rows, c): sparse rows over c columns as the relation builders make
+    them, mostly unit entries with some negative and non-unit ones, plus
+    zero rows, duplicates and integral combinations of earlier rows, in a
+    shuffled order."""
+    c = draw(st.integers(min_value=1, max_value=10))
+    entry = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -3, 6, -7])
+    rows = draw(st.lists(st.dictionaries(st.integers(0, c - 1), entry, max_size=4), max_size=9))
+    for i, j, q in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(-3, 3)), max_size=4)):
+        if rows:  # q = 0 duplicates a row, and i = j with q = -1 gives a zero row
+            rows.append(_comb(1, rows[i % len(rows)], q, rows[j % len(rows)]))
+    return draw(st.permutations(rows)), c
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermite_inputs(), st.randoms())
+def test_hermite_rows_are_reduced_and_span_the_input(case, rnd):
+    """``_hermite`` against oracles that do not use it: the rows are in
+    reduced echelon form, every input row has ``_coords`` in them, each of
+    them is an integral ``solve_exact`` combination of independent inputs
+    (and, in general, leaves the Smith invariants of the inputs unchanged),
+    and any order of the input rows gives the same rows."""
+    rows, c = case
+    H = _hermite([dict(r) for r in rows], c)
+    leads = [min(h) for h in H]
+    assert leads == sorted(set(leads))
+    for i, h in enumerate(H):
+        assert h[leads[i]] > 0
+        assert all(0 <= g.get(leads[i], 0) < h[leads[i]] for g in H[:i])
+    piv = _pivots(H)
+    assert all(_coords(H, r, piv) is not None for r in rows)
+    A = _dense(rows, c)
+    if H and rank_exact(A) == len(rows):
+        assert is_integral(solve_exact(A.T, _dense(H, c).T))
+    for h in H:
+        assert invariant_factors(_dense(rows + [h], c)) == invariant_factors(A)
+    shuffled = rnd.sample(rows, len(rows))
+    assert _hermite([dict(r) for r in shuffled], c) == H
 
 
 def _sympy_solve(sympy, A, B):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .exact_linalg import (
     IMat,
@@ -28,12 +28,16 @@ from .exact_linalg import (
     Lattice,
     Row,
     _bareiss,
+    _comb,
     _coords,
     _dense,
+    _det,
     _hermite,
+    _kernel,
     _mul,
     _rows,
     _smith,
+    _transpose,
     det_exact,
     eye,
     integral_preimage,
@@ -100,10 +104,7 @@ class FgAbGroup:
         orders = list(factors)
         if any(d < 0 for d in orders):
             raise ValueError(f"cyclic orders must be non-negative, got {orders}")
-        diag = zeros(len(orders), len(orders))
-        for i, d in enumerate(orders):
-            diag[i, i] = d
-        G = cls.from_relations(len(orders), diag)
+        G = _group(len(orders), [{i: d} for i, d in enumerate(orders) if d])
         return cls(free_rank + G.free_rank, G.torsion)
 
     def order(self) -> int | None:
@@ -161,18 +162,21 @@ def _check_relations(rel: IMat, n: int) -> None:
         raise ValueError(f"relation rows have width {rel.shape[1]}, want {n}")
 
 
-def _check_rows(rows: list[Row], n: int) -> None:
-    """ValueError unless rows are sparse relation rows of ints on Z^n."""
+def _check_rows(rows: list[Row], n: int, name: str = "relation") -> list[Row]:
+    """The sparse rows of ints on Z^n, zero entries dropped (other rows are
+    not copied); ValueError names the first malformed one of the ``name`` rows."""
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
-            raise ValueError(f"relation row {i} is a {type(row).__name__}, not a dict row")
+            raise ValueError(f"{name} row {i} is a {type(row).__name__}, not a dict row")
         for j, x in row.items():
             if type(j) is not int or j < 0:
-                raise ValueError(f"relation row {i} has column {j!r}, want 0 to {n - 1}")
+                raise ValueError(f"{name} row {i} has column {j!r}, want 0 to {n - 1}")
             if j >= n:
-                raise ValueError(f"relation rows have width {j + 1}, want {n}")
+                raise ValueError(f"{name} rows have width {j + 1}, want {n}")
             if type(x) is not int:
                 raise ValueError(f"entry {x!r} at {(i, j)} is not an integer")
+    # a zero entry is no pivot, and the row products expect none
+    return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
 
 
 class ZQuotient:
@@ -196,12 +200,8 @@ class ZQuotient:
     def __init__(self, n: int, relation_rows: IMat | list[Row]):
         self.n = n
         if isinstance(relation_rows, list):
-            _check_rows(relation_rows, n)
-            # copies, as the reduction works in place; a zero entry is no pivot
-            rows = [
-                {j: x for j, x in row.items() if x} if 0 in row.values() else dict(row)
-                for row in relation_rows
-            ]
+            # copies, as the reduction works in place
+            rows = [dict(row) for row in _check_rows(relation_rows, n)]
         else:
             _check_relations(relation_rows, n)
             rows = _rows(relation_rows)
@@ -331,10 +331,24 @@ def tate_group(C: IMat, relation_rows: IMat, degree_parity: str) -> FgAbGroup:
         f, g = idm - C, idm + C
     else:
         raise ValueError("parity must be 'odd' or 'even'")
-    _check_relations(relation_rows, n)
+    _check_action(C, relation_rows)
     num = integral_preimage(f, relation_rows)
     den = np.vstack([g.T, relation_rows])
     return subquotient_group(num, den)
+
+
+def _check_action(C: IMat, relation_rows: IMat) -> None:
+    """ValueError unless C is an order-2 action on Z^n / relations: C^2 - 1
+    maps Z^n, and C the relations, into the relation lattice."""
+    n = C.shape[0]
+    if C.shape != (n, n):
+        raise ValueError(f"map has shape {C.shape}, want a square matrix")
+    _check_relations(relation_rows, n)
+    L = Lattice(n, relation_rows)
+    if not L.contains((C @ C - eye(n)).T):
+        raise ValueError(f"the map does not square to 1 on Z^{n} / relations")
+    if not L.contains(relation_rows @ C.T):
+        raise ValueError("the map does not stabilize the relation lattice")
 
 
 def _f2_gain(basis: dict[int, int], rows: list[int]) -> int:
@@ -398,12 +412,10 @@ def tate_pair(C: IMat, relation_rows: IMat) -> tuple[FgAbGroup, FgAbGroup]:
     must have no 2- or 3-torsion: unless R keeps its row count as its
     rank mod 2 and mod 3, ValueError names the prime.  Torsion of order
     prime to 6 has trivial Tate groups and leaves the ranks unchanged, so
-    it is allowed.  The relation rows must have width n.
+    it is allowed.  The relation rows must have width n; ``_check_action``
+    checks that C is an order-2 action on M, as ``tate_group`` does.
     """
-    n = C.shape[0]
-    if C.shape != (n, n):
-        raise ValueError(f"map has shape {C.shape}, want a square matrix")
-    _check_relations(relation_rows, n)
+    _check_action(C, relation_rows)
     return _tate_pair(_rows(C.T), _rows(relation_rows))
 
 
@@ -464,57 +476,60 @@ def theta_fixed(C: IMat) -> Lattice:
 class BoundedComplex:
     """A cochain complex of free Z-modules on degrees [lo, hi].
 
-    ``diff[i]`` is the matrix of d: X^i -> X^{i+1} acting on columns, with
-    shape (rank[i+1], rank[i]).  d-squared is validated at construction, on
-    sparse integer rows: a non-integral entry raises ValueError.  The
-    complex is immutable after construction, so each degree's cohomology
-    data is computed once and kept.
+    ``diff[i]`` and ``d(i)`` are d: X^i -> X^{i+1} as sparse integer rows
+    acting on columns, rank(i+1) rows over columns < rank(i).  Each
+    differential's degree, row count and rows (``_check_rows``) and then
+    d^2 = 0 are validated at construction, each failure a ValueError
+    naming where.  The complex is immutable after construction, so each
+    degree's cohomology data is computed once and kept.
     """
 
-    def __init__(self, ranks: Mapping[int, int], diff: Mapping[int, np.ndarray]):
-        import numpy as np
-
+    def __init__(self, ranks: Mapping[int, int], diff: Mapping[int, list[Row]]):
         self.ranks = dict(ranks)
         self.lo = min(self.ranks)
         self.hi = max(self.ranks)
         self.diff = {}
-        for i, d in diff.items():
-            d = np.asarray(d)
-            want = (self.rank(i + 1), self.rank(i))
-            if d.shape != want:
-                raise ValueError(f"differential at degree {i} has shape {d.shape}, want {want}")
-            self.diff[i] = d
+        for i, rows in diff.items():
+            if not self.lo <= i <= self.hi:
+                raise ValueError(f"d at degree {i} is outside the degrees {self.lo} to {self.hi}")
+            if len(rows) != self.rank(i + 1):
+                raise ValueError(f"d at degree {i} has {len(rows)} rows, want {self.rank(i + 1)}")
+            self.diff[i] = _check_rows(rows, self.rank(i), f"d at degree {i}")
         for i in range(self.lo, self.hi):
-            if any(_mul(_rows(self.d(i + 1)), _rows(self.d(i)))):
-                raise ValueError(f"d^2 != 0 between degrees {i} and {i + 2}")
-        self._cohomology: dict[int, tuple[IMat, ZQuotient]] = {}
+            for r, row in enumerate(_mul(self.d(i + 1), self.d(i))):
+                if row:
+                    j = min(row)
+                    raise ValueError(
+                        f"d^2 != 0 between degrees {i} and {i + 2}: entry ({r}, {j}) is {row[j]}"
+                    )
+        self._cohomology: dict[int, tuple[list[Row], ZQuotient]] = {}
 
     def rank(self, i: int) -> int:
         return self.ranks.get(i, 0)
 
-    def d(self, i: int) -> np.ndarray:
+    def d(self, i: int) -> list[Row]:
         if i in self.diff:
             return self.diff[i]
-        return zeros(self.rank(i + 1), self.rank(i))
+        return [{} for _ in range(self.rank(i + 1))]
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def cohomology_data(self, i: int) -> tuple[IMat, ZQuotient]:
+    def cohomology_data(self, i: int) -> tuple[list[Row], ZQuotient]:
         """(Hermite basis rows of the saturated kernel, quotient by the image) at degree i."""
         if i not in self._cohomology:
             n = self.rank(i)
-            K = _hermite(_rows(kernel_basis(self.d(i))), n)
+            K = _hermite(_kernel(self.d(i), n), n)
             piv = {min(h): t for t, h in enumerate(K)}
             rel = []  # the image columns in kernel coordinates
-            for j, col in enumerate(_rows(self.d(i - 1).T)):
+            for j, col in enumerate(_transpose(self.d(i - 1), self.rank(i - 1))):
                 x = _coords(K, col, piv)
                 if x is None:
                     raise ValueError(
                         f"column {j} of d at degree {i - 1} is not in the integral kernel"
                     )
                 rel.append(x)
-            self._cohomology[i] = _dense(K, n), ZQuotient(len(K), rel)
+            self._cohomology[i] = K, ZQuotient(len(K), rel)
         return self._cohomology[i]
 
     def cohomology(self, i: int) -> FgAbGroup:
@@ -522,11 +537,7 @@ class BoundedComplex:
         return q.group
 
     def is_exact_away_from(self, deg: int) -> bool:
-        return all(
-            self.cohomology(i).is_trivial
-            for i in self.degrees()
-            if i != deg
-        )
+        return all(self.cohomology(i).is_trivial for i in self.degrees() if i != deg)
 
 
 def _two_cycles(perm: list[int]) -> list[int]:
@@ -534,35 +545,30 @@ def _two_cycles(perm: list[int]) -> list[int]:
     return [k for k, j in enumerate(perm) if k < j]
 
 
-def fixed_basis(perm: list[int]) -> IMat:
+def fixed_basis(perm: list[int]) -> list[Row]:
     """Rows e_k - e_c(k), one per 2-cycle: a basis of the saturated ker(1 + c)."""
-    B = zeros(len(_two_cycles(perm)), len(perm))
-    for a, k in enumerate(_two_cycles(perm)):
-        B[a, k], B[a, perm[k]] = 1, -1
-    return B
+    return [{k: 1, perm[k]: -1} for k in _two_cycles(perm)]
 
 
-def fixed_restriction(N: IMat, src: list[int], tgt: list[int]) -> IMat:
-    """N on ``fixed_basis`` rows, for N c_src = c_tgt N: entries N[i, k] - N[i, c(k)]."""
-    ks = _two_cycles(src)
-    return (N[:, ks] - N[:, [src[k] for k in ks]])[_two_cycles(tgt), :]
+def fixed_restriction(N: Sequence[Row], src: list[int], tgt: list[int]) -> list[Row]:
+    """The rows N on ``fixed_basis`` rows, for N c_src = c_tgt N: entries N[i, k] - N[i, c(k)]."""
+    return _mul([N[i] for i in _two_cycles(tgt)], _transpose(fixed_basis(src), len(src)))
 
 
 @dataclass(eq=False)
 class JComplex:
     """A bounded complex with an involution c commuting with the differential.
 
-    ``involution[i][k]`` is the index of c(e_k); missing degrees are filled
-    in as the identity.  The fixed subcomplex, the index invariant and each
-    dense c(i) are computed once and kept; ``pages`` holds the spectral
-    pages built on it.  Equality is identity.
+    ``involution[i][k]`` is the index of c(e_k), and c is read only as that
+    permutation; missing degrees are filled in as the identity.  The fixed
+    subcomplex and the index invariant are computed once and kept;
+    ``pages`` holds the spectral pages built on it.  Equality is identity.
     """
 
     complex: BoundedComplex
     involution: dict[int, list[int]] = field(default_factory=dict)
     _fixed: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _i_invariant: Fraction | None = field(default=None, init=False, compare=False, repr=False)
-    _matrices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     pages: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -578,26 +584,22 @@ class JComplex:
                 raise ValueError(f"involution at degree {i} is not a permutation of {C.rank(i)} indices")
             if any(perm[j] != k for k, j in enumerate(perm)):
                 raise ValueError(f"involution at degree {i} does not square to 1")
-        # as c^2 = 1, row k of c is {perm[k]: 1}
-        c = {i: [{j: 1} for j in perm] for i, perm in self.involution.items()}
-        for i in C.degrees():
-            d = _rows(C.d(i))
-            if _mul(c.get(i + 1, []), d) != _mul(d, c[i]):
-                raise ValueError(f"involution does not commute with d at degree {i}")
+        # row k of c d is row c(k) of d, row k of d c is row k of d with columns moved by c
+        for i in range(C.lo, C.hi):
+            src, tgt, d = self.involution[i], self.involution[i + 1], C.d(i)
+            for k, row in enumerate(d):
+                if {src[j]: x for j, x in row.items()} != d[tgt[k]]:
+                    raise ValueError(
+                        f"involution does not commute with d at degree {i}: row {k} differs"
+                    )
 
-    def c(self, i: int) -> IMat:
-        """c at degree i as a dense matrix, built once."""
-        if i not in self._matrices:
-            self._matrices[i] = eye(self.complex.rank(i))[:, self.involution[i]]
-        return self._matrices[i]
-
-    def fixed_subcomplex(self) -> tuple[BoundedComplex, dict[int, IMat]]:
+    def fixed_subcomplex(self) -> tuple[BoundedComplex, dict[int, list[Row]]]:
         """The annihilator of 1+c on its ``fixed_basis`` rows, and those rows."""
         if self._fixed is None:
             C, c = self.complex, self.involution
             bases = {i: fixed_basis(c[i]) for i in C.degrees()}
             diff = {i: fixed_restriction(C.d(i), c[i], c[i + 1]) for i in range(C.lo, C.hi)}
-            ranks = {i: B.shape[0] for i, B in bases.items()}
+            ranks = {i: len(B) for i, B in bases.items()}
             self._fixed = BoundedComplex(ranks, diff), bases
         return self._fixed
 
@@ -690,8 +692,9 @@ def _induced_map_on_cohomology(
 ):
     KA, qA = CA.cohomology_data(i)
     KB, qB = CB.cohomology_data(i)
-    if KA.shape[0] == 0:
+    if not KA:
         return qA.group, qB.group, zeros(qB.free_rank, qA.free_rank)
+    KA, KB = _dense(KA, CA.rank(i)), _dense(KB, CB.rank(i))
     imgs = lam_i @ KA.T
     lam_k = solve_exact(KB.T, imgs)  # kernel coordinates, kB x kA
     m_free = qB.P @ lam_k @ qA.S
@@ -721,8 +724,8 @@ def euler_regulator_check(
         if CA.rank(i) != CB.rank(i):
             raise ValueError("rank mismatch between the two complexes")
         if i < CA.hi:
-            left = CB.d(i) @ lam[i]
-            right = lam[i + 1] @ CA.d(i)
+            left = _dense(CB.d(i), CB.rank(i)) @ lam[i]
+            right = lam[i + 1] @ _dense(CA.d(i), CA.rank(i))
             if not mat_equal(left, right):
                 raise ValueError("maps do not commute with the differentials")
     lhs = Fraction(1)
@@ -755,19 +758,23 @@ def i_invariant(jc: JComplex) -> Fraction:
 
 
 def _i_invariant(jc: JComplex) -> Fraction:
-    import numpy as np
-
     C = jc.complex
     for i in C.degrees():
         if i != 0 and not C.cohomology(i).is_finite:
             raise ValueError("complex is not rationally exact away from 0")
-    if C.d(0).any():
+    if any(C.d(0)):
         raise ValueError("the index invariant needs d = 0 out of degree 0")
-    # with d(0) = 0, H^0 is Z^n0 modulo the Hermite rows of d(-1)^T
-    L_rows = C.cohomology_data(0)[1].relations
-    K = integral_preimage(eye(C.rank(0)) + jc.c(0), L_rows)
+    # with d(0) = 0, H^0 is Z^n modulo the Hermite rows L of d(-1)^T; the x with
+    # (1 + c) x in the span of L are the first n coordinates of ker [1 + c | -L^T]
+    n, c = C.rank(0), jc.involution[0]
+    L = C.cohomology_data(0)[1].rows
+    W = [{k: 2} if c[k] == k else {k: 1, c[k]: 1} for k in range(n)]
+    for t, row in enumerate(L):
+        for j, x in row.items():
+            W[j][n + t] = -x
+    K = [{j: x for j, x in v.items() if j < n} for v in _kernel(W, n + len(L))]
     fixed, bases = jc.fixed_subcomplex()
-    coker = subquotient_group(K, np.vstack([bases[0], L_rows]))
+    coker = _subquotient(K, bases[0] + L, n)
     if not coker.is_finite:
         raise ValueError("cokernel of the fixed-part comparison is infinite")
     h0 = fixed.cohomology(0)
@@ -782,38 +789,42 @@ def _i_invariant(jc: JComplex) -> Fraction:
     return Fraction(coker.order()) / denom
 
 
-def fixed_image_index(qa: ZQuotient, qb: ZQuotient, c: IMat, N: IMat, d: int) -> Fraction:
+def fixed_image_index(qa: ZQuotient, qb: ZQuotient, perm: list[int], N, d: int) -> Fraction:
     """The symbol (ker(1+c) of qb : phi(ker(1+c) of qa)) on free parts.
 
-    phi = N / d maps the Z^n of qa to that of qb, carries relations into
-    rational relations and commutes with the involution c of both; on the
-    free parts it is P_b N S_a / d and must be injective.  Then the image
-    of the fixed part is the fixed part of the image, so nothing is
-    saturated a second time.
+    phi = N / d, N given by its rows, maps the Z^n of qa to that of qb,
+    carries relations into rational relations and commutes with the
+    involution c(e_k) = e_perm[k] of both; on the free parts it is
+    P_b N S_a / d and must be injective.  Then the image of the fixed part
+    is the fixed part of the image, so nothing is saturated a second time.
     """
-    ca = qa.induced_on_free(c)
-    cb = qb.induced_on_free(c)
-    phibar = qb.P @ N @ qa.S
-    pushed = kernel_basis(eye(qa.free_rank) + ca) @ phibar.T
-    return lattice_index(theta_fixed(cb), Lattice(qb.free_rank, pushed, d))
+
+    def fixed(q: ZQuotient) -> list[Row]:
+        # kernel rows of 1 + P c S on the free part; column k of P c is column perm[k] of P
+        Pc = [{perm[k]: x for k, x in row.items()} for row in _rows(q.P)]
+        plus = [_comb(1, row, 1, {k: 1}) for k, row in enumerate(_mul(Pc, _rows(q.S)))]
+        return _kernel(plus, q.free_rank)
+
+    fa, fb = qa.free_rank, qb.free_rank
+    phibar = _mul(_mul(_rows(qb.P), N), _rows(qa.S))
+    pushed = _mul(fixed(qa), _transpose(phibar, fa))
+    return lattice_index(Lattice(fb, _dense(fixed(qb), fb)), Lattice(fb, _dense(pushed, fb), d))
 
 
-def intertwines(d1: IMat, d2: IMat, src: tuple[IMat, int], dst: tuple[IMat, int]) -> bool:
-    """Whether (N'/e') d1 == d2 (N/e) for src = (N, e) and dst = (N', e').
+def intertwines(d1: list[Row], d2: list[Row], src: tuple, dst: tuple) -> bool:
+    """Whether (N'/e') d1 == d2 (N/e) for src = (N, e) and dst = (N', e'), all on rows.
 
-    Compared cross-multiplied, e N' d1 == e' d2 N, on sparse rows.
+    Compared cross-multiplied, e N' d1 == e' d2 N.
     """
     (N, e), (N1, e1) = src, dst
-    a = _mul(_rows(N1), _rows(d1))
-    b = _mul(_rows(d2), _rows(N))
-    return [{j: e * x for j, x in r.items()} for r in a] == [
-        {j: e1 * x for j, x in r.items()} for r in b
-    ]
+    a = [{j: e * x for j, x in r.items()} for r in _mul(N1, d1)]
+    return a == [{j: e1 * x for j, x in r.items()} for r in _mul(d2, N)]
 
 
-def commutes(N: IMat, perm: list[int]) -> bool:
-    """Whether N c == c N for the involution c(e_k) = e_perm[k], that is N[:, perm] == N[perm]."""
-    return mat_equal(N[:, perm], N[perm])
+def commutes(N: Sequence[Row], perm: list[int]) -> bool:
+    """Whether N c == c N for the involution c(e_k) = e_perm[k]: row perm[k] of N
+    is row k with column j moved to perm[j]."""
+    return all({perm[j]: x for j, x in row.items()} == N[perm[k]] for k, row in enumerate(N))
 
 
 def abstract_index_check(
@@ -826,9 +837,9 @@ def abstract_index_check(
     them (d2 ∘ phi = phi ∘ d1) and commute with the involution.  Returns
     the two sides of the identity and their parts.
 
-    phi[i] = (N_i, e_i) is the map N_i / e_i in degree i, integer
-    numerators over a positive denominator as ``scaled`` gives them, and
-    every product below runs on the numerators.
+    phi[i] = (N_i, e_i) is the map N_i / e_i in degree i: the sparse rows
+    of its integer numerators over a positive denominator, and every
+    product below runs on the numerators.
     """
     C1, C2 = j1.complex, j2.complex
     if C1.ranks != C2.ranks:
@@ -836,14 +847,14 @@ def abstract_index_check(
     if j1.involution != j2.involution:
         raise ValueError("the two complexes carry different involutions")
     for i in C1.degrees():
-        n = C1.rank(i)
-        if phi[i][0].shape != (n, n):
+        n, N = C1.rank(i), phi[i][0]
+        if len(N) != n or any(j >= n for row in N for j in row):
             raise ValueError(f"phi at degree {i} is not {n} x {n}")
     for i in C1.degrees():
         if i < C1.hi and not intertwines(C1.d(i), C2.d(i), phi[i], phi[i + 1]):
-            raise ValueError("phi does not intertwine the differentials")
+            raise ValueError(f"phi does not intertwine the differentials at degree {i}")
         if not commutes(phi[i][0], j1.involution[i]):
-            raise ValueError("phi does not commute with the involution")
+            raise ValueError(f"phi does not commute with the involution at degree {i}")
     for CC in (C1, C2):
         if not CC.is_exact_away_from(0):
             raise ValueError("complex is not integrally acyclic away from 0")
@@ -853,14 +864,14 @@ def abstract_index_check(
     # Left side: the two fixed lattices inside H^0 of d2.  Degree 0 is the
     # top degree, so H^0 is Z^n0 modulo the image of the last differential.
     lhs = fixed_image_index(
-        C1.cohomology_data(0)[1], C2.cohomology_data(0)[1], j1.c(0), *phi[0]
+        C1.cohomology_data(0)[1], C2.cohomology_data(0)[1], j1.involution[0], *phi[0]
     )
 
     det_part = Fraction(1)
     for i in C1.degrees():  # N_i commutes with c, so it restricts to ker(1 + c)
         N, e = phi[i]
         R = fixed_restriction(N, j1.involution[i], j1.involution[i])
-        det_part *= abs(Fraction(det_exact(R), e ** R.shape[0])) ** ((-1) ** (i % 2))
+        det_part *= abs(Fraction(_det(R, len(R)), e ** len(R))) ** ((-1) ** (i % 2))
     i1 = i_invariant(j1)
     i2 = i_invariant(j2)
     rhs = det_part / i1 * i2
@@ -879,27 +890,19 @@ def abstract_index_check(
 
 
 def random_complex(rng, degrees=(-2, -1, 0), max_rank: int = 4) -> BoundedComplex:
-    """A random bounded complex of free groups with honest d^2 = 0."""
-    import numpy as np
+    """A random bounded complex of free groups with honest d^2 = 0: below the
+    top, d(i) = K^T X with X random and the rows of K a kernel basis of d(i+1)."""
+
+    def draw(r: int, c: int) -> list[Row]:
+        # row-major, one draw per entry; the zeros are dropped
+        return [{j: x for j in range(c) if (x := rng.randint(-2, 2))} for _ in range(r)]
 
     lo, hi = min(degrees), max(degrees)
     ranks = {i: rng.randint(1, max_rank) for i in range(lo, hi + 1)}
-    diff: dict[int, IMat] = {}
-    d_top = np.array(
-        [[rng.randint(-2, 2) for _ in range(ranks[hi - 1])] for _ in range(ranks[hi])],
-        dtype=object,
-    )
-    diff[hi - 1] = d_top
+    diff = {hi - 1: draw(ranks[hi], ranks[hi - 1])}
     for i in range(hi - 2, lo - 1, -1):
-        K = kernel_basis(diff[i + 1])
-        if K.shape[0] == 0:
-            diff[i] = zeros(ranks[i + 1], ranks[i])
-            continue
-        X = np.array(
-            [[rng.randint(-2, 2) for _ in range(ranks[i])] for _ in range(K.shape[0])],
-            dtype=object,
-        )
-        diff[i] = (X.T @ K).T
+        K = _kernel(diff[i + 1], ranks[i + 1])
+        diff[i] = _mul(_transpose(K, ranks[i + 1]), draw(len(K), ranks[i]))
     return BoundedComplex(ranks, diff)
 
 
@@ -914,11 +917,12 @@ def random_regulator_pair(rng, max_rank: int = 4):
     while True:
         CA = random_complex(rng, max_rank=max_rank)
         g = {i: _random_unimodular(CA.rank(i), rng) for i in CA.degrees()}
-        diffB = {}
-        for i in CA.degrees():
-            if i == CA.hi:
-                continue
-            diffB[i] = to_int(g[i + 1] @ CA.d(i) @ inverse_exact(g[i]))
+        # g is unimodular, so B's differentials g d g^-1 are integral
+        diffB = {
+            i: _mul(_mul(_rows(g[i + 1]), CA.d(i)), _rows(to_int(inverse_exact(g[i]))))
+            for i in CA.degrees()
+            if i != CA.hi
+        }
         CB = BoundedComplex(CA.ranks, diffB)
         # h[j]: degree j -> degree j-1, shape (rank(j-1), rank(j)).
         h = {}
@@ -937,9 +941,9 @@ def random_regulator_pair(rng, max_rank: int = 4):
             n = CA.rank(i)
             lam_i = a * eye(n)
             if i in h:  # d^{i-1} ∘ h_i
-                lam_i = lam_i + CA.d(i - 1) @ h[i]
+                lam_i = lam_i + _dense(CA.d(i - 1), CA.rank(i - 1)) @ h[i]
             if i + 1 in h:  # h_{i+1} ∘ d^i
-                lam_i = lam_i + h[i + 1] @ CA.d(i)
+                lam_i = lam_i + h[i + 1] @ _dense(CA.d(i), n)
             lam_i = g[i] @ lam_i
             if det_exact(lam_i) == 0:
                 ok = False

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd
+from types import MappingProxyType
+from typing import Sequence
 
 from .abgroup import FgAbGroup, ZQuotient, _tate_pair, elementary_power
 from .arith import (
@@ -23,16 +25,16 @@ from .arith import (
     validate_level,
 )
 from .exact_linalg import (
-    IMat,
     Lattice,
     Row,
     _axpy,
+    _bareiss,
     _dense,
+    _mul,
+    _transpose,
     eye,
     is_unimodular,
     kernel_basis,
-    mat_equal,
-    rank_exact,
     zeros,
 )
 
@@ -319,21 +321,21 @@ def cohomology_check(m: int) -> dict:
 # the rational smoothing operator
 
 
-def smoothing_factor_scaled(m: int, p: int) -> tuple[IMat, int]:
-    """(N, d) with N / d = (1 - S_p/p)^(-1) on level-m points, d least.
+def smoothing_factor_scaled(m: int, p: int) -> tuple[list[Row], int]:
+    """(N, d) with N / d = (1 - S_p/p)^(-1) on level-m points, d least, N as sparse rows.
 
     Columns follow the forward orbit of multiplication by p, which is a tail
     into a cycle; the tail contributes single hits 1/p^j and the cycle
     contributes a closed geometric sum, p^cl / (p^cl - 1) times 1/p^j.
     With m = p^e f and o the order of p mod f, every tail is at most e
     steps long and every cycle length cl divides o, so D = p^e (p^o - 1)
-    clears every denominator and each hit is an integer over D.  N and d
-    are those integers and D over their common divisor.
+    clears every denominator and each hit is a positive integer over D.
+    N and d are those integers and D over their common divisor.
     """
     f = prime_to_p_part(m, p)
     o = multiplicative_order(p, f)
     D = m // f * (p**o - 1)
-    N = zeros(m, m)
+    N: list[Row] = [{} for _ in range(m)]
     for k in range(m):
         path = []
         pos = {}
@@ -345,40 +347,42 @@ def smoothing_factor_scaled(m: int, p: int) -> tuple[IMat, int]:
         start = pos[cur]
         cl = len(path) - start
         on_cycle = p**cl * (D // (p**cl - 1))
-        for j, node in enumerate(path):
-            N[node, k] += (D if j < start else on_cycle) // p**j
-    g = gcd(D, *N.flat)
-    return N // g, D // g
+        for j, node in enumerate(path):  # the nodes of a path are distinct
+            N[node][k] = (D if j < start else on_cycle) // p**j
+    g = gcd(D, *(x for row in N for x in row.values()))
+    return [{k: x // g for k, x in row.items()} for row in N], D // g
 
 
-def smoothing_scaled(m: int, primes=None) -> tuple[IMat, int]:
+def smoothing_scaled(m: int, primes=None) -> tuple[Sequence[Row], int]:
     """(N, d) with N / d the product of the geometric factors at level m.
 
     The product runs over ``primes`` (default: every p | m).  N is the
-    integer product of the scaled factors and d the product of their
-    denominators, so no ``Fraction`` is formed.  The product is memoised
-    by (m, primes), so the degree-zero block of the symbol operator and
-    the checks on level points read one N, which is read-only.
+    integer product of the scaled factors, as sparse rows, and d the
+    product of their denominators.  It is memoised by (m, primes), so the
+    degree-zero block of the symbol operator and the checks on level
+    points read one N: a tuple of read-only rows.
     """
     return _smoothing_product(m, tuple(primes_of(m) if primes is None else primes))
 
 
 # The bound holds every block of one level with up to five primes.
 @lru_cache(maxsize=32)
-def _smoothing_product(m: int, primes: tuple[int, ...]) -> tuple[IMat, int]:
-    N, d = eye(m), 1
+def _smoothing_product(m: int, primes: tuple[int, ...]) -> tuple[Sequence[Row], int]:
+    N, d = [{k: 1} for k in range(m)], 1
     for p in primes:
         F, e = smoothing_factor_scaled(m, p)
-        N, d = F @ N, d * e
-    N.flags.writeable = False  # shared by every caller
-    return N, d
+        N, d = _mul(F, N), d * e
+    return tuple(MappingProxyType(row) for row in N), d  # shared by every caller
 
 
-def smoothing_inverse_scaled(m: int) -> tuple[IMat, int]:
-    """(prod over p | m of (p I - S_p), prod over p | m of p)."""
-    N, d = eye(m), 1
+def smoothing_inverse_scaled(m: int) -> tuple[list[Row], int]:
+    """(prod over p | m of (p I - S_p), prod over p | m of p), as sparse rows over an integer."""
+    N, d = [{k: 1} for k in range(m)], 1
     for p in primes_of(m):
-        N, d = (p * eye(m) - mult_matrix(m, p)) @ N, d * p
+        F: list[Row] = [{k: p} for k in range(m)]
+        for k in range(m):
+            _axpy(F[p * k % m], {k: 1}, -1)  # S_p sends the point k to p k
+        N, d = _mul(F, N), d * p
     return N, d
 
 
@@ -386,20 +390,17 @@ def smoothing_check(m: int) -> dict:
     """The operator really inverts the finite product, and it carries the
     one relation lattice into the rational span of the other.
 
-    Both run on the scaled numerators: N N' == d d' I, and the positive
-    scalar d changes no rank."""
-    import numpy as np
-
+    Both run on the sparse rows of the scaled numerators: N N' == d d' I,
+    and the positive scalar d changes no rank."""
     N, d = smoothing_scaled(m)
     N_inv, d_inv = smoothing_inverse_scaled(m)
-    inv_ok = mat_equal(N @ N_inv, d * d_inv * eye(m))
-    dist = distribution_relation_rows(m)
-    pre = predistribution_lattice(m)
-    carried = (N @ dist.T).T
+    inv_ok = _mul(N, N_inv) == [{k: d * d_inv} for k in range(m)]
     span_ok = True
     if m > 1:
-        stacked = np.vstack([pre.basis, carried])
-        span_ok = rank_exact(stacked) == pre.rank
+        # the relations r go to N r, the rows r N^T
+        carried = _mul(_relation_rows(m, False, divisors(m)[1:]), _transpose(N, m))
+        pre = [dict(row) for row in universal_predistribution(m).rows]
+        span_ok = len(_bareiss(pre + carried, m)[0]) == len(pre)
     return {"level": m, "inverse_ok": inv_ok, "relations_carried": span_ok,
             "ok": inv_ok and span_ok}
 

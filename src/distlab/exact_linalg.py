@@ -1,19 +1,20 @@
-"""Exact integer and rational linear algebra on numpy object arrays.
+"""Exact integer and rational linear algebra on sparse integer rows, with
+dense numpy front ends.
 
-Matrices are dense 2-D ``numpy`` arrays with ``dtype=object`` whose entries
-are Python ``int`` or ``fractions.Fraction``, so every operation here is
-exact.  Linear maps act on column vectors (``A @ x``); lattices and other
-subgroup-like data are stored as matrices whose *rows* generate.
-
-numpy is loaded only by the dense front end: the functions that build or
-read an array import it when called, and the sparse-row core below needs
-none, so a caller that stays on sparse rows (the Tate route of
-``abgroup.tate_pair``) never loads it.
-
-Provided tools: Smith and Hermite normal forms with transform matrices,
-fraction-free determinants, saturated kernel bases, exact solving and
-inversion, and a ``Lattice`` class with index / intersection / sum in the
-sense of commensurable subgroups of Q^n.
+One sparse form.  A ``Row`` is a ``dict`` from column to nonzero ``int``,
+and a matrix is the list of its rows, acting on column vectors.  The
+operators of the complex layer (differentials, the smoothing operator and
+its restrictions) stay in this form end to end: ``_mul(A, B)`` builds the
+rows of A @ B from ``_axpy(dst, src, q)`` over the support of ``src``, and
+``_transpose`` reads the columns, so identities such as d^2 = 0 cost
+O(nnz).  The public functions take and return dense 2-D numpy arrays with
+``dtype=object`` whose entries are Python ``int`` or ``Fraction``;
+``_rows`` and ``_dense`` convert at that boundary, and callers holding
+rows call the row cores (``_smith``, ``_hermite``, ``_bareiss``,
+``_kernel``, ``_det``, ``_coords``) directly.  numpy is imported only by
+the dense front end, when called, so a caller that stays on rows (the Tate
+route of ``abgroup.tate_pair``) never loads it.  Lattices and other
+subgroup-like data are matrices whose *rows* generate.
 
 One rational representation.  A rational matrix A is handled as an integer
 numerator over one positive denominator: ``scaled(A)`` returns (N, d) with
@@ -23,12 +24,6 @@ Products of rational matrices multiply the numerators only and carry the
 denominators as one integer each, so an identity A B == C D is tested as
 N_A N_B d_C d_D == N_C N_D d_A d_B.  ``Lattice`` takes generators as
 (N, den) and stores them as integer Hermite rows over one denominator.
-
-One sparse form.  Sparse integer rows (``dict`` from column to nonzero
-``int``) serve both the eliminations and the operator products of the
-complex layer: every row operation is one ``_axpy(dst, src, q)`` over the
-support of ``src``, and ``_mul(A, B)`` builds the rows of A @ B from
-``_axpy`` alone, so structural identities such as d^2 = 0 cost O(nnz).
 
 One elimination core.  ``_smith`` and ``_hermite`` take these rows and
 work in place.  ``_hermite`` returns the nonzero Hermite rows; ``hnf``
@@ -41,16 +36,17 @@ swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows
 too, built only when asked for.  ``snf_with_inverses``, ``kernel_basis``
 and ``invariant_factors`` are its dense front ends: the first builds all
 four transforms (``ZQuotient`` passes ``want_v=False`` and gets U and
-U^-1 only), the second V only and the third none.  Public inputs and
-results are dense arrays; ``_rows`` and ``_dense`` convert.
+U^-1 only), the second V only and the third none; ``_kernel`` is the
+second on rows.
 
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
 rows left to right (Bareiss 1968): every update is an exact division by
 the previous pivot, so no ``Fraction`` is formed, and the pivot rows end
 as d * [I | X].  ``rank_exact`` counts its pivots, ``det_exact`` reads d
 and the sign of the row swaps, and ``solve_exact`` runs it on [A | B]
-and returns X = (d X) / d with the free variables zero.  Rational inputs
-are scaled row by row, each row by its own least denominator.
+and returns X = (d X) / d with the free variables zero; ``_det`` is the
+determinant on rows.  Rational inputs are scaled row by row, each row by
+its own least denominator.
 
 One coordinate route.  ``_coords`` writes an integer vector in the basis
 of Hermite rows by one triangular reduction over the vector's support,
@@ -199,15 +195,12 @@ def _rows(A: np.ndarray) -> list[Row]:
     return rows
 
 
-def _dense(rows: list[Row], c: int, transposed: bool = False) -> IMat:
-    """The matrix with these rows (or, transposed, these columns) and width c."""
-    out = zeros(c, len(rows)) if transposed else zeros(len(rows), c)
+def _dense(rows: list[Row], c: int) -> IMat:
+    """The matrix with these rows and width c."""
+    out = zeros(len(rows), c)
     for i, row in enumerate(rows):
         for j, x in row.items():
-            if transposed:
-                out[j, i] = x
-            else:
-                out[i, j] = x
+            out[i, j] = x
     return out
 
 
@@ -240,6 +233,15 @@ def _mul(A: list[Row], B: list[Row]) -> list[Row]:
         for k, x in a.items():
             _axpy(row, B[k], x)
         out.append(row)
+    return out
+
+
+def _transpose(A: list[Row], c: int) -> list[Row]:
+    """The columns of the matrix with rows A and width c, as sparse rows."""
+    out: list[Row] = [{} for _ in range(c)]
+    for i, row in enumerate(A):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
@@ -401,9 +403,9 @@ def snf_with_inverses(A: IMat, *, want_v: bool = True):
     d, U, Ui, V, Vi = _smith(_rows(A), c, u=True, u_inv=True, v=want_v, v_inv=want_v)
     return (
         _dense(U, r),
-        _dense(Ui, r, transposed=True),
+        _dense(_transpose(Ui, r), r),
         _diag(d, r, c),
-        _dense(V, c, transposed=True) if want_v else None,
+        _dense(_transpose(V, c), c) if want_v else None,
         _dense(Vi, c) if want_v else None,
     )
 
@@ -573,16 +575,19 @@ def _bareiss(M: list[Row], c: int) -> tuple[list[int], int, int]:
     return piv, prev, sign
 
 
+def _det(M: list[Row], n: int) -> int:
+    """The determinant of the n x n integer matrix with rows M; M is not changed."""
+    piv, d, sign = _bareiss([dict(row) for row in M], n)
+    return sign * d if len(piv) == n else 0
+
+
 def det_exact(A: np.ndarray) -> Fraction:
     """Exact determinant by fraction-free elimination, each row over its own denominator."""
     r, c = A.shape
     if r != c:
         raise ValueError("determinant of a non-square matrix")
     N, s = _row_scaled(A)
-    piv, d, sign = _bareiss(_rows(N), c)
-    if len(piv) < r:
-        return Fraction(0)
-    return Fraction(sign * d, prod(s))
+    return Fraction(_det(_rows(N), c), prod(s))
 
 
 def rank_exact(A: np.ndarray) -> int:
@@ -631,13 +636,16 @@ def kernel_basis(A: np.ndarray) -> IMat:
     kernel).  The basis is primitive: it spans ker(A) ∩ Z^n as a direct
     summand of Z^n, courtesy of the unimodular Smith transform.
     """
-    r, c = A.shape
-    if r == 0 or c == 0:
-        return eye(c)
-    d, _, _, V, _ = _smith(_rows(_row_scaled(A)[0]), c, v=True)
+    c = A.shape[1]
+    return _dense(_kernel(_rows(_row_scaled(A)[0]), c), c)
+
+
+def _kernel(M: list[Row], c: int) -> list[Row]:
+    """``kernel_basis`` on the sparse integer rows M over columns < c; M is not changed."""
+    d, _, _, V, _ = _smith([dict(row) for row in M], c, v=True)
     # The columns of V past the nonzero diagonal span the kernel.
     nz = sum(1 for x in d if x)
-    return _dense(V[nz:], c)
+    return V[nz:]
 
 
 # ---------------------------------------------------------------------------
@@ -647,16 +655,19 @@ def kernel_basis(A: np.ndarray) -> IMat:
 class Lattice:
     """A finitely generated subgroup of Q^n, stored via a canonical basis.
 
-    The rows of ``gens / den`` generate (``den`` lets a caller holding a
-    scaled matrix skip building ``Fraction`` entries).  The lattice is kept
-    as one canonical form: ``_den`` is its least common denominator and
-    ``_hnf`` the Hermite form of ``_den`` times it, as sparse integer rows.
-    Two equal lattices have equal forms, and ``basis`` is ``_hnf / _den``.
+    The rows of ``gens / den`` generate (``den``, a positive integer, lets
+    a caller holding a scaled matrix skip building ``Fraction`` entries).
+    The lattice is kept as one canonical form: ``_den`` is its least common
+    denominator and ``_hnf`` the Hermite form of ``_den`` times it, as
+    sparse integer rows.  Two equal lattices have equal forms, and
+    ``basis`` is ``_hnf / _den``.
     """
 
     __slots__ = ("ambient", "_hnf", "_den")
 
     def __init__(self, ambient: int, gens: np.ndarray | None = None, den: int = 1):
+        if den < 1:
+            raise ValueError(f"lattice denominator must be positive, got {den}")
         self.ambient = ambient
         if gens is None or gens.size == 0:
             gens = zeros(0, ambient)

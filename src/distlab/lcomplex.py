@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-import numpy as np
-
 from .abgroup import (
     BoundedComplex,
     JComplex,
@@ -35,11 +33,13 @@ from .distribution import (
     universal_predistribution,
 )
 from .exact_linalg import (
+    IMat,
     Row,
+    _axpy,
     _comb,
+    _det,
     _mul,
     _rows,
-    det_exact,
     rank_exact,
     zeros,
 )
@@ -97,24 +97,22 @@ def symbol_basis(m: int) -> SymbolBasis:
     return SymbolBasis(m)
 
 
-def differentials(m: int, kind: str) -> dict[int, np.ndarray]:
-    """Per-degree matrices of the chosen differential in symbol coordinates."""
+def differentials(m: int, kind: str) -> dict[int, list[Row]]:
+    """Per-degree sparse rows of the chosen differential in symbol coordinates."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     sb = symbol_basis(m)
-    out: dict[int, np.ndarray] = {}
+    out: dict[int, list[Row]] = {}
     for i in range(sb.lo, 0):
-        D = zeros(sb.ranks[i + 1], sb.ranks[i])
-        col = 0
-        for g, k in sb.symbols(i):
+        D: list[Row] = [{} for _ in range(sb.ranks[i + 1])]
+        for col, (g, k) in enumerate(sb.symbols(i)):
             for p in primes_of(g):
-                e = epsilon(g, p)
+                e = {col: epsilon(g, p)}
                 h = g // p
                 if kind == DIFFERENCE:
-                    D[sb.position(h, k * p), col] += e
+                    _axpy(D[sb.position(h, k * p)], e, 1)
                 for s in range(p):
-                    D[sb.position(h, k + s * (m // g)), col] -= e
-            col += 1
+                    _axpy(D[sb.position(h, k + s * (m // g))], e, -1)
         out[i] = D
     return out
 
@@ -207,7 +205,7 @@ class AveragedLevel:
         self.sb = sb
         self.index: dict[int, list[tuple[int, int, int]]] = {}
         self.pos: dict[int, dict[tuple[int, int, int], int]] = {}
-        self.change: dict[int, np.ndarray] = {}
+        self.change: dict[int, IMat] = {}
         for i in range(sb.lo, 1):
             items: list[tuple[int, int, int]] = []
             P = zeros(sb.ranks[i], sb.ranks[i])
@@ -332,7 +330,7 @@ def homotopy_check(m: int) -> dict:
                 chain = _mul(chain, av.projector(p, i))
             image = image and chain == full_pi and (i == 0 or not any(full_pi))
             if i < 0:
-                sym = _mul(_rows(C.d(i)), _rows(av.change[i]))
+                sym = _mul(C.d(i), _rows(av.change[i]))
                 avg = _mul(_rows(av.change[i + 1]), av.full_d(i))
                 match = match and sym == avg
         res[kind] = {
@@ -351,27 +349,24 @@ def homotopy_check(m: int) -> dict:
 # the smoothing operator on symbols, its determinants, the index formula
 
 
-def smoothing_blocks_scaled(m: int) -> dict[int, tuple[np.ndarray, int]]:
+def smoothing_blocks_scaled(m: int) -> dict[int, tuple[list[Row], int]]:
     """Per-degree (N_i, d_i) with N_i / d_i the smoothing operator in degree i.
 
     On the block of g the operator averages over all primes of the level
     that do not divide g, acting on the point coordinate of level m/g.
-    Each block is an integer product of scaled factors; d_i is the least
-    common multiple of the block denominators of degree i.
+    Each block is an integer product of scaled factors, as sparse rows
+    moved to the block's offset; d_i is the least common multiple of the
+    block denominators of degree i.
     """
     sb = symbol_basis(m)
     out = {}
     for i in range(sb.lo, 1):
-        blocks = [
-            (m // g, *smoothing_scaled(m // g, [p for p in sb.primes if g % p]))
-            for g in sb.blocks[i]
-        ]
-        d = lcm(*[e for _, _, e in blocks])
-        N = zeros(sb.ranks[i], sb.ranks[i])
-        off = 0
-        for s, blk, e in blocks:
-            N[off : off + s, off : off + s] = blk * (d // e)
-            off += s
+        blocks = [smoothing_scaled(m // g, [p for p in sb.primes if g % p]) for g in sb.blocks[i]]
+        d = lcm(*[e for _, e in blocks])
+        N: list[Row] = []
+        for blk, e in blocks:
+            off, q = len(N), d // e
+            N.extend({off + j: q * x for j, x in row.items()} for row in blk)
         out[i] = (N, d)
     return out
 
@@ -414,10 +409,10 @@ def det_check(m: int) -> dict:
                     continue
                 # the factor is N / d, so each determinant is det(N) / d^size
                 N, d = smoothing_factor_scaled(s, p)
-                full *= abs(det_exact(N) / d**s) ** sign
+                full *= abs(Fraction(_det(N, s), d**s)) ** sign
                 # N commutes with negation; R is N on the pairs e_k - e_{-k}
                 R = fixed_restriction(N, negation, negation)
-                minus *= abs(det_exact(R) / d ** R.shape[0]) ** sign
+                minus *= abs(Fraction(_det(R, len(R)), d ** len(R))) ** sign
     expect_full = Fraction(1)
     expect_minus = Fraction(1)
     for p in sb.primes:

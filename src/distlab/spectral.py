@@ -17,15 +17,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .abgroup import (
     FgAbGroup,
     JComplex,
     _subquotient,
     elementary_power,
     i_invariant,
-    subquotient_group,
 )
 from .arith import euler_phi, factorize, primes_of
 from .distribution import tate_distribution, tate_predistribution
@@ -34,10 +31,10 @@ from .exact_linalg import (
     _axpy,
     _dense,
     _hermite,
+    _kernel,
     _mul,
     _rows,
-    eye,
-    hnf_nonzero,
+    _transpose,
     kernel_basis,
 )
 from .lcomplex import DIFFERENCE, KINDS, build_jcomplex, symbol_basis
@@ -99,7 +96,7 @@ class DoubleComplex:
         """The columns of the base differential d(p) as sparse rows, built once."""
         key = ("dcols", p)
         if key not in self._store:
-            self._store[key] = _rows(self.base.d(p).T)
+            self._store[key] = _transpose(self.base.d(p), self.base.rank(p))
         return self._store[key]
 
     def interior(self, p: int, q: int, r: int) -> bool:
@@ -233,8 +230,8 @@ class DoubleComplex:
             conds.append({i: x for i, x in cond.items() if x})
         if any(conds):
             index = {i: k for k, i in enumerate(sorted(set().union(*conds)))}
-            A = _dense([{index[i]: x for i, x in c.items()} for c in conds], len(index), True)
-            K = _rows(kernel_basis(A))
+            cols = [{index[i]: x for i, x in c.items()} for c in conds]
+            K = _rows(kernel_basis(_dense(_transpose(cols, len(index)), len(cols))))
             Y, W = _mul(K, Y), _mul(K, W)
         if s == 1 and n:
             Y, W = _even_rows(Y, W, [f for f, g in enumerate(perm) if f == g])
@@ -301,7 +298,8 @@ class DoubleComplex:
         # the landing rows come last; each of its denominator rows is lifted
         lo = height - self.rank(*land)
         lift = [{lo + j: -x for j, x in b.items()} for b in self.b_rows(*land, r)]
-        M = _dense(self._columns(src, tgt) + lift, height, transposed=True)
+        cols = self._columns(src, tgt) + lift
+        M = _dense(_transpose(cols, height), len(cols))
         num = _hermite(_rows(kernel_basis(M)[:, :n]), n)
         return _subquotient(num, self.b_rows(p, q, r + 1) if num else [], n)
 
@@ -506,9 +504,9 @@ def e2_page_check(m: int, kind: str) -> dict:
     # cohomology
     r_stab = len(sb.primes) + 1
     q0 = jc.complex.cohomology_data(0)[1]
-    img = hnf_nonzero(bases[0] @ q0.P.T)
+    img = _hermite(_mul(bases[0], _rows(q0.P.T)), q0.free_rank)
     corner = half.e_term(0, 0, r_stab)
-    corner_ok = corner == FgAbGroup(img.shape[0], ())
+    corner_ok = corner == FgAbGroup(len(img), ())
     ok = closed and row0 and corner_ok
     return {
         "level": m,
@@ -588,53 +586,41 @@ def splitting_check(m: int, kind: str) -> dict:
     return {"level": m, "kind": kind, "ok": total == want}
 
 
-def _row_quotient(M: np.ndarray, s: np.ndarray) -> np.ndarray | None:
-    """diag(s)^-1 @ M for integer M and a column s of positive ints.
-
-    Integral exactly when row i of M is divisible by s_i; then it is the
-    exact row quotient, else None.
-    """
-    if (M % s).any():
-        return None
-    return M // s
-
-
 def scaled_rows_check(m: int) -> dict:
     """The doubled-fixed-symbol rows form a vertically exact subcomplex.
 
     Scaling every self-negative symbol by 2 on odd rows keeps both maps
     integral and makes each column exact, which is what lets the full
-    variant collapse onto its parity-reduced quotient.
+    variant collapse onto its parity-reduced quotient.  With s the scaling,
+    plain row to scaled row is diag(s)^-1 (1 + c) and scaled row back to
+    plain row is (1 - c) diag(s), both read off the permutation c.
     """
     sb = symbol_basis(m)
     jc = build_jcomplex(m, DIFFERENCE)
-    # The diagonal of the scaling, as a column so that it broadcasts over rows.
-    scale: dict[int, np.ndarray] = {}
-    for p in range(sb.lo, 1):
-        diag = []
-        for g, k in sb.symbols(p):
-            s = m // g
-            diag.append(2 if (k == 0 or 2 * k == s) else 1)
-        scale[p] = np.array(diag, dtype=object).reshape(-1, 1)
+    scale = {
+        p: [2 if (k == 0 or 2 * k == m // g) else 1 for g, k in sb.symbols(p)]
+        for p in range(sb.lo, 1)
+    }
     column_exact = maps_integral = d_stable = True
     for p in range(sb.lo, 1):
-        n = sb.ranks[p]
-        c = jc.c(p)
-        idm = eye(n)
-        m_even = _row_quotient(idm + c, scale[p])  # plain row to scaled row
-        if m_even is None:
+        n, c, s = sb.ranks[p], jc.involution[p], scale[p]
+        plus = [{k: 2} if c[k] == k else {k: 1, c[k]: 1} for k in range(n)]
+        if any(x % s[k] for k, row in enumerate(plus) for x in row.values()):
             maps_integral = False  # the check fails here; later degrees are skipped
             break
-        m_odd = (idm - c) * scale[p].T  # scaled row back to plain row
-        column_exact = (
-            column_exact
-            and subquotient_group(kernel_basis(m_even), hnf_nonzero(m_odd.T)).is_trivial
-            and subquotient_group(kernel_basis(m_odd), hnf_nonzero(m_even.T)).is_trivial
+        m_even = [{j: x // s[k] for j, x in row.items()} for k, row in enumerate(plus)]
+        m_odd = [{} if c[k] == k else {k: s[k], c[k]: -s[c[k]]} for k in range(n)]
+        column_exact = column_exact and all(
+            _subquotient(_kernel(a, n), _transpose(b, n), n).is_trivial
+            for a, b in ((m_even, m_odd), (m_odd, m_even))
         )
-        if p < 0:
-            for kind in KINDS:
-                moved = build_jcomplex(m, kind).complex.d(p) * scale[p].T
-                d_stable = d_stable and _row_quotient(moved, scale[p + 1]) is not None
+        if p < 0:  # d diag(s) must be divisible row by row by the next scaling
+            d_stable = d_stable and not any(
+                x * s[j] % scale[p + 1][i]
+                for kind in KINDS
+                for i, row in enumerate(build_jcomplex(m, kind).complex.d(p))
+                for j, x in row.items()
+            )
     return {
         "level": m,
         "column_exact": column_exact,

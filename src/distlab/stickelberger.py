@@ -36,10 +36,12 @@ from .distribution import (
 )
 from .exact_linalg import (
     Lattice,
+    _dense,
+    _mul,
+    _rows,
     eye,
     lattice_index,
     lattice_intersect,
-    mat_equal,
     scaled,
     zeros,
 )
@@ -119,7 +121,8 @@ class StickelbergerData:
 
 def minus_sublattice(m: int) -> Lattice:
     """Annihilator of 1+c inside the integral group ring, c: t -> -t."""
-    return Lattice(len(units_of(m)), fixed_basis(unit_translation(m, m - 1)))
+    n = len(units_of(m))
+    return Lattice(n, _dense(fixed_basis(unit_translation(m, m - 1)), n))
 
 
 # Memoised: every index check of a level reads the same ideal.  Its
@@ -212,8 +215,7 @@ def alpha_compat_check(m: int) -> dict:
     fractional-part elements.
     """
     N = alpha_scaled(m)  # the map is N / 2m
-    prod = N @ build_jcomplex(m, DIFFERENCE).complex.d(-1)
-    relations_killed = mat_equal(prod, zeros(*prod.shape))
+    relations_killed = not any(_mul(_rows(N), build_jcomplex(m, DIFFERENCE).complex.d(-1)))
     n = len(units_of(m))
     lat = alpha_lattice(m)
     rank_ok = lat.rank == n // 2
@@ -292,7 +294,7 @@ def smoothing_minus_image_check(m: int) -> dict:
     got = fixed_image_index(
         universal_distribution(m),
         universal_predistribution(m),
-        negation_matrix(m),
+        [-k % m for k in range(m)],
         *smoothing_scaled(m),
     )
     r = len(primes_of(m))

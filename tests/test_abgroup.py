@@ -405,6 +405,33 @@ def test_tate_pair_rejects_relations_of_another_width():
         tate_pair(eye(3), imat([[2, 0, 0, 0]]))
 
 
+SWAP = imat([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "C, relations, message",
+    [
+        (imat([[2]]), zeros(0, 1), r"^the map does not square to 1 on Z\^1 / relations$"),
+        (SWAP, imat([[1, 0]]), "^the map does not stabilize the relation lattice$"),
+    ],
+    ids=["not_of_order_two", "off_the_relations"],
+)
+def test_tate_routes_reject_a_map_that_is_no_action(C, relations, message):
+    with pytest.raises(ValueError, match=message):
+        tate_pair(C, relations)
+    for parity in ("even", "odd"):
+        with pytest.raises(ValueError, match=message):
+            tate_group(C, relations, parity)
+
+
+def test_tate_routes_take_an_order_two_action_on_the_quotient():
+    # 4 is an involution on Z/5 though not on Z, and the swap fixes the
+    # relation row (1, 1), so both are actions on their quotients
+    for C, relations in ((imat([[4]]), imat([[5]])), (SWAP, imat([[1, 1]]))):
+        even, odd = tate_group(C, relations, "even"), tate_group(C, relations, "odd")
+        assert tate_pair(C, relations) == (even, odd)
+
+
 def test_tate_group_rejects_relations_of_another_width():
     for parity in ("even", "odd"):
         with pytest.raises(ValueError, match="^relation rows have width 2, want 3$"):
@@ -540,7 +567,7 @@ def test_regulator_chain_rule():
 def _two_term(dmat):
     # complex 0 -> Z^a -> Z^b -> 0 in degrees -1, 0
     d = imat(dmat)
-    return BoundedComplex({-1: d.shape[1], 0: d.shape[0]}, {-1: d})
+    return BoundedComplex({-1: d.shape[1], 0: d.shape[0]}, {-1: _rows(d)})
 
 
 def test_cohomology_of_two_term():
@@ -552,11 +579,56 @@ def test_cohomology_of_two_term():
 def test_cohomology_names_the_column_outside_the_kernel():
     # d^2 = 0 is checked at construction; break it afterwards, so that
     # column 1 of d(-1) leaves the kernel of d(0)
-    C = BoundedComplex({-1: 2, 0: 2, 1: 1}, {-1: imat([[1, 0], [0, 0]]), 0: imat([[0, 0]])})
-    C.diff[-1] = imat([[1, 0], [0, 1]])
-    C.diff[0] = imat([[0, 1]])
+    C = BoundedComplex({-1: 2, 0: 2, 1: 1}, {-1: [{0: 1}, {}], 0: [{}]})
+    C.diff[-1] = [{0: 1}, {1: 1}]
+    C.diff[0] = [{1: 1}]
     with pytest.raises(ValueError, match=r"^column 1 of d at degree -1 is not in the integral kernel$"):
         C.cohomology_data(0)
+
+
+@pytest.mark.parametrize(
+    "diff, message",
+    [
+        ({-1: [{0: 1}]}, "^d at degree -1 has 1 rows, want 2$"),
+        ({-1: [{0: 1}, {2: 1}]}, "^d at degree -1 rows have width 3, want 2$"),
+        ({-1: [{0: 1}, {-1: 1}]}, "^d at degree -1 row 1 has column -1, want 0 to 1$"),
+        ({-1: [{0: 1}, {1: Fraction(1, 2)}]}, r"^entry Fraction\(1, 2\) at \(1, 1\) is not an integer$"),
+        ({-1: [{0: 1}, {1: 1.0}]}, r"^entry 1.0 at \(1, 1\) is not an integer$"),
+        ({-1: [[1, 0], [0, 1]]}, "^d at degree -1 row 0 is a list, not a dict row$"),
+        ({1: []}, "^d at degree 1 is outside the degrees -1 to 0$"),
+        ({-2: [{}, {}]}, "^d at degree -2 is outside the degrees -1 to 0$"),
+    ],
+    ids=[
+        "row_count",
+        "column_past_the_rank",
+        "negative_column",
+        "fraction_entry",
+        "float_entry",
+        "dense_row",
+        "degree_above",
+        "degree_below",
+    ],
+)
+def test_bounded_complex_rejects_malformed_differentials(diff, message):
+    with pytest.raises(ValueError, match=message):
+        BoundedComplex({-1: 2, 0: 2}, diff)
+
+
+def test_bounded_complex_keeps_its_rows():
+    d = [{0: 2, 1: 0}, {}]  # an explicit zero entry is dropped
+    C = BoundedComplex({-1: 2, 0: 2}, {-1: d})
+    assert C.d(-1) == [{0: 2}, {}] and C.d(0) == [] and C.d(-2) == [{}, {}]
+    assert C.cohomology(0) == FgAbGroup(1, (2,)) and C.cohomology(-1) == FgAbGroup(1)
+
+
+def test_jcomplex_names_the_first_row_off_the_involution():
+    # at level 5 negation swaps the points 1 and 4; one entry of d moved
+    # from 1 to 2 breaks c d = d c in row 1 and nowhere before it
+    d = [{0: 1} if k else {} for k in range(5)]
+    d[1][0] = 2
+    C = BoundedComplex({-1: 1, 0: 5}, {-1: d})
+    with pytest.raises(ValueError, match="^involution does not commute with d at degree -1: row 1 differs$"):
+        JComplex(C, {0: [(-k) % 5 for k in range(5)], -1: [0]})
 
 
 def test_euler_regulator_identity_fixed_example():
@@ -585,9 +657,7 @@ def _lp_complex(p):
     k = 0..p-1.  The differential sends the coarse point to the sum of its
     preimages minus itself, and the self term cancels against k = 0.
     """
-    d = zeros(p, 1)
-    for k in range(1, p):
-        d[k, 0] = 1
+    d = [{0: 1} if k else {} for k in range(p)]
     C = BoundedComplex({-1: 1, 0: p}, {-1: d})
     return JComplex(C, {0: [(-k) % p for k in range(p)], -1: [0]})
 
@@ -602,7 +672,7 @@ def test_i_invariant_prime_level():
 
 def test_i_invariant_needs_d_zero_out_of_degree_zero():
     # H^0 is read as Z^n0 modulo the image of d(-1); with d(0) != 0 it is not
-    C = BoundedComplex({0: 1, 1: 1}, {0: imat([[1]])})
+    C = BoundedComplex({0: 1, 1: 1}, {0: [{0: 1}]})
     with pytest.raises(ValueError, match="d = 0 out of degree 0"):
         i_invariant(JComplex(C))
 
@@ -610,9 +680,7 @@ def test_i_invariant_needs_d_zero_out_of_degree_zero():
 def test_i_invariant_predistribution_prime_level():
     # predistribution-style differential: sum over preimages only
     p = 3
-    d = zeros(p, 1)
-    for k in range(p):
-        d[k, 0] = 1
+    d = [{0: 1} for _ in range(p)]
     C = BoundedComplex({-1: 1, 0: p}, {-1: d})
     jc = JComplex(C, {0: [(-k) % p for k in range(p)], -1: [0]})
     assert i_invariant(jc) == 1
@@ -636,9 +704,9 @@ def test_sparse_intertwines_and_commutes_match_dense_products(seed):
     d1, d2, N, N1 = rand(b, a), rand(b, a), rand(a, a), rand(b, b)
     e, e1 = rng.randint(1, 3), rng.randint(1, 3)
     dense = mat_equal(N1 @ d1 * e, d2 @ N * e1)
-    assert intertwines(d1, d2, (N, e), (N1, e1)) == dense
+    assert intertwines(_rows(d1), _rows(d2), (_rows(N), e), (_rows(N1), e1)) == dense
     # a true intertwiner: the identity (as eI / e) on the source, N1 on the target
-    assert intertwines(d1, N1 @ d1, (eye(a) * e, e), (N1, 1))
+    assert intertwines(_rows(d1), _rows(N1 @ d1), (_rows(eye(a) * e), e), (_rows(N1), 1))
     # a random involution: disjoint swaps of a shuffled index list
     perm, ks = list(range(a)), list(range(a))
     rng.shuffle(ks)
@@ -646,16 +714,24 @@ def test_sparse_intertwines_and_commutes_match_dense_products(seed):
         if rng.random() < 0.7:
             perm[x], perm[y] = y, x
     c = eye(a)[:, perm]
-    assert commutes(N, perm) == mat_equal(N @ c, c @ N)
-    assert commutes(N, list(range(a))) and commutes(c, perm)
-    assert commutes(N + c @ N @ c, perm)
+    assert commutes(_rows(N), perm) == mat_equal(N @ c, c @ N)
+    assert commutes(_rows(N), list(range(a))) and commutes(_rows(c), perm)
+    assert commutes(_rows(N + c @ N @ c), perm)
 
 
 def test_index_check_rejects_phi_off_the_involution_or_shape():
     # one degree, rank 2, the involution swaps the two basis vectors
     swap = JComplex(BoundedComplex({0: 2}, {}), {0: [1, 0]})
-    with pytest.raises(ValueError, match="^phi does not commute with the involution$"):
-        abstract_index_check(swap, swap, {0: scaled(qmat([[1, 0], [0, 2]]))})
+    with pytest.raises(ValueError, match="^phi does not commute with the involution at degree 0$"):
+        abstract_index_check(swap, swap, {0: _phi([[1, 0], [0, 2]])})
     with pytest.raises(ValueError, match="^phi at degree 0 is not 2 x 2$"):
-        abstract_index_check(swap, swap, {0: scaled(qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))})
-    assert abstract_index_check(swap, swap, {0: scaled(qmat([[2, 1], [1, 2]]))})["equal"]
+        abstract_index_check(swap, swap, {0: _phi([[1, 0, 0], [0, 1, 0], [0, 0, 1]])})
+    with pytest.raises(ValueError, match="^phi at degree 0 is not 2 x 2$"):
+        abstract_index_check(swap, swap, {0: ([{0: 1}, {2: 1}], 1)})
+    assert abstract_index_check(swap, swap, {0: _phi([[2, 1], [1, 2]])})["equal"]
+
+
+def _phi(entries):
+    """A rational map as (sparse rows of its numerators, denominator)."""
+    N, e = scaled(qmat(entries))
+    return _rows(N), e

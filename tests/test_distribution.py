@@ -33,7 +33,13 @@ from distlab.distribution import (
     x_matrix,
     y_matrix,
 )
-from distlab.exact_linalg import eye, hnf_nonzero, mat_equal, scaled, unscaled, zeros
+from distlab.exact_linalg import _dense, eye, hnf_nonzero, mat_equal, scaled, unscaled, zeros
+
+
+def _fraction(pair):
+    """The rational matrix N / d of a pair (sparse square rows N, d)."""
+    N, d = pair
+    return unscaled(_dense(N, len(N)), d)
 
 
 def test_x_matrix_shape_and_columns():
@@ -299,13 +305,13 @@ def test_cohomology_check_rejects_bad_levels():
 
 def test_smoothing_factor_geometric_series():
     # column of 1 at level 4, p = 2: orbit 1 -> 2 -> 0 -> 0 cycle
-    F = unscaled(*smoothing_factor_scaled(4, 2))
+    F = _fraction(smoothing_factor_scaled(4, 2))
     assert F[1, 1] == 1
     assert F[2, 1] == Fraction(1, 2)
     assert F[0, 1] == Fraction(1, 4) * 2  # tail hit then the fixed cycle at 0
     # defining property, all levels
     for m, p in ((4, 2), (9, 3), (12, 2), (12, 3), (15, 5)):
-        lhs = (eye(m) - mult_matrix(m, p) * Fraction(1, p)) @ unscaled(*smoothing_factor_scaled(m, p))
+        lhs = (eye(m) - mult_matrix(m, p) * Fraction(1, p)) @ _fraction(smoothing_factor_scaled(m, p))
         assert mat_equal(lhs, eye(m))
 
 
@@ -334,8 +340,8 @@ def test_smoothing_factor_numerators_match_fraction_series(m):
     for p in sorted(set(primes_of(m)) | {2, 3, 5, 7}):
         N, d = smoothing_factor_scaled(m, p)
         ref_N, ref_d = scaled(_fraction_series(m, p))
-        assert all(type(x) is int for x in N.flat)
-        assert d == ref_d and mat_equal(N, ref_N), (m, p)
+        assert all(type(x) is int and x for row in N for x in row.values())
+        assert d == ref_d and mat_equal(_dense(N, m), ref_N), (m, p)
 
 
 def test_smoothing_inverse_and_relation_transport():
@@ -347,7 +353,7 @@ def test_smoothing_against_direct_inverse():
     from distlab.exact_linalg import inverse_exact
 
     for m in (4, 9, 12):
-        phi, inverse = unscaled(*smoothing_scaled(m)), unscaled(*smoothing_inverse_scaled(m))
+        phi, inverse = _fraction(smoothing_scaled(m)), _fraction(smoothing_inverse_scaled(m))
         assert mat_equal(phi, inverse_exact(inverse))
 
 
@@ -365,12 +371,12 @@ def _fraction_product(factors, m):
 @pytest.mark.parametrize("m", VALID_LEVELS)
 def test_smoothing_builders_match_fraction_product(m):
     primes = primes_of(m)
-    phi = unscaled(*smoothing_scaled(m))
-    factors = [unscaled(*smoothing_factor_scaled(m, p)) for p in primes]
+    phi = _fraction(smoothing_scaled(m))
+    factors = [_fraction(smoothing_factor_scaled(m, p)) for p in primes]
     assert mat_equal(phi, _fraction_product(factors, m))
     assert all(type(x) is Fraction for x in phi.flat)
     inverse = [eye(m) - mult_matrix(m, p) * Fraction(1, p) for p in primes]
-    assert mat_equal(unscaled(*smoothing_inverse_scaled(m)), _fraction_product(inverse, m))
+    assert mat_equal(_fraction(smoothing_inverse_scaled(m)), _fraction_product(inverse, m))
 
 
 def _perturb_factor(monkeypatch, request, m0, p0):
@@ -389,8 +395,8 @@ def _perturb_factor(monkeypatch, request, m0, p0):
     def perturbed(m, p):
         N, d = real(m, p)
         if (m, p) == (m0, p0):
-            N, d = N * p, d * p
-            N[0, 1] += d // p
+            N, d = [{j: x * p for j, x in row.items()} for row in N], d * p
+            N[0][1] = N[0].get(1, 0) + d // p
         return N, d
 
     monkeypatch.setattr(distribution, "smoothing_factor_scaled", perturbed)

@@ -711,6 +711,15 @@ def test_index_diamond_identity():
         assert lattice_index(A, B) == lattice_index(A, inter) / lattice_index(B, inter)
 
 
+@pytest.mark.parametrize("den", [0, -2])
+def test_lattice_rejects_a_non_positive_denominator(den):
+    # -2 would give Z/-2, whose index against Z read -1/2 and which compared
+    # unequal to the same lattice over 2; 0 was kept as a zero denominator
+    with pytest.raises(ValueError, match=f"^lattice denominator must be positive, got {den}$"):
+        Lattice(1, imat([[1]]), den)
+    assert lattice_index(Lattice(1, imat([[1]])), Lattice(1, imat([[1]]), 2)) == Fraction(1, 2)
+
+
 def test_integral_preimage():
     # {x : 2x in 6Z} = 3Z
     rows = integral_preimage(imat([[2]]), imat([[6]]))

@@ -1,12 +1,12 @@
 """Graded symbol complexes: structure, homotopy calculus, index identities."""
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 import pytest
 
-from distlab import distribution
+from distlab import abgroup, distribution, lcomplex
 from distlab.abgroup import (
     BoundedComplex,
     JComplex,
@@ -17,7 +17,7 @@ from distlab.abgroup import (
     i_invariant,
     theta_fixed,
 )
-from distlab.arith import primes_of
+from distlab.arith import multiplicative_order, prime_to_p_part, primes_of
 from distlab.distribution import (
     negation_matrix,
     smoothing_check,
@@ -28,6 +28,7 @@ from distlab.distribution import (
 from distlab.exact_linalg import (
     Lattice,
     _dense,
+    _rows,
     det_exact,
     eye,
     hnf_nonzero,
@@ -94,8 +95,8 @@ def test_complexes_validate_at_three_primes(m):
 def test_structural_checks_reject_violations():
     ranks = dict(symbol_basis(12).ranks)
     d = differentials(12, DIFFERENCE)
-    d[-2][0, 0] += 1
-    with pytest.raises(ValueError, match=r"^d\^2 != 0 between degrees -2 and 0$"):
+    d[-2][0][0] = d[-2][0].get(0, 0) + 1
+    with pytest.raises(ValueError, match=r"^d\^2 != 0 between degrees -2 and 0: entry \(6, 0\) is 1$"):
         BoundedComplex(ranks, d)
 
     # A 3-cycle on the points 1, 2, 3 of the block of 3 (positions 7, 8, 9),
@@ -112,12 +113,12 @@ def test_structural_checks_reject_violations():
     c = involution(12)
     c[0][1], c[0][11] = c[0][11], c[0][1]
     assert all(c[0][j] == k for k, j in enumerate(c[0]))
-    with pytest.raises(ValueError, match="^involution does not commute with d at degree -1$"):
+    with pytest.raises(ValueError, match="^involution does not commute with d at degree -1: row 1 differs$"):
         JComplex(C, c)
 
     # Differentials and involutions are maps of free Z-modules.
     d = differentials(12, DIFFERENCE)
-    d[-1][0, 0] = Fraction(1, 2)
+    d[-1][0][0] = Fraction(1, 2)
     with pytest.raises(ValueError, match="is not an integer"):
         BoundedComplex(ranks, d)
     c = involution(12)
@@ -173,10 +174,9 @@ def test_jcomplex_fills_missing_degrees_with_the_identity():
     jc = JComplex(C, given)
     assert jc.involution == {-2: [0, 1], -1: list(range(10)), 0: list(range(12))}
     assert given == {-2: [0, 1]}  # the caller's dict is left as it was
-    assert mat_equal(jc.c(0), eye(12))
     jc = JComplex(C, involution(12))
-    assert jc.c(0) is jc.c(0)  # built once
-    assert mat_equal(jc.c(0), negation_matrix(12))
+    # c is read as its permutation: column k of the negation matrix is e_c(k)
+    assert mat_equal(eye(12)[:, jc.involution[0]], negation_matrix(12))
 
 
 @pytest.mark.parametrize("m", [3, 4, 9, 12, 16, 18])
@@ -200,7 +200,7 @@ def test_averaged_differential_matches_symbol_differential():
     # redundant with homotopy_check but pins the change-of-basis contract
     av = AveragedLevel(12, DIFFERENCE)
     d = differentials(12, DIFFERENCE)
-    lhs = d[-1] @ av.change[-1]
+    lhs = _dense(d[-1], av.rank(-1)) @ av.change[-1]
     rhs = av.change[0] @ _dense(av.full_d(-1), av.rank(-1))
     assert mat_equal(lhs, rhs)
 
@@ -212,7 +212,7 @@ def test_smoothing_intertwines_and_commutes(m):
 
 def _smoothing_blocks(m):
     """Per-degree smoothing operator as ``Fraction`` matrices."""
-    return {i: unscaled(N, d) for i, (N, d) in smoothing_blocks_scaled(m).items()}
+    return {i: unscaled(_dense(N, len(N)), d) for i, (N, d) in smoothing_blocks_scaled(m).items()}
 
 
 @pytest.mark.parametrize("m", [m for m in range(3, 41) if m % 4 != 2])
@@ -225,7 +225,7 @@ def test_smoothing_blocks_match_fraction_product(m):
         off = 0
         for g in sb.blocks[i]:
             s = m // g
-            factors = [unscaled(*smoothing_factor_scaled(s, p)) for p in sb.primes if g % p]
+            factors = [_fraction_factor(s, p) for p in sb.primes if g % p]
             blk = factors[0] if factors else eye(s)
             for F in factors[1:]:
                 blk = F @ blk
@@ -233,6 +233,11 @@ def test_smoothing_blocks_match_fraction_product(m):
             off += s
         assert mat_equal(blocks[i], ref), (m, i)
         assert all(type(x) is Fraction for x in blocks[i].flat)
+
+
+def _fraction_factor(m, p):
+    N, d = smoothing_factor_scaled(m, p)
+    return unscaled(_dense(N, m), d)
 
 
 def _perturb_top_factor(monkeypatch, request, m):
@@ -249,8 +254,8 @@ def _perturb_top_factor(monkeypatch, request, m):
     def perturbed(s, p):
         N, d = real(s, p)
         if (s, p) == (m, p0):
-            N, d = N * p, d * p
-            N[0, 1] += d // p
+            N, d = [{j: x * p for j, x in row.items()} for row in N], d * p
+            N[0][1] = N[0].get(1, 0) + d // p
         return N, d
 
     monkeypatch.setattr(distribution, "smoothing_factor_scaled", perturbed)
@@ -285,8 +290,10 @@ def test_each_smoothing_product_is_built_once(monkeypatch, request):
     assert info.hits == 4 + 1 + 1
     assert sorted(built) == [(3, 3), (7, 7), (21, 3), (21, 7)]
     N, _ = distribution.smoothing_scaled(m)
-    with pytest.raises(ValueError, match="read-only"):
-        N[0, 0] += 1  # the shared product cannot be changed by one caller
+    with pytest.raises(TypeError):
+        N[0][0] = 2  # the shared product cannot be changed by one caller
+    with pytest.raises(TypeError):
+        N[0] = {}
 
 
 @pytest.mark.parametrize("m", [m for m in range(3, 61) if m % 4 != 2] + [105, 420])
@@ -305,15 +312,21 @@ def test_index_invariant_reads_the_degree_zero_relations(m):
     # are the Hermite rows of d(-1)^T it used to build for itself
     for kind in KINDS:
         C = build_jcomplex(m, kind).complex
-        assert mat_equal(C.cohomology_data(0)[1].relations, hnf_nonzero(C.d(-1).T)), (m, kind)
+        d = _dense(C.d(-1), C.rank(-1))
+        assert mat_equal(C.cohomology_data(0)[1].relations, hnf_nonzero(d.T)), (m, kind)
+
+
+def _scaled_rows(block):
+    N, e = scaled(block)
+    return _rows(N), e
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])
 def test_index_formula_rejects_a_perturbed_operator(m):
     phi = _smoothing_blocks(m)
     phi[0][0, 1] += Fraction(1, primes_of(m)[0])
-    phi = {i: scaled(block) for i, block in phi.items()}
-    with pytest.raises(ValueError, match="phi does not intertwine"):
+    phi = {i: _scaled_rows(block) for i, block in phi.items()}
+    with pytest.raises(ValueError, match="^phi does not intertwine the differentials at degree -1$"):
         abstract_index_check(build_jcomplex(m, DIFFERENCE), build_jcomplex(m, AVERAGE), phi)
 
 
@@ -334,18 +347,24 @@ def _negation(s):
     return [-k % s for k in range(s)]
 
 
+def _restricted_negation(s):
+    return fixed_restriction(_rows(negation_matrix(s)), _negation(s), _negation(s))
+
+
 def test_minus_pair_restriction_of_negation():
-    R = fixed_restriction(negation_matrix(5), _negation(5), _negation(5))
-    assert R.shape == (2, 2)
-    assert mat_equal(R, -np.array([[1, 0], [0, 1]], dtype=object))
+    R = _restricted_negation(5)
+    assert R == [{0: -1}, {1: -1}]
+    assert mat_equal(_dense(R, 2), -np.array([[1, 0], [0, 1]], dtype=object))
     # even block size drops the self-negative midpoint
-    assert fixed_restriction(negation_matrix(6), _negation(6), _negation(6)).shape == (2, 2)
-    assert fixed_restriction(negation_matrix(2), _negation(2), _negation(2)).shape == (0, 0)
+    R6 = _restricted_negation(6)
+    assert len(R6) == 2 and all(j < 2 for row in R6 for j in row)
+    assert _restricted_negation(2) == []
 
 
 def test_minus_pair_restriction_entries():
-    F = unscaled(*smoothing_factor_scaled(5, 2))
-    R = fixed_restriction(F, _negation(5), _negation(5))
+    N, d = smoothing_factor_scaled(5, 2)
+    F = unscaled(_dense(N, 5), d)
+    R = unscaled(_dense(fixed_restriction(N, _negation(5), _negation(5)), 2), d)
     for b, k in enumerate([1, 2]):
         v = F[:, k] - F[:, 5 - k]
         assert v[0] == 0
@@ -363,14 +382,20 @@ def _fixed_subcomplex_by_smith(jc):
     degree and a rational solve per differential, integral (``to_int``
     raises otherwise)."""
     C = jc.complex
-    bases = {i: kernel_basis(eye(C.rank(i)) + jc.c(i)) for i in C.degrees()}
+    bases = {i: kernel_basis(eye(C.rank(i)) + _c(jc, i)) for i in C.degrees()}
     diff = {}
     for i in range(C.lo, C.hi):
         src, tgt = bases[i], bases[i + 1]
-        diff[i] = zeros(tgt.shape[0], src.shape[0])
+        diff[i] = [{} for _ in range(tgt.shape[0])]
         if src.shape[0] and tgt.shape[0]:
-            diff[i] = to_int(solve_exact(tgt.T, C.d(i) @ src.T))
+            d = _dense(C.d(i), C.rank(i))
+            diff[i] = _rows(to_int(solve_exact(tgt.T, d @ src.T)))
     return BoundedComplex({i: B.shape[0] for i, B in bases.items()}, diff), bases
+
+
+def _c(jc, i):
+    """The involution at degree i as a dense permutation matrix: column k is e_c(k)."""
+    return eye(jc.complex.rank(i))[:, jc.involution[i]]
 
 
 def _det_part_by_solve(bases, phi):
@@ -380,7 +405,7 @@ def _det_part_by_solve(bases, phi):
     for i, B in bases.items():
         if B.shape[0]:
             N, e = phi[i]
-            R = to_int(solve_exact(B.T, N @ B.T))
+            R = to_int(solve_exact(B.T, _dense(N, len(N)) @ B.T))
             out *= abs(Fraction(det_exact(R), e ** B.shape[0])) ** ((-1) ** (i % 2))
     return out
 
@@ -395,20 +420,22 @@ def test_orbit_route_matches_the_smith_route(m):
         jc = build_jcomplex(m, kind)
         C, c = jc.complex, jc.involution
         for i in C.degrees():
-            n, B = C.rank(i), fixed_basis(c[i])
-            assert Lattice(n, B) == theta_fixed(jc.c(i)), (m, kind, i)
+            n, B = C.rank(i), _dense(fixed_basis(c[i]), C.rank(i))
+            assert Lattice(n, B) == theta_fixed(_c(jc, i)), (m, kind, i)
             # the differential into degree i + 1 and phi within degree i
             for N, j in ((C.d(i), i + 1), (phi[i][0], i)):
                 if j in c:
-                    R = fixed_restriction(N, c[i], c[j])
-                    assert mat_equal(N @ B.T, fixed_basis(c[j]).T @ R), (m, kind, i, j)
+                    R = _dense(fixed_restriction(N, c[i], c[j]), B.shape[0])
+                    lhs = _dense(N, n) @ B.T
+                    assert mat_equal(lhs, _dense(fixed_basis(c[j]), C.rank(j)).T @ R), (m, kind, i, j)
         fixed, _ = jc.fixed_subcomplex()
         oracle = _fixed_subcomplex_by_smith(jc)
         assert fixed.ranks == oracle[0].ranks
         for i in C.degrees():
             assert fixed.cohomology(i) == oracle[0].cohomology(i), (m, kind, i)
         smith = JComplex(C, c)
-        smith._fixed = oracle  # so that the invariant reads the Smith-route subcomplex
+        # so that the invariant reads the Smith-route subcomplex and its bases
+        smith._fixed = oracle[0], {i: _rows(B) for i, B in oracle[1].items()}
         assert _i_invariant(smith) == i_invariant(jc), (m, kind)
         if kind == DIFFERENCE:
             det_part = _det_part_by_solve(oracle[1], phi)
@@ -542,3 +569,146 @@ def test_index_formula_left_side_is_the_closed_form(m):
     r = index_formula_check(m)
     assert r["equal"], r
     assert r["lhs"] == smoothing_minus_image_check(m)["expected"]
+
+
+# ---------------------------------------------------------------------------
+# the sparse rows against the dense formulas they replaced
+
+
+def _dense_differentials(m, kind):
+    """The differentials as dense matrices, entry by entry."""
+    sb = symbol_basis(m)
+    out = {}
+    for i in range(sb.lo, 0):
+        D = zeros(sb.ranks[i + 1], sb.ranks[i])
+        for col, (g, k) in enumerate(sb.symbols(i)):
+            for p in primes_of(g):
+                e, h = epsilon(g, p), g // p
+                if kind == DIFFERENCE:
+                    D[sb.position(h, k * p), col] += e
+                for s in range(p):
+                    D[sb.position(h, k + s * (m // g)), col] -= e
+        out[i] = D
+    return out
+
+
+def _dense_involution(m, i):
+    """Negation of the point coordinate in degree i, as a dense matrix."""
+    sb = symbol_basis(m)
+    c = zeros(sb.ranks[i], sb.ranks[i])
+    for g, k in sb.symbols(i):
+        c[sb.position(g, -k), sb.position(g, k)] = 1
+    return c
+
+
+def _two_cycles(perm):
+    return [k for k, j in enumerate(perm) if k < j]
+
+
+def _dense_fixed_restriction(N, src, tgt):
+    """N on the rows e_k - e_c(k): entries N[i, k] - N[i, c(k)], by slicing."""
+    ks = _two_cycles(src)
+    return (N[:, ks] - N[:, [src[k] for k in ks]])[_two_cycles(tgt), :]
+
+
+def _dense_smoothing_factor(m, p):
+    """(N, d) with N / d = (1 - S_p/p)^(-1), summed into a dense matrix along each orbit."""
+    f = prime_to_p_part(m, p)
+    D = m // f * (p ** multiplicative_order(p, f) - 1)
+    N = zeros(m, m)
+    for k in range(m):
+        path, pos, cur = [], {}, k
+        while cur not in pos:
+            pos[cur] = len(path)
+            path.append(cur)
+            cur = cur * p % m
+        start = pos[cur]
+        cl = len(path) - start
+        on_cycle = p**cl * (D // (p**cl - 1))
+        for j, node in enumerate(path):
+            N[node, k] += (D if j < start else on_cycle) // p**j
+    g = np.gcd.reduce([D, *N.flat])
+    return N // g, D // g
+
+
+def _dense_smoothing_blocks(m):
+    """Per degree (N_i, d_i), each block a dense product of dense factors."""
+    sb = symbol_basis(m)
+    out = {}
+    for i in range(sb.lo, 1):
+        blocks = []
+        for g in sb.blocks[i]:
+            s = m // g
+            N, d = eye(s), 1
+            for p in sb.primes:
+                if g % p:
+                    F, e = _dense_smoothing_factor(s, p)
+                    N, d = F @ N, d * e
+            blocks.append((s, N, d))
+        d = lcm(*[e for _, _, e in blocks])
+        N = zeros(sb.ranks[i], sb.ranks[i])
+        off = 0
+        for s, blk, e in blocks:
+            N[off : off + s, off : off + s] = blk * (d // e)
+            off += s
+        out[i] = (N, d)
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 21, 60, 105])
+def test_rows_match_the_dense_formulas(m):
+    sb = symbol_basis(m)
+    c = involution(m)
+    for kind in KINDS:
+        d, want = differentials(m, kind), _dense_differentials(m, kind)
+        assert sorted(d) == sorted(want) == list(range(sb.lo, 0))
+        for i, D in want.items():
+            assert mat_equal(_dense(d[i], sb.ranks[i]), D), (kind, i)
+            R = fixed_restriction(d[i], c[i], c[i + 1])
+            want_R = _dense_fixed_restriction(D, c[i], c[i + 1])
+            assert mat_equal(_dense(R, len(_two_cycles(c[i]))), want_R), (kind, i)
+    phi, want_phi = smoothing_blocks_scaled(m), _dense_smoothing_blocks(m)
+    for i in range(sb.lo, 1):
+        n, k = sb.ranks[i], len(_two_cycles(c[i]))
+        # row r of c is e_c(r), as c is an involution
+        assert mat_equal(_dense([{j: 1} for j in c[i]], n), _dense_involution(m, i)), i
+        (N, e), (W, f) = phi[i], want_phi[i]
+        assert e == f and mat_equal(_dense(N, n), W), i
+        R = fixed_restriction(N, c[i], c[i])
+        assert mat_equal(_dense(R, k), _dense_fixed_restriction(W, c[i], c[i])), i
+    for p in sorted(set(primes_of(m)) | {2, 3}):
+        (N, e), (W, f) = smoothing_factor_scaled(m, p), _dense_smoothing_factor(m, p)
+        assert e == f and mat_equal(_dense(N, m), W), p
+
+
+def test_complex_layer_builds_no_dense_view(monkeypatch, request):
+    """A work contract that does not depend on load: at 21, building both
+    complexes and running the smoothing, determinant and index checks on
+    them builds no dense matrix in ``lcomplex``, and ``abgroup`` turns no
+    matrix of the shape of a differential or of a smoothing block into rows."""
+    for cache in (build_jcomplex, distribution._smoothing_product):
+        cache.cache_clear()
+        request.addfinalizer(cache.cache_clear)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"lcomplex.{name} called")
+
+        return call
+
+    for name in ("zeros", "_rows", "_dense"):
+        monkeypatch.setattr(lcomplex, name, refuse(name), raising=False)
+    sb = symbol_basis(21)
+    shapes = {(sb.ranks[i + 1], sb.ranks[i]) for i in range(sb.lo, 0)}
+    shapes |= {(n, n) for n in sb.ranks.values()}
+    real = abgroup._rows
+
+    def checked(A):
+        assert A.shape not in shapes, f"abgroup._rows on a {A.shape} matrix"
+        return real(A)
+
+    monkeypatch.setattr(abgroup, "_rows", checked)
+    for kind in KINDS:
+        build_jcomplex(21, kind)
+    assert intertwine_check(21)["ok"] and det_check(21)["ok"]
+    assert index_formula_check(21)["equal"]

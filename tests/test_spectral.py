@@ -6,23 +6,17 @@ from argparse import Namespace
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from distlab import abgroup, cli, exact_linalg, spectral
 from distlab.abgroup import BoundedComplex, FgAbGroup, JComplex, elementary_power, i_invariant
 from distlab.distribution import universal_distribution, universal_predistribution
 from distlab.exact_linalg import (
     _dense,
+    _transpose,
     hnf_nonzero,
-    imat,
-    inverse_exact,
-    is_integral,
     kernel_basis,
     mat_equal,
-    to_int,
     zeros,
 )
 from distlab.lcomplex import (
@@ -39,7 +33,6 @@ from distlab.spectral import (
     FULL,
     HALF,
     DoubleComplex,
-    _row_quotient,
     abutment_check,
     build_double,
     degeneration_check,
@@ -56,7 +49,8 @@ from distlab.spectral import (
 
 def _block(dc, src, tgt):
     """Dense view of the total differential's columns from the entries src to the entries tgt."""
-    return _dense(dc._columns(src, tgt), sum(dc.rank(*pq) for pq in tgt), transposed=True)
+    cols = dc._columns(src, tgt)
+    return _dense(_transpose(cols, sum(dc.rank(*pq) for pq in tgt)), len(cols))
 
 
 def _delta(dc, p, q):
@@ -123,7 +117,7 @@ def test_each_level_object_has_one_owner(m):
         (fixed, bases), (fixed0, bases0) = jc.fixed_subcomplex(), fresh.fixed_subcomplex()
         assert fixed.ranks == fixed0.ranks
         for i in jc.complex.degrees():
-            assert mat_equal(bases[i], bases0[i])
+            assert bases[i] == bases0[i]
             assert jc.complex.cohomology(i) == fresh.complex.cohomology(i)
             assert fixed.cohomology(i) == fixed0.cohomology(i)
 
@@ -256,32 +250,6 @@ def test_scaled_fixed_rows_subcomplex(m):
     assert res["column_exact"]
     assert res["maps_integral"]
     assert res["d_stable"]
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5).flatmap(
-        lambda r: st.tuples(
-            st.lists(
-                st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
-                min_size=r,
-                max_size=r,
-            ),
-            st.lists(st.sampled_from([1, 1, 2, 3]), min_size=r, max_size=r),
-        )
-    )
-)
-def test_row_quotient_matches_inverse_scaling(data):
-    rows, diag = data
-    M = imat(rows)
-    s = np.array(diag, dtype=object).reshape(-1, 1)
-    ref = inverse_exact(np.diag(diag).astype(object)) @ M
-    got = _row_quotient(M, s)
-    if is_integral(ref):
-        assert got is not None and mat_equal(got, to_int(ref))
-        assert all(type(x) is int for x in got.flat)
-    else:
-        assert got is None
 
 
 def test_index_closed_forms():

@@ -4,7 +4,7 @@ spectral sequences, and Stickelberger index formulas.
 The public names below, and the submodules themselves, resolve on first
 access (PEP 562), each by importing the submodule that defines it.  So
 ``import distlab`` loads no submodule, and a run loads only the modules it
-uses: the Tate route of ``distlab cohomology`` never loads numpy.
+uses: no suite of ``distlab verify`` loads numpy.
 """
 
 __version__ = "0.1.0"

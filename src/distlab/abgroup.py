@@ -20,14 +20,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exact_linalg import (
     IMat,
     QMat,
     Lattice,
     Row,
+    _axpy,
     _bareiss,
+    _check_rows,
     _comb,
     _coords,
     _dense,
@@ -42,17 +44,12 @@ from .exact_linalg import (
     eye,
     integral_preimage,
     inverse_exact,
-    kernel_basis,
     lattice_index,
     mat_equal,
-    snf_with_inverses,
     solve_exact,
     to_int,
     zeros,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -162,23 +159,6 @@ def _check_relations(rel: IMat, n: int) -> None:
         raise ValueError(f"relation rows have width {rel.shape[1]}, want {n}")
 
 
-def _check_rows(rows: list[Row], n: int, name: str = "relation") -> list[Row]:
-    """The sparse rows of ints on Z^n, zero entries dropped (other rows are
-    not copied); ValueError names the first malformed one of the ``name`` rows."""
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"{name} row {i} is a {type(row).__name__}, not a dict row")
-        for j, x in row.items():
-            if type(j) is not int or j < 0:
-                raise ValueError(f"{name} row {i} has column {j!r}, want 0 to {n - 1}")
-            if j >= n:
-                raise ValueError(f"{name} rows have width {j + 1}, want {n}")
-            if type(x) is not int:
-                raise ValueError(f"entry {x!r} at {(i, j)} is not an integer")
-    # a zero entry is no pivot, and the row products expect none
-    return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
-
-
 class ZQuotient:
     """Z^n modulo the row span of integer relations.
 
@@ -192,9 +172,9 @@ class ZQuotient:
     Tracks the Smith transform ``U @ rel.T @ V = D`` so the quotient gets
     explicit coordinates z = U Λ x: positions with d=1 are dead, d>1 are
     torsion coordinates, d=0 are free.  ``P`` projects onto the free
-    coordinates and ``S`` is a section with P @ S = identity.  The
-    transforms are built on the first read of ``P``, ``S``,
-    ``induced_on_free``, ``U``, ``Uinv`` or ``dvec``.
+    coordinates and ``S`` is a section with P @ S = identity.  U, U^-1,
+    P (f x n) and S (n x f) are sparse rows, read-only, built on the first
+    read of ``P``, ``S``, ``induced_on_free``, ``U``, ``Uinv`` or ``dvec``.
     """
 
     def __init__(self, n: int, relation_rows: IMat | list[Row]):
@@ -213,22 +193,19 @@ class ZQuotient:
         return _dense(self.rows, self.n)
 
     @cached_property
-    def _snf(self) -> tuple[IMat, IMat, list[int]]:
-        """(U, U^-1, d): the row transforms of the Smith form of relations.T
-        and its diagonal, padded with zeros to length n."""
-        U, Uinv, D, _, _ = snf_with_inverses(self.relations.T, want_v=False)
-        dvec = [0] * self.n
-        for i in range(min(D.shape)):
-            dvec[i] = D[i, i]
-        return U, Uinv, dvec
+    def _snf(self) -> tuple[list[Row], list[Row], list[int]]:
+        """(U, the columns of U^-1, d): the row transforms of the Smith form
+        of relations.T and its diagonal, padded with zeros to length n."""
+        d, U, Ui, _, _ = _smith(_transpose(self.rows, self.n), len(self.rows), u=True, u_inv=True)
+        return U, Ui, d + [0] * (self.n - len(d))
 
     @property
-    def U(self) -> IMat:
+    def U(self) -> list[Row]:
         return self._snf[0]
 
     @property
-    def Uinv(self) -> IMat:
-        return self._snf[1]
+    def Uinv(self) -> list[Row]:
+        return _transpose(self._snf[1], self.n)
 
     @property
     def dvec(self) -> list[int]:
@@ -246,38 +223,38 @@ class ZQuotient:
     def free_rank(self) -> int:
         return self.n - len(self.rows)
 
-    @property
-    def P(self) -> IMat:
-        """Projection Z^n -> Z^f onto free coordinates (acts on columns)."""
-        return self.U[self.free_idx, :]
+    @cached_property
+    def P(self) -> list[Row]:
+        """Projection Z^n -> Z^f onto free coordinates: the rows of U there."""
+        return [self.U[j] for j in self.free_idx]
 
-    @property
-    def S(self) -> IMat:
-        """Section Z^f -> Z^n of P."""
-        return self.Uinv[:, self.free_idx]
+    @cached_property
+    def S(self) -> list[Row]:
+        """Section Z^f -> Z^n of P: the columns of U^-1 there, as n rows."""
+        return _transpose([self._snf[1][j] for j in self.free_idx], self.n)
 
-    def induced_on_free(self, C: np.ndarray) -> np.ndarray:
-        """Matrix of an endomorphism C on the free part.
+    def induced_on_free(self, C: list[Row]) -> list[Row]:
+        """Rows of an endomorphism C on the free part, P C S.
 
         Well defined as soon as C maps the relation lattice into itself;
-        the caller is expected to pass such an integral map.  P @ C @ S is
-        formed on sparse rows, since C is typically a signed permutation and
-        S is typically a coordinate selection.  C must be n x n.
+        the caller is expected to pass such an integral map.  C is given
+        by its n sparse rows over n columns.
         """
-        self._check_endomorphism(C)
-        PC = _mul(_rows(self.P), _rows(C))
-        return _dense(_mul(PC, _rows(self.S)), self.free_rank)
+        C = self._check_endomorphism(C)
+        return _mul(_mul(self.P, C), self.S)
 
-    def stabilizes(self, C: np.ndarray) -> bool:
-        """Does C map the relation lattice into itself?  C must be n x n."""
-        self._check_endomorphism(C)
+    def stabilizes(self, C: list[Row]) -> bool:
+        """Does C, given by its n sparse rows, map the relation lattice into itself?"""
+        C = self._check_endomorphism(C)
         # C moves relation r (a column) to C r, the row r C^T.
         piv = {min(h): i for i, h in enumerate(self.rows)}
-        return all(_coords(self.rows, v, piv) is not None for v in _mul(self.rows, _rows(C.T)))
+        moved = _mul(self.rows, _transpose(C, self.n))
+        return all(_coords(self.rows, v, piv) is not None for v in moved)
 
-    def _check_endomorphism(self, C: np.ndarray) -> None:
-        if C.shape != (self.n, self.n):
-            raise ValueError(f"map has shape {C.shape}, want {(self.n, self.n)}")
+    def _check_endomorphism(self, C: list[Row]) -> list[Row]:
+        if len(C) != self.n:
+            raise ValueError(f"map has {len(C)} rows, want {self.n}")
+        return _check_rows(C, self.n, "map")
 
 
 def _subquotient(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
@@ -344,10 +321,15 @@ def _check_action(C: IMat, relation_rows: IMat) -> None:
     if C.shape != (n, n):
         raise ValueError(f"map has shape {C.shape}, want a square matrix")
     _check_relations(relation_rows, n)
-    L = Lattice(n, relation_rows)
-    if not L.contains((C @ C - eye(n)).T):
+    R, c = _rows(relation_rows), _rows(C)
+    L = Lattice(n, R)
+    # the columns of C^2 - 1, as rows
+    sq = _mul(c, c)
+    for k, row in enumerate(sq):
+        _axpy(row, {k: 1}, -1)
+    if not L.contains(_transpose(sq, n)):
         raise ValueError(f"the map does not square to 1 on Z^{n} / relations")
-    if not L.contains(relation_rows @ C.T):
+    if not L.contains(_mul(R, _transpose(c, n))):
         raise ValueError("the map does not stabilize the relation lattice")
 
 
@@ -463,10 +445,13 @@ def _tate_pair(cols: list[Row], R: list[Row]) -> tuple[FgAbGroup, FgAbGroup]:
     return elementary_power(2, a), elementary_power(2, b)
 
 
-def theta_fixed(C: IMat) -> Lattice:
-    """Saturated kernel of 1 + C on the ambient free module, as a lattice."""
-    n = C.shape[0]
-    return Lattice(n, kernel_basis(eye(n) + C))
+def theta_fixed(C: list[Row]) -> Lattice:
+    """Saturated kernel of 1 + C on the ambient free module, as a lattice.
+
+    C is given by its n sparse rows over n columns."""
+    n = len(C)
+    plus = [_comb(1, row, 1, {k: 1}) for k, row in enumerate(_check_rows(C, n, "map"))]
+    return Lattice(n, _kernel(plus, n))
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +682,7 @@ def _induced_map_on_cohomology(
     KA, KB = _dense(KA, CA.rank(i)), _dense(KB, CB.rank(i))
     imgs = lam_i @ KA.T
     lam_k = solve_exact(KB.T, imgs)  # kernel coordinates, kB x kA
-    m_free = qB.P @ lam_k @ qA.S
+    m_free = _dense(qB.P, qB.n) @ lam_k @ _dense(qA.S, qA.free_rank)
     return qA.group, qB.group, m_free
 
 
@@ -801,14 +786,14 @@ def fixed_image_index(qa: ZQuotient, qb: ZQuotient, perm: list[int], N, d: int) 
 
     def fixed(q: ZQuotient) -> list[Row]:
         # kernel rows of 1 + P c S on the free part; column k of P c is column perm[k] of P
-        Pc = [{perm[k]: x for k, x in row.items()} for row in _rows(q.P)]
-        plus = [_comb(1, row, 1, {k: 1}) for k, row in enumerate(_mul(Pc, _rows(q.S)))]
+        Pc = [{perm[k]: x for k, x in row.items()} for row in q.P]
+        plus = [_comb(1, row, 1, {k: 1}) for k, row in enumerate(_mul(Pc, q.S))]
         return _kernel(plus, q.free_rank)
 
     fa, fb = qa.free_rank, qb.free_rank
-    phibar = _mul(_mul(_rows(qb.P), N), _rows(qa.S))
+    phibar = _mul(_mul(qb.P, N), qa.S)
     pushed = _mul(fixed(qa), _transpose(phibar, fa))
-    return lattice_index(Lattice(fb, _dense(fixed(qb), fb)), Lattice(fb, _dense(pushed, fb), d))
+    return lattice_index(Lattice(fb, fixed(qb)), Lattice(fb, pushed, d))
 
 
 def intertwines(d1: list[Row], d2: list[Row], src: tuple, dst: tuple) -> bool:
@@ -838,18 +823,21 @@ def abstract_index_check(
     the two sides of the identity and their parts.
 
     phi[i] = (N_i, e_i) is the map N_i / e_i in degree i: the sparse rows
-    of its integer numerators over a positive denominator, and every
-    product below runs on the numerators.
+    of its integer numerators over a positive denominator, checked by
+    ``_check_rows``, and every product below runs on the numerators.
     """
     C1, C2 = j1.complex, j2.complex
     if C1.ranks != C2.ranks:
         raise ValueError("the two complexes have different ranks")
     if j1.involution != j2.involution:
         raise ValueError("the two complexes carry different involutions")
+    checked = {}
     for i in C1.degrees():
-        n, N = C1.rank(i), phi[i][0]
+        n, (N, e) = C1.rank(i), phi[i]
         if len(N) != n or any(j >= n for row in N for j in row):
             raise ValueError(f"phi at degree {i} is not {n} x {n}")
+        checked[i] = _check_rows(N, n, f"phi at degree {i}"), e
+    phi = checked
     for i in C1.degrees():
         if i < C1.hi and not intertwines(C1.d(i), C2.d(i), phi[i], phi[i + 1]):
             raise ValueError(f"phi does not intertwine the differentials at degree {i}")

@@ -4,16 +4,18 @@ first generalized Bernoulli numbers, and the odd-part class number.
 Numbers live in Q[x]/(Phi_N) with Fraction coefficients, so every identity
 here is checked without floating point; the only float code is the explicit
 digamma cross-check, which is never used as an oracle by the exact layer.
+It runs on ``math`` and ``cmath`` and gives, bit for bit, the floats of
+numpy's complex scalars (see ``CycNum.complex_value``), with no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-import numpy as np
 
 from .arith import (
     divisors,
@@ -207,11 +209,52 @@ class CycNum:
         return out.as_rational()
 
     def complex_value(self) -> complex:
-        z = np.exp(2j * np.pi / self.N)
-        return complex(sum(float(c) * z**j for j, c in enumerate(self.coeffs)))
+        """The float value at zeta = exp(2 pi i / N): the sum of c_j zeta^j.
+
+        Each operation is the one numpy's complex scalars would do, so the
+        float is theirs: ``_power`` raises zeta as numpy does, and the
+        terms are added one at a time, left to right.
+        """
+        z = cmath.exp(2j * math.pi / self.N)
+        out = 0j
+        for j, c in enumerate(self.coeffs):
+            out += float(c) * _power(z, j)
+        return out
 
     def __repr__(self):
         return f"CycNum(N={self.N}, {list(self.coeffs)})"
+
+
+def _power(z: complex, j: int) -> complex:
+    """z**j for j >= 0 as numpy's complex scalars compute it.
+
+    Below 100 numpy multiplies by repeated squaring, as Python's ``**``
+    does (Python up to j = 100); from 100 on it calls the C library's
+    ``cpow``, and so does this.
+    """
+    return z**j if j < 100 else _libm_cpow()(z, complex(j))
+
+
+@lru_cache(maxsize=1)
+def _libm_cpow():
+    """The C library's cpow as a function of two Python complexes, loaded on
+    first use (the first level that needs it is 227)."""
+    import ctypes
+
+    class Complex(ctypes.Structure):
+        # two doubles: the layout and calling convention of C's double
+        # complex on x86-64 (System V) and on AArch64
+        _fields_ = [("re", ctypes.c_double), ("im", ctypes.c_double)]
+
+    cpow = ctypes.CDLL(None).cpow
+    cpow.argtypes = (Complex, Complex)
+    cpow.restype = Complex
+
+    def call(z: complex, w: complex) -> complex:
+        r = cpow(Complex(z.real, z.imag), Complex(w.real, w.imag))
+        return complex(r.re, r.im)
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +543,8 @@ def l_value_crosscheck(m: int) -> list[dict]:
     layer never consumes these numbers.  The digamma values come from
     ``_digamma01``, a port of Cephes ``psi`` with Boost's
     ``digamma_imp_1_2`` on [1, 2], as the xsf special-function library
-    compiles it.
+    compiles it.  Every float is the one numpy's scalars give for the
+    same formula.
     """
     out = []
     for chi in odd_characters(m):
@@ -511,18 +555,20 @@ def l_value_crosscheck(m: int) -> list[dict]:
             t = prim.value_exponent(a)
             if t is None:
                 continue
-            s += np.exp(2j * np.pi * float(t)) * _digamma01(a / f)
-        lval = abs(-s / f)
-        bval = np.pi * abs(bernoulli1(chi).complex_value()) / np.sqrt(f)
+            s += cmath.exp(2j * math.pi * float(t)) * _digamma01(a / f)
+        # numpy divides a complex by f as two products by 1.0 / f
+        r = 1.0 / f
+        lval = abs(complex(-s.real * r, -s.imag * r))
+        bval = math.pi * abs(bernoulli1(chi).complex_value()) / math.sqrt(f)
         rel = abs(lval - bval) / bval
         out.append(
             {
                 "conductor": f,
                 "exponents": list(chi.exponents),
-                "l_value": float(lval),
-                "bernoulli_route": float(bval),
-                "rel_err": float(rel),
-                "ok": bool(rel <= L_VALUE_TOL),
+                "l_value": lval,
+                "bernoulli_route": bval,
+                "rel_err": rel,
+                "ok": rel <= L_VALUE_TOL,
             }
         )
     return out

@@ -30,48 +30,43 @@ from .exact_linalg import (
     _axpy,
     _bareiss,
     _dense,
+    _det,
+    _kernel,
     _mul,
     _transpose,
-    eye,
-    is_unimodular,
-    kernel_basis,
-    zeros,
 )
 
 # ---------------------------------------------------------------------------
 # averaging operators on level points
 
 
-def mult_matrix(m: int, n: int):
-    """The map [x] -> [n x] on level-m points."""
-    M = zeros(m, m)
+def mult_matrix(m: int, n: int) -> list[Row]:
+    """The map [x] -> [n x] on level-m points, as m sparse rows."""
+    M: list[Row] = [{} for _ in range(m)]
     for k in range(m):
-        M[(n * k) % m, k] = 1
+        M[n * k % m][k] = 1
     return M
 
 
-def x_matrix(m: int, n: int):
+def x_matrix(m: int, n: int) -> list[Row]:
     """Sum over the n preimages of multiplication by n, level m/n -> level m.
 
     Column i is the element sum of [b] over n b = i/(m/n); all preimages
     exist inside level m exactly when n divides m, so anything else raises.
+    As m sparse rows over m/n columns, row k is the unit row of k mod m/n.
     """
     if n <= 0 or m % n:
         raise ValueError("averaging needs n dividing the level")
     s = m // n
-    M = zeros(m, s)
-    for i in range(s):
-        for t in range(n):
-            M[i + t * s, i] = 1
-    return M
+    return [{k % s: 1} for k in range(m)]
 
 
-def y_matrix(m: int, n: int):
+def y_matrix(m: int, n: int) -> list[Row]:
     """The difference-operator analogue of x_matrix, level m/n -> level m."""
     if n <= 0 or m % n:
         raise ValueError("averaging needs n dividing the level")
     fac = factorize(n)
-    M = zeros(m, m // n)
+    M: list[Row] = [{} for _ in range(m)]
     for d in divisors(n):
         coef = 1
         for p, e in fac:
@@ -81,14 +76,16 @@ def y_matrix(m: int, n: int):
                 v += 1
                 dd //= p
             coef *= (-1) ** v * comb(e, v)
-        X = x_matrix(m, d)
+        # column i gains coef times column i * (n / d) of x_matrix(m, d)
         step = n // d
-        for i in range(m // n):
-            M[:, i] = M[:, i] + coef * X[:, i * step]
+        for k, row in enumerate(x_matrix(m, d)):
+            for j in row:
+                if j % step == 0:
+                    _axpy(M[k], {j // step: 1}, coef)
     return M
 
 
-def negation_matrix(m: int):
+def negation_matrix(m: int) -> list[Row]:
     return mult_matrix(m, m - 1)
 
 
@@ -114,24 +111,22 @@ def restricted_points(m: int) -> list[int]:
     return [k for k in range(m) if restricted_point(k, m)]
 
 
-def standard_basis(m: int, difference: bool = False):
-    """The averaged restricted points as an m x m matrix of column vectors.
+def standard_basis(m: int, difference: bool = False) -> tuple[list[Row], list[tuple[int, int]]]:
+    """The averaged restricted points as the m sparse rows of a matrix whose
+    columns they are.
 
     Columns are X_n (or Y_n when difference is set) applied to restricted
     points of level m/n, over all divisors n of m; the count works out to
     exactly m and the matrix is expected to be unimodular.
     """
-    import numpy as np
-
     cols = []
     index = []
     for n in divisors(m):
-        A = y_matrix(m, n) if difference else x_matrix(m, n)
+        A = _transpose(y_matrix(m, n) if difference else x_matrix(m, n), m // n)
         for i in restricted_points(m // n):
-            cols.append(A[:, i])
+            cols.append(A[i])
             index.append((n, i))
-    M = np.stack(cols, axis=1)
-    return M, index
+    return _transpose(cols, m), index
 
 
 def basis_check(m: int) -> dict:
@@ -141,8 +136,8 @@ def basis_check(m: int) -> dict:
         "level": m,
         "count": len(ix),
         "count_ok": len(ix) == m and len(iy) == m,
-        "x_unimodular": X.shape == (m, m) and is_unimodular(X),
-        "y_unimodular": Y.shape == (m, m) and is_unimodular(Y),
+        "x_unimodular": len(ix) == m and abs(_det(X, m)) == 1,
+        "y_unimodular": len(iy) == m and abs(_det(Y, m)) == 1,
     }
 
 
@@ -208,11 +203,11 @@ def predistribution_relation_rows(m: int):
 
 
 def distribution_lattice(m: int) -> Lattice:
-    return Lattice(m, universal_distribution(m).relations)
+    return Lattice(m, universal_distribution(m).rows)
 
 
 def predistribution_lattice(m: int) -> Lattice:
-    return Lattice(m, universal_predistribution(m).relations)
+    return Lattice(m, universal_predistribution(m).rows)
 
 
 def prime_step_relations_suffice(m: int) -> bool:
@@ -231,9 +226,8 @@ def prime_step_relations_suffice(m: int) -> bool:
 # Memoised: the Tate groups and the Stickelberger checks of a level read
 # the same quotient, built from the certified prime-step rows, and callers
 # must not modify it.  The Tate groups read only its sparse Hermite rows;
-# the dense view and the Smith coordinates are built on first use, and the
-# bound is small because each quotient that has them holds its dense n x n
-# transforms.
+# the Smith coordinates are built on first use, and the bound is small
+# because each quotient that has them holds its n x n transforms.
 @lru_cache(maxsize=8)
 def universal_distribution(m: int) -> ZQuotient:
     return ZQuotient(m, _certified_rows(m, False))
@@ -409,25 +403,22 @@ def smoothing_check(m: int) -> dict:
 # comparison with the cyclotomic integers
 
 
-def exp_map_matrix(m: int):
-    """[k/m] -> (k-th power of a primitive root) in Z[x]/(level-m minimal poly)."""
-    import numpy as np
-
+def exp_map_matrix(m: int) -> list[Row]:
+    """[k/m] -> (k-th power of a primitive root) in Z[x]/(level-m minimal poly),
+    as phi(m) sparse rows over m columns."""
     from .cyclotomic import _zeta_power_table
 
     table = _zeta_power_table(m)
-    phi = euler_phi(m)
-    M = zeros(phi, m)
-    for k in range(m):
-        M[:, k] = np.array(table[k], dtype=object)
-    return M
+    cols = [{i: x for i, x in enumerate(table[k]) if x} for k in range(m)]
+    return _transpose(cols, euler_phi(m))
 
 
 def exp_kernel_check(m: int) -> dict:
     """The kernel of the exponential map is exactly the bare relation lattice,
     and the map is onto the full integer ring."""
     E = exp_map_matrix(m)
-    ker = Lattice(m, kernel_basis(E))
-    onto = Lattice(euler_phi(m), E.T) == Lattice(euler_phi(m), eye(euler_phi(m)))
+    phi = euler_phi(m)
+    ker = Lattice(m, _kernel(E, m))
+    onto = Lattice(phi, _transpose(E, m)) == Lattice(phi, [{i: 1} for i in range(phi)])
     same = ker == predistribution_lattice(m) if m > 1 else ker.rank == 0
     return {"level": m, "kernel_matches": same, "onto": onto, "ok": same and onto}

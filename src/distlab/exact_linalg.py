@@ -2,18 +2,20 @@
 dense numpy front ends.
 
 One sparse form.  A ``Row`` is a ``dict`` from column to nonzero ``int``,
-and a matrix is the list of its rows, acting on column vectors.  The
-operators of the complex layer (differentials, the smoothing operator and
-its restrictions) stay in this form end to end: ``_mul(A, B)`` builds the
-rows of A @ B from ``_axpy(dst, src, q)`` over the support of ``src``, and
-``_transpose`` reads the columns, so identities such as d^2 = 0 cost
-O(nnz).  The public functions take and return dense 2-D numpy arrays with
-``dtype=object`` whose entries are Python ``int`` or ``Fraction``;
-``_rows`` and ``_dense`` convert at that boundary, and callers holding
-rows call the row cores (``_smith``, ``_hermite``, ``_bareiss``,
-``_kernel``, ``_det``, ``_coords``) directly.  numpy is imported only by
-the dense front end, when called, so a caller that stays on rows (the Tate
-route of ``abgroup.tate_pair``) never loads it.  Lattices and other
+and a matrix is the list of its rows, acting on column vectors.  Every
+object that ``distlab verify`` builds stays in this form end to end:
+``_mul(A, B)`` builds the rows of A @ B from ``_axpy(dst, src, q)`` over
+the support of ``src``, and ``_transpose`` reads the columns, so
+identities such as d^2 = 0 cost O(nnz).  Callers holding rows call the
+row cores (``_smith``, ``_hermite``, ``_bareiss``, ``_kernel``, ``_det``,
+``_coords``, ``_mul``) directly, and ``Lattice`` takes rows that
+``_check_rows`` has checked.  The dense front ends (``hnf``,
+``kernel_basis``, ``snf_with_inverses``, ``solve_exact``, ``det_exact``,
+...) take and return 2-D numpy arrays with ``dtype=object`` whose entries
+are Python ``int`` or ``Fraction``; ``_rows`` and ``_dense`` convert at
+that boundary.  They serve the tests and the randomized regulator route
+of ``distlab index --trials``, and numpy is imported only when one is
+called, so no suite of ``distlab verify`` loads it.  Lattices and other
 subgroup-like data are matrices whose *rows* generate.
 
 One rational representation.  A rational matrix A is handled as an integer
@@ -23,7 +25,8 @@ ints, and ``unscaled(N, d)`` turns it back into ``Fraction`` entries.
 Products of rational matrices multiply the numerators only and carry the
 denominators as one integer each, so an identity A B == C D is tested as
 N_A N_B d_C d_D == N_C N_D d_A d_B.  ``Lattice`` takes generators as
-(N, den) and stores them as integer Hermite rows over one denominator.
+(N, den), N sparse rows or a dense matrix, and stores them as integer
+Hermite rows over one denominator.
 
 One elimination core.  ``_smith`` and ``_hermite`` take these rows and
 work in place.  ``_hermite`` returns the nonzero Hermite rows; ``hnf``
@@ -66,8 +69,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .arith import _xgcd
 
-# Type aliases for readability; both are numpy object arrays.  Outside a
-# type checker they are only names, so importing them loads no numpy.
+# Type aliases for the dense front ends; both are numpy object arrays.
+# Outside a type checker they are only names, so importing them loads no numpy.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -193,6 +196,23 @@ def _rows(A: np.ndarray) -> list[Row]:
     for i, j, x in zip(I.tolist(), J.tolist(), vals):
         rows[i][j] = x
     return rows
+
+
+def _check_rows(rows: list[Row], n: int, name: str = "relation") -> list[Row]:
+    """The sparse rows of ints on Z^n, zero entries dropped (other rows are
+    not copied); ValueError names the first malformed one of the ``name`` rows."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{name} row {i} is a {type(row).__name__}, not a dict row")
+        for j, x in row.items():
+            if type(j) is not int or j < 0:
+                raise ValueError(f"{name} row {i} has column {j!r}, want 0 to {n - 1}")
+            if j >= n:
+                raise ValueError(f"{name} rows have width {j + 1}, want {n}")
+            if type(x) is not int:
+                raise ValueError(f"{name} entry {x!r} at {(i, j)} is not an integer")
+    # a zero entry is no pivot, and the row products expect none
+    return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
 
 
 def _dense(rows: list[Row], c: int) -> IMat:
@@ -657,45 +677,43 @@ class Lattice:
 
     The rows of ``gens / den`` generate (``den``, a positive integer, lets
     a caller holding a scaled matrix skip building ``Fraction`` entries).
-    The lattice is kept as one canonical form: ``_den`` is its least common
-    denominator and ``_hnf`` the Hermite form of ``_den`` times it, as
-    sparse integer rows.  Two equal lattices have equal forms, and
-    ``basis`` is ``_hnf / _den``.
+    ``gens`` is a list of sparse integer rows (checked by ``_check_rows``,
+    then copied) or a dense matrix, integral or rational.  The lattice is
+    kept as one canonical form: ``den`` is its least common denominator
+    and ``rows`` the Hermite form of ``den`` times it, as sparse integer
+    rows.  Two equal lattices have equal forms, and ``basis`` is
+    ``rows / den``.
     """
 
-    __slots__ = ("ambient", "_hnf", "_den")
+    __slots__ = ("ambient", "rows", "den")
 
-    def __init__(self, ambient: int, gens: np.ndarray | None = None, den: int = 1):
+    def __init__(self, ambient: int, gens: list[Row] | np.ndarray | None = None, den: int = 1):
         if den < 1:
             raise ValueError(f"lattice denominator must be positive, got {den}")
         self.ambient = ambient
-        if gens is None or gens.size == 0:
-            gens = zeros(0, ambient)
-        if gens.shape[1] != ambient:
-            raise ValueError("generator width does not match ambient dimension")
-        N, d = scaled(gens)
-        den *= d
+        rows, e = _scaled_rows(gens, ambient, "generator")
+        den *= e
         # Over the least common denominator, as if gens / den were scaled.
-        g = gcd(den, *N.flat)
+        g = gcd(den, *(x for row in rows for x in row.values()))
         if g > 1:
-            N, den = N // g, den // g
-        self._hnf, self._den = _hermite(_rows(N), ambient), den
+            rows, den = [{j: x // g for j, x in row.items()} for row in rows], den // g
+        self.rows, self.den = _hermite(rows, ambient), den
 
     @property
-    def basis(self) -> QMat:
-        """The canonical basis rows, as ``Fraction`` entries."""
-        return unscaled(_dense(self._hnf, self.ambient), self._den)
+    def basis(self) -> list[Row]:
+        """The canonical basis rows, sparse, with ``Fraction`` entries."""
+        return [{j: Fraction(x, self.den) for j, x in row.items()} for row in self.rows]
 
     @property
     def rank(self) -> int:
-        return len(self._hnf)
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
             and self.ambient == other.ambient
-            and self._den == other._den
-            and self._hnf == other._hnf
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __hash__(self):
@@ -707,25 +725,47 @@ class Lattice:
     def spans_same_space(self, other: "Lattice") -> bool:
         if self.ambient != other.ambient or self.rank != other.rank:
             return False
-        stacked = [dict(row) for row in self._hnf + other._hnf]
+        stacked = [dict(row) for row in self.rows + other.rows]
         return len(_bareiss(stacked, self.ambient)[0]) == self.rank
 
-    def contains(self, rows: np.ndarray) -> bool:
-        """True iff the vector, or every row of the matrix, lies in the lattice."""
-        R = rows.reshape(1, -1) if rows.ndim == 1 else rows
-        if R.shape[1] != self.ambient:
-            raise ValueError("row width does not match ambient dimension")
-        N, e = scaled(R)
-        den = self._den
-        piv = {min(h): i for i, h in enumerate(self._hnf)}
+    def contains(self, rows: list[Row] | np.ndarray) -> bool:
+        """True iff every row lies in the lattice.
+
+        ``rows`` is a list of sparse integer rows, or a dense vector or
+        matrix, integral or rational.
+        """
+        if not isinstance(rows, list) and rows.ndim == 1:
+            rows = rows.reshape(1, -1)
+        R, e = _scaled_rows(rows, self.ambient, "vector")
+        den = self.den
+        piv = {min(h): i for i, h in enumerate(self.rows)}
         # x = n / e is in the lattice iff den * x is integral and has
         # integer coordinates in the integer basis.
-        for v in _rows(N):
+        for v in R:
             if any(x * den % e for x in v.values()):
                 return False
-            if _coords(self._hnf, {j: x * den // e for j, x in v.items()}, piv) is None:
+            if _coords(self.rows, {j: x * den // e for j, x in v.items()}, piv) is None:
                 return False
         return True
+
+
+def _scaled_rows(gens: list[Row] | np.ndarray | None, c: int, name: str) -> tuple[list[Row], int]:
+    """(rows, e): new sparse integer rows whose quotient by e is ``gens``.
+
+    A list of sparse rows is checked by ``_check_rows`` (the ``name`` rows)
+    and copied, with e = 1; a dense matrix of width c (any shape when it is
+    empty) is brought to integer rows over its least denominator by ``scaled``.
+    """
+    if gens is None:
+        return [], 1
+    if isinstance(gens, list):
+        return [dict(row) for row in _check_rows(gens, c, name)], 1
+    if gens.size == 0:
+        return [], 1
+    if gens.shape[1] != c:
+        raise ValueError(f"{name} width does not match ambient dimension")
+    N, e = scaled(gens)
+    return _rows(N), e
 
 
 def lattice_index(A: Lattice, B: Lattice) -> Fraction:
@@ -739,18 +779,16 @@ def lattice_index(A: Lattice, B: Lattice) -> Fraction:
     # Lattices with one span have the same Hermite pivot columns, and on
     # those columns each basis is triangular with its pivots on the
     # diagonal: (A : B) is the ratio of the two covolumes, prod(pivots) / den^rank.
-    pa, pb = (prod(row[min(row)] for row in L._hnf) for L in (A, B))
-    return Fraction(pb * A._den**A.rank, pa * B._den**B.rank)
+    pa, pb = (prod(row[min(row)] for row in L.rows) for L in (A, B))
+    return Fraction(pb * A.den**A.rank, pa * B.den**B.rank)
 
 
-def _stacked(A: Lattice, B: Lattice) -> tuple[IMat, int]:
+def _stacked(A: Lattice, B: Lattice) -> tuple[list[Row], int]:
     """(N, d): the two bases stacked, as integer rows N over d = lcm of the denominators."""
-    import numpy as np
-
     if A.ambient != B.ambient:
         raise ValueError("ambient dimension mismatch")
-    d = lcm(A._den, B._den)
-    return np.vstack([_dense(L._hnf, L.ambient) * (d // L._den) for L in (A, B)]), d
+    d = lcm(A.den, B.den)
+    return [{j: x * (d // L.den) for j, x in row.items()} for L in (A, B) for row in L.rows], d
 
 
 def lattice_sum(A: Lattice, B: Lattice) -> Lattice:
@@ -758,15 +796,14 @@ def lattice_sum(A: Lattice, B: Lattice) -> Lattice:
 
 
 def lattice_intersect(A: Lattice, B: Lattice) -> Lattice:
-    """Intersection, via the kernel of the stacked generator matrix."""
+    """Intersection, via the kernel of the stacked generator rows."""
     stacked, d = _stacked(A, B)
     if A.rank == 0 or B.rank == 0:
         return Lattice(A.ambient)
-    MA = stacked[: A.rank]
-    ker = kernel_basis(stacked.T)  # rows (u | w) with u@MA + w@MB = 0
-    if ker.shape[0] == 0:
-        return Lattice(A.ambient)
-    return Lattice(A.ambient, ker[:, : A.rank] @ MA, d)
+    # kernel rows (u | w) with u MA + w MB = 0; u MA generates the intersection
+    ker = _kernel(_transpose(stacked, A.ambient), len(stacked))
+    u = [{j: x for j, x in row.items() if j < A.rank} for row in ker]
+    return Lattice(A.ambient, _mul(u, stacked[: A.rank]), d)
 
 
 def integral_preimage(M: IMat, gens: IMat) -> IMat:

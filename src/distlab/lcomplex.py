@@ -32,17 +32,7 @@ from .distribution import (
     universal_distribution,
     universal_predistribution,
 )
-from .exact_linalg import (
-    IMat,
-    Row,
-    _axpy,
-    _comb,
-    _det,
-    _mul,
-    _rows,
-    rank_exact,
-    zeros,
-)
+from .exact_linalg import Row, _axpy, _bareiss, _comb, _det, _mul
 
 DIFFERENCE = "difference"
 AVERAGE = "average"
@@ -161,15 +151,15 @@ def acyclicity_check(m: int) -> dict:
 def level_inclusion_check(m: int, mult: int) -> dict:
     """Degree-zero cohomology injects into any deeper level's."""
     M = m * mult
-    emb = zeros(M, m)
+    emb: list[Row] = [{} for _ in range(M)]
     for k in range(m):
-        emb[k * (M // m), k] = 1
+        emb[k * mult][k] = 1
     out: dict = {"level": m, "factor": mult}
     ok = True
     for kind in KINDS:
         qs, qb = QUOTIENT[kind](m), QUOTIENT[kind](M)
-        induced = qb.P @ emb @ qs.S
-        out[kind] = rank_exact(induced) == induced.shape[1]
+        induced = _mul(_mul(qb.P, emb), qs.S)
+        out[kind] = len(_bareiss(induced, qs.free_rank)[0]) == qs.free_rank
         ok = ok and out[kind]
     out["ok"] = ok
     return out
@@ -205,17 +195,15 @@ class AveragedLevel:
         self.sb = sb
         self.index: dict[int, list[tuple[int, int, int]]] = {}
         self.pos: dict[int, dict[tuple[int, int, int], int]] = {}
-        self.change: dict[int, IMat] = {}
+        self.change: dict[int, list[Row]] = {}
         for i in range(sb.lo, 1):
             items: list[tuple[int, int, int]] = []
-            P = zeros(sb.ranks[i], sb.ranks[i])
-            off = 0
+            P: list[Row] = []  # block diagonal, one standard basis per block
             for g in sb.blocks[i]:
                 B, ix = standard_basis(m // g, difference=(kind == DIFFERENCE))
-                s = m // g
-                P[off : off + s, off : off + s] = B
+                off = len(P)
+                P.extend({off + j: x for j, x in row.items()} for row in B)
                 items.extend((g, n, j) for n, j in ix)
-                off += s
             self.index[i] = items
             self.pos[i] = {t: a for a, t in enumerate(items)}
             self.change[i] = P
@@ -330,8 +318,8 @@ def homotopy_check(m: int) -> dict:
                 chain = _mul(chain, av.projector(p, i))
             image = image and chain == full_pi and (i == 0 or not any(full_pi))
             if i < 0:
-                sym = _mul(C.d(i), _rows(av.change[i]))
-                avg = _mul(_rows(av.change[i + 1]), av.full_d(i))
+                sym = _mul(C.d(i), av.change[i])
+                avg = _mul(av.change[i + 1], av.full_d(i))
                 match = match and sym == avg
         res[kind] = {
             "anticommutators": anti,

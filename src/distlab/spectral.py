@@ -29,13 +29,10 @@ from .distribution import tate_distribution, tate_predistribution
 from .exact_linalg import (
     Row,
     _axpy,
-    _dense,
     _hermite,
     _kernel,
     _mul,
-    _rows,
     _transpose,
-    kernel_basis,
 )
 from .lcomplex import DIFFERENCE, KINDS, build_jcomplex, symbol_basis
 
@@ -231,7 +228,7 @@ class DoubleComplex:
         if any(conds):
             index = {i: k for k, i in enumerate(sorted(set().union(*conds)))}
             cols = [{index[i]: x for i, x in c.items()} for c in conds]
-            K = _rows(kernel_basis(_dense(_transpose(cols, len(index)), len(cols))))
+            K = _kernel(_transpose(cols, len(index)), len(cols))
             Y, W = _mul(K, Y), _mul(K, W)
         if s == 1 and n:
             Y, W = _even_rows(Y, W, [f for f, g in enumerate(perm) if f == g])
@@ -299,8 +296,8 @@ class DoubleComplex:
         lo = height - self.rank(*land)
         lift = [{lo + j: -x for j, x in b.items()} for b in self.b_rows(*land, r)]
         cols = self._columns(src, tgt) + lift
-        M = _dense(_transpose(cols, height), len(cols))
-        num = _hermite(_rows(kernel_basis(M)[:, :n]), n)
+        ker = _kernel(_transpose(cols, height), len(cols))
+        num = _hermite([{j: x for j, x in row.items() if j < n} for row in ker], n)
         return _subquotient(num, self.b_rows(p, q, r + 1) if num else [], n)
 
     # -- the total complex on the stored window
@@ -504,7 +501,7 @@ def e2_page_check(m: int, kind: str) -> dict:
     # cohomology
     r_stab = len(sb.primes) + 1
     q0 = jc.complex.cohomology_data(0)[1]
-    img = _hermite(_mul(bases[0], _rows(q0.P.T)), q0.free_rank)
+    img = _hermite(_mul(bases[0], _transpose(q0.P, q0.n)), q0.free_rank)
     corner = half.e_term(0, 0, r_stab)
     corner_ok = corner == FgAbGroup(len(img), ())
     ok = closed and row0 and corner_ok

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .abgroup import fixed_basis, fixed_image_index, theta_fixed
 from .arith import inverse_mod, primes_of, prime_to_p_part, validate_level
@@ -34,18 +33,11 @@ from .distribution import (
     universal_distribution,
     universal_predistribution,
 )
-from .exact_linalg import (
-    Lattice,
-    _dense,
-    _mul,
-    _rows,
-    eye,
-    lattice_index,
-    lattice_intersect,
-    scaled,
-    zeros,
-)
+from .exact_linalg import Lattice, Row, _comb, _mul, _transpose, lattice_index, lattice_intersect
 from .lcomplex import DIFFERENCE, build_jcomplex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @lru_cache(maxsize=64)
@@ -66,6 +58,9 @@ class GroupRingElem:
 
     @property
     def vector(self) -> np.ndarray:
+        """The coefficients as a dense object array."""
+        import numpy as np
+
         return np.array(self.coeffs, dtype=object)
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
@@ -104,10 +99,11 @@ def theta_element(m: int, a: int = 1) -> GroupRingElem:
     return GroupRingElem(m, coeffs)
 
 
-def _theta_scaled(m: int) -> np.ndarray:
-    """Numerators over m of the fractional-part elements for a = 1, ..., m-1."""
+def _theta_scaled(m: int) -> list[Row]:
+    """Numerators over m of the fractional-part elements for a = 1, ..., m-1,
+    as sparse rows."""
     inverses = [inverse_mod(t, m) for t in units_of(m)]
-    return np.array([[a * u % m for u in inverses] for a in range(1, m)], dtype=object)
+    return [{i: x for i, u in enumerate(inverses) if (x := a * u % m)} for a in range(1, m)]
 
 
 @dataclass(frozen=True)
@@ -122,12 +118,12 @@ class StickelbergerData:
 def minus_sublattice(m: int) -> Lattice:
     """Annihilator of 1+c inside the integral group ring, c: t -> -t."""
     n = len(units_of(m))
-    return Lattice(n, _dense(fixed_basis(unit_translation(m, m - 1)), n))
+    return Lattice(n, fixed_basis(unit_translation(m, m - 1)))
 
 
 # Memoised: every index check of a level reads the same ideal.  Its
-# lattices' basis arrays are shared with every caller, and none writes to
-# them; an invalid level raises on every call.
+# lattices' rows are shared with every caller, and none writes to them; an
+# invalid level raises on every call.
 @lru_cache(maxsize=16)
 def stickelberger_ideal(m: int) -> StickelbergerData:
     """The ideal cut out by all fractional-part elements, with minus parts.
@@ -140,7 +136,7 @@ def stickelberger_ideal(m: int) -> StickelbergerData:
     validate_level(m)
     n = len(units_of(m))
     span = Lattice(n, _theta_scaled(m), m)
-    S = lattice_intersect(span, Lattice(n, eye(n)))
+    S = lattice_intersect(span, Lattice(n, [{k: 1} for k in range(n)]))
     R_minus = minus_sublattice(m)
     S_minus = lattice_intersect(S, R_minus)
     return StickelbergerData(m, theta_element(m), S, R_minus, S_minus)
@@ -150,8 +146,9 @@ def principal_multiples_lattice(m: int) -> Lattice:
     """Integral multiples of the single element theta: Z[G]theta meet Z[G]."""
     validate_level(m)
     n = len(units_of(m))
-    rows = np.array([theta_element(m, b).coeffs for b in units_of(m)], dtype=object)
-    return lattice_intersect(Lattice(n, rows), Lattice(n, eye(n)))
+    # the numerators over m of theta_element(m, b), b a unit
+    rows = [row for b, row in enumerate(_theta_scaled(m), 1) if gcd(b, m) == 1]
+    return lattice_intersect(Lattice(n, rows, m), Lattice(n, [{k: 1} for k in range(n)]))
 
 
 def definition_report(m: int) -> dict:
@@ -186,8 +183,9 @@ def definition_report(m: int) -> dict:
 # the antisymmetrized fractional-part map on distribution classes
 
 
-def alpha_scaled(m: int) -> np.ndarray:
-    """Integer numerators N over 2m of the antisymmetrized fractional-part map.
+def alpha_scaled(m: int) -> list[Row]:
+    """Integer numerators N over 2m of the antisymmetrized fractional-part map,
+    as one sparse row per unit over m columns.
 
     Column k of N / 2m is the group-ring vector of the antisymmetrized
     class of k/m, with entries 1/2 - {k t^{-1} / m}, so for k >= 1
@@ -195,15 +193,12 @@ def alpha_scaled(m: int) -> np.ndarray:
     self-negative points (k = 0, and k = m/2 when present) vanish.
     """
     validate_level(m)
-    N = zeros(len(units_of(m)), m)
-    for i, u in enumerate(inverse_mod(t, m) for t in units_of(m)):
-        for k in range(1, m):
-            N[i, k] = m - 2 * (k * u % m)
-    return N
+    inverses = [inverse_mod(t, m) for t in units_of(m)]
+    return [{k: x for k in range(1, m) if (x := m - 2 * (k * u % m))} for u in inverses]
 
 
 def alpha_lattice(m: int) -> Lattice:
-    return Lattice(len(units_of(m)), alpha_scaled(m).T, 2 * m)
+    return Lattice(len(units_of(m)), _transpose(alpha_scaled(m), m), 2 * m)
 
 
 def alpha_compat_check(m: int) -> dict:
@@ -215,13 +210,15 @@ def alpha_compat_check(m: int) -> dict:
     fractional-part elements.
     """
     N = alpha_scaled(m)  # the map is N / 2m
-    relations_killed = not any(_mul(_rows(N), build_jcomplex(m, DIFFERENCE).complex.d(-1)))
+    relations_killed = not any(_mul(N, build_jcomplex(m, DIFFERENCE).complex.d(-1)))
     n = len(units_of(m))
     lat = alpha_lattice(m)
     rank_ok = lat.rank == n // 2
-    # numerators over 2m of (theta - conj theta) / 2; conjugation permutes columns
+    # numerators over 2m of (theta - conj theta) / 2; conjugation swaps
+    # the columns t and -t
+    neg = unit_translation(m, m - 1)
     rows = _theta_scaled(m)
-    half_antisym = rows - rows[:, unit_translation(m, m - 1)]
+    half_antisym = [_comb(1, row, -1, {neg[k]: x for k, x in row.items()}) for row in rows]
     span_ok = lat == Lattice(n, half_antisym, 2 * m)
     return {
         "level": m,
@@ -251,7 +248,8 @@ def antisymmetrization_index_check(m: int) -> dict:
     qu = universal_distribution(m)
     cu = qu.induced_on_free(negation_matrix(m))
     f = qu.free_rank
-    got = lattice_index(theta_fixed(cu), Lattice(f, (eye(f) - cu).T))
+    minus = [_comb(1, {k: 1}, -1, row) for k, row in enumerate(cu)]  # the rows of 1 - cu
+    got = lattice_index(theta_fixed(cu), Lattice(f, _transpose(minus, f)))
     r = len(primes_of(m))
     want = Fraction(2 ** (2 ** (r - 1)))
     return {"level": m, "value": got, "expected": want, "ok": got == want}
@@ -351,10 +349,11 @@ def group_stability_check(m: int) -> bool:
     data = stickelberger_ideal(m)
     units = units_of(m)
     n = len(units)
-    scaled_bases = [(lat, *scaled(lat.basis)) for lat in (data.S, data.S_minus)]
     for b in units:
-        perm = unit_translation(m, b)
-        for lat, H, d in scaled_bases:
-            if Lattice(n, H[:, perm], d) != lat:
+        # column j of B[:, perm] is column perm[j] of B
+        where = {k: j for j, k in enumerate(unit_translation(m, b))}
+        for lat in (data.S, data.S_minus):
+            moved = [{where[k]: x for k, x in row.items()} for row in lat.rows]
+            if Lattice(n, moved, lat.den) != lat:
                 return False
     return True

@@ -32,6 +32,7 @@ from distlab.abgroup import (
 )
 from distlab.arith import factorize
 from distlab.exact_linalg import (
+    _dense,
     _rows,
     eye,
     hnf_nonzero,
@@ -130,31 +131,38 @@ def test_zquotient_coordinates():
     # Z^2 / <(2, 0)> = Z/2 + Z
     q = ZQuotient(2, imat([[2, 0]]))
     assert q.group == FgAbGroup(1, (2,))
-    P, S = q.P, q.S
+    P, S = _dense(q.P, 2), _dense(q.S, 1)
     assert (P @ S)[0, 0] == 1
-    assert q.stabilizes(imat([[1, 0], [0, 1]]))
-    assert not q.stabilizes(imat([[0, 1], [1, 0]]))
+    assert q.stabilizes(_rows(imat([[1, 0], [0, 1]])))
+    assert not q.stabilizes(_rows(imat([[0, 1], [1, 0]])))
 
 
 def test_stabilizes_with_dependent_relations():
     # Rows (2) and (3) generate all of Z; (1) is the combination 2*(-1) + 3*(1),
     # but the particular rational solution with a free variable set to 0 is 1/2.
-    assert ZQuotient(1, imat([[2], [3]])).stabilizes(imat([[1]]))
-    assert ZQuotient(2, imat([[2, 0], [3, 0]])).stabilizes(eye(2))
-    assert not ZQuotient(2, imat([[2, 0], [3, 0]])).stabilizes(imat([[0, 1], [1, 0]]))
+    assert ZQuotient(1, imat([[2], [3]])).stabilizes(_rows(imat([[1]])))
+    assert ZQuotient(2, imat([[2, 0], [3, 0]])).stabilizes(_rows(eye(2)))
+    assert not ZQuotient(2, imat([[2, 0], [3, 0]])).stabilizes(_rows(imat([[0, 1], [1, 0]])))
 
 
 def test_zquotient_maps_must_be_square_of_its_rank():
     q = ZQuotient(2, imat([[2, 0]]))
     for C in (eye(3), eye(1), imat([[1, 0]])):
-        with pytest.raises(ValueError, match="map has shape"):
-            q.stabilizes(C)
-        with pytest.raises(ValueError, match="map has shape"):
-            q.induced_on_free(C)
-    with pytest.raises(ValueError, match="map has shape"):
-        ZQuotient(2, zeros(0, 2)).stabilizes(eye(3))
+        with pytest.raises(ValueError, match=r"^map has \d rows, want 2$"):
+            q.stabilizes(_rows(C))
+        with pytest.raises(ValueError, match=r"^map has \d rows, want 2$"):
+            q.induced_on_free(_rows(C))
+    with pytest.raises(ValueError, match=r"^map has 3 rows, want 2$"):
+        ZQuotient(2, zeros(0, 2)).stabilizes(_rows(eye(3)))
+    # the rows are checked: too wide, or holding a non-int entry
+    with pytest.raises(ValueError, match="^map rows have width 3, want 2$"):
+        q.stabilizes([{0: 1}, {2: 1}])
+    with pytest.raises(ValueError, match=r"^map entry 1.0 at \(1, 1\) is not an integer$"):
+        q.induced_on_free([{0: 1}, {1: 1.0}])
+    # an explicit zero is dropped, not a pivot
+    assert q.stabilizes([{0: 1, 1: 0}, {1: 1}])
     # an inconsistent system is an answer, not an error
-    assert not q.stabilizes(imat([[0, 1], [1, 0]]))
+    assert not q.stabilizes(_rows(imat([[0, 1], [1, 0]])))
 
 
 def test_subquotient_group():
@@ -390,10 +398,12 @@ def test_lazy_smith_coordinates_match_an_eager_smith_form(seed):
         # the coordinates are those of the canonical rows, not of the given ones
         U, Uinv, dvec = _eager_smith(q.relations)
         free = [j for j in range(width) if dvec[j] == 0]
-        assert q.P.shape == (len(free), width)
+        P, S = _dense(q.P, width), _dense(q.S, len(free))
+        assert P.shape == (len(free), width)
         assert "_snf" in vars(q)
-        assert mat_equal(q.U, U) and mat_equal(q.Uinv, Uinv) and q.dvec == dvec
-        assert mat_equal(q.P, U[free, :]) and mat_equal(q.S, Uinv[:, free])
+        assert mat_equal(_dense(q.U, width), U) and mat_equal(_dense(q.Uinv, width), Uinv)
+        assert q.dvec == dvec
+        assert mat_equal(P, U[free, :]) and mat_equal(S, Uinv[:, free])
         assert q.group == FgAbGroup(len(free), tuple(d for d in dvec if d > 1))
 
 
@@ -501,7 +511,7 @@ def test_zquotient_rows_are_one_canonical_form(n, entries, rng):
         ([[2, 0, 0]], r"^relation row 0 is a list, not a dict row$"),
         ([{5: 1}], r"^relation rows have width 6, want 3$"),
         ([{0: 2}, {-1: 1}], r"^relation row 1 has column -1, want 0 to 2$"),
-        ([{}, {1: Fraction(1, 2)}], r"^entry Fraction\(1, 2\) at \(1, 1\) is not an integer$"),
+        ([{}, {1: Fraction(1, 2)}], r"^relation entry Fraction\(1, 2\) at \(1, 1\) is not an integer$"),
     ],
     ids=["dense_list_row", "column_past_the_width", "negative_column", "non_int_entry"],
 )
@@ -515,7 +525,7 @@ def test_tate_pair_needs_no_smith_coordinates():
     from distlab.distribution import negation_matrix, universal_distribution
 
     q = ZQuotient(60, universal_distribution(60).relations)
-    assert tate_pair(negation_matrix(60), q.relations) == (elementary_power(2, 4),) * 2
+    assert tate_pair(_dense(negation_matrix(60), 60), q.relations) == (elementary_power(2, 4),) * 2
     assert "_snf" not in vars(q)
 
 
@@ -524,9 +534,9 @@ def test_theta_fixed_lattice():
     C = zeros(4, 4)
     for k in range(4):
         C[(-k) % 4, k] = 1
-    lat = theta_fixed(C)
+    lat = theta_fixed(_rows(C))
     assert lat.rank == 1
-    v = lat.basis[0]
+    v = _dense(lat.basis, 4)[0]
     assert v[0] == 0 and v[2] == 0 and {v[1], v[3]} == {1, -1}
 
 
@@ -592,8 +602,11 @@ def test_cohomology_names_the_column_outside_the_kernel():
         ({-1: [{0: 1}]}, "^d at degree -1 has 1 rows, want 2$"),
         ({-1: [{0: 1}, {2: 1}]}, "^d at degree -1 rows have width 3, want 2$"),
         ({-1: [{0: 1}, {-1: 1}]}, "^d at degree -1 row 1 has column -1, want 0 to 1$"),
-        ({-1: [{0: 1}, {1: Fraction(1, 2)}]}, r"^entry Fraction\(1, 2\) at \(1, 1\) is not an integer$"),
-        ({-1: [{0: 1}, {1: 1.0}]}, r"^entry 1.0 at \(1, 1\) is not an integer$"),
+        (
+            {-1: [{0: 1}, {1: Fraction(1, 2)}]},
+            r"^d at degree -1 entry Fraction\(1, 2\) at \(1, 1\) is not an integer$",
+        ),
+        ({-1: [{0: 1}, {1: 1.0}]}, r"^d at degree -1 entry 1.0 at \(1, 1\) is not an integer$"),
         ({-1: [[1, 0], [0, 1]]}, "^d at degree -1 row 0 is a list, not a dict row$"),
         ({1: []}, "^d at degree 1 is outside the degrees -1 to 0$"),
         ({-2: [{}, {}]}, "^d at degree -2 is outside the degrees -1 to 0$"),
@@ -729,6 +742,14 @@ def test_index_check_rejects_phi_off_the_involution_or_shape():
     with pytest.raises(ValueError, match="^phi at degree 0 is not 2 x 2$"):
         abstract_index_check(swap, swap, {0: ([{0: 1}, {2: 1}], 1)})
     assert abstract_index_check(swap, swap, {0: _phi([[2, 1], [1, 2]])})["equal"]
+
+
+def test_index_check_reads_phi_as_checked_rows():
+    swap = JComplex(BoundedComplex({0: 2}, {}), {0: [1, 0]})
+    # an explicit zero is dropped before the involution test, not a mismatch
+    assert abstract_index_check(swap, swap, {0: ([{0: 1, 1: 0}, {1: 1}], 1)})["equal"]
+    with pytest.raises(ValueError, match=r"^phi at degree 0 entry 1.0 at \(1, 1\) is not an integer$"):
+        abstract_index_check(swap, swap, {0: ([{0: 1}, {1: 1.0}], 1)})
 
 
 def _phi(entries):

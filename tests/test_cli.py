@@ -346,17 +346,27 @@ class RefuseNumpy:
 if sys.argv[1] == "refuse":
     sys.meta_path.insert(0, RefuseNumpy())
 from distlab.cli import main
-sys.exit(main(["cohomology", "--m-list", "109,111,156", "--format", "json"]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-def test_cohomology_runs_without_numpy():
-    refused = _python(NO_NUMPY, "refuse")
+def _same_without_numpy(*argv: str) -> None:
+    """The JSON report of argv, with numpy refused, is byte for byte the one with numpy allowed."""
+    refused = _python(NO_NUMPY, "refuse", *argv, "--format", "json")
     assert refused.returncode == 0, refused.stderr.decode()
-    normal = _python(NO_NUMPY, "allow")
+    normal = _python(NO_NUMPY, "allow", *argv, "--format", "json")
     assert normal.returncode == 0, normal.stderr.decode()
     assert refused.stdout == normal.stdout
     assert json.loads(refused.stdout)["pass"] is True
+
+
+def test_cohomology_runs_without_numpy():
+    _same_without_numpy("cohomology", "--m-list", "109,111,156")
+
+
+def test_verify_runs_without_numpy():
+    # every suite, on the strata of the benchmark and the index formula at 105
+    _same_without_numpy("verify", "--suite", "all", "--m-list", "5,7,8,21,105")
 
 
 def test_importing_the_package_and_cli_loads_no_numpy():
@@ -367,6 +377,17 @@ def test_importing_the_package_and_cli_loads_no_numpy():
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.split() == [b"False", b"False"]
+
+
+def test_importing_the_cli_loads_only_arith():
+    # every other submodule is imported by the suite builders that use it
+    code = (
+        "import sys; before = set(sys.modules); import distlab.cli; "
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'distlab'))"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.split() == [b"['distlab',", b"'distlab.arith',", b"'distlab.cli']"]
 
 
 TIMED_IMPORTS = """

@@ -1,10 +1,12 @@
 """Root-of-unity arithmetic, characters, B_1 values, class numbers."""
 
 import math
+import random
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
+import numpy as np
 import pytest
 
 from distlab import cyclotomic
@@ -20,6 +22,7 @@ from distlab.arith import (
     squarefree_divisors,
 )
 from distlab.cyclotomic import (
+    L_VALUE_TOL,
     CycNum,
     DirichletChar,
     _digamma01,
@@ -158,6 +161,70 @@ def test_smoothing_det_minus_branch():
 def test_l_value_float_crosscheck():
     for m in (4, 15, 23):
         assert all(r["ok"] for r in l_value_crosscheck(m))
+
+
+# The float net as numpy's scalars compute it: the reference that the
+# math/cmath port must reproduce bit for bit.
+
+
+def _complex_value_numpy(x: CycNum) -> complex:
+    z = np.exp(2j * np.pi / x.N)
+    return complex(sum(float(c) * z**j for j, c in enumerate(x.coeffs)))
+
+
+def _l_value_rows_numpy(m: int) -> list[dict]:
+    out = []
+    for chi in odd_characters(m):
+        prim = chi.primitive_at_conductor()
+        f = prim.modulus
+        s = 0j
+        for a in range(1, f):
+            t = prim.value_exponent(a)
+            if t is None:
+                continue
+            s += np.exp(2j * np.pi * float(t)) * _digamma01(a / f)
+        lval = abs(-s / f)
+        bval = np.pi * abs(_complex_value_numpy(bernoulli1(chi))) / np.sqrt(f)
+        rel = abs(lval - bval) / bval
+        out.append(
+            {
+                "conductor": f,
+                "exponents": list(chi.exponents),
+                "l_value": float(lval),
+                "bernoulli_route": float(bval),
+                "rel_err": float(rel),
+                "ok": bool(rel <= L_VALUE_TOL),
+            }
+        )
+    return out
+
+
+def test_complex_value_is_numpy_bit_for_bit(monkeypatch):
+    # every N up to 400, one nonzero coefficient per power of zeta; where
+    # phi(N) > 100 (203 of them, from 103 on: 226, 256, 399, ...) the powers
+    # past 99 take the C library's cpow, as numpy's do
+    cpow, calls = cyclotomic._libm_cpow(), []
+
+    def counted(z, w):
+        calls.append(w)
+        return cpow(z, w)
+
+    monkeypatch.setattr(cyclotomic, "_libm_cpow", lambda: counted)
+    bad = []
+    for N in range(1, 401):
+        rng = random.Random(N)
+        x = CycNum(N, [Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 9))
+                       for _ in range(euler_phi(N))])
+        if repr(x.complex_value()) != repr(_complex_value_numpy(x)):
+            bad.append(N)
+    assert bad == []
+    assert len(calls) == sum(euler_phi(N) - 100 for N in range(1, 401) if euler_phi(N) > 100)
+
+
+def test_l_value_rows_are_numpy_bit_for_bit():
+    levels = [m for m in range(3, 65) if m % 4 != 2]
+    bad = [m for m in levels if repr(l_value_crosscheck(m)) != repr(_l_value_rows_numpy(m))]
+    assert bad == []
 
 
 EULER_GAMMA = 0.57721566490153286061

@@ -156,8 +156,8 @@ def test_snf_without_column_transforms(rows):
 # pivot or operation order shows here even when the normal form is right.
 SNF_GOLDEN = json.loads((Path(__file__).parent / "data" / "snf_golden.json").read_text())
 GOLDEN_INPUTS = {
-    "eye_plus_negation_15": lambda: eye(15) + negation_matrix(15),
-    "eye_minus_negation_15": lambda: eye(15) - negation_matrix(15),
+    "eye_plus_negation_15": lambda: eye(15) + _dense(negation_matrix(15), 15),
+    "eye_minus_negation_15": lambda: eye(15) - _dense(negation_matrix(15), 15),
     "distribution_relation_rows_12": lambda: distribution_relation_rows(12),
 }
 
@@ -470,7 +470,7 @@ def test_lattice_intersect_rational_full_rank(pair):
     A, B = Lattice(n, MA), Lattice(n, MB)
     inter = lattice_intersect(A, B)
     assert inter.rank == n
-    assert all(A.contains(row) and B.contains(row) for row in inter.basis)
+    assert all(A.contains(row) and B.contains(row) for row in _dense(inter.basis, n))
     assert lattice_index(A, B) == lattice_index(A, inter) / lattice_index(B, inter)
     # the intersection is the largest common sublattice: (A+B : A) = (B : A∩B)
     assert lattice_index(lattice_sum(A, B), A) == lattice_index(B, inter)
@@ -747,6 +747,24 @@ def test_contains_checks_every_row_and_the_width():
         Lattice(2, eye(2)).contains(np.array([1, 0, 5], dtype=object))
     with pytest.raises(ValueError):
         L.contains(imat([[2, 3, 0]]))
+
+
+def test_lattice_takes_checked_rows():
+    # sparse rows give the lattice of their dense matrix; an explicit zero
+    # is dropped, not read as a pivot
+    L = Lattice(2, imat([[2, 0], [0, 3]]))
+    assert Lattice(2, [{0: 2, 1: 0}, {1: 3}]) == L
+    assert Lattice(2, [{0: 1, 1: 1}], 3) == Lattice(2, qmat([[Fraction(1, 3), Fraction(1, 3)]]))
+    assert L.contains([{0: 2, 1: 3}, {0: 4, 1: 0}, {}]) and not L.contains([{0: 1}])
+    for bad, message in (
+        ([[2, 0]], "^generator row 0 is a list, not a dict row$"),
+        ([{2: 1}], "^generator rows have width 3, want 2$"),
+        ([{0: Fraction(1, 2)}], r"^generator entry Fraction\(1, 2\) at \(0, 0\) is not an integer$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Lattice(2, bad)
+    with pytest.raises(ValueError, match="^vector rows have width 3, want 2$"):
+        L.contains([{2: 1}])
 
 
 # Inputs and results of the solves, ranks, determinants and lattice indices

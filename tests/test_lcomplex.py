@@ -176,7 +176,7 @@ def test_jcomplex_fills_missing_degrees_with_the_identity():
     assert given == {-2: [0, 1]}  # the caller's dict is left as it was
     jc = JComplex(C, involution(12))
     # c is read as its permutation: column k of the negation matrix is e_c(k)
-    assert mat_equal(eye(12)[:, jc.involution[0]], negation_matrix(12))
+    assert mat_equal(eye(12)[:, jc.involution[0]], _dense(negation_matrix(12), 12))
 
 
 @pytest.mark.parametrize("m", [3, 4, 9, 12, 16, 18])
@@ -200,8 +200,8 @@ def test_averaged_differential_matches_symbol_differential():
     # redundant with homotopy_check but pins the change-of-basis contract
     av = AveragedLevel(12, DIFFERENCE)
     d = differentials(12, DIFFERENCE)
-    lhs = _dense(d[-1], av.rank(-1)) @ av.change[-1]
-    rhs = av.change[0] @ _dense(av.full_d(-1), av.rank(-1))
+    lhs = _dense(d[-1], av.rank(-1)) @ _dense(av.change[-1], av.rank(-1))
+    rhs = _dense(av.change[0], av.rank(0)) @ _dense(av.full_d(-1), av.rank(-1))
     assert mat_equal(lhs, rhs)
 
 
@@ -348,7 +348,7 @@ def _negation(s):
 
 
 def _restricted_negation(s):
-    return fixed_restriction(_rows(negation_matrix(s)), _negation(s), _negation(s))
+    return fixed_restriction(negation_matrix(s), _negation(s), _negation(s))
 
 
 def test_minus_pair_restriction_of_negation():
@@ -421,7 +421,7 @@ def test_orbit_route_matches_the_smith_route(m):
         C, c = jc.complex, jc.involution
         for i in C.degrees():
             n, B = C.rank(i), _dense(fixed_basis(c[i]), C.rank(i))
-            assert Lattice(n, B) == theta_fixed(_c(jc, i)), (m, kind, i)
+            assert Lattice(n, B) == theta_fixed(_rows(_c(jc, i))), (m, kind, i)
             # the differential into degree i + 1 and phi within degree i
             for N, j in ((C.d(i), i + 1), (phi[i][0], i)):
                 if j in c:

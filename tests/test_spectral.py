@@ -415,15 +415,16 @@ def test_zig_rows_are_a_basis_of_the_staircase_kernel(m):
 
 def test_window_edges_take_the_constraint_route(monkeypatch):
     """Where the window clips a staircase, the conditions on the shorter
-    kernel no longer vanish and one step calls kernel_basis: below the half
-    variant's row 0 and above the top row of either variant."""
+    kernel no longer vanish and one step calls the row kernel ``_kernel``:
+    below the half variant's row 0 and above the top row of either variant."""
     calls = []
+    kernel = spectral._kernel
 
-    def counted(A):
-        calls.append(A.shape)
-        return kernel_basis(A)
+    def counted(M, c):
+        calls.append((len(M), c))
+        return kernel(M, c)
 
-    monkeypatch.setattr(spectral, "kernel_basis", counted)
+    monkeypatch.setattr(spectral, "_kernel", counted)
     for variant, cell in ((HALF, (-1, 0, 2)), (HALF, (-2, 6, 2)), (FULL, (-2, 6, 2))):
         dc = DoubleComplex(build_jcomplex(12, DIFFERENCE), variant)
         before = len(calls)
@@ -433,15 +434,15 @@ def test_window_edges_take_the_constraint_route(monkeypatch):
 
 
 def test_interior_zig_zags_need_no_smith_form(monkeypatch):
-    """Pages 1-4 at 21 are solved on the orbits of c alone: no kernel_basis
+    """Pages 1-4 at 21 are solved on the orbits of c alone: no ``_kernel``
     call on any interior cell of the full variant, nor on any interior cell
     of the half variant whose staircase stays on the rows q >= 0 (below
     them the half variant is zero, an edge of its window)."""
 
-    def refuse(A):
-        raise AssertionError(f"kernel_basis on a {A.shape} matrix")
+    def refuse(M, c):
+        raise AssertionError(f"_kernel on {len(M)} rows of width {c}")
 
-    monkeypatch.setattr(spectral, "kernel_basis", refuse)
+    monkeypatch.setattr(spectral, "_kernel", refuse)
     built = skipped = 0
     for kind in KINDS:
         jc = build_jcomplex(21, kind)
@@ -460,19 +461,19 @@ def test_interior_zig_zags_need_no_smith_form(monkeypatch):
 def test_checks_read_coordinates_off_hermite_rows(monkeypatch):
     """A work contract that does not depend on load: at 21, the page,
     degeneration and abutment checks of both kinds never call
-    ``solve_exact``, and ``spectral`` builds a dense view only for the
-    window-edge conditions of ``_extend`` (and in ``e_via_homology``,
-    which these checks do not run)."""
-    solves, dense_from, quotients = [], Counter(), []
-    solve, dense, subquotient = exact_linalg.solve_exact, spectral._dense, spectral._subquotient
+    ``solve_exact``, ``spectral`` builds no dense view, and it takes a
+    Smith form (``_kernel``) only for the window-edge conditions of
+    ``_extend`` (and in ``e_via_homology``, which these checks do not run)."""
+    solves, kernel_from, quotients = [], Counter(), []
+    solve, kernel, subquotient = exact_linalg.solve_exact, spectral._kernel, spectral._subquotient
 
     def counted_solve(*args):
         solves.append(args)
         return solve(*args)
 
-    def counted_dense(*args, **kwargs):
-        dense_from[sys._getframe(1).f_code.co_name] += 1
-        return dense(*args, **kwargs)
+    def counted_kernel(*args, **kwargs):
+        kernel_from[sys._getframe(1).f_code.co_name] += 1
+        return kernel(*args, **kwargs)
 
     def counted_subquotient(*args):
         quotients.append(args[2])
@@ -480,7 +481,7 @@ def test_checks_read_coordinates_off_hermite_rows(monkeypatch):
 
     for module in (exact_linalg, abgroup):
         monkeypatch.setattr(module, "solve_exact", counted_solve)
-    monkeypatch.setattr(spectral, "_dense", counted_dense)
+    monkeypatch.setattr(spectral, "_kernel", counted_kernel)
     monkeypatch.setattr(spectral, "_subquotient", counted_subquotient)
     # cold caches, so that every page and total group is computed here
     spectral._double.cache_clear()
@@ -489,8 +490,9 @@ def test_checks_read_coordinates_off_hermite_rows(monkeypatch):
         for check in (e1_page_check, e2_page_check, degeneration_check, abutment_check):
             assert check(21, kind)["ok"], (check.__name__, kind)
     assert solves == []
-    assert set(dense_from) <= {"_extend", "e_via_homology"}, dense_from
-    assert dense_from["_extend"] and quotients
+    assert not hasattr(spectral, "_dense")
+    assert set(kernel_from) <= {"_extend", "e_via_homology"}, kernel_from
+    assert kernel_from["_extend"] and quotients
 
 
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "pages_golden.json").read_text())

@@ -834,7 +834,7 @@ def abstract_index_check(
     checked = {}
     for i in C1.degrees():
         n, (N, e) = C1.rank(i), phi[i]
-        if len(N) != n or any(j >= n for row in N for j in row):
+        if len(N) != n or any(type(j) is int and j >= n for row in N for j in row):
             raise ValueError(f"phi at degree {i} is not {n} x {n}")
         checked[i] = _check_rows(N, n, f"phi at degree {i}"), e
     phi = checked

@@ -38,9 +38,9 @@ p * e_t, so the column operations touch the pivot row only, and column
 swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows
 too, built only when asked for.  ``snf_with_inverses``, ``kernel_basis``
 and ``invariant_factors`` are its dense front ends: the first builds all
-four transforms (``ZQuotient`` passes ``want_v=False`` and gets U and
-U^-1 only), the second V only and the third none; ``_kernel`` is the
-second on rows.
+four transforms (or U and U^-1 only, with ``want_v=False``), the second V
+only and the third none; ``_kernel`` is the second on rows, and
+``ZQuotient`` asks ``_smith`` for U and U^-1.
 
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
 rows left to right (Bareiss 1968): every update is an exact division by

@@ -750,6 +750,8 @@ def test_index_check_reads_phi_as_checked_rows():
     assert abstract_index_check(swap, swap, {0: ([{0: 1, 1: 0}, {1: 1}], 1)})["equal"]
     with pytest.raises(ValueError, match=r"^phi at degree 0 entry 1.0 at \(1, 1\) is not an integer$"):
         abstract_index_check(swap, swap, {0: ([{0: 1}, {1: 1.0}], 1)})
+    with pytest.raises(ValueError, match="^phi at degree 0 row 1 has column 'a', want 0 to 1$"):
+        abstract_index_check(swap, swap, {0: ([{0: 1}, {"a": 1}], 1)})
 
 
 def _phi(entries):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .exact_linalg import (
@@ -173,8 +174,10 @@ class ZQuotient:
     explicit coordinates z = U Λ x: positions with d=1 are dead, d>1 are
     torsion coordinates, d=0 are free.  ``P`` projects onto the free
     coordinates and ``S`` is a section with P @ S = identity.  U, U^-1,
-    P (f x n) and S (n x f) are sparse rows, read-only, built on the first
-    read of ``P``, ``S``, ``induced_on_free``, ``U``, ``Uinv`` or ``dvec``.
+    P (f x n) and S (n x f) are sparse rows, built on the first read of
+    ``P``, ``S``, ``induced_on_free``, ``U``, ``Uinv`` or ``dvec``.  U, P
+    and S are kept, so they are read-only rows, shared by every reader of
+    a memoised quotient; ``Uinv`` is built fresh on each read.
     """
 
     def __init__(self, n: int, relation_rows: IMat | list[Row]):
@@ -193,14 +196,14 @@ class ZQuotient:
         return _dense(self.rows, self.n)
 
     @cached_property
-    def _snf(self) -> tuple[list[Row], list[Row], list[int]]:
+    def _snf(self) -> tuple[tuple[Mapping[int, int], ...], list[Row], list[int]]:
         """(U, the columns of U^-1, d): the row transforms of the Smith form
         of relations.T and its diagonal, padded with zeros to length n."""
         d, U, Ui, _, _ = _smith(_transpose(self.rows, self.n), len(self.rows), u=True, u_inv=True)
-        return U, Ui, d + [0] * (self.n - len(d))
+        return _read_only(U), Ui, d + [0] * (self.n - len(d))
 
     @property
-    def U(self) -> list[Row]:
+    def U(self) -> tuple[Mapping[int, int], ...]:
         return self._snf[0]
 
     @property
@@ -224,14 +227,14 @@ class ZQuotient:
         return self.n - len(self.rows)
 
     @cached_property
-    def P(self) -> list[Row]:
+    def P(self) -> tuple[Mapping[int, int], ...]:
         """Projection Z^n -> Z^f onto free coordinates: the rows of U there."""
-        return [self.U[j] for j in self.free_idx]
+        return tuple(self.U[j] for j in self.free_idx)
 
     @cached_property
-    def S(self) -> list[Row]:
+    def S(self) -> tuple[Mapping[int, int], ...]:
         """Section Z^f -> Z^n of P: the columns of U^-1 there, as n rows."""
-        return _transpose([self._snf[1][j] for j in self.free_idx], self.n)
+        return _read_only(_transpose([self._snf[1][j] for j in self.free_idx], self.n))
 
     def induced_on_free(self, C: list[Row]) -> list[Row]:
         """Rows of an endomorphism C on the free part, P C S.
@@ -255,6 +258,10 @@ class ZQuotient:
         if len(C) != self.n:
             raise ValueError(f"map has {len(C)} rows, want {self.n}")
         return _check_rows(C, self.n, "map")
+
+
+def _read_only(rows: list[Row]) -> tuple[Mapping[int, int], ...]:
+    return tuple(MappingProxyType(row) for row in rows)
 
 
 def _subquotient(num: list[Row], den: list[Row], n: int) -> FgAbGroup:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -238,15 +239,29 @@ def _power(z: complex, j: int) -> complex:
 @lru_cache(maxsize=1)
 def _libm_cpow():
     """The C library's cpow as a function of two Python complexes, loaded on
-    first use (the first level that needs it is 227)."""
+    first use (the first level that needs it is 227).
+
+    Where it cannot be called so (a machine other than x86-64 or AArch64,
+    whose ABI may pass ``double complex`` otherwise; no C library handle in
+    the process, as on Windows; no ``cpow`` symbol), Python's ``**`` stands
+    in: the float net is compared with a tolerance, so only the last bits
+    of its floats differ from numpy's there.
+    """
     import ctypes
+    import platform
+
+    try:
+        if platform.machine().lower() not in ("x86_64", "amd64", "aarch64", "arm64"):
+            raise OSError(f"no two-double cpow ABI on {platform.machine()}")
+        cpow = ctypes.CDLL(None).cpow
+    except (OSError, TypeError, AttributeError):
+        return operator.pow
 
     class Complex(ctypes.Structure):
         # two doubles: the layout and calling convention of C's double
         # complex on x86-64 (System V) and on AArch64
         _fields_ = [("re", ctypes.c_double), ("im", ctypes.c_double)]
 
-    cpow = ctypes.CDLL(None).cpow
     cpow.argtypes = (Complex, Complex)
     cpow.restype = Complex
 

@@ -25,8 +25,8 @@ ints, and ``unscaled(N, d)`` turns it back into ``Fraction`` entries.
 Products of rational matrices multiply the numerators only and carry the
 denominators as one integer each, so an identity A B == C D is tested as
 N_A N_B d_C d_D == N_C N_D d_A d_B.  ``Lattice`` takes generators as
-(N, den), N sparse rows or a dense matrix, and stores them as integer
-Hermite rows over one denominator.
+(N, den), N sparse integer rows, and stores them as integer Hermite rows
+over one denominator; ``Lattice.contains`` takes its vectors the same way.
 
 One elimination core.  ``_smith`` and ``_hermite`` take these rows and
 work in place.  ``_hermite`` returns the nonzero Hermite rows; ``hnf``
@@ -38,8 +38,7 @@ p * e_t, so the column operations touch the pivot row only, and column
 swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows
 too, built only when asked for.  ``snf_with_inverses``, ``kernel_basis``
 and ``invariant_factors`` are its dense front ends: the first builds all
-four transforms (or U and U^-1 only, with ``want_v=False``), the second V
-only and the third none; ``_kernel`` is the second on rows, and
+four transforms, the second V only and the third none; ``_kernel`` is the second on rows, and
 ``ZQuotient`` asks ``_smith`` for U and U^-1.
 
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
@@ -410,23 +409,20 @@ def _diag(d: list[int], r: int, c: int) -> IMat:
     return D
 
 
-def snf_with_inverses(A: IMat, *, want_v: bool = True):
+def snf_with_inverses(A: IMat):
     """Smith normal form: (U, U^-1, D, V, V^-1) with U @ A @ V == D.
 
     U and V are unimodular and D is diagonal with d1 | d2 | ...; the
     inverses are tracked along the same operations.
-
-    With ``want_v=False`` the column transforms are not built and come
-    back as None.
     """
     r, c = A.shape
-    d, U, Ui, V, Vi = _smith(_rows(A), c, u=True, u_inv=True, v=want_v, v_inv=want_v)
+    d, U, Ui, V, Vi = _smith(_rows(A), c, u=True, u_inv=True, v=True, v_inv=True)
     return (
         _dense(U, r),
         _dense(_transpose(Ui, r), r),
         _diag(d, r, c),
-        _dense(_transpose(V, c), c) if want_v else None,
-        _dense(Vi, c) if want_v else None,
+        _dense(_transpose(V, c), c),
+        _dense(Vi, c),
     )
 
 
@@ -675,10 +671,10 @@ def _kernel(M: list[Row], c: int) -> list[Row]:
 class Lattice:
     """A finitely generated subgroup of Q^n, stored via a canonical basis.
 
-    The rows of ``gens / den`` generate (``den``, a positive integer, lets
-    a caller holding a scaled matrix skip building ``Fraction`` entries).
-    ``gens`` is a list of sparse integer rows (checked by ``_check_rows``,
-    then copied) or a dense matrix, integral or rational.  The lattice is
+    The rows of ``gens / den`` generate: ``gens`` is a list of sparse
+    integer rows (checked by ``_check_rows``, then copied) and ``den`` a
+    positive integer, so a caller holding a scaled matrix builds no
+    ``Fraction`` entries.  The lattice is
     kept as one canonical form: ``den`` is its least common denominator
     and ``rows`` the Hermite form of ``den`` times it, as sparse integer
     rows.  Two equal lattices have equal forms, and ``basis`` is
@@ -687,12 +683,10 @@ class Lattice:
 
     __slots__ = ("ambient", "rows", "den")
 
-    def __init__(self, ambient: int, gens: list[Row] | np.ndarray | None = None, den: int = 1):
-        if den < 1:
-            raise ValueError(f"lattice denominator must be positive, got {den}")
+    def __init__(self, ambient: int, gens: list[Row] | None = None, den: int = 1):
+        _check_den(den)
         self.ambient = ambient
-        rows, e = _scaled_rows(gens, ambient, "generator")
-        den *= e
+        rows = [dict(row) for row in _check_rows(gens or [], ambient, "generator")]
         # Over the least common denominator, as if gens / den were scaled.
         g = gcd(den, *(x for row in rows for x in row.values()))
         if g > 1:
@@ -728,15 +722,14 @@ class Lattice:
         stacked = [dict(row) for row in self.rows + other.rows]
         return len(_bareiss(stacked, self.ambient)[0]) == self.rank
 
-    def contains(self, rows: list[Row] | np.ndarray) -> bool:
-        """True iff every row lies in the lattice.
+    def contains(self, rows: list[Row], e: int = 1) -> bool:
+        """True iff every row of ``rows / e`` lies in the lattice.
 
-        ``rows`` is a list of sparse integer rows, or a dense vector or
-        matrix, integral or rational.
+        ``rows`` are sparse integer rows, checked by ``_check_rows``, and
+        ``e`` is a positive integer.
         """
-        if not isinstance(rows, list) and rows.ndim == 1:
-            rows = rows.reshape(1, -1)
-        R, e = _scaled_rows(rows, self.ambient, "vector")
+        _check_den(e)
+        R = _check_rows(rows, self.ambient, "vector")
         den = self.den
         piv = {min(h): i for i, h in enumerate(self.rows)}
         # x = n / e is in the lattice iff den * x is integral and has
@@ -749,23 +742,9 @@ class Lattice:
         return True
 
 
-def _scaled_rows(gens: list[Row] | np.ndarray | None, c: int, name: str) -> tuple[list[Row], int]:
-    """(rows, e): new sparse integer rows whose quotient by e is ``gens``.
-
-    A list of sparse rows is checked by ``_check_rows`` (the ``name`` rows)
-    and copied, with e = 1; a dense matrix of width c (any shape when it is
-    empty) is brought to integer rows over its least denominator by ``scaled``.
-    """
-    if gens is None:
-        return [], 1
-    if isinstance(gens, list):
-        return [dict(row) for row in _check_rows(gens, c, name)], 1
-    if gens.size == 0:
-        return [], 1
-    if gens.shape[1] != c:
-        raise ValueError(f"{name} width does not match ambient dimension")
-    N, e = scaled(gens)
-    return _rows(N), e
+def _check_den(den: int) -> None:
+    if den < 1:
+        raise ValueError(f"lattice denominator must be positive, got {den}")
 
 
 def lattice_index(A: Lattice, B: Lattice) -> Fraction:

@@ -369,7 +369,7 @@ def test_tate_pair_rejects_dependent_relations():
 
 def _eager_smith(rel) -> tuple:
     """U, U^-1 and the padded diagonal, computed at once from the relations."""
-    U, Uinv, D, _, _ = snf_with_inverses(rel.T, want_v=False)
+    U, Uinv, D, _, _ = snf_with_inverses(rel.T)
     dvec = [0] * rel.shape[1]
     for i in range(min(D.shape)):
         dvec[i] = D[i, i]
@@ -405,6 +405,17 @@ def test_lazy_smith_coordinates_match_an_eager_smith_form(seed):
         assert q.dvec == dvec
         assert mat_equal(P, U[free, :]) and mat_equal(S, Uinv[:, free])
         assert q.group == FgAbGroup(len(free), tuple(d for d in dvec if d > 1))
+
+
+def test_kept_smith_coordinates_are_read_only():
+    # U, P and S are kept by a quotient that lru caches share, so no reader
+    # may change them in place
+    q = ZQuotient(3, [{0: 2, 1: 2}])
+    for rows in (q.U, q.P, q.S):
+        assert len(rows) > 0 and isinstance(rows, tuple)
+        with pytest.raises(TypeError):
+            rows[0][0] = 5
+    assert q.P is q.P and q.S is q.S and q.P[0] is q.U[q.free_idx[0]]
 
 
 def test_tate_pair_rejects_relations_of_another_width():

@@ -1,5 +1,6 @@
 """Root-of-unity arithmetic, characters, B_1 values, class numbers."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -219,6 +220,39 @@ def test_complex_value_is_numpy_bit_for_bit(monkeypatch):
             bad.append(N)
     assert bad == []
     assert len(calls) == sum(euler_phi(N) - 100 for N in range(1, 401) if euler_phi(N) > 100)
+
+
+class _NoCpow:
+    """A C library handle without the cpow symbol."""
+
+
+@pytest.mark.parametrize("refusal", ["no_handle", "no_symbol", "other_abi"])
+def test_power_falls_back_to_python_without_cpow(monkeypatch, refusal):
+    import ctypes
+    import platform
+
+    def no_handle(name):
+        raise TypeError("no handle of the process")  # ctypes on Windows
+
+    if refusal == "no_handle":
+        monkeypatch.setattr(ctypes, "CDLL", no_handle)
+    elif refusal == "no_symbol":
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: _NoCpow())
+    else:
+        monkeypatch.setattr(platform, "machine", lambda: "s390x")
+    cyclotomic._libm_cpow.cache_clear()
+    try:
+        z = cmath.exp(2j * math.pi / 227)
+        assert cyclotomic._power(z, 150) == z ** complex(150)
+        # phi(227) = 226: the powers from 100 on take the fallback
+        rng = random.Random(227)
+        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(226)]
+        want = 0j
+        for j, c in enumerate(coeffs):
+            want += float(c) * cmath.exp(2j * math.pi * j / 227)
+        assert abs(CycNum(227, coeffs).complex_value() - want) < 1e-9
+    finally:
+        cyclotomic._libm_cpow.cache_clear()
 
 
 def test_l_value_rows_are_numpy_bit_for_bit():

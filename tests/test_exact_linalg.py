@@ -21,6 +21,7 @@ from distlab.exact_linalg import (
     _hermite,
     _mul,
     _rows,
+    _smith,
     det_exact,
     eye,
     hnf,
@@ -100,6 +101,18 @@ def normalforms():
     return sympy, pytest.importorskip("sympy.matrices.normalforms")
 
 
+def _lattice(n: int, A, den: int = 1) -> Lattice:
+    """The lattice of the rows of the dense matrix A over den."""
+    N, e = scaled(A)
+    return Lattice(n, _rows(N), den * e)
+
+
+def _contains(L: Lattice, A) -> bool:
+    """Does L contain every row of the dense vector or matrix A?"""
+    N, e = scaled(A.reshape(1, -1) if A.ndim == 1 else A)
+    return L.contains(_rows(N), e)
+
+
 def _diagonal(D):
     """The nonzero diagonal of a Smith form D."""
     return tuple(D[i, i] for i in range(min(D.shape)) if D[i, i] != 0)
@@ -144,10 +157,10 @@ def test_snf_inverses_track(rows):
 @given(any_matrices)
 def test_snf_without_column_transforms(rows):
     A = imat(rows)
-    U, Uinv, D, _, _ = snf_with_inverses(A)
-    U2, Uinv2, D2, V2, Vinv2 = snf_with_inverses(A, want_v=False)
-    assert V2 is None and Vinv2 is None
-    assert mat_equal(U2, U) and mat_equal(Uinv2, Uinv) and mat_equal(D2, D)
+    d, U, Ui, V, Vi = _smith(_rows(A), A.shape[1], u=True, u_inv=True, v=True, v_inv=True)
+    d2, U2, Ui2, V2, Vi2 = _smith(_rows(A), A.shape[1], u=True, u_inv=True)
+    assert V2 is None and Vi2 is None
+    assert U2 == U and Ui2 == Ui and d2 == d
 
 
 # Recorded U, D and V for two involution matrices, a relation matrix, and
@@ -436,7 +449,7 @@ def test_numpy_integer_input_is_exact():
     assert mat_equal(to_int(A), O) and all(type(x) is int for x in to_int(A).flat)
     assert mat_equal(hnf(A), hnf(O))
     assert mat_equal(kernel_basis(np.array([[2, 4]])), kernel_basis(imat([[2, 4]])))
-    assert Lattice(2, A) == Lattice(2, O)
+    assert _lattice(2, A) == _lattice(2, O)
     N, d = scaled(A)
     assert d == 1 and all(type(x) is int for x in N.flat)
 
@@ -452,8 +465,8 @@ def test_lattice_from_scaled_generators(rows, den):
     A = np.array(rows, dtype=object)
     N, d = scaled(A)
     n = A.shape[1]
-    assert Lattice(n, N, d) == Lattice(n, A)
-    assert Lattice(n, A, den) == Lattice(n, unscaled(N, d * den))
+    assert Lattice(n, _rows(N), d) == _lattice(n, A)
+    assert _lattice(n, A, den) == _lattice(n, unscaled(N, d * den))
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,10 +480,10 @@ def test_lattice_intersect_rational_full_rank(pair):
     MA, MB = (np.array(rows, dtype=object) for rows in pair)
     assume(det_exact(MA) != 0 and det_exact(MB) != 0)
     n = MA.shape[1]
-    A, B = Lattice(n, MA), Lattice(n, MB)
+    A, B = _lattice(n, MA), _lattice(n, MB)
     inter = lattice_intersect(A, B)
     assert inter.rank == n
-    assert all(A.contains(row) and B.contains(row) for row in _dense(inter.basis, n))
+    assert all(_contains(A, row) and _contains(B, row) for row in _dense(inter.basis, n))
     assert lattice_index(A, B) == lattice_index(A, inter) / lattice_index(B, inter)
     # the intersection is the largest common sublattice: (A+B : A) = (B : A∩B)
     assert lattice_index(lattice_sum(A, B), A) == lattice_index(B, inter)
@@ -653,8 +666,8 @@ def test_sparse_product_matches_dense():
 
 
 def test_lattice_index_integer_sublattice():
-    Z2 = Lattice(2, eye(2))
-    L = Lattice(2, imat([[3, 0], [0, 1]]))
+    Z2 = _lattice(2, eye(2))
+    L = _lattice(2, imat([[3, 0], [0, 1]]))
     assert lattice_index(Z2, L) == 3
     assert lattice_index(L, Z2) == Fraction(1, 3)
 
@@ -670,29 +683,29 @@ def test_lattice_index_is_multiplicative():
                 if det_exact(M) != 0:
                     mats.append(M)
                     break
-        A, B, C = (Lattice(n, M) for M in mats)
+        A, B, C = (_lattice(n, M) for M in mats)
         assert lattice_index(A, C) == lattice_index(A, B) * lattice_index(B, C)
 
 
 def test_lattice_index_requires_same_span():
-    A = Lattice(2, imat([[1, 0]]))
-    B = Lattice(2, imat([[0, 1]]))
+    A = _lattice(2, imat([[1, 0]]))
+    B = _lattice(2, imat([[0, 1]]))
     with pytest.raises(ValueError):
         lattice_index(A, B)
 
 
 def test_lattice_intersect_sum_known():
-    A = Lattice(2, imat([[1, 0], [0, 2]]))
-    B = Lattice(2, imat([[2, 0], [0, 1]]))
-    assert lattice_intersect(A, B) == Lattice(2, imat([[2, 0], [0, 2]]))
-    assert lattice_sum(A, B) == Lattice(2, eye(2))
+    A = _lattice(2, imat([[1, 0], [0, 2]]))
+    B = _lattice(2, imat([[2, 0], [0, 1]]))
+    assert lattice_intersect(A, B) == _lattice(2, imat([[2, 0], [0, 2]]))
+    assert lattice_sum(A, B) == _lattice(2, eye(2))
 
 
 def test_lattice_intersect_rational():
-    A = Lattice(1, qmat([[Fraction(1, 2)]]))
-    B = Lattice(1, qmat([[Fraction(1, 3)]]))
-    assert lattice_intersect(A, B) == Lattice(1, imat([[1]]))
-    assert lattice_sum(A, B) == Lattice(1, qmat([[Fraction(1, 6)]]))
+    A = _lattice(1, qmat([[Fraction(1, 2)]]))
+    B = _lattice(1, qmat([[Fraction(1, 3)]]))
+    assert lattice_intersect(A, B) == _lattice(1, imat([[1]]))
+    assert lattice_sum(A, B) == _lattice(1, qmat([[Fraction(1, 6)]]))
 
 
 def test_index_diamond_identity():
@@ -705,7 +718,7 @@ def test_index_diamond_identity():
             MB = imat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
             if det_exact(MA) != 0 and det_exact(MB) != 0:
                 break
-        A, B = Lattice(n, MA), Lattice(n, MB)
+        A, B = _lattice(n, MA), _lattice(n, MB)
         inter, total = lattice_intersect(A, B), lattice_sum(A, B)
         assert lattice_index(A, inter) == lattice_index(total, B)
         assert lattice_index(A, B) == lattice_index(A, inter) / lattice_index(B, inter)
@@ -716,8 +729,8 @@ def test_lattice_rejects_a_non_positive_denominator(den):
     # -2 would give Z/-2, whose index against Z read -1/2 and which compared
     # unequal to the same lattice over 2; 0 was kept as a zero denominator
     with pytest.raises(ValueError, match=f"^lattice denominator must be positive, got {den}$"):
-        Lattice(1, imat([[1]]), den)
-    assert lattice_index(Lattice(1, imat([[1]])), Lattice(1, imat([[1]]), 2)) == Fraction(1, 2)
+        Lattice(1, [{0: 1}], den)
+    assert lattice_index(Lattice(1, [{0: 1}]), Lattice(1, [{0: 1}], 2)) == Fraction(1, 2)
 
 
 def test_integral_preimage():
@@ -727,35 +740,38 @@ def test_integral_preimage():
 
 
 def test_image_lattice_and_contains():
-    L = Lattice(2, imat([[2, 0], [0, 3]]))
-    assert L.contains(np.array([2, 3], dtype=object))
-    assert not L.contains(np.array([1, 0], dtype=object))
+    L = _lattice(2, imat([[2, 0], [0, 3]]))
+    assert _contains(L, np.array([2, 3], dtype=object))
+    assert not _contains(L, np.array([1, 0], dtype=object))
 
 
 def test_contains_checks_every_row_and_the_width():
-    L = Lattice(2, imat([[2, 0], [0, 3]]))
-    assert L.contains(imat([[2, 3], [4, -3], [0, 0]]))
-    assert not L.contains(imat([[2, 3], [1, 0]]))
-    assert L.contains(zeros(0, 2))
+    L = _lattice(2, imat([[2, 0], [0, 3]]))
+    assert _contains(L, imat([[2, 3], [4, -3], [0, 0]]))
+    assert not _contains(L, imat([[2, 3], [1, 0]]))
+    assert _contains(L, zeros(0, 2))
     # off the span: the reduction leaves a remainder past the last pivot
-    assert not Lattice(2, imat([[1, 1]])).contains(imat([[1, 0]]))
-    assert not Lattice(2).contains(imat([[0, 1]]))
-    Q = Lattice(2, imat([[1, 1], [0, 2]]), 3)
-    assert Q.contains(qmat([[Fraction(1, 3), Fraction(1, 3)], [0, Fraction(-2, 3)]]))
-    assert not Q.contains(qmat([[Fraction(1, 3), 0]]))
+    assert not _contains(_lattice(2, imat([[1, 1]])), imat([[1, 0]]))
+    assert not _contains(Lattice(2), imat([[0, 1]]))
+    Q = _lattice(2, imat([[1, 1], [0, 2]]), 3)
+    assert _contains(Q, qmat([[Fraction(1, 3), Fraction(1, 3)], [0, Fraction(-2, 3)]]))
+    assert not _contains(Q, qmat([[Fraction(1, 3), 0]]))
     with pytest.raises(ValueError):
-        Lattice(2, eye(2)).contains(np.array([1, 0, 5], dtype=object))
+        _contains(_lattice(2, eye(2)), np.array([1, 0, 5], dtype=object))
+    # rows have no width past their last entry, so the extra column holds one
     with pytest.raises(ValueError):
-        L.contains(imat([[2, 3, 0]]))
+        _contains(L, imat([[2, 3, 1]]))
 
 
 def test_lattice_takes_checked_rows():
     # sparse rows give the lattice of their dense matrix; an explicit zero
     # is dropped, not read as a pivot
-    L = Lattice(2, imat([[2, 0], [0, 3]]))
+    L = _lattice(2, imat([[2, 0], [0, 3]]))
     assert Lattice(2, [{0: 2, 1: 0}, {1: 3}]) == L
-    assert Lattice(2, [{0: 1, 1: 1}], 3) == Lattice(2, qmat([[Fraction(1, 3), Fraction(1, 3)]]))
+    assert Lattice(2, [{0: 1, 1: 1}], 3) == _lattice(2, qmat([[Fraction(1, 3), Fraction(1, 3)]]))
     assert L.contains([{0: 2, 1: 3}, {0: 4, 1: 0}, {}]) and not L.contains([{0: 1}])
+    # vectors over a denominator, as the generators are
+    assert L.contains([{0: 4, 1: 6}], 2) and not L.contains([{0: 2}], 2)
     for bad, message in (
         ([[2, 0]], "^generator row 0 is a list, not a dict row$"),
         ([{2: 1}], "^generator rows have width 3, want 2$"),
@@ -795,7 +811,7 @@ def test_solves_are_pinned(name):
     fn, kind = SOLVES[name]
     for rec in SOLVE_GOLDEN[name]:
         if name == "lattice_index":
-            args = [Lattice(a["ambient"], _from_golden(a["basis"])) for a in rec["args"]]
+            args = [_lattice(a["ambient"], _from_golden(a["basis"])) for a in rec["args"]]
         else:
             args = [_from_golden(a) for a in rec["args"]]
         got = fn(*args)

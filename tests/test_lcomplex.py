@@ -421,7 +421,7 @@ def test_orbit_route_matches_the_smith_route(m):
         C, c = jc.complex, jc.involution
         for i in C.degrees():
             n, B = C.rank(i), _dense(fixed_basis(c[i]), C.rank(i))
-            assert Lattice(n, B) == theta_fixed(_rows(_c(jc, i))), (m, kind, i)
+            assert Lattice(n, _rows(B)) == theta_fixed(_rows(_c(jc, i))), (m, kind, i)
             # the differential into degree i + 1 and phi within degree i
             for N, j in ((C.d(i), i + 1), (phi[i][0], i)):
                 if j in c:

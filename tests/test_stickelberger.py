@@ -17,6 +17,7 @@ from distlab.exact_linalg import (
     is_integral,
     lattice_index,
     mat_equal,
+    scaled,
     unscaled,
     zeros,
 )
@@ -111,8 +112,8 @@ def test_ideal_ranks(m):
     assert data.S_minus.rank == phi // 2
     assert is_integral(_dense(data.S.basis, phi))
     # contains of a matrix asks for every row
-    assert data.R_minus.contains(_dense(data.S_minus.basis, phi))
-    assert data.S.contains(_dense(data.S_minus.basis, phi))
+    assert data.R_minus.contains(data.S_minus.rows, data.S_minus.den)
+    assert data.S.contains(data.S_minus.rows, data.S_minus.den)
     assert stickelberger_ideal(m) is data
 
 
@@ -163,7 +164,8 @@ def test_alpha_numerators_over_twice_the_level(m):
     ref = _alpha_by_fractions(m)
     assert mat_equal(unscaled(N, 2 * m), ref)
     assert mat_equal(N, ref * (2 * m))
-    assert alpha_lattice(m) == Lattice(len(units_of(m)), ref.T)
+    R, e = scaled(ref.T)
+    assert alpha_lattice(m) == Lattice(len(units_of(m)), _rows(R), e)
 
 
 @pytest.mark.parametrize("m", [5, 8, 12, 21])
@@ -285,7 +287,7 @@ def test_unit_translation_is_the_permutation_matrix(m):
     idx = {t: i for i, t in enumerate(units)}
     n = len(units)
     data = stickelberger_ideal(m)
-    e1 = Lattice(n, eye(n)[:1])
+    e1 = Lattice(n, [{0: 1}])
     for b in units:
         P = zeros(n, n)
         for t in units:
@@ -294,15 +296,16 @@ def test_unit_translation_is_the_permutation_matrix(m):
         for lat in (data.S, data.S_minus):
             B = _dense(lat.basis, n)
             assert mat_equal(B[:, perm], B @ P.T)
-            assert Lattice(n, B[:, perm]) == Lattice(n, B @ P.T)
+            N = _dense(lat.rows, n)
+            assert Lattice(n, _rows(N[:, perm]), lat.den) == Lattice(n, _rows(N @ P.T), lat.den)
         # a lattice that is not stable: the basis vector of the unit 1
-        assert (Lattice(n, _dense(e1.basis, n)[:, perm]) == e1) == (b == 1)
+        assert (Lattice(n, _rows(_dense(e1.rows, n)[:, perm])) == e1) == (b == 1)
 
 
 @pytest.mark.parametrize("m", [7, 12])
 def test_group_stability_check_rejects_an_unstable_lattice(monkeypatch, m):
     n = len(units_of(m))
-    e1 = Lattice(n, eye(n)[:1])
+    e1 = Lattice(n, [{0: 1}])
     fake = SimpleNamespace(S=e1, S_minus=e1)
     monkeypatch.setattr(stickelberger, "stickelberger_ideal", lambda _: fake)
     assert not group_stability_check(m)

@@ -38,8 +38,8 @@ p * e_t, so the column operations touch the pivot row only, and column
 swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows
 too, built only when asked for.  ``snf_with_inverses``, ``kernel_basis``
 and ``invariant_factors`` are its dense front ends: the first builds all
-four transforms, the second V only and the third none; ``_kernel`` is the second on rows, and
-``ZQuotient`` asks ``_smith`` for U and U^-1.
+four transforms, the second V only and the third none; ``_kernel`` is
+the second on rows, and ``ZQuotient`` asks ``_smith`` for U and U^-1.
 
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
 rows left to right (Bareiss 1968): every update is an exact division by
@@ -674,11 +674,10 @@ class Lattice:
     The rows of ``gens / den`` generate: ``gens`` is a list of sparse
     integer rows (checked by ``_check_rows``, then copied) and ``den`` a
     positive integer, so a caller holding a scaled matrix builds no
-    ``Fraction`` entries.  The lattice is
-    kept as one canonical form: ``den`` is its least common denominator
-    and ``rows`` the Hermite form of ``den`` times it, as sparse integer
-    rows.  Two equal lattices have equal forms, and ``basis`` is
-    ``rows / den``.
+    ``Fraction`` entries.  The lattice is kept as one canonical form:
+    ``den`` is its least common denominator and ``rows`` the Hermite form
+    of ``den`` times it, as sparse integer rows.  Two equal lattices have
+    equal forms, and ``basis`` is ``rows / den``.
     """
 
     __slots__ = ("ambient", "rows", "den")

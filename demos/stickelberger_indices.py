@@ -21,7 +21,7 @@ from distlab.stickelberger import (
 # the element itself at a prime level
 th = theta_element(5)
 print("theta at level 5, coefficients on the unit basis:", th.coeffs)
-print("conjugate sum is the norm vector:", (th.vector + th.conjugate().vector))
+print("conjugate sum is the norm vector:", [a + b for a, b in zip(th.coeffs, th.conjugate().coeffs)])
 
 data = stickelberger_ideal(5)
 print("ideal rank:", data.S.rank, " minus part rank:", data.S_minus.rank)

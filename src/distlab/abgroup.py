@@ -1,5 +1,10 @@
 """Finitely generated abelian groups, bounded complexes, and regulators.
 
+Every operator here is a list of sparse integer rows (``exact_linalg.Row``,
+checked by ``_check_rows``), and a rational map is a pair (N, e): the rows
+of its integer numerators over one positive denominator.  Each group
+builder takes rows only.
+
 Groups are kept in canonical form (free rank plus invariant-factor chain).
 A ``ZQuotient`` carries the explicit Smith coordinates of a presentation
 ``Z^n / rowspan(relations)`` so that subgroups, induced maps, and fixed
@@ -24,8 +29,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .exact_linalg import (
-    IMat,
-    QMat,
     Lattice,
     Row,
     _axpy,
@@ -33,31 +36,25 @@ from .exact_linalg import (
     _check_rows,
     _comb,
     _coords,
-    _dense,
     _det,
     _hermite,
     _kernel,
     _mul,
-    _rows,
     _smith,
     _transpose,
-    det_exact,
-    eye,
     integral_preimage,
-    inverse_exact,
     lattice_index,
-    mat_equal,
-    solve_exact,
-    to_int,
-    zeros,
 )
+
+# A rational map N / e: integer numerator rows over a positive denominator.
+Scaled = tuple[list[Row], int]
 
 
 @dataclass(frozen=True)
 class FgAbGroup:
     """A finitely generated abelian group in canonical form.
 
-    >>> G = FgAbGroup.from_relations(3, [[2, 0, 0], [0, 3, 0]])
+    >>> G = FgAbGroup.from_relations(3, [{0: 2}, {1: 3}])
     >>> G.free_rank, G.torsion
     (1, (6,))
     >>> str(G)
@@ -79,13 +76,9 @@ class FgAbGroup:
             raise ValueError("invariant factors must be at least 2")
 
     @classmethod
-    def from_relations(cls, ngens: int, relations) -> "FgAbGroup":
-        """The group Z^ngens modulo the rows of ``relations``."""
-        import numpy as np
-
-        rel = np.asarray(relations, dtype=object)
-        _check_relations(rel, ngens)
-        return _group(ngens, _rows(rel))
+    def from_relations(cls, ngens: int, rows: list[Row]) -> "FgAbGroup":
+        """The group Z^ngens modulo the sparse relation rows (checked, then copied)."""
+        return _group(ngens, [dict(row) for row in _check_rows(rows, ngens)])
 
     @classmethod
     def from_invariants(cls, free_rank: int, factors) -> "FgAbGroup":
@@ -152,23 +145,14 @@ def elementary_power(order: int, copies: int) -> FgAbGroup:
 # Presentations with explicit coordinates
 
 
-def _check_relations(rel: IMat, n: int) -> None:
-    """ValueError unless rel is a matrix of relation rows on Z^n."""
-    if rel.ndim != 2:
-        raise ValueError(f"relations must be a matrix, not of shape {rel.shape}")
-    if rel.shape[1] != n:
-        raise ValueError(f"relation rows have width {rel.shape[1]}, want {n}")
-
-
 class ZQuotient:
     """Z^n modulo the row span of integer relations.
 
-    The relations are given as a dense matrix of width n, or as sparse
-    ``dict`` rows of ints (checked, then copied).  ``rows`` holds their one
-    canonical form, the nonzero Hermite rows, sparse: two presentations of
-    one lattice get equal rows and equal coordinates.  ``relations`` is a
-    dense view built on first read.  As the rows are independent, ``group``
-    is their Smith form alone and ``free_rank`` is n minus their count.
+    The relations are sparse ``dict`` rows of ints on Z^n (checked, then
+    copied).  ``rows`` holds their one canonical form, the nonzero Hermite
+    rows: two presentations of one lattice get equal rows and equal
+    coordinates.  As the rows are independent, ``group`` is their Smith
+    form alone and ``free_rank`` is n minus their count.
 
     Tracks the Smith transform ``U @ rel.T @ V = D`` so the quotient gets
     explicit coordinates z = U Λ x: positions with d=1 are dead, d>1 are
@@ -180,25 +164,16 @@ class ZQuotient:
     a memoised quotient; ``Uinv`` is built fresh on each read.
     """
 
-    def __init__(self, n: int, relation_rows: IMat | list[Row]):
+    def __init__(self, n: int, relation_rows: list[Row]):
         self.n = n
-        if isinstance(relation_rows, list):
-            # copies, as the reduction works in place
-            rows = [dict(row) for row in _check_rows(relation_rows, n)]
-        else:
-            _check_relations(relation_rows, n)
-            rows = _rows(relation_rows)
-        self.rows = _hermite(rows, n)
-
-    @cached_property
-    def relations(self) -> IMat:
-        """The relation rows as a dense n-column matrix."""
-        return _dense(self.rows, self.n)
+        # copies, as the reduction works in place
+        self.rows = _hermite([dict(row) for row in _check_rows(relation_rows, n)], n)
 
     @cached_property
     def _snf(self) -> tuple[tuple[Mapping[int, int], ...], list[Row], list[int]]:
         """(U, the columns of U^-1, d): the row transforms of the Smith form
-        of relations.T and its diagonal, padded with zeros to length n."""
+        of the transposed relation rows and its diagonal, padded with zeros
+        to length n."""
         d, U, Ui, _, _ = _smith(_transpose(self.rows, self.n), len(self.rows), u=True, u_inv=True)
         return _read_only(U), Ui, d + [0] * (self.n - len(d))
 
@@ -264,7 +239,7 @@ def _read_only(rows: list[Row]) -> tuple[Mapping[int, int], ...]:
     return tuple(MappingProxyType(row) for row in rows)
 
 
-def _subquotient(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
+def subquotient_group(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
     """(Z-span of num) / (Z-span of den) for sparse rows over columns < n.
 
     The num rows must be independent and every den row an integral
@@ -290,54 +265,41 @@ def _subquotient(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
     return _group(k, coords)
 
 
-def subquotient_group(num_basis_rows: IMat, den_gen_rows: IMat) -> FgAbGroup:
-    """The group (Z-span of num) / (Z-span of den), with den inside num.
-
-    ``num_basis_rows`` must be linearly independent; den generators must be
-    integral combinations of them (raises otherwise).
-    """
-    return _subquotient(_rows(num_basis_rows), _rows(den_gen_rows), num_basis_rows.shape[1])
-
-
-def tate_group(C: IMat, relation_rows: IMat, degree_parity: str) -> FgAbGroup:
+def tate_group(C: list[Row], relation_rows: list[Row], degree_parity: str) -> FgAbGroup:
     """Tate cohomology of the order-2 action C on Z^n / relations.
+
+    C is given by its n sparse rows over n columns and the relations by
+    rows on Z^n; ``_check_action`` checks both.
 
     'odd'  -> ker(1+c) / im(1-c)
     'even' -> ker(1-c) / im(1+c)
     """
-    import numpy as np
-
-    n = C.shape[0]
-    idm = eye(n)
-    if degree_parity == "odd":
-        f, g = idm + C, idm - C
-    elif degree_parity == "even":
-        f, g = idm - C, idm + C
-    else:
+    if degree_parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
-    _check_action(C, relation_rows)
-    num = integral_preimage(f, relation_rows)
-    den = np.vstack([g.T, relation_rows])
-    return subquotient_group(num, den)
+    C, R = _check_action(C, relation_rows)
+    n, s = len(C), 1 if degree_parity == "odd" else -1
+    # ker(1 + sC) modulo the columns of 1 - sC and the relations
+    num = integral_preimage([_comb(s, row, 1, {k: 1}) for k, row in enumerate(C)], R, n)
+    den = [_comb(-s, col, 1, {k: 1}) for k, col in enumerate(_transpose(C, n))]
+    return subquotient_group(num, den + R, n)
 
 
-def _check_action(C: IMat, relation_rows: IMat) -> None:
-    """ValueError unless C is an order-2 action on Z^n / relations: C^2 - 1
+def _check_action(C: list[Row], relation_rows: list[Row]) -> tuple[list[Row], list[Row]]:
+    """The checked rows of C and of the relations, or ValueError unless C
+    (n rows over n columns) is an order-2 action on Z^n / relations: C^2 - 1
     maps Z^n, and C the relations, into the relation lattice."""
-    n = C.shape[0]
-    if C.shape != (n, n):
-        raise ValueError(f"map has shape {C.shape}, want a square matrix")
-    _check_relations(relation_rows, n)
-    R, c = _rows(relation_rows), _rows(C)
+    n = len(C)
+    C, R = _check_rows(C, n, "map"), _check_rows(relation_rows, n)
     L = Lattice(n, R)
     # the columns of C^2 - 1, as rows
-    sq = _mul(c, c)
+    sq = _mul(C, C)
     for k, row in enumerate(sq):
         _axpy(row, {k: 1}, -1)
     if not L.contains(_transpose(sq, n)):
         raise ValueError(f"the map does not square to 1 on Z^{n} / relations")
-    if not L.contains(_mul(R, _transpose(c, n))):
+    if not L.contains(_mul(R, _transpose(C, n))):
         raise ValueError("the map does not stabilize the relation lattice")
+    return C, R
 
 
 def _f2_gain(basis: dict[int, int], rows: list[int]) -> int:
@@ -382,7 +344,7 @@ def _f3_gain(basis: dict[int, tuple[int, int]], rows: list[tuple[int, int]]) -> 
     return gained
 
 
-def tate_pair(C: IMat, relation_rows: IMat) -> tuple[FgAbGroup, FgAbGroup]:
+def tate_pair(C: list[Row], relation_rows: list[Row]) -> tuple[FgAbGroup, FgAbGroup]:
     """(even, odd) Tate cohomology of the order-2 action C on M = Z^n / relations.
 
     By Diederichsen and Reiner every Z[C2]-lattice is Z^a + Z_-^b +
@@ -401,11 +363,12 @@ def tate_pair(C: IMat, relation_rows: IMat) -> tuple[FgAbGroup, FgAbGroup]:
     must have no 2- or 3-torsion: unless R keeps its row count as its
     rank mod 2 and mod 3, ValueError names the prime.  Torsion of order
     prime to 6 has trivial Tate groups and leaves the ranks unchanged, so
-    it is allowed.  The relation rows must have width n; ``_check_action``
-    checks that C is an order-2 action on M, as ``tate_group`` does.
+    it is allowed.  C is given by its n sparse rows over n columns and the
+    relations by rows on Z^n; ``_check_action`` checks both, and that C is
+    an order-2 action on M, as ``tate_group`` does.
     """
-    _check_action(C, relation_rows)
-    return _tate_pair(_rows(C.T), _rows(relation_rows))
+    C, R = _check_action(C, relation_rows)
+    return _tate_pair(_transpose(C, len(C)), R)
 
 
 def _tate_pair(cols: list[Row], R: list[Row]) -> tuple[FgAbGroup, FgAbGroup]:
@@ -600,136 +563,138 @@ class JComplex:
 # Regulators
 
 
-def regulator(A: FgAbGroup, B: FgAbGroup, lam: QMat) -> Fraction:
+def _check_scaled(lam: Scaled, n: int, name: str) -> Scaled:
+    """The checked (N, e) of a rational n x n map N / e: n sparse integer
+    rows over columns < n (``_check_rows``) and a positive integer
+    denominator; each ValueError names the map."""
+    N, e = lam
+    if len(N) != n or any(type(j) is int and j >= n for row in N for j in row):
+        raise ValueError(f"{name} is not {n} x {n}")
+    if type(e) is not int or e < 1:
+        raise ValueError(f"{name} has denominator {e!r}, want a positive integer")
+    return _check_rows(N, n, name), e
+
+
+def _abs_det(lam: Scaled, name: str) -> Fraction:
+    """|det(N / e)| of a checked map; ValueError names a singular one."""
+    N, e = lam
+    d = abs(_det(N, len(N)))
+    if d == 0:
+        raise ValueError(f"{name} is singular")
+    return Fraction(d, e ** len(N))
+
+
+def regulator(A: FgAbGroup, B: FgAbGroup, lam: Scaled) -> Fraction:
     """Regulator of a rational isomorphism lam: R⊗A -> R⊗B.
 
-    Computed through the canonical free parts: |det lam| corrected by the
-    torsion orders.  Independent of which finite-index free subgroups are
-    used to define it; see the randomized property test.
+    lam = (N, e) is the map N / e on the free parts, as ``_check_scaled``
+    takes it.  Computed through the canonical free parts: |det lam|
+    corrected by the torsion orders.  Independent of which finite-index
+    free subgroups are used to define it; see the randomized property test.
 
-    >>> import numpy as np
-    >>> regulator(FgAbGroup(1, (2,)), FgAbGroup(1), np.array([[3]], dtype=object))
+    >>> regulator(FgAbGroup(1, (2,)), FgAbGroup(1), ([{0: 3}], 1))
     Fraction(3, 2)
     """
     if A.free_rank != B.free_rank:
         raise ValueError("ranks differ; no rational isomorphism exists")
-    r = A.free_rank
-    if lam.shape != (r, r):
-        raise ValueError(f"lambda must be {r} x {r}")
-    d = abs(det_exact(lam)) if r else Fraction(1)
-    if d == 0:
-        raise ValueError("lambda is singular")
+    d = _abs_det(_check_scaled(lam, A.free_rank, "lambda"), "lambda")
     return d * B.torsion_order() / A.torsion_order()
 
 
-def regulator_via_subgroups(
-    A: FgAbGroup, B: FgAbGroup, lam: QMat, rng
-) -> Fraction:
+def regulator_via_subgroups(A: FgAbGroup, B: FgAbGroup, lam: Scaled, rng) -> Fraction:
     """Evaluate the regulator from freshly chosen finite-index free subgroups.
 
     Draws random free subgroups A'' <= A, B'' <= B of full rank and a random
     isomorphism between them, then applies the defining formula
     |det(R(phi) ∘ lam)| * #(B/B'') / #(A/A'').  Always equals regulator().
     """
-    import numpy as np
-
     r = A.free_rank
+    N, e = lam
 
-    def draw(G: FgAbGroup):
-        t = len(G.torsion)
+    def draw(G: FgAbGroup) -> tuple[list[Row], int]:
+        # the rows of V, r x r and nonsingular, generate the free part of
+        # G''; [V | W] adds a torsion part, W[i, j] < d_j
         while True:
-            V = zeros(r, r)
-            for i in range(r):
-                for j in range(r):
-                    V[i, j] = rng.randint(-3, 3)
-            if r == 0 or det_exact(V) != 0:
+            V = [{j: x for j in range(r) if (x := rng.randint(-3, 3))} for _ in range(r)]
+            if _det(V, r) != 0:
                 break
-        W = zeros(r, t)
-        for i in range(r):
-            for j, d in enumerate(G.torsion):
-                W[i, j] = rng.randint(0, d - 1)
-        rel = zeros(t, r + t)
-        for j, d in enumerate(G.torsion):
-            rel[j, r + j] = d
-        Q = FgAbGroup.from_relations(r + t, np.vstack([rel, np.hstack([V, W])]))
+        rel = [{r + j: d} for j, d in enumerate(G.torsion)]
+        for v in V:
+            w = {r + j: x for j, d in enumerate(G.torsion) if (x := rng.randint(0, d - 1))}
+            rel.append({**v, **w})
+        Q = _group(r + len(G.torsion), rel)
         if not Q.is_finite:
             raise ValueError("subgroup is not finite index")
         return V, Q.order()
 
     VA, ordA = draw(A)
     VB, ordB = draw(B)
-    Mrand = _random_unimodular(r, rng)
-    # phi sends the j-th chosen generator of B'' to sum_i M[i,j] a_i.
-    PA, PB = VA.T, VB.T
-    if r:
-        rphi = PA @ Mrand @ inverse_exact(PB)
-        dd = abs(det_exact(rphi @ lam))
-    else:
-        dd = Fraction(1)
-    return dd * Fraction(ordB, ordA)
+    g, _ = _random_unimodular(r, rng)
+    # phi sends the j-th chosen generator of B'' to sum_i g[i, j] a_i, so
+    # R(phi) = PA g PB^-1 with PA = VA^T and PB = VB^T.  The Bareiss rows
+    # of [PB | I] end as d [I | X], so PB^-1 = X / d.
+    M = [{**row, r + k: 1} for k, row in enumerate(_transpose(VB, r))]
+    _, d, _ = _bareiss(M, r)
+    X = [{j - r: x for j, x in row.items() if j >= r} for row in M]
+    rphi_lam = _mul(_mul(_mul(_transpose(VA, r), g), X), N)
+    return Fraction(abs(_det(rphi_lam, r)), (d * e) ** r) * Fraction(ordB, ordA)
 
 
-def _random_unimodular(n: int, rng) -> IMat:
-    M = eye(n)
+def _random_unimodular(n: int, rng) -> tuple[list[Row], list[Row]]:
+    """(g, g^-1) as rows: g is the identity after 3n random row operations
+    row_i += q row_j with i != j.  g^-1 is kept as columns, the way
+    ``_smith`` keeps U^-1, so each operation updates one row of each."""
+    g = [{k: 1} for k in range(n)]
+    gi = [{k: 1} for k in range(n)]  # the columns of g^-1
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        M[i, :] += rng.randint(-2, 2) * M[j, :]
-    return M
+        q = rng.randint(-2, 2)
+        if q:
+            _axpy(g[i], g[j], q)
+            _axpy(gi[j], gi[i], -q)
+    return g, _transpose(gi, n)
 
 
 def _induced_map_on_cohomology(
-    CA: BoundedComplex, CB: BoundedComplex, lam_i: QMat, i: int
-):
+    CA: BoundedComplex, CB: BoundedComplex, lam_i: Scaled, i: int
+) -> tuple[FgAbGroup, FgAbGroup, Scaled]:
+    """(H^i(A), H^i(B), the map that lam_i = (N, e) induces on their free parts)."""
+    (N, e), n = lam_i, CA.rank(i)
     KA, qA = CA.cohomology_data(i)
     KB, qB = CB.cohomology_data(i)
-    if not KA:
-        return qA.group, qB.group, zeros(qB.free_rank, qA.free_rank)
-    KA, KB = _dense(KA, CA.rank(i)), _dense(KB, CB.rank(i))
-    imgs = lam_i @ KA.T
-    lam_k = solve_exact(KB.T, imgs)  # kernel coordinates, kB x kA
-    m_free = _dense(qB.P, qB.n) @ lam_k @ _dense(qA.S, qA.free_rank)
-    return qA.group, qB.group, m_free
-
-
-def cohomology_regulators(
-    CA: BoundedComplex, CB: BoundedComplex, lam: Mapping[int, QMat]
-) -> dict[int, Fraction]:
-    """reg(H^i(A), H^i(B), H^i(lam)) for every degree."""
-    out = {}
-    for i in CA.degrees():
-        HA, HB, mf = _induced_map_on_cohomology(CA, CB, lam.get(i), i)
-        out[i] = regulator(HA, HB, mf)
-    return out
+    # N maps ker d_A into ker d_B, whose Hermite rows span it saturated, so
+    # the images of the rows of KA have integer coordinates in KB
+    piv = {min(h): t for t, h in enumerate(KB)}
+    cols = [_coords(KB, v, piv) for v in _mul(KA, _transpose(N, n))]
+    lam_k = _transpose(cols, len(KB))  # kernel coordinates, kB x kA
+    return qA.group, qB.group, (_mul(_mul(qB.P, lam_k), qA.S), e)
 
 
 def euler_regulator_check(
-    CA: BoundedComplex, CB: BoundedComplex, lam: Mapping[int, QMat]
+    CA: BoundedComplex, CB: BoundedComplex, lam: Mapping[int, Scaled]
 ) -> dict:
-    """Alternating product of degree-wise regulators vs cohomology regulators.
+    """Alternating product of degree-wise regulators vs cohomology regulators,
+    reg(H^i(A), H^i(B), H^i(lam)).
 
-    The per-degree maps must commute with the differentials and be
-    nonsingular; both products are exact rationals and must agree.
+    lam[i] = (N_i, e_i) is the map N_i / e_i in degree i, as
+    ``regulator`` takes it.  The maps must commute with the differentials
+    and be nonsingular; both products are exact rationals and must agree.
     """
+    checked = {}
     for i in CA.degrees():
         if CA.rank(i) != CB.rank(i):
             raise ValueError("rank mismatch between the two complexes")
-        if i < CA.hi:
-            left = _dense(CB.d(i), CB.rank(i)) @ lam[i]
-            right = lam[i + 1] @ _dense(CA.d(i), CA.rank(i))
-            if not mat_equal(left, right):
-                raise ValueError("maps do not commute with the differentials")
-    lhs = Fraction(1)
+        checked[i] = _check_scaled(lam[i], CA.rank(i), f"lambda at degree {i}")
+    for i in range(CA.lo, CA.hi):
+        if not intertwines(CA.d(i), CB.d(i), checked[i], checked[i + 1]):
+            raise ValueError("maps do not commute with the differentials")
+    lhs = rhs = Fraction(1)
+    for i in CA.degrees():  # every map is checked nonsingular first
+        lhs *= _abs_det(checked[i], f"lambda at degree {i}") ** ((-1) ** (i % 2))
     for i in CA.degrees():
-        if CA.rank(i):
-            d = abs(det_exact(lam[i]))
-            if d == 0:
-                raise ValueError("degree-wise map is singular")
-            lhs *= d ** ((-1) ** (i % 2))
-    rhs = Fraction(1)
-    for i, r in cohomology_regulators(CA, CB, lam).items():
-        rhs *= r ** ((-1) ** (i % 2))
+        rhs *= regulator(*_induced_map_on_cohomology(CA, CB, checked[i], i)) ** ((-1) ** (i % 2))
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
@@ -756,17 +721,13 @@ def _i_invariant(jc: JComplex) -> Fraction:
             raise ValueError("complex is not rationally exact away from 0")
     if any(C.d(0)):
         raise ValueError("the index invariant needs d = 0 out of degree 0")
-    # with d(0) = 0, H^0 is Z^n modulo the Hermite rows L of d(-1)^T; the x with
-    # (1 + c) x in the span of L are the first n coordinates of ker [1 + c | -L^T]
+    # with d(0) = 0, H^0 is Z^n modulo the Hermite rows L of d(-1)^T; K spans
+    # the x with (1 + c) x in the span of L
     n, c = C.rank(0), jc.involution[0]
     L = C.cohomology_data(0)[1].rows
-    W = [{k: 2} if c[k] == k else {k: 1, c[k]: 1} for k in range(n)]
-    for t, row in enumerate(L):
-        for j, x in row.items():
-            W[j][n + t] = -x
-    K = [{j: x for j, x in v.items() if j < n} for v in _kernel(W, n + len(L))]
+    K = integral_preimage([{k: 2} if c[k] == k else {k: 1, c[k]: 1} for k in range(n)], L, n)
     fixed, bases = jc.fixed_subcomplex()
-    coker = _subquotient(K, bases[0] + L, n)
+    coker = subquotient_group(K, bases[0] + L, n)
     if not coker.is_finite:
         raise ValueError("cokernel of the fixed-part comparison is infinite")
     h0 = fixed.cohomology(0)
@@ -803,7 +764,7 @@ def fixed_image_index(qa: ZQuotient, qb: ZQuotient, perm: list[int], N, d: int) 
     return lattice_index(Lattice(fb, fixed(qb)), Lattice(fb, pushed, d))
 
 
-def intertwines(d1: list[Row], d2: list[Row], src: tuple, dst: tuple) -> bool:
+def intertwines(d1: list[Row], d2: list[Row], src: Scaled, dst: Scaled) -> bool:
     """Whether (N'/e') d1 == d2 (N/e) for src = (N, e) and dst = (N', e'), all on rows.
 
     Compared cross-multiplied, e N' d1 == e' d2 N.
@@ -820,7 +781,7 @@ def commutes(N: Sequence[Row], perm: list[int]) -> bool:
 
 
 def abstract_index_check(
-    j1: JComplex, j2: JComplex, phi: Mapping[int, tuple[IMat, int]]
+    j1: JComplex, j2: JComplex, phi: Mapping[int, Scaled]
 ) -> dict:
     """Index of the two fixed-part images against the local determinant data.
 
@@ -831,20 +792,14 @@ def abstract_index_check(
 
     phi[i] = (N_i, e_i) is the map N_i / e_i in degree i: the sparse rows
     of its integer numerators over a positive denominator, checked by
-    ``_check_rows``, and every product below runs on the numerators.
+    ``_check_scaled``, and every product below runs on the numerators.
     """
     C1, C2 = j1.complex, j2.complex
     if C1.ranks != C2.ranks:
         raise ValueError("the two complexes have different ranks")
     if j1.involution != j2.involution:
         raise ValueError("the two complexes carry different involutions")
-    checked = {}
-    for i in C1.degrees():
-        n, (N, e) = C1.rank(i), phi[i]
-        if len(N) != n or any(type(j) is int and j >= n for row in N for j in row):
-            raise ValueError(f"phi at degree {i} is not {n} x {n}")
-        checked[i] = _check_rows(N, n, f"phi at degree {i}"), e
-    phi = checked
+    phi = {i: _check_scaled(phi[i], C1.rank(i), f"phi at degree {i}") for i in C1.degrees()}
     for i in C1.degrees():
         if i < C1.hi and not intertwines(C1.d(i), C2.d(i), phi[i], phi[i + 1]):
             raise ValueError(f"phi does not intertwine the differentials at degree {i}")
@@ -907,42 +862,39 @@ def random_regulator_pair(rng, max_rank: int = 4):
     lam has the shape g ∘ (a + d h + h d) for a degree-lowering random h,
     which commutes with the differentials automatically; cohomology usually
     carries torsion, so the multiplicativity identity is exercised
-    non-trivially.
+    non-trivially.  lam[i] is (N_i, e_i), as ``regulator`` takes it.
     """
+
+    def sixfold() -> int:
+        # 6 Fraction(randint(-2, 2), choice([1, 1, 2, 3])), an integer
+        x = rng.randint(-2, 2)
+        return x * (6 // rng.choice([1, 1, 2, 3]))
+
     while True:
         CA = random_complex(rng, max_rank=max_rank)
         g = {i: _random_unimodular(CA.rank(i), rng) for i in CA.degrees()}
         # g is unimodular, so B's differentials g d g^-1 are integral
-        diffB = {
-            i: _mul(_mul(_rows(g[i + 1]), CA.d(i)), _rows(to_int(inverse_exact(g[i]))))
-            for i in CA.degrees()
-            if i != CA.hi
-        }
+        diffB = {i: _mul(_mul(g[i + 1][0], CA.d(i)), g[i][1]) for i in range(CA.lo, CA.hi)}
         CB = BoundedComplex(CA.ranks, diffB)
-        # h[j]: degree j -> degree j-1, shape (rank(j-1), rank(j)).
-        h = {}
-        for j in CA.degrees():
-            if j == CA.lo:
-                continue
-            hj = zeros(CA.rank(j - 1), CA.rank(j))
-            for a_ in range(hj.shape[0]):
-                for b_ in range(hj.shape[1]):
-                    hj[a_, b_] = Fraction(rng.randint(-2, 2), rng.choice([1, 1, 2, 3]))
-            h[j] = hj
-        a = Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 1, 2]))
+        # H[j] = 6 h[j], h[j]: degree j -> degree j-1, drawn row-major
+        H = {
+            j: [{k: x for k in range(CA.rank(j)) if (x := sixfold())} for _ in range(CA.rank(j - 1))]
+            for j in range(CA.lo + 1, CA.hi + 1)
+        }
+        p, q = rng.choice([1, 2, 3, 5]), rng.choice([1, 1, 2])
+        # with a = p / q, lam = g (6p + q (d H + H d)) / 6q
         lam = {}
-        ok = True
         for i in CA.degrees():
-            n = CA.rank(i)
-            lam_i = a * eye(n)
-            if i in h:  # d^{i-1} ∘ h_i
-                lam_i = lam_i + _dense(CA.d(i - 1), CA.rank(i - 1)) @ h[i]
-            if i + 1 in h:  # h_{i+1} ∘ d^i
-                lam_i = lam_i + h[i + 1] @ _dense(CA.d(i), n)
-            lam_i = g[i] @ lam_i
-            if det_exact(lam_i) == 0:
-                ok = False
+            M = [{k: 6 * p} for k in range(CA.rank(i))]
+            if i in H:  # d^{i-1} ∘ h_i
+                for row, dh in zip(M, _mul(CA.d(i - 1), H[i])):
+                    _axpy(row, dh, q)
+            if i + 1 in H:  # h_{i+1} ∘ d^i
+                for row, hd in zip(M, _mul(H[i + 1], CA.d(i))):
+                    _axpy(row, hd, q)
+            N = _mul(g[i][0], M)
+            if _det(N, len(N)) == 0:
                 break
-            lam[i] = lam_i
-        if ok:
+            lam[i] = N, 6 * q
+        else:
             return CA, CB, lam

@@ -29,7 +29,6 @@ from .exact_linalg import (
     Row,
     _axpy,
     _bareiss,
-    _dense,
     _det,
     _kernel,
     _mul,
@@ -192,14 +191,14 @@ def _certified_rows(m: int, bare: bool) -> list[Row]:
     return [row for p in primes_of(m) for row in rows[p]]
 
 
-def distribution_relation_rows(m: int):
-    """One row per pair (n, a): [a] minus the sum of its n preimages."""
-    return _dense(_relation_rows(m, False, divisors(m)[1:]), m)
+def distribution_relation_rows(m: int) -> list[Row]:
+    """One sparse row per pair (n, a): [a] minus the sum of its n preimages."""
+    return _relation_rows(m, False, divisors(m)[1:])
 
 
-def predistribution_relation_rows(m: int):
-    """One row per pair (n, a): the bare preimage sum."""
-    return _dense(_relation_rows(m, True, divisors(m)[1:]), m)
+def predistribution_relation_rows(m: int) -> list[Row]:
+    """One sparse row per pair (n, a): the bare preimage sum."""
+    return _relation_rows(m, True, divisors(m)[1:])
 
 
 def distribution_lattice(m: int) -> Lattice:

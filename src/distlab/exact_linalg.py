@@ -3,30 +3,35 @@ dense numpy front ends.
 
 One sparse form.  A ``Row`` is a ``dict`` from column to nonzero ``int``,
 and a matrix is the list of its rows, acting on column vectors.  Every
-object that ``distlab verify`` builds stays in this form end to end:
-``_mul(A, B)`` builds the rows of A @ B from ``_axpy(dst, src, q)`` over
-the support of ``src``, and ``_transpose`` reads the columns, so
-identities such as d^2 = 0 cost O(nnz).  Callers holding rows call the
-row cores (``_smith``, ``_hermite``, ``_bareiss``, ``_kernel``, ``_det``,
-``_coords``, ``_mul``) directly, and ``Lattice`` takes rows that
-``_check_rows`` has checked.  The dense front ends (``hnf``,
-``kernel_basis``, ``snf_with_inverses``, ``solve_exact``, ``det_exact``,
-...) take and return 2-D numpy arrays with ``dtype=object`` whose entries
-are Python ``int`` or ``Fraction``; ``_rows`` and ``_dense`` convert at
-that boundary.  They serve the tests and the randomized regulator route
-of ``distlab index --trials``, and numpy is imported only when one is
-called, so no suite of ``distlab verify`` loads it.  Lattices and other
-subgroup-like data are matrices whose *rows* generate.
+object that ``distlab`` builds stays in this form end to end: ``_mul(A,
+B)`` builds the rows of A @ B from ``_axpy(dst, src, q)`` over the
+support of ``src``, and ``_transpose`` reads the columns, so identities
+such as d^2 = 0 cost O(nnz).  Callers holding rows call the row cores
+(``_smith``, ``_hermite``, ``_bareiss``, ``_kernel``, ``_det``,
+``_coords``, ``_mul``) directly, and ``Lattice`` and
+``integral_preimage`` take rows that ``_check_rows`` has checked.
+
+The dense front ends (``hnf``, ``kernel_basis``, ``snf_with_inverses``,
+``solve_exact``, ``det_exact``, ...) take and return 2-D numpy arrays
+with ``dtype=object`` whose entries are Python ``int`` or ``Fraction``;
+``_rows`` and ``_dense`` convert at that boundary.  No other module calls
+them: they serve the tests as oracles and the benchmark tracer, and a
+caller hands them numpy arrays, so it has numpy already.  This module
+imports numpy only inside them, and numpy is no runtime dependency.
+Lattices and other subgroup-like data are matrices whose *rows* generate.
 
 One rational representation.  A rational matrix A is handled as an integer
-numerator over one positive denominator: ``scaled(A)`` returns (N, d) with
-d the least positive integer making d * A integral and N = d * A in plain
-ints, and ``unscaled(N, d)`` turns it back into ``Fraction`` entries.
-Products of rational matrices multiply the numerators only and carry the
-denominators as one integer each, so an identity A B == C D is tested as
-N_A N_B d_C d_D == N_C N_D d_A d_B.  ``Lattice`` takes generators as
-(N, den), N sparse integer rows, and stores them as integer Hermite rows
-over one denominator; ``Lattice.contains`` takes its vectors the same way.
+numerator over one positive denominator, (N, d) with N = d * A: every
+rational map of the package (the smoothing maps, phi and the regulator
+maps of ``abgroup``) is such a pair, with N sparse rows.  On the dense
+side ``scaled(A)`` returns (N, d) with d the least positive integer
+making d * A integral, and ``unscaled(N, d)`` turns it back into
+``Fraction`` entries.  Products of rational matrices multiply the
+numerators only and carry the denominators as one integer each, so an
+identity A B == C D is tested as N_A N_B d_C d_D == N_C N_D d_A d_B.
+``Lattice`` takes generators as (N, den), N sparse integer rows, and
+stores them as integer Hermite rows over one denominator;
+``Lattice.contains`` takes its vectors the same way.
 
 One elimination core.  ``_smith`` and ``_hermite`` take these rows and
 work in place.  ``_hermite`` returns the nonzero Hermite rows; ``hnf``
@@ -199,7 +204,11 @@ def _rows(A: np.ndarray) -> list[Row]:
 
 def _check_rows(rows: list[Row], n: int, name: str = "relation") -> list[Row]:
     """The sparse rows of ints on Z^n, zero entries dropped (other rows are
-    not copied); ValueError names the first malformed one of the ``name`` rows."""
+    not copied); ValueError names the first malformed one of the ``name`` rows.
+    The rows come as a list or tuple, so a dense matrix, which may hide its
+    width in zero rows, is refused whole."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"{name} rows are a {type(rows).__name__}, not a list of dict rows")
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"{name} row {i} is a {type(row).__name__}, not a dict row")
@@ -784,19 +793,15 @@ def lattice_intersect(A: Lattice, B: Lattice) -> Lattice:
     return Lattice(A.ambient, _mul(u, stacked[: A.rank]), d)
 
 
-def integral_preimage(M: IMat, gens: IMat) -> IMat:
-    """Rows generating {x in Z^n : M @ x in the Z-row-span of gens}."""
-    import numpy as np
+def integral_preimage(M: list[Row], gens: list[Row], n: int) -> list[Row]:
+    """Hermite rows spanning {x in Z^n : M x in the Z-span of the gens rows}.
 
-    n = M.shape[1]
-    if gens.shape[0] == 0:
-        return kernel_basis(M)
-    W = np.hstack([M, -gens.T])
-    ker = kernel_basis(W)
-    if ker.shape[0] == 0:
-        return zeros(0, n)
-    return hnf_nonzero(ker[:, :n])
-
-
-def is_unimodular(A: IMat) -> bool:
-    return A.shape[0] == A.shape[1] and abs(det_exact(A)) == 1
+    M is given by its sparse rows over columns < n, and the gens rows have
+    width len(M); ``_check_rows`` checks both.  The x are the first n
+    coordinates of the integral kernel of [M | -gens^T].
+    """
+    W = [dict(row) for row in _check_rows(M, n, "map")]
+    for t, row in enumerate(_check_rows(gens, len(W), "generator")):
+        for j, x in row.items():
+            W[j][n + t] = -x
+    return _hermite([{j: x for j, x in v.items() if j < n} for v in _kernel(W, n + len(gens))], n)

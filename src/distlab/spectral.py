@@ -20,9 +20,9 @@ from math import comb
 from .abgroup import (
     FgAbGroup,
     JComplex,
-    _subquotient,
     elementary_power,
     i_invariant,
+    subquotient_group,
 )
 from .arith import euler_phi, factorize, primes_of
 from .distribution import tate_distribution, tate_predistribution
@@ -275,7 +275,7 @@ class DoubleComplex:
         if key not in self._store:
             Z = self.z_rows(p, q, r)
             B = self.b_rows(p, q, r) if Z else []
-            self._store[key] = _subquotient(Z, B, self.rank(p, q))
+            self._store[key] = subquotient_group(Z, B, self.rank(p, q))
         return self._store[key]
 
     def e_via_homology(self, p: int, q: int, r: int) -> FgAbGroup:
@@ -298,7 +298,7 @@ class DoubleComplex:
         cols = self._columns(src, tgt) + lift
         ker = _kernel(_transpose(cols, height), len(cols))
         num = _hermite([{j: x for j, x in row.items() if j < n} for row in ker], n)
-        return _subquotient(num, self.b_rows(p, q, r + 1) if num else [], n)
+        return subquotient_group(num, self.b_rows(p, q, r + 1) if num else [], n)
 
     # -- the total complex on the stored window
 
@@ -333,7 +333,7 @@ class DoubleComplex:
             # total degree n is the full staircase from (p_lo, n - p_lo)
             rows, offsets = self._zig(self.p_lo, n - self.p_lo, 1 - self.p_lo)
             image = self._columns(self.total_entries(n - 1), self.total_entries(n))
-            self._store[key] = _subquotient([dict(row) for row in rows], image, offsets[-1])
+            self._store[key] = subquotient_group([dict(row) for row in rows], image, offsets[-1])
         return self._store[key]
 
 
@@ -608,7 +608,7 @@ def scaled_rows_check(m: int) -> dict:
         m_even = [{j: x // s[k] for j, x in row.items()} for k, row in enumerate(plus)]
         m_odd = [{} if c[k] == k else {k: s[k], c[k]: -s[c[k]]} for k in range(n)]
         column_exact = column_exact and all(
-            _subquotient(_kernel(a, n), _transpose(b, n), n).is_trivial
+            subquotient_group(_kernel(a, n), _transpose(b, n), n).is_trivial
             for a, b in ((m_even, m_odd), (m_odd, m_even))
         )
         if p < 0:  # d diag(s) must be divisible row by row by the next scaling

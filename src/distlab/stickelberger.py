@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING
 
 from .abgroup import fixed_basis, fixed_image_index, theta_fixed
 from .arith import inverse_mod, primes_of, prime_to_p_part, validate_level
@@ -36,9 +35,6 @@ from .distribution import (
 from .exact_linalg import Lattice, Row, _comb, _mul, _transpose, lattice_index, lattice_intersect
 from .lcomplex import DIFFERENCE, build_jcomplex
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 @lru_cache(maxsize=64)
 def units_of(m: int) -> tuple[int, ...]:
@@ -55,13 +51,6 @@ class GroupRingElem:
     def __post_init__(self):
         if len(self.coeffs) != len(units_of(self.m)):
             raise ValueError("coefficient count does not match the unit group")
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The coefficients as a dense object array."""
-        import numpy as np
-
-        return np.array(self.coeffs, dtype=object)
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
         if not isinstance(other, GroupRingElem) or other.m != self.m:

@@ -335,14 +335,16 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-NO_NUMPY = """
+REFUSE_NUMPY = """
 import sys
 
 class RefuseNumpy:
     def find_spec(self, name, path=None, target=None):
         if name.split(".")[0] == "numpy":
             raise ImportError("numpy refused: " + name)
+"""
 
+NO_NUMPY = REFUSE_NUMPY + """
 if sys.argv[1] == "refuse":
     sys.meta_path.insert(0, RefuseNumpy())
 from distlab.cli import main
@@ -367,6 +369,35 @@ def test_cohomology_runs_without_numpy():
 def test_verify_runs_without_numpy():
     # every suite, on the strata of the benchmark and the index formula at 105
     _same_without_numpy("verify", "--suite", "all", "--m-list", "5,7,8,21,105")
+
+
+def test_index_trials_run_without_numpy():
+    # the regulator route, end to end
+    _same_without_numpy("index", "--trials", "20")
+
+
+def test_every_module_imports_without_numpy():
+    code = REFUSE_NUMPY + (
+        "sys.meta_path.insert(0, RefuseNumpy())\n"
+        "import importlib, distlab\n"
+        "for module in distlab._EXPORTS:\n"
+        "    importlib.import_module('distlab.' + module)\n"
+        "for name in distlab.__all__:\n"
+        "    getattr(distlab, name)\n"
+        "print(len(distlab._EXPORTS), 'numpy' in sys.modules)\n"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.split() == [b"8", b"False"]
+
+
+def test_index_trials_are_pinned(capsys):
+    # the regulators of the first 100 trials of seed 0, as first recorded: a
+    # change in the order of the random draws moves them
+    code, out = run(["index", "--trials", "100", "--seed", "0", "--format", "json"], capsys)
+    assert code == 0
+    want = json.loads((ROOT / "tests" / "data" / "regulator_trials_seed0.json").read_text())
+    assert [[c["expected"], c["computed"]] for c in json.loads(out)["checks"]] == want
 
 
 def test_importing_the_package_and_cli_loads_no_numpy():

@@ -188,7 +188,7 @@ def test_negation_action_tate_groups():
     for m in (3, 4, 9, 12):
         rel = distribution_relation_rows(m)
         for parity in ("odd", "even"):
-            slow = tate_group(_dense(negation_matrix(m), m), rel, parity)
+            slow = tate_group(negation_matrix(m), rel, parity)
             assert tate_distribution(m, parity) == slow
 
 
@@ -219,9 +219,9 @@ def test_sparse_relation_rows_match_the_dense_route():
             (True, predistribution_relation_rows, universal_predistribution),
         ):
             want = _stacked_relation_rows(m, bare)
-            if not mat_equal(dense(m), want):
+            if not mat_equal(_dense(dense(m), m), want):
                 bad.append((m, bare, "rows"))
-            if not mat_equal(quotient(m).relations, hnf_nonzero(want)):
+            if not mat_equal(_dense(quotient(m).rows, m), hnf_nonzero(want)):
                 bad.append((m, bare, "hermite"))
     assert not bad
 
@@ -231,21 +231,21 @@ def test_rank_route_matches_smith_route_up_to_200():
     # on the full presentation by the Hermite relation rows.
     bad = []
     for m in [m for m in range(3, 201) if m % 4 != 2]:
-        C = _dense(negation_matrix(m), m)
+        C = negation_matrix(m)
         for q, tate in (
             (universal_distribution(m), tate_distribution),
             (universal_predistribution(m), tate_predistribution),
         ):
             for parity in ("even", "odd"):
-                if tate(m, parity) != tate_group(C, q.relations, parity):
+                if tate(m, parity) != tate_group(C, q.rows, parity):
                     bad.append((m, tate.__name__, parity))
     assert not bad
 
 
 def test_rank_route_at_four_primes():
     m = 420
-    C = _dense(negation_matrix(m), m)
-    u, o = universal_distribution(m).relations, universal_predistribution(m).relations
+    C = negation_matrix(m)
+    u, o = universal_distribution(m).rows, universal_predistribution(m).rows
     # the three groups whose Smith route is fast at this level
     assert tate_distribution(m, "odd") == tate_group(C, u, "odd")
     assert tate_predistribution(m, "odd") == tate_group(C, o, "odd")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from distlab.abgroup import FgAbGroup, _subquotient
+from distlab.abgroup import FgAbGroup, subquotient_group
 from distlab.distribution import distribution_relation_rows, negation_matrix
 from distlab.exact_linalg import (
     Lattice,
@@ -31,7 +31,6 @@ from distlab.exact_linalg import (
     inverse_exact,
     invariant_factors,
     is_integral,
-    is_unimodular,
     kernel_basis,
     lattice_index,
     lattice_intersect,
@@ -130,7 +129,7 @@ def test_snf_properties(rows):
     A = imat(rows)
     U, _, D, V, _ = snf_with_inverses(A)
     assert mat_equal(U @ A @ V, D)
-    assert is_unimodular(U) and is_unimodular(V)
+    assert abs(det_exact(U)) == 1 and abs(det_exact(V)) == 1
     facs = _diagonal(D)
     for a, b in zip(facs, facs[1:]):
         assert b % a == 0
@@ -171,7 +170,7 @@ SNF_GOLDEN = json.loads((Path(__file__).parent / "data" / "snf_golden.json").rea
 GOLDEN_INPUTS = {
     "eye_plus_negation_15": lambda: eye(15) + _dense(negation_matrix(15), 15),
     "eye_minus_negation_15": lambda: eye(15) - _dense(negation_matrix(15), 15),
-    "distribution_relation_rows_12": lambda: distribution_relation_rows(12),
+    "distribution_relation_rows_12": lambda: _dense(distribution_relation_rows(12), 12),
 }
 
 
@@ -735,8 +734,12 @@ def test_lattice_rejects_a_non_positive_denominator(den):
 
 def test_integral_preimage():
     # {x : 2x in 6Z} = 3Z
-    rows = integral_preimage(imat([[2]]), imat([[6]]))
-    assert mat_equal(rows, imat([[3]]))
+    rows = integral_preimage([{0: 2}], [{0: 6}], 1)
+    assert mat_equal(_dense(rows, 1), imat([[3]]))
+    # no generators: the Hermite kernel; and the generator rows are checked
+    assert integral_preimage([{0: 2, 1: 2}], [], 2) == [{0: 1, 1: -1}]
+    with pytest.raises(ValueError, match="^generator rows have width 2, want 1$"):
+        integral_preimage([{0: 2}], [{1: 6}], 1)
 
 
 def test_image_lattice_and_contains():
@@ -828,7 +831,7 @@ def test_solves_are_pinned(name):
 def test_subquotient_reads_the_pinned_integral_solves():
     """The integral systems num.T @ X == den.T of the same runs, pinned with
     their integer X: each den row has integer coordinates in the Hermite
-    rows of num, and ``_subquotient`` gives the group that X presents."""
+    rows of num, and ``subquotient_group`` gives the group that X presents."""
     for rec in SOLVE_GOLDEN["solve_integral"]:
         A, B = (_from_golden(a) for a in rec["args"])
         X = _from_golden(rec["out"])
@@ -838,4 +841,4 @@ def test_subquotient_reads_the_pinned_integral_solves():
         for v in _rows(B.T):
             x = _coords(H, v, _pivots(H))
             assert x is not None and _mul([x], H)[0] == v
-        assert _subquotient(_rows(A.T), _rows(B.T), n) == FgAbGroup.from_relations(k, X.T)
+        assert subquotient_group(_rows(A.T), _rows(B.T), n) == FgAbGroup.from_relations(k, _rows(X.T))

@@ -1,6 +1,7 @@
 """Every module-level import of the package, its tests and its demos is read."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,34 @@ def test_every_tree_is_scanned():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_module_level_imports_are_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def imports_numpy(source: str) -> bool:
+    """Whether any import of the module, at module level or inside a
+    function, loads numpy."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "numpy":
+            return True
+    return False
+
+
+def test_the_numpy_guard_sees_every_import():
+    assert imports_numpy("def f():\n    import numpy as np\n")
+    assert imports_numpy("from numpy.linalg import det\n")
+    assert not imports_numpy("from .numpy import x\nimport numbers\n# import numpy\n")
+
+
+def test_only_the_dense_front_ends_import_numpy():
+    # numpy is a test oracle: in the package only exact_linalg's dense front
+    # ends, which callers hand numpy arrays, import it
+    importers = [p.name for p in FILES if p.parent.name == "distlab" and imports_numpy(p.read_text())]
+    assert importers == ["exact_linalg.py"]
+
+
+def test_the_package_has_no_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", text, re.M)
+    test_extra = re.search(r"^test = \[(.*)\]$", text, re.M).group(1)
+    assert '"numpy>=1.24"' in test_extra

@@ -7,7 +7,7 @@
 
 from distlab import FULL, HALF, build_double, symbol_basis, tate_distribution
 from distlab.lcomplex import DIFFERENCE
-from distlab.spectral import index_expected, index_values_check
+from distlab.spectral import index_expected, index_page_product, index_values_check
 
 m = 12
 sb = symbol_basis(m)
@@ -52,12 +52,13 @@ print(f"full variant: pages 2, 3, 4 agree on {len(cells)} interior cells")
 # ---------------------------------------------------------------
 # the correction invariant read off the page orders
 
-res = index_values_check(m, with_pages=True)
+res = index_values_check(m)
 for kind in ("difference", "average"):
     part = res[kind]
+    pages = index_page_product(m, kind)
     print(
         f"{kind}: invariant {part['value']} = closed form {part['expected']}"
-        f" = page product {part['page_product']}"
+        f" = page product {pages}"
     )
-    assert part["match"]
+    assert part["match"] and pages == part["value"]
 print("closed form at this level:", index_expected(m, DIFFERENCE))

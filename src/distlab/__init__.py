@@ -73,13 +73,13 @@ _EXPORTS = {
         "det_exact",
         "hnf",
         "invariant_factors",
-        "inverse_exact",
         "kernel_basis",
         "lattice_index",
         "lattice_intersect",
         "lattice_sum",
         "rank_exact",
         "solve_exact",
+        "to_int",
     ),
     "lcomplex": (
         "AVERAGE",

@@ -32,7 +32,6 @@ from .exact_linalg import (
     Lattice,
     Row,
     _axpy,
-    _bareiss,
     _check_rows,
     _comb,
     _coords,
@@ -40,10 +39,12 @@ from .exact_linalg import (
     _hermite,
     _kernel,
     _mul,
+    _rank,
     _smith,
     _transpose,
     integral_preimage,
     lattice_index,
+    solve_exact,
 )
 
 # A rational map N / e: integer numerator rows over a positive denominator.
@@ -67,6 +68,9 @@ class FgAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for x in (self.free_rank, *self.torsion):
+            if type(x) is not int:
+                raise ValueError(f"free rank and torsion must be ints, got {x!r}")
         if self.free_rank < 0:
             raise ValueError(f"free rank must be non-negative, got {self.free_rank}")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -100,9 +104,7 @@ class FgAbGroup:
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        return prod(self.torsion) if self.torsion else 1
+        return None if self.free_rank else self.torsion_order()
 
     @property
     def is_trivial(self) -> bool:
@@ -113,7 +115,7 @@ class FgAbGroup:
         return self.free_rank == 0
 
     def torsion_order(self) -> int:
-        return prod(self.torsion) if self.torsion else 1
+        return prod(self.torsion)
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup.from_invariants(
@@ -242,11 +244,14 @@ def _read_only(rows: list[Row]) -> tuple[Mapping[int, int], ...]:
 def subquotient_group(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
     """(Z-span of num) / (Z-span of den) for sparse rows over columns < n.
 
-    The num rows must be independent and every den row an integral
-    combination of them; ValueError names the first row that is not.  The
-    group is read off the Smith diagonal of the den rows' coordinates in
-    the Hermite basis of num, which is reduced in place.
+    ``_check_rows`` checks both.  The num rows must be independent and
+    every den row an integral combination of them; ValueError names the
+    first row that is not.  The group is read off the Smith diagonal of the
+    den rows' coordinates in the Hermite basis of num, which is reduced in
+    place.
     """
+    num = _check_rows(num, n, "numerator")
+    den = _check_rows(den, n, "denominator")
     k = len(num)
     H = _hermite(num, n)
     if len(H) < k:
@@ -256,7 +261,7 @@ def subquotient_group(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
     for i, v in enumerate(den):
         x = _coords(H, v, piv)
         if x is None:
-            if len(_bareiss([dict(h) for h in H] + [dict(v)], n)[0]) == len(H):
+            if _rank(H + [v], n) == len(H):
                 where = "inside its rational span, not integral"
             else:
                 where = "outside its rational span"
@@ -631,11 +636,8 @@ def regulator_via_subgroups(A: FgAbGroup, B: FgAbGroup, lam: Scaled, rng) -> Fra
     VB, ordB = draw(B)
     g, _ = _random_unimodular(r, rng)
     # phi sends the j-th chosen generator of B'' to sum_i g[i, j] a_i, so
-    # R(phi) = PA g PB^-1 with PA = VA^T and PB = VB^T.  The Bareiss rows
-    # of [PB | I] end as d [I | X], so PB^-1 = X / d.
-    M = [{**row, r + k: 1} for k, row in enumerate(_transpose(VB, r))]
-    _, d, _ = _bareiss(M, r)
-    X = [{j - r: x for j, x in row.items() if j >= r} for row in M]
+    # R(phi) = PA g PB^-1 with PA = VA^T and PB = VB^T, and PB^-1 = X / d.
+    X, d = solve_exact(_transpose(VB, r), [{k: 1} for k in range(r)], r)
     rphi_lam = _mul(_mul(_mul(_transpose(VA, r), g), X), N)
     return Fraction(abs(_det(rphi_lam, r)), (d * e) ** r) * Fraction(ordB, ordA)
 

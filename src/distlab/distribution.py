@@ -28,10 +28,10 @@ from .exact_linalg import (
     Lattice,
     Row,
     _axpy,
-    _bareiss,
     _det,
     _kernel,
     _mul,
+    _rank,
     _transpose,
 )
 
@@ -392,8 +392,8 @@ def smoothing_check(m: int) -> dict:
     if m > 1:
         # the relations r go to N r, the rows r N^T
         carried = _mul(_relation_rows(m, False, divisors(m)[1:]), _transpose(N, m))
-        pre = [dict(row) for row in universal_predistribution(m).rows]
-        span_ok = len(_bareiss(pre + carried, m)[0]) == len(pre)
+        pre = universal_predistribution(m).rows
+        span_ok = _rank(pre + carried, m) == len(pre)
     return {"level": m, "inverse_ok": inv_ok, "relations_carried": span_ok,
             "ok": inv_ok and span_ok}
 

@@ -1,59 +1,53 @@
-"""Exact integer and rational linear algebra on sparse integer rows, with
-dense numpy front ends.
+"""Exact integer and rational linear algebra on sparse integer rows.
 
 One sparse form.  A ``Row`` is a ``dict`` from column to nonzero ``int``,
 and a matrix is the list of its rows, acting on column vectors.  Every
 object that ``distlab`` builds stays in this form end to end: ``_mul(A,
 B)`` builds the rows of A @ B from ``_axpy(dst, src, q)`` over the
 support of ``src``, and ``_transpose`` reads the columns, so identities
-such as d^2 = 0 cost O(nnz).  Callers holding rows call the row cores
-(``_smith``, ``_hermite``, ``_bareiss``, ``_kernel``, ``_det``,
-``_coords``, ``_mul``) directly, and ``Lattice`` and
-``integral_preimage`` take rows that ``_check_rows`` has checked.
+such as d^2 = 0 cost O(nnz).  Callers holding rows they built call the
+row cores (``_smith``, ``_hermite``, ``_bareiss``, ``_kernel``, ``_det``,
+``_rank``, ``_coords``, ``_mul``) directly.  Lattices and other
+subgroup-like data are matrices whose *rows* generate.
 
-The dense front ends (``hnf``, ``kernel_basis``, ``snf_with_inverses``,
-``solve_exact``, ``det_exact``, ...) take and return 2-D numpy arrays
-with ``dtype=object`` whose entries are Python ``int`` or ``Fraction``;
-``_rows`` and ``_dense`` convert at that boundary.  No other module calls
-them: they serve the tests as oracles and the benchmark tracer, and a
-caller hands them numpy arrays, so it has numpy already.  This module
-imports numpy only inside them, and numpy is no runtime dependency.
-Lattices and other subgroup-like data are matrices whose *rows* generate.
+One public API on checked rows.  ``hnf``, ``kernel_basis``,
+``snf_with_inverses``, ``invariant_factors``, ``det_exact``,
+``rank_exact`` and ``solve_exact`` take sparse rows and a width, check
+them with ``_check_rows`` and run the row core on a copy, so the caller's
+rows are never changed and each computation has one implementation;
+``Lattice`` and ``integral_preimage`` check their rows the same way.
+``to_int`` reads any 2-D integral matrix, nested sequences or a numpy
+array, into rows by iterating it, so this module never imports numpy.
 
 One rational representation.  A rational matrix A is handled as an integer
 numerator over one positive denominator, (N, d) with N = d * A: every
 rational map of the package (the smoothing maps, phi and the regulator
-maps of ``abgroup``) is such a pair, with N sparse rows.  On the dense
-side ``scaled(A)`` returns (N, d) with d the least positive integer
-making d * A integral, and ``unscaled(N, d)`` turns it back into
-``Fraction`` entries.  Products of rational matrices multiply the
-numerators only and carry the denominators as one integer each, so an
-identity A B == C D is tested as N_A N_B d_C d_D == N_C N_D d_A d_B.
-``Lattice`` takes generators as (N, den), N sparse integer rows, and
-stores them as integer Hermite rows over one denominator;
+maps of ``abgroup``) is such a pair, with N sparse rows, and so is the
+solution that ``solve_exact`` returns.  Products of rational matrices
+multiply the numerators only and carry the denominators as one integer
+each, so an identity A B == C D is tested as N_A N_B d_C d_D == N_C N_D
+d_A d_B.  ``Lattice`` takes generators as (N, den), N sparse integer
+rows, and stores them as integer Hermite rows over one denominator;
 ``Lattice.contains`` takes its vectors the same way.
 
 One elimination core.  ``_smith`` and ``_hermite`` take these rows and
-work in place.  ``_hermite`` returns the nonzero Hermite rows; ``hnf``
-and ``hnf_nonzero`` are ``_rows``/``_dense`` wrappers around it.  The
-Smith pivot is the first least nonzero |entry| of the trailing block in
-row-major order (Kannan-Bachem; Cohen, §2.4): rows are scanned one at a
-time and a unit ends the search.  Once the pivot column is cleared it is
-p * e_t, so the column operations touch the pivot row only, and column
-swaps are a relabelling.  The transforms U, U^-1, V, V^-1 are sparse rows
-too, built only when asked for.  ``snf_with_inverses``, ``kernel_basis``
-and ``invariant_factors`` are its dense front ends: the first builds all
-four transforms, the second V only and the third none; ``_kernel`` is
-the second on rows, and ``ZQuotient`` asks ``_smith`` for U and U^-1.
+work in place.  ``_hermite`` returns the nonzero Hermite rows, and so
+does ``hnf`` on checked rows.  The Smith pivot is the first least
+nonzero |entry| of the trailing block in row-major order (Kannan-Bachem;
+Cohen, §2.4): rows are scanned one at a time and a unit ends the search.
+Once the pivot column is cleared it is p * e_t, so the column operations
+touch the pivot row only, and column swaps are a relabelling.  The
+transforms U, U^-1, V, V^-1 are sparse rows too, built only when asked
+for.  ``snf_with_inverses`` builds all four,
+``_kernel`` (and ``kernel_basis`` for checked rows) V only, and
+``invariant_factors`` none; ``ZQuotient`` asks ``_smith`` for U and U^-1.
 
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
 rows left to right (Bareiss 1968): every update is an exact division by
 the previous pivot, so no ``Fraction`` is formed, and the pivot rows end
-as d * [I | X].  ``rank_exact`` counts its pivots, ``det_exact`` reads d
-and the sign of the row swaps, and ``solve_exact`` runs it on [A | B]
-and returns X = (d X) / d with the free variables zero; ``_det`` is the
-determinant on rows.  Rational inputs are scaled row by row, each row by
-its own least denominator.
+as d * [I | X].  ``_rank`` counts its pivots, ``_det`` reads d and the
+sign of the row swaps, and ``solve_exact`` runs it on [A | B] and returns
+(X, d) with A X = d B and the free variables zero.
 
 One coordinate route.  ``_coords`` writes an integer vector in the basis
 of Hermite rows by one triangular reduction over the vector's support,
@@ -68,119 +62,10 @@ pivots.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import TYPE_CHECKING, Sequence
+from math import gcd, inf, lcm, prod
+from operator import index
 
 from .arith import _xgcd
-
-# Type aliases for the dense front ends; both are numpy object arrays.
-# Outside a type checker they are only names, so importing them loads no numpy.
-if TYPE_CHECKING:
-    import numpy as np
-
-    IMat = np.ndarray
-    QMat = np.ndarray
-else:
-    IMat = QMat = "numpy.ndarray"
-
-
-def imat(rows: Sequence[Sequence[int]]) -> IMat:
-    """Build an integer object matrix from nested sequences."""
-    import numpy as np
-
-    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    if a.ndim == 1:
-        a = a.reshape(len(rows), 0)
-    return a
-
-
-def qmat(rows: Sequence[Sequence]) -> QMat:
-    """Build a rational object matrix, coercing entries to Fraction."""
-    import numpy as np
-
-    a = np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
-    if a.ndim == 1:
-        a = a.reshape(len(rows), 0)
-    return a
-
-
-def eye(n: int) -> IMat:
-    a = zeros(n, n)
-    for i in range(n):
-        a[i, i] = 1
-    return a
-
-
-def zeros(r: int, c: int) -> IMat:
-    import numpy as np
-
-    a = np.empty((r, c), dtype=object)
-    a[...] = 0
-    return a
-
-
-def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.shape != b.shape:
-        return False
-    if a.size == 0:
-        return True
-    return bool((a == b).all())
-
-
-def is_integral(a: np.ndarray) -> bool:
-    return all(Fraction(x).denominator == 1 for x in a.flat)
-
-
-def _all_int(a: np.ndarray) -> bool:
-    return set(map(type, a.flat)) <= {int}
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction of plain ints (Fraction keeps a numpy integer's type)."""
-    f = Fraction(x)
-    return Fraction(int(f.numerator), int(f.denominator))
-
-
-def to_int(a: np.ndarray) -> IMat:
-    """Coerce a matrix with integral entries to plain ints (a new array)."""
-    import numpy as np
-
-    if a.dtype == object and _all_int(a):
-        return a.copy()
-    out = np.empty(a.shape, dtype=object)
-    for idx, x in np.ndenumerate(a):
-        f = _exact(x)
-        if f.denominator != 1:
-            raise ValueError(f"entry {x} at {idx} is not an integer")
-        out[idx] = f.numerator
-    return out
-
-
-def scaled(a: np.ndarray) -> tuple[IMat, int]:
-    """(N, d) with d the least positive integer making d * a integral, N = d * a.
-
-    N holds plain ints.  An all-``int`` input comes back as a copy with
-    d = 1 and builds no ``Fraction``.
-    """
-    import numpy as np
-
-    if a.dtype == object and _all_int(a):
-        return a.copy(), 1
-    vals = [x if type(x) in (int, Fraction) else _exact(x) for x in a.flat]
-    d = lcm(*[x.denominator for x in vals])
-    N = np.array([x.numerator * (d // x.denominator) for x in vals], dtype=object)
-    return N.reshape(a.shape), d
-
-
-def unscaled(N: IMat, d: int) -> QMat:
-    """The rational matrix N / d, every entry a ``Fraction``."""
-    import numpy as np
-
-    out = np.empty(N.shape, dtype=object)
-    for idx, x in np.ndenumerate(N):
-        out[idx] = Fraction(x, d)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Sparse integer rows: the elimination core and the operator product
@@ -188,17 +73,42 @@ def unscaled(N: IMat, d: int) -> QMat:
 Row = dict  # column -> nonzero int; absent columns are zero
 
 
-def _rows(A: np.ndarray) -> list[Row]:
-    """The rows of an integral matrix as sparse rows of plain ints."""
-    import numpy as np
+def to_int(A) -> list[Row]:
+    """The rows of the 2-D integral matrix A as sparse ``int`` rows, zero
+    entries dropped.
 
-    I, J = np.nonzero(A)
-    vals = A[I, J].tolist()
-    if not set(map(type, vals)) <= {int}:
-        return _rows(to_int(A))
-    rows: list[Row] = [{} for _ in range(A.shape[0])]
-    for i, j, x in zip(I.tolist(), J.tolist(), vals):
-        rows[i][j] = x
+    A is read by iterating, as nested sequences or a numpy array alike, and
+    its rows must have one length.  An entry is an integer (``int``, or a
+    type with ``__index__`` such as a numpy integer) or an integral
+    ``Fraction``; ValueError names the first other one.
+
+    >>> to_int([[2, 0], [Fraction(4, 2), -1]])
+    [{0: 2}, {0: 2, 1: -1}]
+    """
+    rows: list[Row] = []
+    width = None
+    for i, a in enumerate(A):
+        try:
+            a = list(a)
+        except TypeError:
+            raise ValueError(f"row {i} is a {type(a).__name__}, not a sequence") from None
+        if width is None:
+            width = len(a)
+        elif len(a) != width:
+            raise ValueError(f"row {i} has {len(a)} entries, want {width}")
+        row: Row = {}
+        for j, x in enumerate(a):
+            if type(x) is not int:
+                if isinstance(x, Fraction) and x.denominator == 1:
+                    x = int(x.numerator)
+                else:
+                    try:
+                        x = index(x)
+                    except TypeError:
+                        raise ValueError(f"entry {x!r} at {(i, j)} is not an integer") from None
+            if x:
+                row[j] = x
+        rows.append(row)
     return rows
 
 
@@ -223,13 +133,9 @@ def _check_rows(rows: list[Row], n: int, name: str = "relation") -> list[Row]:
     return [{j: x for j, x in row.items() if x} if 0 in row.values() else row for row in rows]
 
 
-def _dense(rows: list[Row], c: int) -> IMat:
-    """The matrix with these rows and width c."""
-    out = zeros(len(rows), c)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[i, j] = x
-    return out
+def _copy(rows: list[Row], c: int) -> list[Row]:
+    """Fresh copies of the checked matrix rows over columns < c, for an in-place core."""
+    return [dict(row) for row in _check_rows(rows, c, "matrix")]
 
 
 def _axpy(dst: Row, src: Row, q: int) -> None:
@@ -411,33 +317,20 @@ def _smith(M: list[Row], c: int, *, u=False, u_inv=False, v=False, v_inv=False):
     return d, U, Ui, V, Vi
 
 
-def _diag(d: list[int], r: int, c: int) -> IMat:
-    D = zeros(r, c)
-    for i, x in enumerate(d):
-        D[i, i] = x
-    return D
+def snf_with_inverses(rows: list[Row], c: int):
+    """Smith normal form of the rows over columns < c: (d, U, U^-1, V, V^-1).
 
-
-def snf_with_inverses(A: IMat):
-    """Smith normal form: (U, U^-1, D, V, V^-1) with U @ A @ V == D.
-
-    U and V are unimodular and D is diagonal with d1 | d2 | ...; the
-    inverses are tracked along the same operations.
+    All four transforms are rows, U and V unimodular with U A V = diag(d),
+    where d has length min(r, c) and d1 | d2 | ...; the inverses are
+    tracked along the same operations.
     """
-    r, c = A.shape
-    d, U, Ui, V, Vi = _smith(_rows(A), c, u=True, u_inv=True, v=True, v_inv=True)
-    return (
-        _dense(U, r),
-        _dense(_transpose(Ui, r), r),
-        _diag(d, r, c),
-        _dense(_transpose(V, c), c),
-        _dense(Vi, c),
-    )
+    d, U, Ui, V, Vi = _smith(_copy(rows, c), c, u=True, u_inv=True, v=True, v_inv=True)
+    return d, U, _transpose(Ui, len(rows)), _transpose(V, c), Vi
 
 
-def invariant_factors(A: IMat) -> tuple[int, ...]:
+def invariant_factors(rows: list[Row], c: int) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, without transform bookkeeping."""
-    return tuple(x for x in _smith(_rows(A), A.shape[1])[0] if x)
+    return tuple(x for x in _smith(_copy(rows, c), c)[0] if x)
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +384,10 @@ def _hermite(M: list[Row], c: int) -> list[Row]:
     return list(H.values())
 
 
-def hnf(A: IMat) -> IMat:
-    """Row Hermite normal form: positive pivots, entries above reduced.
-
-    Zero rows sink to the bottom; the row span is unchanged.
-    """
-    r, c = A.shape
-    H = _hermite(_rows(A), c)
-    return _dense(H + [{} for _ in range(r - len(H))], c)
-
-
-def hnf_nonzero(A: IMat) -> IMat:
-    """HNF with zero rows dropped."""
-    return _dense(_hermite(_rows(A), A.shape[1]), A.shape[1])
+def hnf(rows: list[Row], c: int) -> list[Row]:
+    """The nonzero rows of the row Hermite normal form of the rows over
+    columns < c: positive pivots, entries above each pivot reduced."""
+    return _hermite(_copy(rows, c), c)
 
 
 def _coords(H: list[Row], v: Row, piv: dict[int, int]) -> Row | None:
@@ -533,17 +417,6 @@ def _coords(H: list[Row], v: Row, piv: dict[int, int]) -> Row | None:
 
 # ---------------------------------------------------------------------------
 # Fraction-free Gauss-Jordan: determinant, rank, solving
-
-
-def _row_scaled(A: np.ndarray) -> tuple[IMat, list[int]]:
-    """(N, s): row i of N is s[i] * A[i], s[i] the least positive integer making it integral."""
-    import numpy as np
-
-    r = A.shape[0]
-    if r == 0 or _all_int(A):
-        return A, [1] * r
-    pairs = [scaled(A[i : i + 1]) for i in range(r)]
-    return np.vstack([N for N, _ in pairs]), [s for _, s in pairs]
 
 
 def _bareiss(M: list[Row], c: int) -> tuple[list[int], int, int]:
@@ -606,63 +479,61 @@ def _det(M: list[Row], n: int) -> int:
     return sign * d if len(piv) == n else 0
 
 
-def det_exact(A: np.ndarray) -> Fraction:
-    """Exact determinant by fraction-free elimination, each row over its own denominator."""
-    r, c = A.shape
-    if r != c:
-        raise ValueError("determinant of a non-square matrix")
-    N, s = _row_scaled(A)
-    return Fraction(_det(_rows(N), c), prod(s))
+def _rank(M: list[Row], c: int) -> int:
+    """The rank over Q of the integer rows M over columns < c; M is not changed."""
+    return len(_bareiss([dict(row) for row in M], c)[0])
 
 
-def rank_exact(A: np.ndarray) -> int:
-    """Rank over Q: the number of pivots of the fraction-free elimination."""
-    return len(_bareiss(_rows(_row_scaled(A)[0]), A.shape[1])[0])
+def det_exact(rows: list[Row], n: int) -> int:
+    """The determinant of the n x n matrix with these rows, by fraction-free elimination."""
+    rows = _check_rows(rows, n, "matrix")
+    if len(rows) != n:
+        raise ValueError(f"matrix has {len(rows)} rows, want {n}")
+    return _det(rows, n)
 
 
-def solve_exact(A: np.ndarray, B: np.ndarray) -> QMat:
-    """Solve A @ X = B exactly over the rationals.
+def rank_exact(rows: list[Row], c: int) -> int:
+    """Rank over Q of the rows over columns < c: the pivots of the fraction-free elimination."""
+    return _rank(_check_rows(rows, c, "matrix"), c)
 
-    B may be a matrix or a single column reshaped as (n, 1).  Raises
-    ValueError when the row counts differ or the system is inconsistent;
-    with a non-unique solution the free variables are set to zero.
+
+def solve_exact(A: list[Row], B: list[Row], c: int) -> tuple[list[Row], int]:
+    """Solve A Y = B exactly over the rationals, for A with rows over columns < c.
+
+    B has one row per row of A, over any columns.  Returns (X, d) with
+    A X = d B: the solution Y = X / d as c integer rows over the columns
+    of B and its least positive denominator d, the free variables zero.
+    Raises ValueError when the row counts differ or the system is
+    inconsistent.
     """
-    import numpy as np
-
-    r, c = A.shape
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    if B.shape[0] != r:
-        raise ValueError("row count of B does not match A")
-    M = _rows(_row_scaled(np.hstack([A, B]))[0])
+    A = _check_rows(A, c, "A")
+    B = _check_rows(B, inf, "B")
+    if len(B) != len(A):
+        raise ValueError(f"B has {len(B)} rows, want {len(A)}")
+    M = [{**a, **{c + j: x for j, x in b.items()}} for a, b in zip(A, B)]
     piv, d, _ = _bareiss(M, c)
-    if any(M[len(piv) :]):
-        raise ValueError("inconsistent linear system")
-    X = zeros(c, B.shape[1])
-    X[...] = Fraction(0)
+    # the rows past the pivots are zero left of c
+    for row in M[len(piv) :]:
+        if row:
+            k = min(row) - c
+            raise ValueError(f"inconsistent linear system: column {k} of B is not in the column span of A")
+    X: list[Row] = [{} for _ in range(c)]
     for col, row in zip(piv, M):
-        for j, x in row.items():
-            if j >= c:
-                X[col, j - c] = Fraction(x, d)
-    return X
+        X[col] = {j - c: x for j, x in row.items() if j >= c}
+    g = gcd(d, *(x for row in X for x in row.values()))
+    if g > 1:
+        X, d = [{j: x // g for j, x in row.items()} for row in X], d // g
+    return X, d
 
 
-def inverse_exact(A: np.ndarray) -> QMat:
-    r, c = A.shape
-    if r != c:
-        raise ValueError("inverse of a non-square matrix")
-    return solve_exact(A, eye(r))
+def kernel_basis(rows: list[Row], c: int) -> list[Row]:
+    """Saturated basis of {x : A x = 0} over Z, for A with these rows over
+    columns < c, returned as rows.
 
-
-def kernel_basis(A: np.ndarray) -> IMat:
-    """Saturated basis of {x : A @ x = 0} over Z, returned as rows.
-
-    Works for integer or rational A (row scaling does not change the
-    kernel).  The basis is primitive: it spans ker(A) ∩ Z^n as a direct
-    summand of Z^n, courtesy of the unimodular Smith transform.
+    The basis is primitive: it spans ker(A) ∩ Z^c as a direct summand of
+    Z^c, courtesy of the unimodular Smith transform.
     """
-    c = A.shape[1]
-    return _dense(_kernel(_rows(_row_scaled(A)[0]), c), c)
+    return _kernel(_check_rows(rows, c, "matrix"), c)
 
 
 def _kernel(M: list[Row], c: int) -> list[Row]:
@@ -727,8 +598,7 @@ class Lattice:
     def spans_same_space(self, other: "Lattice") -> bool:
         if self.ambient != other.ambient or self.rank != other.rank:
             return False
-        stacked = [dict(row) for row in self.rows + other.rows]
-        return len(_bareiss(stacked, self.ambient)[0]) == self.rank
+        return _rank(self.rows + other.rows, self.ambient) == self.rank
 
     def contains(self, rows: list[Row], e: int = 1) -> bool:
         """True iff every row of ``rows / e`` lies in the lattice.

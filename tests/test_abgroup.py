@@ -1,6 +1,7 @@
 """Groups in canonical form, Tate cohomology, regulators, index invariant."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense import dense, eye, imat, mat_equal, qmat, scaled, zeros
 from distlab.abgroup import (
     BoundedComplex,
     FgAbGroup,
@@ -30,29 +32,13 @@ from distlab.abgroup import (
     theta_fixed,
 )
 from distlab.arith import factorize
-from distlab.exact_linalg import (
-    _dense,
-    _mul,
-    _rows,
-    eye,
-    hnf_nonzero,
-    imat,
-    is_integral,
-    mat_equal,
-    qmat,
-    rank_exact,
-    scaled,
-    snf_with_inverses,
-    solve_exact,
-    to_int,
-    zeros,
-)
+from distlab.exact_linalg import _mul, _transpose, hnf, rank_exact, snf_with_inverses, solve_exact, to_int
 
 
 @pytest.mark.parametrize(
     "ngens, relations, message",
     [
-        (2, _rows(eye(3)), "^relation rows have width 3, want 2$"),
+        (2, to_int(eye(3)), "^relation rows have width 3, want 2$"),
         # a dense matrix is refused whole, so an empty one cannot hide its width
         (3, [[2, 0]], "^relation row 0 is a list, not a dict row$"),
         (3, zeros(0, 2), "^relation rows are a ndarray, not a list of dict rows$"),
@@ -68,6 +54,13 @@ def test_from_relations_rejects_malformed_relations(ngens, relations, message):
 def test_free_rank_is_non_negative():
     with pytest.raises(ValueError, match="^free rank must be non-negative, got -1$"):
         FgAbGroup(-1)
+    # a float once built a group printed as Z^1.5
+    for free, torsion in ((1.5, ()), (0, (2.0,)), (True, ()), (0, (2, Fraction(4)))):
+        bad = re.escape(repr(free if type(free) is not int else torsion[-1]))
+        with pytest.raises(ValueError, match=f"^free rank and torsion must be ints, got {bad}$"):
+            FgAbGroup(free, torsion)
+    assert FgAbGroup(0).order() == FgAbGroup(0).torsion_order() == 1
+    assert FgAbGroup(0, (2, 4)).order() == 8 and FgAbGroup(1, (2,)).order() is None
     assert FgAbGroup.from_relations(2, []) == FgAbGroup(2)
     assert FgAbGroup.from_relations(2, [{0: 0, 1: 0}]) == FgAbGroup(2)
     assert FgAbGroup.from_invariants(3, []) == FgAbGroup(3)
@@ -75,7 +68,7 @@ def test_free_rank_is_non_negative():
 
 
 def test_canonical_form_basics():
-    G = FgAbGroup.from_relations(3, _rows(imat([[2, 0, 0], [0, 3, 0]])))
+    G = FgAbGroup.from_relations(3, to_int(imat([[2, 0, 0], [0, 3, 0]])))
     assert G == FgAbGroup(1, (6,))
     assert str(G) == "Z + Z/6"
     assert FgAbGroup.from_invariants(0, [2, 2, 3]).torsion == (2, 6)
@@ -131,29 +124,29 @@ def test_zquotient_coordinates():
     # Z^2 / <(2, 0)> = Z/2 + Z
     q = ZQuotient(2, [{0: 2}])
     assert q.group == FgAbGroup(1, (2,))
-    P, S = _dense(q.P, 2), _dense(q.S, 1)
+    P, S = dense(q.P, 2), dense(q.S, 1)
     assert (P @ S)[0, 0] == 1
-    assert q.stabilizes(_rows(imat([[1, 0], [0, 1]])))
-    assert not q.stabilizes(_rows(imat([[0, 1], [1, 0]])))
+    assert q.stabilizes(to_int(imat([[1, 0], [0, 1]])))
+    assert not q.stabilizes(to_int(imat([[0, 1], [1, 0]])))
 
 
 def test_stabilizes_with_dependent_relations():
     # Rows (2) and (3) generate all of Z; (1) is the combination 2*(-1) + 3*(1),
     # but the particular rational solution with a free variable set to 0 is 1/2.
-    assert ZQuotient(1, [{0: 2}, {0: 3}]).stabilizes(_rows(imat([[1]])))
-    assert ZQuotient(2, [{0: 2}, {0: 3}]).stabilizes(_rows(eye(2)))
-    assert not ZQuotient(2, [{0: 2}, {0: 3}]).stabilizes(_rows(imat([[0, 1], [1, 0]])))
+    assert ZQuotient(1, [{0: 2}, {0: 3}]).stabilizes(to_int(imat([[1]])))
+    assert ZQuotient(2, [{0: 2}, {0: 3}]).stabilizes(to_int(eye(2)))
+    assert not ZQuotient(2, [{0: 2}, {0: 3}]).stabilizes(to_int(imat([[0, 1], [1, 0]])))
 
 
 def test_zquotient_maps_must_be_square_of_its_rank():
     q = ZQuotient(2, [{0: 2}])
     for C in (eye(3), eye(1), imat([[1, 0]])):
         with pytest.raises(ValueError, match=r"^map has \d rows, want 2$"):
-            q.stabilizes(_rows(C))
+            q.stabilizes(to_int(C))
         with pytest.raises(ValueError, match=r"^map has \d rows, want 2$"):
-            q.induced_on_free(_rows(C))
+            q.induced_on_free(to_int(C))
     with pytest.raises(ValueError, match=r"^map has 3 rows, want 2$"):
-        ZQuotient(2, []).stabilizes(_rows(eye(3)))
+        ZQuotient(2, []).stabilizes(to_int(eye(3)))
     # the rows are checked: too wide, or holding a non-int entry
     with pytest.raises(ValueError, match="^map rows have width 3, want 2$"):
         q.stabilizes([{0: 1}, {2: 1}])
@@ -162,30 +155,49 @@ def test_zquotient_maps_must_be_square_of_its_rank():
     # an explicit zero is dropped, not a pivot
     assert q.stabilizes([{0: 1, 1: 0}, {1: 1}])
     # an inconsistent system is an answer, not an error
-    assert not q.stabilizes(_rows(imat([[0, 1], [1, 0]])))
+    assert not q.stabilizes(to_int(imat([[0, 1], [1, 0]])))
 
 
 def test_subquotient_group():
-    num = _rows(imat([[1, 0], [0, 1]]))
-    den = _rows(imat([[2, 0]]))
+    num = to_int(imat([[1, 0], [0, 1]]))
+    den = to_int(imat([[2, 0]]))
     assert subquotient_group(num, den, 2) == FgAbGroup(1, (2,))
-    assert subquotient_group(_rows(imat([[1, 0], [0, 1]])), [], 2) == FgAbGroup(2, ())
+    assert subquotient_group(to_int(imat([[1, 0], [0, 1]])), [], 2) == FgAbGroup(2, ())
     with pytest.raises(ValueError, match="denominator row 0 is not in the numerator lattice"):
         subquotient_group([{0: 2}], [{0: 1}], 2)
 
 
+@pytest.mark.parametrize(
+    "num, den, n, want",
+    [
+        ([{0: 2.0}], [{0: 4}], 1, r"^numerator entry 2.0 at \(0, 0\) is not an integer$"),
+        ([{0: 1}, {1: 1}], [{0: 2, 1: 0}], 2, FgAbGroup(1, (2,))),
+        ([{0: 1}, {2: 1}], [], 2, "^numerator rows have width 3, want 2$"),
+        ([{0: 1}, {1: 1}], [{0: 2}, {2: 1}], 2, "^denominator rows have width 3, want 2$"),
+    ],
+    ids=["float_numerator", "zero_in_denominator", "numerator_past_n", "denominator_past_n"],
+)
+def test_subquotient_checks_its_rows(num, den, n, want):
+    # these gave Z/2.0, a ZeroDivisionError, "dependent" and "not integral"
+    if isinstance(want, FgAbGroup):
+        assert subquotient_group(num, den, n) == want
+        return
+    with pytest.raises(ValueError, match=want):
+        subquotient_group(num, den, n)
+
+
 def test_subquotient_names_its_witness():
     with pytest.raises(ValueError, match=r"^numerator rows are dependent: rank 1 of 2 rows$"):
-        subquotient_group(_rows(imat([[1, 2], [2, 4]])), [], 2)
+        subquotient_group(to_int(imat([[1, 2], [2, 4]])), [], 2)
     with pytest.raises(
         ValueError,
         match=r"^denominator row 1 is not in the numerator lattice: inside its rational span, not integral$",
     ):
-        subquotient_group(_rows(imat([[2, 0], [0, 1]])), _rows(imat([[4, 1], [1, 0]])), 2)
+        subquotient_group(to_int(imat([[2, 0], [0, 1]])), to_int(imat([[4, 1], [1, 0]])), 2)
     with pytest.raises(
         ValueError, match=r"^denominator row 2 is not in the numerator lattice: outside its rational span$"
     ):
-        subquotient_group([{0: 1, 1: 1}], _rows(imat([[2, 2], [0, 0], [0, 1]])), 2)
+        subquotient_group([{0: 1, 1: 1}], to_int(imat([[2, 2], [0, 0], [0, 1]])), 2)
 
 
 def _drawn_matrix(data, r, c):
@@ -194,6 +206,12 @@ def _drawn_matrix(data, r, c):
     for i in range(r):
         A[i, :] = data.draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=c, max_size=c))
     return A
+
+
+def _coordinates(num, w):
+    """The coordinates of the rows of w in the rows of num, solved over Q:
+    (X, d) with num.T X == d w.T."""
+    return solve_exact(to_int(num.T), to_int(w.T), num.shape[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -206,33 +224,34 @@ def test_subquotient_against_rational_solve(data):
     n = data.draw(st.integers(min_value=1, max_value=5))
     k = data.draw(st.integers(min_value=0, max_value=n))
     num = _drawn_matrix(data, k, n)
-    assume(rank_exact(num) == k)
+    assume(rank_exact(to_int(num), n) == k)
     den = _drawn_matrix(data, data.draw(st.integers(min_value=0, max_value=4)), k) @ num
-    want = FgAbGroup.from_relations(k, _rows(to_int(solve_exact(num.T, den.T)).T))
-    assert subquotient_group(_rows(num), _rows(den), n) == want
+    X, d = _coordinates(num, den)
+    assert d == 1
+    want = FgAbGroup.from_relations(k, _transpose(X, den.shape[0]))
+    assert subquotient_group(to_int(num), to_int(den), n) == want
     w = _drawn_matrix(data, 1, n)
     try:
-        ok = is_integral(solve_exact(num.T, w.T))
+        X, d = _coordinates(num, w)
+        ok = d == 1
     except ValueError:  # off the rational span
         ok = False
     if ok:
-        assert subquotient_group(_rows(num), _rows(w), n) == FgAbGroup.from_relations(
-            k, _rows(to_int(solve_exact(num.T, w.T)).T)
-        )
+        assert subquotient_group(to_int(num), to_int(w), n) == FgAbGroup.from_relations(k, _transpose(X, 1))
     else:
         with pytest.raises(ValueError, match="denominator row 0 is not in the numerator lattice"):
-            subquotient_group(_rows(num), _rows(w), n)
+            subquotient_group(to_int(num), to_int(w), n)
 
 
 def test_tate_of_swap_action():
     # c swaps the two coordinates of Z^2: free J-module, both groups vanish
-    C = _rows(imat([[0, 1], [1, 0]]))
+    C = to_int(imat([[0, 1], [1, 0]]))
     assert tate_group(C, [], "odd").is_trivial
     assert tate_group(C, [], "even").is_trivial
 
 
 def test_tate_of_trivial_action():
-    C = _rows(eye(1))
+    C = to_int(eye(1))
     assert tate_group(C, [], "odd").is_trivial  # ker(2)/im(0)
     assert tate_group(C, [], "even") == FgAbGroup(0, (2,))  # Z/2Z
 
@@ -267,7 +286,7 @@ def _reiner(a: int, b: int, r: int) -> np.ndarray:
 )
 def test_tate_pair_on_direct_sums_of_indecomposables(a, b, r):
     # Z^a + Z_-^b + Z[C2]^r has even group (Z/2)^a and odd group (Z/2)^b.
-    C = _rows(_reiner(a, b, r))
+    C = to_int(_reiner(a, b, r))
     want = (elementary_power(2, a), elementary_power(2, b))
     assert tate_pair(C, []) == want
     assert (tate_group(C, [], "even"), tate_group(C, [], "odd")) == want
@@ -284,10 +303,10 @@ def test_tate_pair_on_disguised_quotients(seed):
     C = _block_diag([_reiner(a, b, r), _reiner(ka, kb, kr)])
     n = C.shape[0]
     first = n - (ka + kb + 2 * kr)
-    g, g_inv = (_dense(rows, n) for rows in _random_unimodular(n, rng))
+    g, g_inv = (dense(rows, n) for rows in _random_unimodular(n, rng))
     assert mat_equal(g @ g_inv, eye(n))
-    Cg = _rows(g @ C @ g_inv)
-    rel = _rows(hnf_nonzero(g[:, first:].T))
+    Cg = to_int(g @ C @ g_inv)
+    rel = hnf(to_int(g[:, first:].T), n)
     want = (elementary_power(2, a), elementary_power(2, b))
     assert tate_pair(Cg, rel) == want
     assert (tate_group(Cg, rel, "even"), tate_group(Cg, rel, "odd")) == want
@@ -341,7 +360,7 @@ def test_tate_pair_rejects_two_and_three_torsion(p):
         (_block_diag([REGULAR, SIGN]), imat([[0, 0, p]])),
     ):
         with pytest.raises(ValueError, match=f"has {p}-torsion"):
-            tate_pair(_rows(C), _rows(rel))
+            tate_pair(to_int(C), to_int(rel))
 
 
 def test_tate_pair_allows_torsion_prime_to_six():
@@ -354,7 +373,7 @@ def test_tate_pair_allows_torsion_prime_to_six():
                 n = C.shape[0]
                 rel = zeros(1, n)
                 rel[0, n - 1] = order
-                C, rel = _rows(C), _rows(rel)
+                C, rel = to_int(C), to_int(rel)
                 got = tate_pair(C, rel)
                 assert got == tuple(elementary_power(2, k) for k in want)
                 assert got == (tate_group(C, rel, "even"), tate_group(C, rel, "odd"))
@@ -362,16 +381,13 @@ def test_tate_pair_allows_torsion_prime_to_six():
 
 def test_tate_pair_rejects_dependent_relations():
     with pytest.raises(ValueError, match="dependent relation rows"):
-        tate_pair(_rows(eye(2)), [{0: 1}, {0: 1}])
+        tate_pair(to_int(eye(2)), [{0: 1}, {0: 1}])
 
 
-def _eager_smith(rel) -> tuple:
-    """U, U^-1 and the padded diagonal, computed at once from the relations."""
-    U, Uinv, D, _, _ = snf_with_inverses(rel.T)
-    dvec = [0] * rel.shape[1]
-    for i in range(min(D.shape)):
-        dvec[i] = D[i, i]
-    return U, Uinv, dvec
+def _eager_smith(rel, n) -> tuple:
+    """U, U^-1 (dense) and the padded diagonal, computed at once from the relation rows on Z^n."""
+    d, U, Uinv, _, _ = snf_with_inverses(_transpose(rel, n), len(rel))
+    return dense(U, n), dense(Uinv, n), d + [0] * (n - len(d))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -383,7 +399,7 @@ def test_lazy_smith_coordinates_match_an_eager_smith_form(seed):
     rows = imat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))])
     m = (5, 8, 12, 21)[seed]
     cases = [
-        (n, _rows(rows)),
+        (n, to_int(rows)),
         (2, [{0: 2}]),
         (m, universal_distribution(m).rows),
         (m, universal_predistribution(m).rows),
@@ -394,12 +410,12 @@ def test_lazy_smith_coordinates_match_an_eager_smith_form(seed):
         # the group is the Smith form of the independent rows, with no transforms
         assert q.group == FgAbGroup.from_relations(width, rel) and "_snf" not in vars(q)
         # the coordinates are those of the canonical rows, not of the given ones
-        U, Uinv, dvec = _eager_smith(_dense(q.rows, width))
+        U, Uinv, dvec = _eager_smith(q.rows, width)
         free = [j for j in range(width) if dvec[j] == 0]
-        P, S = _dense(q.P, width), _dense(q.S, len(free))
+        P, S = dense(q.P, width), dense(q.S, len(free))
         assert P.shape == (len(free), width)
         assert "_snf" in vars(q)
-        assert mat_equal(_dense(q.U, width), U) and mat_equal(_dense(q.Uinv, width), Uinv)
+        assert mat_equal(dense(q.U, width), U) and mat_equal(dense(q.Uinv, width), Uinv)
         assert q.dvec == dvec
         assert mat_equal(P, U[free, :]) and mat_equal(S, Uinv[:, free])
         assert q.group == FgAbGroup(len(free), tuple(d for d in dvec if d > 1))
@@ -420,9 +436,9 @@ def test_tate_pair_rejects_relations_of_another_width():
     # an empty relation matrix of width 2 is no presentation of Z^3: it is
     # refused whole, as every dense matrix is
     with pytest.raises(ValueError, match="^relation rows are a ndarray, not a list of dict rows$"):
-        tate_pair(_rows(eye(3)), zeros(0, 2))
+        tate_pair(to_int(eye(3)), zeros(0, 2))
     with pytest.raises(ValueError, match="^relation rows have width 4, want 3$"):
-        tate_pair(_rows(eye(3)), [{0: 2, 3: 1}])
+        tate_pair(to_int(eye(3)), [{0: 2, 3: 1}])
 
 
 SWAP = [{1: 1}, {0: 1}]
@@ -455,7 +471,7 @@ def test_tate_routes_take_an_order_two_action_on_the_quotient():
 def test_tate_group_rejects_relations_of_another_width():
     for parity in ("even", "odd"):
         with pytest.raises(ValueError, match="^relation rows are a ndarray, not a list of dict rows$"):
-            tate_group(_rows(eye(3)), zeros(0, 2), parity)
+            tate_group(to_int(eye(3)), zeros(0, 2), parity)
         with pytest.raises(ValueError, match="^relation rows have width 2, want 1$"):
             tate_group([{0: 1}], [{1: 1}], parity)
 
@@ -466,7 +482,7 @@ def test_zquotient_rejects_relations_of_another_width():
     with pytest.raises(ValueError, match="^relation rows are a ndarray, not a list of dict rows$"):
         ZQuotient(3, zeros(2, 0))
     with pytest.raises(ValueError, match="^relation rows have width 3, want 2$"):
-        ZQuotient(2, _rows(imat([[1, 2, 3]])))
+        ZQuotient(2, to_int(imat([[1, 2, 3]])))
     with pytest.raises(ValueError, match="^relation rows are a ndarray, not a list of dict rows$"):
         ZQuotient(3, np.array([2, 0, 0], dtype=object))
     assert ZQuotient(3, []).group == FgAbGroup(3)
@@ -474,22 +490,22 @@ def test_zquotient_rejects_relations_of_another_width():
 
 def test_zquotient_keeps_sparse_rows_and_a_dense_view():
     rel = imat([[2, 0, 4], [0, 0, 0], [0, 3, 0]])
-    q = ZQuotient(3, _rows(rel))
+    q = ZQuotient(3, to_int(rel))
     assert q.rows == [{0: 2, 2: 4}, {1: 3}]  # the Hermite rows: the zero row goes
     with pytest.raises(ValueError, match="not a list of dict rows"):
         ZQuotient(3, rel)  # the matrix itself is refused
-    assert mat_equal(_dense(q.rows, 3), imat([[2, 0, 4], [0, 3, 0]]))
+    assert mat_equal(dense(q.rows, 3), imat([[2, 0, 4], [0, 3, 0]]))
     # the same rows given sparse: same rows, same group, and the list is copied
     given = [{0: 2, 2: 4}, {}, {1: 3}]
     p = ZQuotient(3, given)
     assert given == [{0: 2, 2: 4}, {}, {1: 3}]
     assert p.rows == q.rows and p.group == q.group == FgAbGroup(1, (6,))
     # above each pivot the entries are reduced; a multiple of a row adds nothing
-    assert ZQuotient(2, _rows(imat([[2, 5], [0, 3], [4, 10]]))).rows == [{0: 2, 1: 2}, {1: 3}]
+    assert ZQuotient(2, to_int(imat([[2, 5], [0, 3], [4, 10]]))).rows == [{0: 2, 1: 2}, {1: 3}]
     # an explicit zero entry is dropped, not taken for a pivot
     assert ZQuotient(2, [{0: 0, 1: -2}]).rows == [{1: 2}]
-    # integral Fractions become plain ints through _rows, as to_int makes them
-    f = ZQuotient(2, _rows(qmat([[Fraction(4, 2), 0]])))
+    # integral Fractions become plain ints through to_int
+    f = ZQuotient(2, to_int(qmat([[Fraction(4, 2), 0]])))
     assert f.rows == [{0: 2}] and type(f.rows[0][0]) is int
     with pytest.raises(ValueError, match="not an integer"):
         ZQuotient(2, [{0: Fraction(4, 2)}])
@@ -503,17 +519,17 @@ def test_zquotient_keeps_sparse_rows_and_a_dense_view():
 )
 def test_zquotient_rows_are_one_canonical_form(n, entries, rng):
     rel = imat([row[:n] for row in entries]) if entries else zeros(0, n)
-    base = ZQuotient(n, _rows(rel))
+    base = ZQuotient(n, to_int(rel))
     # the same lattice: unimodular row operations, then a zero row and a
     # duplicate row added and the rows shuffled
-    mixed = _mul(_random_unimodular(len(entries), rng)[0], _rows(rel))
+    mixed = _mul(_random_unimodular(len(entries), rng)[0], to_int(rel))
     given = mixed + [{}] + mixed[:1]
     rng.shuffle(given)
     snapshot = [dict(row) for row in given]
     q = ZQuotient(n, given)
     assert given == snapshot  # the caller's list is not reduced in place
     assert q.rows == base.rows
-    assert q.group == base.group == FgAbGroup.from_relations(n, _rows(rel))
+    assert q.group == base.group == FgAbGroup.from_relations(n, to_int(rel))
     assert q.free_rank == len(q.free_idx) == n - len(q.rows)
 
 
@@ -546,9 +562,9 @@ def test_theta_fixed_lattice():
     C = zeros(4, 4)
     for k in range(4):
         C[(-k) % 4, k] = 1
-    lat = theta_fixed(_rows(C))
+    lat = theta_fixed(to_int(C))
     assert lat.rank == 1
-    v = _dense(lat.basis, 4)[0]
+    v = dense(lat.basis, 4)[0]
     assert v[0] == 0 and v[2] == 0 and {v[1], v[3]} == {1, -1}
 
 
@@ -626,7 +642,7 @@ def test_regulator_via_subgroups_matches_on_random_maps(seed):
         B = FgAbGroup.from_invariants(r, [rng.choice([1, 2, 5, 10]) for _ in range(rng.randint(0, 2))])
         e = rng.randint(1, 4)
         N = [{j: x for j in range(r) if (x := rng.randint(-3, 3))} for _ in range(r)]
-        if rank_exact(_dense(N, r)) < r:
+        if rank_exact(N, r) < r:
             continue
         assert regulator_via_subgroups(A, B, (N, e), rng) == regulator(A, B, (N, e))
 
@@ -634,7 +650,7 @@ def test_regulator_via_subgroups_matches_on_random_maps(seed):
 def _two_term(dmat):
     # complex 0 -> Z^a -> Z^b -> 0 in degrees -1, 0
     d = imat(dmat)
-    return BoundedComplex({-1: d.shape[1], 0: d.shape[0]}, {-1: _rows(d)})
+    return BoundedComplex({-1: d.shape[1], 0: d.shape[0]}, {-1: to_int(d)})
 
 
 def test_cohomology_of_two_term():
@@ -774,9 +790,9 @@ def test_sparse_intertwines_and_commutes_match_dense_products(seed):
     d1, d2, N, N1 = rand(b, a), rand(b, a), rand(a, a), rand(b, b)
     e, e1 = rng.randint(1, 3), rng.randint(1, 3)
     dense = mat_equal(N1 @ d1 * e, d2 @ N * e1)
-    assert intertwines(_rows(d1), _rows(d2), (_rows(N), e), (_rows(N1), e1)) == dense
+    assert intertwines(to_int(d1), to_int(d2), (to_int(N), e), (to_int(N1), e1)) == dense
     # a true intertwiner: the identity (as eI / e) on the source, N1 on the target
-    assert intertwines(_rows(d1), _rows(N1 @ d1), (_rows(eye(a) * e), e), (_rows(N1), 1))
+    assert intertwines(to_int(d1), to_int(N1 @ d1), (to_int(eye(a) * e), e), (to_int(N1), 1))
     # a random involution: disjoint swaps of a shuffled index list
     perm, ks = list(range(a)), list(range(a))
     rng.shuffle(ks)
@@ -784,9 +800,9 @@ def test_sparse_intertwines_and_commutes_match_dense_products(seed):
         if rng.random() < 0.7:
             perm[x], perm[y] = y, x
     c = eye(a)[:, perm]
-    assert commutes(_rows(N), perm) == mat_equal(N @ c, c @ N)
-    assert commutes(_rows(N), list(range(a))) and commutes(_rows(c), perm)
-    assert commutes(_rows(N + c @ N @ c), perm)
+    assert commutes(to_int(N), perm) == mat_equal(N @ c, c @ N)
+    assert commutes(to_int(N), list(range(a))) and commutes(to_int(c), perm)
+    assert commutes(to_int(N + c @ N @ c), perm)
 
 
 def test_index_check_rejects_phi_off_the_involution_or_shape():
@@ -813,5 +829,4 @@ def test_index_check_reads_phi_as_checked_rows():
 
 def _phi(entries):
     """A rational map as (sparse rows of its numerators, denominator)."""
-    N, e = scaled(qmat(entries))
-    return _rows(N), e
+    return scaled(qmat(entries))

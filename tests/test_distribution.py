@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense import dense, eye, mat_equal, scaled, zeros
 from distlab import abgroup, distribution
 from distlab.abgroup import FgAbGroup, elementary_power, tate_group
 from distlab.arith import divisors, euler_phi, primes_of
@@ -33,17 +34,17 @@ from distlab.distribution import (
     x_matrix,
     y_matrix,
 )
-from distlab.exact_linalg import _dense, eye, hnf_nonzero, mat_equal, scaled, unscaled, zeros
+from distlab.exact_linalg import hnf, solve_exact, to_int
 
 
 def _fraction(pair):
     """The rational matrix N / d of a pair (sparse square rows N, d)."""
     N, d = pair
-    return unscaled(_dense(N, len(N)), d)
+    return dense(N, len(N), d)
 
 
 def test_x_matrix_shape_and_columns():
-    X = _dense(x_matrix(12, 3), 4)
+    X = dense(x_matrix(12, 3), 4)
     assert X.shape == (12, 4)
     # preimages of 1/4 under *3 are 1/12, 5/12, 9/12
     assert [j for j in range(12) if X[j, 1]] == [1, 5, 9]
@@ -54,8 +55,8 @@ def test_x_matrix_shape_and_columns():
 def test_y_matrix_prime_case():
     # for prime p the difference operator is the embedding minus the average
     m, p = 15, 3
-    Y = _dense(y_matrix(m, p), m // p)
-    X = _dense(x_matrix(m, p), m // p)
+    Y = dense(y_matrix(m, p), m // p)
+    X = dense(x_matrix(m, p), m // p)
     for i in range(5):
         emb = zeros(m, 1)[:, 0]
         emb[i * p] = 1
@@ -65,7 +66,7 @@ def test_y_matrix_prime_case():
 def test_y_matrix_prime_power():
     # (1 - X_2)^2 = 1 - 2 X_2 + X_4 on level 4; the embedded X_2 term hits
     # the even rows only while X_4 hits everything
-    Y = _dense(y_matrix(4, 4), 1)
+    Y = dense(y_matrix(4, 4), 1)
     expect = zeros(4, 1)
     expect[0, 0] = 1 - 2 + 1
     expect[1, 0] = 1
@@ -198,7 +199,7 @@ def _stacked_relation_rows(m: int, bare: bool):
     for n in divisors(m):
         if n == 1:
             continue
-        X = _dense(x_matrix(m, n), m // n)
+        X = dense(x_matrix(m, n), m // n)
         for i in range(m // n):
             row = X[:, i].copy()
             if not bare:
@@ -214,14 +215,14 @@ def test_sparse_relation_rows_match_the_dense_route():
     # quotients hold the Hermite rows of that matrix.
     bad = []
     for m in [1] + [m for m in range(3, 201) if m % 4 != 2]:
-        for bare, dense, quotient in (
+        for bare, relation_rows, quotient in (
             (False, distribution_relation_rows, universal_distribution),
             (True, predistribution_relation_rows, universal_predistribution),
         ):
             want = _stacked_relation_rows(m, bare)
-            if not mat_equal(_dense(dense(m), m), want):
+            if not mat_equal(dense(relation_rows(m), m), want):
                 bad.append((m, bare, "rows"))
-            if not mat_equal(_dense(quotient(m).rows, m), hnf_nonzero(want)):
+            if not mat_equal(dense(quotient(m).rows, m), dense(hnf(to_int(want), m), m)):
                 bad.append((m, bare, "hermite"))
     assert not bad
 
@@ -290,7 +291,7 @@ def test_induced_on_free_rejects_a_non_square_map():
     q = universal_distribution(7)
     with pytest.raises(ValueError, match="^map has 6 rows, want 7$"):
         q.induced_on_free(negation_matrix(7)[:6])
-    assert _dense(q.induced_on_free(negation_matrix(7)), 6).shape == (6, 6)
+    assert dense(q.induced_on_free(negation_matrix(7)), 6).shape == (6, 6)
 
 
 def test_cohomology_closed_forms_small():
@@ -311,7 +312,7 @@ def test_smoothing_factor_geometric_series():
     assert F[0, 1] == Fraction(1, 4) * 2  # tail hit then the fixed cycle at 0
     # defining property, all levels
     for m, p in ((4, 2), (9, 3), (12, 2), (12, 3), (15, 5)):
-        S = _dense(mult_matrix(m, p), m)
+        S = dense(mult_matrix(m, p), m)
         lhs = (eye(m) - S * Fraction(1, p)) @ _fraction(smoothing_factor_scaled(m, p))
         assert mat_equal(lhs, eye(m))
 
@@ -342,7 +343,7 @@ def test_smoothing_factor_numerators_match_fraction_series(m):
         N, d = smoothing_factor_scaled(m, p)
         ref_N, ref_d = scaled(_fraction_series(m, p))
         assert all(type(x) is int and x for row in N for x in row.values())
-        assert d == ref_d and mat_equal(_dense(N, m), ref_N), (m, p)
+        assert d == ref_d and N == ref_N, (m, p)
 
 
 def test_smoothing_inverse_and_relation_transport():
@@ -351,11 +352,11 @@ def test_smoothing_inverse_and_relation_transport():
 
 
 def test_smoothing_against_direct_inverse():
-    from distlab.exact_linalg import inverse_exact
-
     for m in (4, 9, 12):
-        phi, inverse = _fraction(smoothing_scaled(m)), _fraction(smoothing_inverse_scaled(m))
-        assert mat_equal(phi, inverse_exact(inverse))
+        # the inverse of N' / d' is d' X / e for N' X = e I
+        N_inv, d_inv = smoothing_inverse_scaled(m)
+        X, e = solve_exact(N_inv, [{k: 1} for k in range(m)], m)
+        assert mat_equal(_fraction(smoothing_scaled(m)), dense(X, m, e) * d_inv)
 
 
 VALID_LEVELS = [m for m in range(3, 41) if m % 4 != 2]
@@ -376,7 +377,7 @@ def test_smoothing_builders_match_fraction_product(m):
     factors = [_fraction(smoothing_factor_scaled(m, p)) for p in primes]
     assert mat_equal(phi, _fraction_product(factors, m))
     assert all(type(x) is Fraction for x in phi.flat)
-    inverse = [eye(m) - _dense(mult_matrix(m, p), m) * Fraction(1, p) for p in primes]
+    inverse = [eye(m) - dense(mult_matrix(m, p), m) * Fraction(1, p) for p in primes]
     assert mat_equal(_fraction(smoothing_inverse_scaled(m)), _fraction_product(inverse, m))
 
 
@@ -418,7 +419,7 @@ def test_exp_map_kernel_and_image():
 
 def test_exp_map_small_example():
     # level 4: x^2 = -1 mod the minimal polynomial
-    E = _dense(exp_map_matrix(4), 4)
+    E = dense(exp_map_matrix(4), 4)
     assert E.shape == (2, 4)
     assert list(E[:, 0]) == [1, 0]
     assert list(E[:, 1]) == [0, 1]

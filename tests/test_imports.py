@@ -93,11 +93,10 @@ def test_the_numpy_guard_sees_every_import():
     assert not imports_numpy("from .numpy import x\nimport numbers\n# import numpy\n")
 
 
-def test_only_the_dense_front_ends_import_numpy():
-    # numpy is a test oracle: in the package only exact_linalg's dense front
-    # ends, which callers hand numpy arrays, import it
+def test_no_module_of_the_package_imports_numpy():
+    # numpy is a test oracle only
     importers = [p.name for p in FILES if p.parent.name == "distlab" and imports_numpy(p.read_text())]
-    assert importers == ["exact_linalg.py"]
+    assert importers == []
 
 
 def test_the_package_has_no_runtime_dependency():

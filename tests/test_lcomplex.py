@@ -6,6 +6,7 @@ from math import lcm, prod
 import numpy as np
 import pytest
 
+from dense import dense, eye, mat_equal, scaled, zeros
 from distlab import abgroup, distribution, lcomplex
 from distlab.abgroup import (
     BoundedComplex,
@@ -25,21 +26,7 @@ from distlab.distribution import (
     universal_distribution,
     universal_predistribution,
 )
-from distlab.exact_linalg import (
-    Lattice,
-    _dense,
-    _rows,
-    det_exact,
-    eye,
-    hnf_nonzero,
-    kernel_basis,
-    mat_equal,
-    scaled,
-    solve_exact,
-    to_int,
-    unscaled,
-    zeros,
-)
+from distlab.exact_linalg import Lattice, det_exact, hnf, kernel_basis, solve_exact, to_int
 from distlab.lcomplex import (
     AVERAGE,
     DIFFERENCE,
@@ -176,7 +163,7 @@ def test_jcomplex_fills_missing_degrees_with_the_identity():
     assert given == {-2: [0, 1]}  # the caller's dict is left as it was
     jc = JComplex(C, involution(12))
     # c is read as its permutation: column k of the negation matrix is e_c(k)
-    assert mat_equal(eye(12)[:, jc.involution[0]], _dense(negation_matrix(12), 12))
+    assert mat_equal(eye(12)[:, jc.involution[0]], dense(negation_matrix(12), 12))
 
 
 @pytest.mark.parametrize("m", [3, 4, 9, 12, 16, 18])
@@ -200,8 +187,8 @@ def test_averaged_differential_matches_symbol_differential():
     # redundant with homotopy_check but pins the change-of-basis contract
     av = AveragedLevel(12, DIFFERENCE)
     d = differentials(12, DIFFERENCE)
-    lhs = _dense(d[-1], av.rank(-1)) @ _dense(av.change[-1], av.rank(-1))
-    rhs = _dense(av.change[0], av.rank(0)) @ _dense(av.full_d(-1), av.rank(-1))
+    lhs = dense(d[-1], av.rank(-1)) @ dense(av.change[-1], av.rank(-1))
+    rhs = dense(av.change[0], av.rank(0)) @ dense(av.full_d(-1), av.rank(-1))
     assert mat_equal(lhs, rhs)
 
 
@@ -212,7 +199,7 @@ def test_smoothing_intertwines_and_commutes(m):
 
 def _smoothing_blocks(m):
     """Per-degree smoothing operator as ``Fraction`` matrices."""
-    return {i: unscaled(_dense(N, len(N)), d) for i, (N, d) in smoothing_blocks_scaled(m).items()}
+    return {i: dense(N, len(N), d) for i, (N, d) in smoothing_blocks_scaled(m).items()}
 
 
 @pytest.mark.parametrize("m", [m for m in range(3, 41) if m % 4 != 2])
@@ -237,7 +224,7 @@ def test_smoothing_blocks_match_fraction_product(m):
 
 def _fraction_factor(m, p):
     N, d = smoothing_factor_scaled(m, p)
-    return unscaled(_dense(N, m), d)
+    return dense(N, m, d)
 
 
 def _perturb_top_factor(monkeypatch, request, m):
@@ -312,20 +299,16 @@ def test_index_invariant_reads_the_degree_zero_relations(m):
     # are the Hermite rows of d(-1)^T it used to build for itself
     for kind in KINDS:
         C = build_jcomplex(m, kind).complex
-        d = _dense(C.d(-1), C.rank(-1))
-        assert mat_equal(_dense(C.cohomology_data(0)[1].rows, C.rank(0)), hnf_nonzero(d.T)), (m, kind)
-
-
-def _scaled_rows(block):
-    N, e = scaled(block)
-    return _rows(N), e
+        d = dense(C.d(-1), C.rank(-1))
+        H = dense(hnf(to_int(d.T), C.rank(0)), C.rank(0))
+        assert mat_equal(dense(C.cohomology_data(0)[1].rows, C.rank(0)), H), (m, kind)
 
 
 @pytest.mark.parametrize("m", [9, 12, 15])
 def test_index_formula_rejects_a_perturbed_operator(m):
     phi = _smoothing_blocks(m)
     phi[0][0, 1] += Fraction(1, primes_of(m)[0])
-    phi = {i: _scaled_rows(block) for i, block in phi.items()}
+    phi = {i: scaled(block) for i, block in phi.items()}
     with pytest.raises(ValueError, match="^phi does not intertwine the differentials at degree -1$"):
         abstract_index_check(build_jcomplex(m, DIFFERENCE), build_jcomplex(m, AVERAGE), phi)
 
@@ -354,7 +337,7 @@ def _restricted_negation(s):
 def test_minus_pair_restriction_of_negation():
     R = _restricted_negation(5)
     assert R == [{0: -1}, {1: -1}]
-    assert mat_equal(_dense(R, 2), -np.array([[1, 0], [0, 1]], dtype=object))
+    assert mat_equal(dense(R, 2), -np.array([[1, 0], [0, 1]], dtype=object))
     # even block size drops the self-negative midpoint
     R6 = _restricted_negation(6)
     assert len(R6) == 2 and all(j < 2 for row in R6 for j in row)
@@ -363,8 +346,8 @@ def test_minus_pair_restriction_of_negation():
 
 def test_minus_pair_restriction_entries():
     N, d = smoothing_factor_scaled(5, 2)
-    F = unscaled(_dense(N, 5), d)
-    R = unscaled(_dense(fixed_restriction(N, _negation(5), _negation(5)), 2), d)
+    F = dense(N, 5, d)
+    R = dense(fixed_restriction(N, _negation(5), _negation(5)), 2, d)
     for b, k in enumerate([1, 2]):
         v = F[:, k] - F[:, 5 - k]
         assert v[0] == 0
@@ -379,18 +362,20 @@ def test_minus_pair_restriction_entries():
 
 def _fixed_subcomplex_by_smith(jc):
     """The fixed subcomplex by the Smith route: a Smith kernel of 1 + c per
-    degree and a rational solve per differential, integral (``to_int``
-    raises otherwise)."""
+    degree and a rational solve per differential, integral.  The bases are
+    rows."""
     C = jc.complex
-    bases = {i: kernel_basis(eye(C.rank(i)) + _c(jc, i)) for i in C.degrees()}
+    bases = {i: kernel_basis(to_int(eye(C.rank(i)) + _c(jc, i)), C.rank(i)) for i in C.degrees()}
     diff = {}
     for i in range(C.lo, C.hi):
-        src, tgt = bases[i], bases[i + 1]
+        src, tgt = (dense(bases[k], C.rank(k)) for k in (i, i + 1))
         diff[i] = [{} for _ in range(tgt.shape[0])]
         if src.shape[0] and tgt.shape[0]:
-            d = _dense(C.d(i), C.rank(i))
-            diff[i] = _rows(to_int(solve_exact(tgt.T, d @ src.T)))
-    return BoundedComplex({i: B.shape[0] for i, B in bases.items()}, diff), bases
+            d = dense(C.d(i), C.rank(i))
+            X, e = solve_exact(to_int(tgt.T), to_int(d @ src.T), tgt.shape[0])
+            assert e == 1
+            diff[i] = X
+    return BoundedComplex({i: len(B) for i, B in bases.items()}, diff), bases
 
 
 def _c(jc, i):
@@ -402,11 +387,13 @@ def _det_part_by_solve(bases, phi):
     """The determinant part of the index formula from rational solves on the
     Smith bases of ker(1 + c), each integral."""
     out = Fraction(1)
-    for i, B in bases.items():
-        if B.shape[0]:
+    for i, rows in bases.items():
+        if rows:
             N, e = phi[i]
-            R = to_int(solve_exact(B.T, _dense(N, len(N)) @ B.T))
-            out *= abs(Fraction(det_exact(R), e ** B.shape[0])) ** ((-1) ** (i % 2))
+            B = dense(rows, len(N))
+            R, d = solve_exact(to_int(B.T), to_int(dense(N, len(N)) @ B.T), len(rows))
+            assert d == 1
+            out *= abs(Fraction(det_exact(R, len(rows)), e ** len(rows))) ** ((-1) ** (i % 2))
     return out
 
 
@@ -420,14 +407,14 @@ def test_orbit_route_matches_the_smith_route(m):
         jc = build_jcomplex(m, kind)
         C, c = jc.complex, jc.involution
         for i in C.degrees():
-            n, B = C.rank(i), _dense(fixed_basis(c[i]), C.rank(i))
-            assert Lattice(n, _rows(B)) == theta_fixed(_rows(_c(jc, i))), (m, kind, i)
+            n, B = C.rank(i), dense(fixed_basis(c[i]), C.rank(i))
+            assert Lattice(n, to_int(B)) == theta_fixed(to_int(_c(jc, i))), (m, kind, i)
             # the differential into degree i + 1 and phi within degree i
             for N, j in ((C.d(i), i + 1), (phi[i][0], i)):
                 if j in c:
-                    R = _dense(fixed_restriction(N, c[i], c[j]), B.shape[0])
-                    lhs = _dense(N, n) @ B.T
-                    assert mat_equal(lhs, _dense(fixed_basis(c[j]), C.rank(j)).T @ R), (m, kind, i, j)
+                    R = dense(fixed_restriction(N, c[i], c[j]), B.shape[0])
+                    lhs = dense(N, n) @ B.T
+                    assert mat_equal(lhs, dense(fixed_basis(c[j]), C.rank(j)).T @ R), (m, kind, i, j)
         fixed, _ = jc.fixed_subcomplex()
         oracle = _fixed_subcomplex_by_smith(jc)
         assert fixed.ranks == oracle[0].ranks
@@ -435,7 +422,7 @@ def test_orbit_route_matches_the_smith_route(m):
             assert fixed.cohomology(i) == oracle[0].cohomology(i), (m, kind, i)
         smith = JComplex(C, c)
         # so that the invariant reads the Smith-route subcomplex and its bases
-        smith._fixed = oracle[0], {i: _rows(B) for i, B in oracle[1].items()}
+        smith._fixed = oracle
         assert _i_invariant(smith) == i_invariant(jc), (m, kind)
         if kind == DIFFERENCE:
             det_part = _det_part_by_solve(oracle[1], phi)
@@ -663,22 +650,22 @@ def test_rows_match_the_dense_formulas(m):
         d, want = differentials(m, kind), _dense_differentials(m, kind)
         assert sorted(d) == sorted(want) == list(range(sb.lo, 0))
         for i, D in want.items():
-            assert mat_equal(_dense(d[i], sb.ranks[i]), D), (kind, i)
+            assert mat_equal(dense(d[i], sb.ranks[i]), D), (kind, i)
             R = fixed_restriction(d[i], c[i], c[i + 1])
             want_R = _dense_fixed_restriction(D, c[i], c[i + 1])
-            assert mat_equal(_dense(R, len(_two_cycles(c[i]))), want_R), (kind, i)
+            assert mat_equal(dense(R, len(_two_cycles(c[i]))), want_R), (kind, i)
     phi, want_phi = smoothing_blocks_scaled(m), _dense_smoothing_blocks(m)
     for i in range(sb.lo, 1):
         n, k = sb.ranks[i], len(_two_cycles(c[i]))
         # row r of c is e_c(r), as c is an involution
-        assert mat_equal(_dense([{j: 1} for j in c[i]], n), _dense_involution(m, i)), i
+        assert mat_equal(dense([{j: 1} for j in c[i]], n), _dense_involution(m, i)), i
         (N, e), (W, f) = phi[i], want_phi[i]
-        assert e == f and mat_equal(_dense(N, n), W), i
+        assert e == f and mat_equal(dense(N, n), W), i
         R = fixed_restriction(N, c[i], c[i])
-        assert mat_equal(_dense(R, k), _dense_fixed_restriction(W, c[i], c[i])), i
+        assert mat_equal(dense(R, k), _dense_fixed_restriction(W, c[i], c[i])), i
     for p in sorted(set(primes_of(m)) | {2, 3}):
         (N, e), (W, f) = smoothing_factor_scaled(m, p), _dense_smoothing_factor(m, p)
-        assert e == f and mat_equal(_dense(N, m), W), p
+        assert e == f and mat_equal(dense(N, m), W), p
 
 
 def test_complex_layer_builds_no_dense_view(monkeypatch, request):

@@ -5,22 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dense import dense, eye, is_integral, mat_equal, scaled, zeros
 from distlab import cli, stickelberger
 from distlab.abgroup import theta_fixed
 from distlab.arith import euler_phi
 from distlab.cyclotomic import corrector_w
-from distlab.exact_linalg import (
-    Lattice,
-    _dense,
-    _rows,
-    eye,
-    is_integral,
-    lattice_index,
-    mat_equal,
-    scaled,
-    unscaled,
-    zeros,
-)
+from distlab.exact_linalg import Lattice, lattice_index, to_int
 from distlab.stickelberger import (
     GroupRingElem,
     alpha_compat_check,
@@ -110,7 +100,7 @@ def test_ideal_ranks(m):
     assert data.S.rank == phi // 2 + 1
     assert data.R_minus.rank == phi // 2
     assert data.S_minus.rank == phi // 2
-    assert is_integral(_dense(data.S.basis, phi))
+    assert is_integral(dense(data.S.basis, phi))
     # contains of a matrix asks for every row
     assert data.R_minus.contains(data.S_minus.rows, data.S_minus.den)
     assert data.S.contains(data.S_minus.rows, data.S_minus.den)
@@ -130,7 +120,7 @@ def test_lattice_index_matches_sympy_coordinates(m):
         (alpha_lattice(m), data.S_minus),
     ]
     for A, B in pairs:
-        MA, MB = (sympy.Matrix(_dense(L.basis, L.ambient).tolist()) for L in (A, B))
+        MA, MB = (sympy.Matrix(dense(L.basis, L.ambient).tolist()) for L in (A, B))
         coords, free = MA.T.gauss_jordan_solve(MB.T)
         assert free.shape[0] == 0
         want = abs(coords.T.det())
@@ -138,13 +128,13 @@ def test_lattice_index_matches_sympy_coordinates(m):
 
 
 def test_alpha_small_column():
-    A = unscaled(_dense(alpha_scaled(3), 3), 6)
+    A = dense(alpha_scaled(3), 3, 6)
     assert list(A[:, 1]) == [Fraction(1, 6), Fraction(-1, 6)]
     assert all(x == 0 for x in A[:, 0])
 
 
 def test_alpha_even_level_middle_column_vanishes():
-    A = unscaled(_dense(alpha_scaled(8), 8), 16)
+    A = dense(alpha_scaled(8), 8, 16)
     assert all(x == 0 for x in A[:, 4])
 
 
@@ -159,18 +149,18 @@ def _alpha_by_fractions(m):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 15, 21])
 def test_alpha_numerators_over_twice_the_level(m):
-    N = _dense(alpha_scaled(m), m)
+    N = dense(alpha_scaled(m), m)
     assert all(type(x) is int for x in N.flat)
     ref = _alpha_by_fractions(m)
-    assert mat_equal(unscaled(N, 2 * m), ref)
+    assert mat_equal(dense(alpha_scaled(m), m, 2 * m), ref)
     assert mat_equal(N, ref * (2 * m))
     R, e = scaled(ref.T)
-    assert alpha_lattice(m) == Lattice(len(units_of(m)), _rows(R), e)
+    assert alpha_lattice(m) == Lattice(len(units_of(m)), R, e)
 
 
 @pytest.mark.parametrize("m", [5, 8, 12, 21])
 def test_antisymmetrized_theta_rows_by_permutation(m):
-    rows = _dense(stickelberger._theta_scaled(m), len(units_of(m)))
+    rows = dense(stickelberger._theta_scaled(m), len(units_of(m)))
     assert mat_equal(
         rows * Fraction(1, m),
         np.array([theta_element(m, a).coeffs for a in range(1, m)], dtype=object),
@@ -192,7 +182,7 @@ def test_conjugation_matrix_sends_t_to_minus_t(m):
         C[idx[m - t], idx[t]] = 1
     assert mat_equal(eye(len(units))[:, unit_translation(m, m - 1)], C)
     # the orbit basis of ker(1 + c) against the Smith kernel of 1 + C
-    assert minus_sublattice(m) == theta_fixed(_rows(C))
+    assert minus_sublattice(m) == theta_fixed(to_int(C))
 
 
 @pytest.mark.parametrize("m", [7, 12])
@@ -273,7 +263,7 @@ def test_definition_report_agreement_pattern():
 
 def test_principal_lattice_is_integral():
     lat = principal_multiples_lattice(15)
-    assert is_integral(_dense(lat.basis, lat.ambient))
+    assert is_integral(dense(lat.basis, lat.ambient))
 
 
 @pytest.mark.parametrize("m", [9, 12])
@@ -294,12 +284,12 @@ def test_unit_translation_is_the_permutation_matrix(m):
             P[idx[b * t % m], idx[t]] = 1
         perm = unit_translation(m, b)
         for lat in (data.S, data.S_minus):
-            B = _dense(lat.basis, n)
+            B = dense(lat.basis, n)
             assert mat_equal(B[:, perm], B @ P.T)
-            N = _dense(lat.rows, n)
-            assert Lattice(n, _rows(N[:, perm]), lat.den) == Lattice(n, _rows(N @ P.T), lat.den)
+            N = dense(lat.rows, n)
+            assert Lattice(n, to_int(N[:, perm]), lat.den) == Lattice(n, to_int(N @ P.T), lat.den)
         # a lattice that is not stable: the basis vector of the unit 1
-        assert (Lattice(n, _rows(_dense(e1.rows, n)[:, perm])) == e1) == (b == 1)
+        assert (Lattice(n, to_int(dense(e1.rows, n)[:, perm])) == e1) == (b == 1)
 
 
 @pytest.mark.parametrize("m", [7, 12])

@@ -247,13 +247,12 @@ def subquotient_group(num: list[Row], den: list[Row], n: int) -> FgAbGroup:
     ``_check_rows`` checks both.  The num rows must be independent and
     every den row an integral combination of them; ValueError names the
     first row that is not.  The group is read off the Smith diagonal of the
-    den rows' coordinates in the Hermite basis of num, which is reduced in
-    place.
+    den rows' coordinates in the Hermite basis of num, reduced on a copy.
     """
     num = _check_rows(num, n, "numerator")
     den = _check_rows(den, n, "denominator")
     k = len(num)
-    H = _hermite(num, n)
+    H = _hermite([dict(row) for row in num], n)
     if len(H) < k:
         raise ValueError(f"numerator rows are dependent: rank {len(H)} of {k} rows")
     piv = {min(h): i for i, h in enumerate(H)}
@@ -282,8 +281,12 @@ def tate_group(C: list[Row], relation_rows: list[Row], degree_parity: str) -> Fg
     if degree_parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
     C, R = _check_action(C, relation_rows)
-    n, s = len(C), 1 if degree_parity == "odd" else -1
-    # ker(1 + sC) modulo the columns of 1 - sC and the relations
+    return _tate_group(C, R, 1 if degree_parity == "odd" else -1)
+
+
+def _tate_group(C: list[Row], R: list[Row], s: int) -> FgAbGroup:
+    """``tate_group`` on checked rows: ker(1 + sC) / (im(1 - sC) + R), s = 1 for 'odd'."""
+    n = len(C)
     num = integral_preimage([_comb(s, row, 1, {k: 1}) for k, row in enumerate(C)], R, n)
     den = [_comb(-s, col, 1, {k: 1}) for k, col in enumerate(_transpose(C, n))]
     return subquotient_group(num, den + R, n)
@@ -310,18 +313,23 @@ def _check_action(C: list[Row], relation_rows: list[Row]) -> tuple[list[Row], li
 def _f2_gain(basis: dict[int, int], rows: list[int]) -> int:
     """Add F_2 rows (bit j = column j) to an echelon basis keyed by lowest bit.
 
-    Returns how many of them were independent of the basis so far.
+    Returns how many of them were independent of the basis so far.  Each
+    step must raise the row's lowest set bit, or ArithmeticError names it.
     """
     gained = 0
     for v in rows:
+        last = 0
         while v:
             low = v & -v
+            if low <= last:
+                raise ArithmeticError(f"F_2 basis row at bit {last.bit_length() - 1} does not clear it")
             b = basis.get(low)
             if b is None:
                 basis[low] = v
                 gained += 1
                 break
             v ^= b
+            last = low
     return gained
 
 
@@ -331,12 +339,15 @@ def _f3_gain(basis: dict[int, tuple[int, int]], rows: list[tuple[int, int]]) -> 
     A row is two bit planes (ones, twos): bit j is set in the first where
     its entry at column j is 1 and in the second where it is 2, so -v
     swaps them.  Basis rows have leading entry 1.  Returns how many of the
-    rows were independent of the basis so far.
+    rows were independent of the basis so far, each step checked as there.
     """
     gained = 0
     for u, w in rows:
+        last = 0
         while u | w:
             low = (u | w) & -(u | w)
+            if low <= last:
+                raise ArithmeticError(f"F_3 basis row at bit {last.bit_length() - 1} does not clear it")
             b = basis.get(low)
             if b is None:
                 basis[low] = (u, w) if u & low else (w, u)
@@ -346,6 +357,7 @@ def _f3_gain(basis: dict[int, tuple[int, int]], rows: list[tuple[int, int]]) -> 
             x, y = b if w & low else b[::-1]
             t = (u | y) ^ (w | x)
             u, w = (w | y) ^ t, (u | x) ^ t
+            last = low
     return gained
 
 
@@ -705,35 +717,27 @@ def euler_regulator_check(
 
 
 def i_invariant(jc: JComplex) -> Fraction:
-    """#coker(H^0(fixed) -> H^0 fixed part) over the parasitic finite parts.
+    """#Ĥ^odd(c; H^0) over the parasitic finite parts, prod #H^i(fixed)^{±1}.
 
-    Requires the ambient complex to be rationally exact away from degree 0;
-    all auxiliary groups that the formula divides by must be finite.  The
-    value is kept on the complex.
+    The numerator #coker(H^0(fixed) -> ker(1+c) on H^0) is the odd Tate
+    group ker(1+c) / (im(1-c) + L), finite as 2 kills it, for the fixed
+    basis e_k - e_c(k) spans the columns of 1 - c.  Needs the complex
+    rationally exact off degree 0 and finite fixed cohomology; kept on jc.
     """
-    if jc._i_invariant is None:
-        jc._i_invariant = _i_invariant(jc)
-    return jc._i_invariant
-
-
-def _i_invariant(jc: JComplex) -> Fraction:
+    if jc._i_invariant is not None:
+        return jc._i_invariant
     C = jc.complex
     for i in C.degrees():
         if i != 0 and not C.cohomology(i).is_finite:
             raise ValueError("complex is not rationally exact away from 0")
     if any(C.d(0)):
         raise ValueError("the index invariant needs d = 0 out of degree 0")
-    # with d(0) = 0, H^0 is Z^n modulo the Hermite rows L of d(-1)^T; K spans
-    # the x with (1 + c) x in the span of L
-    n, c = C.rank(0), jc.involution[0]
-    L = C.cohomology_data(0)[1].rows
-    K = integral_preimage([{k: 2} if c[k] == k else {k: 1, c[k]: 1} for k in range(n)], L, n)
-    fixed, bases = jc.fixed_subcomplex()
-    coker = subquotient_group(K, bases[0] + L, n)
-    if not coker.is_finite:
-        raise ValueError("cokernel of the fixed-part comparison is infinite")
-    h0 = fixed.cohomology(0)
-    denom = Fraction(h0.torsion_order())
+    # with d(0) = 0, H^0 is Z^n modulo the Hermite rows L of d(-1)^T, and c,
+    # which the JComplex checked to commute with d, stabilizes them
+    c = jc.involution[0]
+    coker = _tate_group([{j: 1} for j in c], C.cohomology_data(0)[1].rows, 1)
+    fixed, _ = jc.fixed_subcomplex()
+    denom = Fraction(fixed.cohomology(0).torsion_order())
     for i in fixed.degrees():
         if i == 0:
             continue
@@ -741,7 +745,8 @@ def _i_invariant(jc: JComplex) -> Fraction:
         if not hi.is_finite:
             raise ValueError(f"fixed subcomplex has infinite cohomology at degree {i}")
         denom *= Fraction(hi.order()) ** ((-1) ** (i % 2))
-    return Fraction(coker.order()) / denom
+    jc._i_invariant = Fraction(coker.order()) / denom
+    return jc._i_invariant
 
 
 def fixed_image_index(qa: ZQuotient, qb: ZQuotient, perm: list[int], N, d: int) -> Fraction:
@@ -752,18 +757,13 @@ def fixed_image_index(qa: ZQuotient, qb: ZQuotient, perm: list[int], N, d: int) 
     involution c(e_k) = e_perm[k] of both; on the free parts it is
     P_b N S_a / d and must be injective.  Then the image of the fixed part
     is the fixed part of the image, so nothing is saturated a second time.
+    Each fixed lattice is ``theta_fixed`` of c induced on the free part.
     """
-
-    def fixed(q: ZQuotient) -> list[Row]:
-        # kernel rows of 1 + P c S on the free part; column k of P c is column perm[k] of P
-        Pc = [{perm[k]: x for k, x in row.items()} for row in q.P]
-        plus = [_comb(1, row, 1, {k: 1}) for k, row in enumerate(_mul(Pc, q.S))]
-        return _kernel(plus, q.free_rank)
-
-    fa, fb = qa.free_rank, qb.free_rank
+    c = [{j: 1} for j in perm]
+    fa, fb = (theta_fixed(q.induced_on_free(c)) for q in (qa, qb))
     phibar = _mul(_mul(qb.P, N), qa.S)
-    pushed = _mul(fixed(qa), _transpose(phibar, fa))
-    return lattice_index(Lattice(fb, fixed(qb)), Lattice(fb, pushed, d))
+    pushed = _mul(fa.rows, _transpose(phibar, qa.free_rank))
+    return lattice_index(fb, Lattice(qb.free_rank, pushed, d))
 
 
 def intertwines(d1: list[Row], d2: list[Row], src: Scaled, dst: Scaled) -> bool:
@@ -820,10 +820,9 @@ def abstract_index_check(
     )
 
     det_part = Fraction(1)
-    for i in C1.degrees():  # N_i commutes with c, so it restricts to ker(1 + c)
-        N, e = phi[i]
+    for i, (N, e) in phi.items():  # N_i commutes with c, so it restricts to ker(1 + c)
         R = fixed_restriction(N, j1.involution[i], j1.involution[i])
-        det_part *= abs(Fraction(_det(R, len(R)), e ** len(R))) ** ((-1) ** (i % 2))
+        det_part *= _abs_det((R, e), f"phi on the fixed part at degree {i}") ** ((-1) ** (i % 2))
     i1 = i_invariant(j1)
     i2 = i_invariant(j2)
     rhs = det_part / i1 * i2
@@ -841,24 +840,22 @@ def abstract_index_check(
 # Random admissible pairs for the multiplicativity property
 
 
-def random_complex(rng, degrees=(-2, -1, 0), max_rank: int = 4) -> BoundedComplex:
-    """A random bounded complex of free groups with honest d^2 = 0: below the
-    top, d(i) = K^T X with X random and the rows of K a kernel basis of d(i+1)."""
+def random_complex(rng) -> BoundedComplex:
+    """A random bounded complex of free groups of ranks 1 to 4 on degrees -2
+    to 0, with honest d^2 = 0: d(-1) is random, and d(-2) = K^T X with X
+    random and the rows of K a kernel basis of d(-1)."""
 
     def draw(r: int, c: int) -> list[Row]:
         # row-major, one draw per entry; the zeros are dropped
         return [{j: x for j in range(c) if (x := rng.randint(-2, 2))} for _ in range(r)]
 
-    lo, hi = min(degrees), max(degrees)
-    ranks = {i: rng.randint(1, max_rank) for i in range(lo, hi + 1)}
-    diff = {hi - 1: draw(ranks[hi], ranks[hi - 1])}
-    for i in range(hi - 2, lo - 1, -1):
-        K = _kernel(diff[i + 1], ranks[i + 1])
-        diff[i] = _mul(_transpose(K, ranks[i + 1]), draw(len(K), ranks[i]))
-    return BoundedComplex(ranks, diff)
+    ranks = {i: rng.randint(1, 4) for i in (-2, -1, 0)}
+    top = draw(ranks[0], ranks[-1])
+    K = _kernel(top, ranks[-1])
+    return BoundedComplex(ranks, {-1: top, -2: _mul(_transpose(K, ranks[-1]), draw(len(K), ranks[-2]))})
 
 
-def random_regulator_pair(rng, max_rank: int = 4):
+def random_regulator_pair(rng):
     """(A, B, lam): B a unimodular twin of A, lam commuting and nonsingular.
 
     lam has the shape g ∘ (a + d h + h d) for a degree-lowering random h,
@@ -873,7 +870,7 @@ def random_regulator_pair(rng, max_rank: int = 4):
         return x * (6 // rng.choice([1, 1, 2, 3]))
 
     while True:
-        CA = random_complex(rng, max_rank=max_rank)
+        CA = random_complex(rng)
         g = {i: _random_unimodular(CA.rank(i), rng) for i in CA.degrees()}
         # g is unimodular, so B's differentials g d g^-1 are integral
         diffB = {i: _mul(_mul(g[i + 1][0], CA.d(i)), g[i][1]) for i in range(CA.lo, CA.hi)}

@@ -381,10 +381,8 @@ class DirichletChar:
         t = sum(Fraction(k * e, d) for k, e, d in zip(self.exponents, exps, g.orders))
         return t - (t.numerator // t.denominator)  # reduce into [0, 1)
 
-    def value(self, a: int, N: int | None = None) -> CycNum:
+    def value(self, a: int, N: int) -> CycNum:
         """chi(a) as an exact root of unity in Q[x]/(Phi_N); 0 for non-units."""
-        if N is None:
-            N = self.order
         t = self.value_exponent(a)
         if t is None:
             return CycNum.rational(N, 0)

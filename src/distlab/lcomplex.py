@@ -18,6 +18,7 @@ from math import lcm
 from .abgroup import (
     BoundedComplex,
     JComplex,
+    _abs_det,
     abstract_index_check,
     commutes,
     fixed_restriction,
@@ -32,7 +33,7 @@ from .distribution import (
     universal_distribution,
     universal_predistribution,
 )
-from .exact_linalg import Row, _axpy, _comb, _det, _mul, _rank
+from .exact_linalg import Row, _axpy, _comb, _mul, _rank
 
 DIFFERENCE = "difference"
 AVERAGE = "average"
@@ -395,12 +396,12 @@ def det_check(m: int) -> dict:
             for p in sb.primes:
                 if g % p == 0:
                     continue
-                # the factor is N / d, so each determinant is det(N) / d^size
+                # the factor is N / d; N commutes with negation, and R is
+                # N on the pairs e_k - e_{-k}
                 N, d = smoothing_factor_scaled(s, p)
-                full *= abs(Fraction(_det(N, s), d**s)) ** sign
-                # N commutes with negation; R is N on the pairs e_k - e_{-k}
+                full *= _abs_det((N, d), f"the smoothing factor at {p} on level {s}") ** sign
                 R = fixed_restriction(N, negation, negation)
-                minus *= abs(Fraction(_det(R, len(R)), d ** len(R))) ** sign
+                minus *= _abs_det((R, d), f"its minus part at {p} on level {s}") ** sign
     expect_full = Fraction(1)
     expect_minus = Fraction(1)
     for p in sb.primes:

@@ -333,7 +333,7 @@ class DoubleComplex:
             # total degree n is the full staircase from (p_lo, n - p_lo)
             rows, offsets = self._zig(self.p_lo, n - self.p_lo, 1 - self.p_lo)
             image = self._columns(self.total_entries(n - 1), self.total_entries(n))
-            self._store[key] = subquotient_group([dict(row) for row in rows], image, offsets[-1])
+            self._store[key] = subquotient_group(rows, image, offsets[-1])
         return self._store[key]
 
 
@@ -341,10 +341,10 @@ def _even_rows(Y: list[Row], W: list[Row], fixed: list[int]) -> tuple[list[Row],
     """A basis of the combinations of the rows (Y_i, W_i) whose W is even on ``fixed``.
 
     One F_2 elimination of the parities, pivots keyed by their lowest odd
-    bit as in ``abgroup._f2_gain``: a row independent mod 2 of the rows
-    before it is doubled, and any other row is added to the earlier rows
-    that cancel its parities.  The new rows are triangular over the old
-    ones, so they are a basis of that index-2^rank sublattice.
+    bit and each step checked as in ``abgroup._f2_gain``: a row independent
+    mod 2 of the rows before it is doubled, and any other row is added to
+    the earlier rows that cancel its parities.  The new rows are triangular
+    over the old ones, so they are a basis of that index-2^rank sublattice.
     """
     bit = {f: 1 << k for k, f in enumerate(fixed)}
     pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (parities, rows used)
@@ -352,13 +352,17 @@ def _even_rows(Y: list[Row], W: list[Row], fixed: list[int]) -> tuple[list[Row],
     for i, w in enumerate(W):
         v = sum(bit[j] for j, x in w.items() if j in bit and x & 1)
         used = 1 << i
+        last = 0
         while v:
             low = v & -v
+            if low <= last:
+                raise ArithmeticError(f"parity pivot at bit {last.bit_length() - 1} does not clear it")
             if low not in pivots:
                 pivots[low] = (v, used)
                 break
             pv, pu = pivots[low]
             v, used = v ^ pv, used ^ pu
+            last = low
         if v:
             Y2.append({j: 2 * x for j, x in Y[i].items()})
             W2.append({j: 2 * x for j, x in w.items()})

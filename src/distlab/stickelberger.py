@@ -98,7 +98,6 @@ def _theta_scaled(m: int) -> list[Row]:
 @dataclass(frozen=True)
 class StickelbergerData:
     m: int
-    theta: GroupRingElem
     S: Lattice
     R_minus: Lattice
     S_minus: Lattice
@@ -128,7 +127,7 @@ def stickelberger_ideal(m: int) -> StickelbergerData:
     S = lattice_intersect(span, Lattice(n, [{k: 1} for k in range(n)]))
     R_minus = minus_sublattice(m)
     S_minus = lattice_intersect(S, R_minus)
-    return StickelbergerData(m, theta_element(m), S, R_minus, S_minus)
+    return StickelbergerData(m, S, R_minus, S_minus)
 
 
 def principal_multiples_lattice(m: int) -> Lattice:

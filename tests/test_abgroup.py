@@ -1,5 +1,6 @@
 """Groups in canonical form, Tate cohomology, regulators, index invariant."""
 
+import copy
 import random
 import re
 from fractions import Fraction
@@ -15,6 +16,7 @@ from distlab.abgroup import (
     FgAbGroup,
     JComplex,
     ZQuotient,
+    _f2_gain,
     _f3_gain,
     _random_unimodular,
     abstract_index_check,
@@ -32,7 +34,20 @@ from distlab.abgroup import (
     theta_fixed,
 )
 from distlab.arith import factorize
-from distlab.exact_linalg import _mul, _transpose, hnf, rank_exact, snf_with_inverses, solve_exact, to_int
+from distlab.exact_linalg import (
+    Lattice,
+    _mul,
+    _transpose,
+    det_exact,
+    hnf,
+    integral_preimage,
+    invariant_factors,
+    kernel_basis,
+    rank_exact,
+    snf_with_inverses,
+    solve_exact,
+    to_int,
+)
 
 
 @pytest.mark.parametrize(
@@ -198,6 +213,59 @@ def test_subquotient_names_its_witness():
         ValueError, match=r"^denominator row 2 is not in the numerator lattice: outside its rational span$"
     ):
         subquotient_group([{0: 1, 1: 1}], to_int(imat([[2, 2], [0, 0], [0, 1]])), 2)
+
+
+# Non-Hermite rows with no zero entry, so that each builder hands the
+# caller's own dicts to its checks; swap and flip are involutions of Z^2.
+ROWS = [{0: 2, 1: 4}, {0: 3, 1: 5}]
+SWAP = [{1: 1}, {0: 1}]
+FLIP = [{0: 1}, {0: 2, 1: -1}]
+ROW_BUILDERS = {
+    "hnf": (hnf, (ROWS, 2)),
+    "kernel_basis": (kernel_basis, ([{0: 2, 1: 4, 2: 1}, {0: 3, 1: 5}], 3)),
+    "snf_with_inverses": (snf_with_inverses, (ROWS, 2)),
+    "invariant_factors": (invariant_factors, (ROWS, 2)),
+    "det_exact": (det_exact, (ROWS, 2)),
+    "rank_exact": (rank_exact, (ROWS, 2)),
+    "solve_exact": (solve_exact, (ROWS, [{0: 1}, {0: 1, 1: 2}], 2)),
+    "integral_preimage": (integral_preimage, (ROWS, [{0: 2, 1: 2}], 2)),
+    "Lattice": (Lattice, (2, ROWS)),
+    "Lattice.contains": (Lattice(2, [{0: 1}, {1: 1}]).contains, (ROWS,)),
+    "ZQuotient": (ZQuotient, (2, ROWS)),
+    "FgAbGroup.from_relations": (FgAbGroup.from_relations, (2, ROWS)),
+    "subquotient_group": (subquotient_group, (ROWS, [{0: 2, 1: 4}], 2)),
+    "tate_group": (tate_group, (SWAP, [{0: 2, 1: 2}, {0: 3, 1: 3}], "odd")),
+    "tate_pair": (tate_pair, (SWAP, [{0: -1, 1: -1}])),
+    "theta_fixed": (theta_fixed, (FLIP,)),
+}
+
+
+@pytest.mark.parametrize("name", ROW_BUILDERS)
+def test_every_row_builder_leaves_its_input_rows_alone(name):
+    # subquotient_group once reduced its numerator rows in place:
+    # ROWS came back as [{1: 2}, {0: 1, 1: 1}]
+    fn, args = ROW_BUILDERS[name]
+    args = copy.deepcopy(args)
+    before = copy.deepcopy(args)
+    fn(*args)
+    assert args == before
+
+
+@pytest.mark.parametrize(
+    "gain, basis, rows, bit",
+    [
+        (_f2_gain, {1: 0b10}, [0b1], 0),  # stored under a bit it lacks
+        (_f2_gain, {0b10: 0b11}, [0b10], 1),  # with a bit below its own
+        (_f3_gain, {1: (0b10, 0)}, [(0b1, 0)], 0),
+        (_f3_gain, {1: (0b1, 0b1)}, [(0b1, 0)], 0),  # entry 1 and 2 at one column
+    ],
+    ids=["f2_missing_bit", "f2_lower_bit", "f3_missing_bit", "f3_both_planes"],
+)
+def test_f2_and_f3_gain_refuse_a_corrupted_basis(gain, basis, rows, bit):
+    # such a basis once kept the reduction looping forever
+    p = 2 if gain is _f2_gain else 3
+    with pytest.raises(ArithmeticError, match=f"^F_{p} basis row at bit {bit} does not clear it$"):
+        gain(basis, rows)
 
 
 def _drawn_matrix(data, r, c):

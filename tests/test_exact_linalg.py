@@ -75,20 +75,6 @@ def _int_rows(r: int, c: int, bound: int = 9):
     )
 
 
-# (A, X, B): A is r x c with r >= c, X is c x k, B is r x k, all small ints.
-solve_systems = st.tuples(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=1, max_value=3),
-).flatmap(
-    lambda t: st.tuples(
-        _int_rows(t[0] + t[1], t[0], 4),
-        _int_rows(t[0], t[2]),
-        _int_rows(t[0] + t[1], t[2]),
-    )
-)
-
-
 @pytest.fixture(scope="module")
 def normalforms():
     sympy = pytest.importorskip("sympy")

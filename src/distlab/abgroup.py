@@ -35,13 +35,13 @@ from .exact_linalg import (
     _check_rows,
     _comb,
     _coords,
-    _det,
     _hermite,
     _kernel,
     _mul,
     _rank,
     _smith,
     _transpose,
+    det_exact,
     integral_preimage,
     lattice_index,
     solve_exact,
@@ -366,15 +366,15 @@ def tate_pair(C: list[Row], relation_rows: list[Row]) -> tuple[FgAbGroup, FgAbGr
 
     By Diederichsen and Reiner every Z[C2]-lattice is Z^a + Z_-^b +
     Z[C2]^r, so Ĥ^even = ker(1-c)/im(1+c) = (Z/2)^a and Ĥ^odd = (Z/2)^b,
-    and the three counts are ranks over F_2 and F_3: rank_F2(1+c) = r,
-    rank_F3(1+c) = a + r, rank_F3(1-c) = b + r.  On M each rank is
-    rank_Fp([R; (1 ± C)^T]) - rank_Fp(R): R is eliminated once per prime
-    and the rows of (1 ± C)^T are reduced against that echelon, as Python
-    ints under XOR over F_2 and as pairs of bit-plane ints over F_3, so
-    nothing dense is built.  Only the rows at the columns without a pivot
-    are needed: with R those unit vectors span F_p^n, and C maps R into
-    itself, so their images span the image of 1 ± C modulo R.  Agrees
-    with ``tate_group``, the Smith route.
+    and rank_F2(1+c) = r, rank_F3(1+c) = a + r; 2 is a unit mod 3, so
+    M/3M = im(1+c) + im(1-c) and b + r = dim M/3M - a - r.  On M each
+    rank is rank_Fp([R; (1 + C)^T]) - rank_Fp(R): R is eliminated once
+    per prime and the rows of (1 + C)^T are reduced against that echelon,
+    as Python ints under XOR over F_2 and as pairs of bit-plane ints over
+    F_3, so nothing dense is built.  Only the rows at the columns without
+    a pivot are needed: with R those unit vectors span F_p^n, and C maps
+    R into itself, so their images span the image of 1 + C modulo R.
+    Agrees with ``tate_group``, the Smith route.
 
     The relation rows must be independent (a Hermite basis, say), and M
     must have no 2- or 3-torsion: unless R keeps its row count as its
@@ -392,10 +392,9 @@ def _tate_pair(cols: list[Row], R: list[Row]) -> tuple[FgAbGroup, FgAbGroup]:
     """``tate_pair`` on sparse rows: cols[k] is column k of C, R the relation rows."""
     n = len(cols)
 
-    def image(k: int, s: int) -> Row:
-        # row k of (1 + s C)^T, that is e_k + s * column k of C; a zero
-        # entry is dropped when the row is read mod p
-        row = {j: s * x for j, x in cols[k].items()}
+    def image(k: int) -> Row:
+        # row k of (1 + C)^T, e_k + column k of C; a zero entry drops out mod p
+        row = dict(cols[k])
         row[k] = row.get(k, 0) + 1
         return row
 
@@ -426,9 +425,9 @@ def _tate_pair(cols: list[Row], R: list[Row]) -> tuple[FgAbGroup, FgAbGroup]:
             )
     free2 = [k for k in range(n) if 1 << k not in f2]
     free3 = [k for k in range(n) if 1 << k not in f3]
-    r = _f2_gain(f2, bits([image(k, 1) for k in free2])[0])
-    a = _f3_gain(dict(f3), bits([image(k, 1) for k in free3])[1]) - r
-    b = _f3_gain(f3, bits([image(k, -1) for k in free3])[1]) - r
+    r = _f2_gain(f2, bits([image(k) for k in free2])[0])
+    a = _f3_gain(f3, bits([image(k) for k in free3])[1]) - r
+    b = len(free3) - a - 2 * r  # dim M/3M = len(free3)
     return elementary_power(2, a), elementary_power(2, b)
 
 
@@ -449,15 +448,18 @@ class BoundedComplex:
     """A cochain complex of free Z-modules on degrees [lo, hi].
 
     ``diff[i]`` and ``d(i)`` are d: X^i -> X^{i+1} as sparse integer rows
-    acting on columns, rank(i+1) rows over columns < rank(i).  Each
-    differential's degree, row count and rows (``_check_rows``) and then
-    d^2 = 0 are validated at construction, each failure a ValueError
+    acting on columns, rank(i+1) rows over columns < rank(i).  The ranks,
+    each differential's degree, row count and rows (``_check_rows``) and
+    then d^2 = 0 are validated at construction, each failure a ValueError
     naming where.  The complex is immutable after construction, so each
     degree's cohomology data is computed once and kept.
     """
 
     def __init__(self, ranks: Mapping[int, int], diff: Mapping[int, list[Row]]):
         self.ranks = dict(ranks)
+        for i, r in self.ranks.items():
+            if type(r) is not int or r < 0:
+                raise ValueError(f"rank at degree {i} is {r!r}, want a non-negative int")
         self.lo = min(self.ranks)
         self.hi = max(self.ranks)
         self.diff = {}
@@ -593,12 +595,12 @@ def _check_scaled(lam: Scaled, n: int, name: str) -> Scaled:
 
 
 def _abs_det(lam: Scaled, name: str) -> Fraction:
-    """|det(N / e)| of a checked map; ValueError names a singular one."""
+    """|det(N / e)| of a checked map, the covolume of its rows; ValueError names a singular one."""
     N, e = lam
-    d = abs(_det(N, len(N)))
-    if d == 0:
+    L = Lattice(len(N), N, e)
+    if L.rank < len(N):
         raise ValueError(f"{name} is singular")
-    return Fraction(d, e ** len(N))
+    return L.covolume
 
 
 def regulator(A: FgAbGroup, B: FgAbGroup, lam: Scaled) -> Fraction:
@@ -633,7 +635,7 @@ def regulator_via_subgroups(A: FgAbGroup, B: FgAbGroup, lam: Scaled, rng) -> Fra
         # G''; [V | W] adds a torsion part, W[i, j] < d_j
         while True:
             V = [{j: x for j in range(r) if (x := rng.randint(-3, 3))} for _ in range(r)]
-            if _det(V, r) != 0:
+            if _rank(V, r) == r:
                 break
         rel = [{r + j: d} for j, d in enumerate(G.torsion)]
         for v in V:
@@ -651,7 +653,7 @@ def regulator_via_subgroups(A: FgAbGroup, B: FgAbGroup, lam: Scaled, rng) -> Fra
     # R(phi) = PA g PB^-1 with PA = VA^T and PB = VB^T, and PB^-1 = X / d.
     X, d = solve_exact(_transpose(VB, r), [{k: 1} for k in range(r)], r)
     rphi_lam = _mul(_mul(_mul(_transpose(VA, r), g), X), N)
-    return Fraction(abs(_det(rphi_lam, r)), (d * e) ** r) * Fraction(ordB, ordA)
+    return Fraction(abs(det_exact(rphi_lam, r)), (d * e) ** r) * Fraction(ordB, ordA)
 
 
 def _random_unimodular(n: int, rng) -> tuple[list[Row], list[Row]]:
@@ -892,7 +894,7 @@ def random_regulator_pair(rng):
                 for row, hd in zip(M, _mul(H[i + 1], CA.d(i))):
                     _axpy(row, hd, q)
             N = _mul(g[i][0], M)
-            if _det(N, len(N)) == 0:
+            if _rank(N, len(N)) < len(N):
                 break
             lam[i] = N, 6 * q
         else:

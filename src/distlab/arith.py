@@ -7,10 +7,12 @@ from math import gcd
 
 
 def validate_level(m: int) -> None:
-    """Raise ValueError unless m is a level: at least 3, not twice an odd number.
+    """Raise ValueError unless m is a level: an int, at least 3, not twice an odd number.
 
     A level m = 2 mod 4 names the same cyclotomic layer as m / 2.
     """
+    if type(m) is not int:
+        raise ValueError(f"level {m!r} is not an int")
     if m % 4 == 2:
         raise ValueError(
             f"level {m} is twice an odd number: that cyclotomic layer "

@@ -351,7 +351,10 @@ class DirichletChar:
         exponents = tuple(exponents)
         if len(exponents) != len(g.orders):
             raise ValueError("wrong number of exponents")
-        exps = tuple(int(k) % d for k, d in zip(exponents, g.orders))
+        for i, k in enumerate(exponents):
+            if type(k) is not int:
+                raise ValueError(f"exponent {i} is {k!r}, not an int")
+        exps = tuple(k % d for k, d in zip(exponents, g.orders))
         self.modulus = modulus
         self.exponents = exps
 

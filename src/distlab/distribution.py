@@ -28,11 +28,11 @@ from .exact_linalg import (
     Lattice,
     Row,
     _axpy,
-    _det,
     _kernel,
     _mul,
     _rank,
     _transpose,
+    det_exact,
 )
 
 # ---------------------------------------------------------------------------
@@ -135,8 +135,8 @@ def basis_check(m: int) -> dict:
         "level": m,
         "count": len(ix),
         "count_ok": len(ix) == m and len(iy) == m,
-        "x_unimodular": len(ix) == m and abs(_det(X, m)) == 1,
-        "y_unimodular": len(iy) == m and abs(_det(Y, m)) == 1,
+        "x_unimodular": len(ix) == m and abs(det_exact(X, m)) == 1,
+        "y_unimodular": len(iy) == m and abs(det_exact(Y, m)) == 1,
     }
 
 

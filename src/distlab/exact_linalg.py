@@ -6,8 +6,8 @@ object that ``distlab`` builds stays in this form end to end: ``_mul(A,
 B)`` builds the rows of A @ B from ``_axpy(dst, src, q)`` over the
 support of ``src``, and ``_transpose`` reads the columns, so identities
 such as d^2 = 0 cost O(nnz).  Callers holding rows they built call the
-row cores (``_smith``, ``_hermite``, ``_bareiss``, ``_kernel``, ``_det``,
-``_rank``, ``_coords``, ``_mul``) directly.  Lattices and other
+row cores (``_smith``, ``_hermite``, ``_bareiss``, ``_kernel``, ``_rank``,
+``_coords``, ``_mul``) directly.  Lattices and other
 subgroup-like data are matrices whose *rows* generate.
 
 One public API on checked rows.  ``hnf``, ``kernel_basis``,
@@ -45,9 +45,9 @@ for.  ``snf_with_inverses`` builds all four,
 One fraction-free Gauss-Jordan.  ``_bareiss`` eliminates the same sparse
 rows left to right (Bareiss 1968): every update is an exact division by
 the previous pivot, so no ``Fraction`` is formed, and the pivot rows end
-as d * [I | X].  ``_rank`` counts its pivots, ``_det`` reads d and the
-sign of the row swaps, and ``solve_exact`` runs it on [A | B] and returns
-(X, d) with A X = d B and the free variables zero.
+as d * [I | X].  ``_rank`` counts its pivots, the signed ``det_exact``
+reads d and the sign of the row swaps, and ``solve_exact`` runs it on
+[A | B] and returns (X, d) with A X = d B and the free variables zero.
 
 One coordinate route.  ``_coords`` writes an integer vector in the basis
 of Hermite rows by one triangular reduction over the vector's support,
@@ -55,8 +55,8 @@ lowest column first (Cohen, §2.4.3), or reports that it is not in their
 Z-span.  ``Lattice.contains`` and every subquotient and cohomology group
 of ``abgroup`` read their coordinates this way, so none of them solves.
 ``Lattice`` keeps its Hermite basis as integer rows over one
-denominator, so ``lattice_index`` is a ratio of products of Hermite
-pivots.
+denominator; its ``covolume``, the pivots' product over den^rank, is the
+package's one |det|, read by ``lattice_index`` and ``abgroup._abs_det``.
 """
 
 from __future__ import annotations
@@ -473,12 +473,6 @@ def _bareiss(M: list[Row], c: int) -> tuple[list[int], int, int]:
     return piv, prev, sign
 
 
-def _det(M: list[Row], n: int) -> int:
-    """The determinant of the n x n integer matrix with rows M; M is not changed."""
-    piv, d, sign = _bareiss([dict(row) for row in M], n)
-    return sign * d if len(piv) == n else 0
-
-
 def _rank(M: list[Row], c: int) -> int:
     """The rank over Q of the integer rows M over columns < c; M is not changed."""
     return len(_bareiss([dict(row) for row in M], c)[0])
@@ -486,10 +480,11 @@ def _rank(M: list[Row], c: int) -> int:
 
 def det_exact(rows: list[Row], n: int) -> int:
     """The determinant of the n x n matrix with these rows, by fraction-free elimination."""
-    rows = _check_rows(rows, n, "matrix")
-    if len(rows) != n:
-        raise ValueError(f"matrix has {len(rows)} rows, want {n}")
-    return _det(rows, n)
+    M = _copy(rows, n)
+    if len(M) != n:
+        raise ValueError(f"matrix has {len(M)} rows, want {n}")
+    piv, d, sign = _bareiss(M, n)
+    return sign * d if len(piv) == n else 0
 
 
 def rank_exact(rows: list[Row], c: int) -> int:
@@ -581,6 +576,11 @@ class Lattice:
     def rank(self) -> int:
         return len(self.rows)
 
+    @property
+    def covolume(self) -> Fraction:
+        """The Hermite pivots' product over den^rank: |det| of a basis, on the pivot columns."""
+        return Fraction(prod(row[min(row)] for row in self.rows), self.den**self.rank)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
@@ -594,11 +594,6 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice(ambient={self.ambient}, rank={self.rank})"
-
-    def spans_same_space(self, other: "Lattice") -> bool:
-        if self.ambient != other.ambient or self.rank != other.rank:
-            return False
-        return _rank(self.rows + other.rows, self.ambient) == self.rank
 
     def contains(self, rows: list[Row], e: int = 1) -> bool:
         """True iff every row of ``rows / e`` lies in the lattice.
@@ -631,13 +626,11 @@ def lattice_index(A: Lattice, B: Lattice) -> Fraction:
     Requires both lattices to span the same rational subspace; generalizes
     the subgroup index #(A/B) to non-nested commensurable lattices.
     """
-    if not A.spans_same_space(B):
+    if A.ambient != B.ambient or A.rank != B.rank or _rank(A.rows + B.rows, A.ambient) > A.rank:
         raise ValueError("lattices do not span the same subspace")
-    # Lattices with one span have the same Hermite pivot columns, and on
-    # those columns each basis is triangular with its pivots on the
-    # diagonal: (A : B) is the ratio of the two covolumes, prod(pivots) / den^rank.
-    pa, pb = (prod(row[min(row)] for row in L.rows) for L in (A, B))
-    return Fraction(pb * A.den**A.rank, pa * B.den**B.rank)
+    # Lattices with one span have the same Hermite pivot columns, on which
+    # each basis is triangular, so (A : B) is the ratio of the covolumes.
+    return B.covolume / A.covolume
 
 
 def _stacked(A: Lattice, B: Lattice) -> tuple[list[Row], int]:

@@ -16,6 +16,7 @@ from distlab.abgroup import (
     FgAbGroup,
     JComplex,
     ZQuotient,
+    _abs_det,
     _f2_gain,
     _f3_gain,
     _random_unimodular,
@@ -700,6 +701,38 @@ def test_euler_regulator_check_rejects_maps_off_the_differentials():
         euler_regulator_check(C, C, {**good, 0: ([{0: 2}, {1: 1}], 1)})
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_abs_det_is_the_covolume_of_the_rows(data):
+    """``_abs_det((N, e))`` reads |det(N / e)| off the Hermite pivots of the
+    lattice the rows generate; the signed Bareiss ``det_exact`` is the
+    reference.  N is block upper triangular under a random symmetric
+    permutation, and half the draws repeat a multiple of one row in
+    another, so singular maps are drawn too."""
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    A = []
+    for b, size in enumerate(sizes):  # the rows of block b are zero left of it
+        lo = sum(sizes[:b])
+        A += [{j: x for j in range(lo, n) if (x := data.draw(st.integers(-4, 4)))} for _ in range(size)]
+    if data.draw(st.booleans()):
+        i, k = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        A[i] = {j: 2 * x for j, x in A[k].items()} if i != k else {}
+    perm = data.draw(st.permutations(range(n)))
+    N = [{} for _ in range(n)]
+    for i, row in enumerate(A):  # P A P^T
+        N[perm[i]] = {perm[j]: x for j, x in row.items()}
+    e = data.draw(st.integers(1, 6))
+    want = det_exact(N, n)
+    if want == 0:
+        with pytest.raises(ValueError, match="^phi is singular$"):
+            _abs_det((N, e), "phi")
+    else:
+        assert _abs_det((N, e), "phi") == Fraction(abs(want), e**n)
+    # the denominator is no common factor of the rows here, so it counts
+    assert _abs_det(([{0: 2, 1: 1}, {1: 3}], 4), "phi") == Fraction(6, 16)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_regulator_via_subgroups_matches_on_random_maps(seed):
     # random groups and a random nonsingular rational lambda, 100 cases a seed
@@ -766,6 +799,21 @@ def test_cohomology_names_the_column_outside_the_kernel():
 def test_bounded_complex_rejects_malformed_differentials(diff, message):
     with pytest.raises(ValueError, match=message):
         BoundedComplex({-1: 2, 0: 2}, diff)
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        ({-1: 2, 0: -2}, "^rank at degree 0 is -2, want a non-negative int$"),
+        ({-1: 2.0, 0: 2}, "^rank at degree -1 is 2.0, want a non-negative int$"),
+        ({0: True}, "^rank at degree 0 is True, want a non-negative int$"),
+    ],
+    ids=["negative", "float", "bool"],
+)
+def test_bounded_complex_rejects_a_bad_rank(ranks, message):
+    # a negative rank once gave the cohomology 0
+    with pytest.raises(ValueError, match=message):
+        BoundedComplex(ranks, {})
 
 
 def test_bounded_complex_keeps_its_rows():

@@ -1,5 +1,6 @@
 """The shared level rule and the helpers that rely on it."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -26,6 +27,12 @@ def test_twice_odd_levels_are_rejected(m):
 @pytest.mark.parametrize("m", [-3, 0, 1])
 def test_small_levels_are_rejected(m):
     with pytest.raises(ValueError, match="out of range"):
+        validate_level(m)
+
+
+@pytest.mark.parametrize("m", [7.5, 8.0, Fraction(8), "8", True])
+def test_non_int_levels_are_rejected(m):
+    with pytest.raises(ValueError, match="is not an int"):
         validate_level(m)
 
 

@@ -106,6 +106,14 @@ def test_character_rejects_wrong_exponent_count():
         DirichletChar(15, [1])
 
 
+def test_character_rejects_a_non_int_exponent():
+    # int() once truncated 1.7 to the exponent 1
+    with pytest.raises(ValueError, match=r"^exponent 0 is 1.7, not an int$"):
+        DirichletChar(5, [1.7])
+    with pytest.raises(ValueError, match=r"^exponent 1 is Fraction\(1, 1\), not an int$"):
+        DirichletChar(15, [1, Fraction(1)])
+
+
 def test_bernoulli_values():
     chi4 = next(c for c in odd_characters(4))
     assert bernoulli1(chi4).as_rational() == Fraction(-1, 2)
